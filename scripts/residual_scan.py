@@ -30,16 +30,7 @@ def main():
                 t, form, args.k, args.mass)
             cells = []
             for d in args.detunings:
-                def f(tt, uu, _d=d):
-                    return fields(_d * tt, uu)
-
-                def ft(tt, uu, _d=d):
-                    inner = d_dt(_d * tt, uu)
-                    return bridge.EmField(_d * inner.e, _d * inner.h)
-
-                def fu(tt, uu, _d=d):
-                    return d_du(_d * tt, uu)
-
+                f, ft, fu = bridge.detuned_wave(fields, d_dt, d_du, d)
                 rep = bridge.dirac_residual_em(f, t, args.mass, form,
                                                t_grid, u_grid,
                                                d_dt=ft, d_du=fu)

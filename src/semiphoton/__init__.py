@@ -14,7 +14,7 @@ from .bridge import (BilinearKind, EmField, FieldLayout, LayoutViolation,
 from .dirac import (AlphaSet, AxisTriad, NonClosureError, NotUnitaryError,
                     alpha_prime_set, anticommutation_deviation, axis_triads,
                     canonical_alpha_set, canonical_transform, generate_group,
-                    s_matrix, transform_mode_match, verify_anticommutation)
+                    s_matrix, transform_mode_match)
 from .dynamics import (CurrentPair, SelfField, StressTensor, WavePoint,
                        centripetal_check, lagrangian_linear,
                        lagrangian_nonlinear, lorentz_force_ring,

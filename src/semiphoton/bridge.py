@@ -379,3 +379,22 @@ def onshell_plane_wave(t_ax: AxisTriad, sign_form, k, mass, e1_amp=1.0,
         return build(t, u, scale=-1j * k)
 
     return omega, fields, d_dt, d_du
+
+
+def detuned_wave(fields, d_dt, d_du, factor):
+    """The wave (fields, d_dt, d_du) with its frequency scaled by factor.
+
+    Each callable is evaluated at time factor * t; the time derivative picks
+    up the chain-rule factor.  Off shell unless factor is 1.
+    """
+    def detuned(t, u):
+        return fields(factor * t, u)
+
+    def detuned_dt(t, u):
+        inner = d_dt(factor * t, u)
+        return EmField(factor * inner.e, factor * inner.h)
+
+    def detuned_du(t, u):
+        return d_du(factor * t, u)
+
+    return detuned, detuned_dt, detuned_du

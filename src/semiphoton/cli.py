@@ -72,13 +72,9 @@ def cmd_verify(args):
 
 def cmd_torus(args):
     cfg = _config(args)
-    units = torus.unit_system(cfg.units)
-    model = torus.derive_parameters(units, cfg.zeta)
-    model = torus.calibrate_e0(model, n_points=cfg.quadrature_points)
-    q = torus.charge_geometric(model)
-    sm = torus.spin_and_moment(model, q, units)
-    zb = torus.zitterbewegung(units)
-    chain = torus.consistency_chain(model)
+    ev = torus.evaluate(torus.unit_system(cfg.units), cfg.zeta,
+                        cfg.quadrature_points)
+    model = ev.model
     doc = {
         "meta": {"version": VERSION, "config": cfg.to_dict()},
         "model": {
@@ -89,13 +85,12 @@ def cmd_torus(args):
             "e0": model.e0,
         },
         "derived": {
-            "alpha_q": torus.coupling_constant(cfg.zeta),
-            "q": q,
-            "m_s": torus.mass_closed_form(model),
-            "sigma_p": sm.sigma_p, "sigma_s": sm.sigma_s,
-            "mu_s": sm.mu_s, "mu_closed_form": sm.mu_closed_form,
-            "omega_z": zb.omega_z, "r_z": zb.r_z, "v": zb.v,
-            "r_o": chain.r_o, "radius_ratio": chain.radius_ratio,
+            "alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
+            "sigma_p": ev.spin.sigma_p, "sigma_s": ev.spin.sigma_s,
+            "mu_s": ev.spin.mu_s, "mu_closed_form": ev.spin.mu_closed_form,
+            "omega_z": ev.zitter.omega_z, "r_z": ev.zitter.r_z,
+            "v": ev.zitter.v,
+            "r_o": ev.chain.r_o, "radius_ratio": ev.chain.radius_ratio,
         },
         "ledger": [e.to_dict() for e in
                    torus.discrepancy_ledger(model, cfg.quadrature_points)],
@@ -182,34 +177,18 @@ def cmd_dynamics(args):
 def cmd_sweep_zeta(args):
     cfg = _config(args)
     units = torus.unit_system(cfg.units)
-    if not (0 < args.min <= args.max <= 1.0) or args.steps < 1:
-        raise SystemExit(USAGE_ERROR)
     rows = []
-    for i in range(args.steps):
-        if args.steps == 1:
-            z = args.min
-        elif i == args.steps - 1:
-            z = args.max
-        else:
-            z = args.min + (args.max - args.min) * i / (args.steps - 1)
-        model = torus.calibrate_e0(torus.derive_parameters(units, z),
-                                   n_points=cfg.quadrature_points)
-        q = torus.charge_geometric(model)
-        sm = torus.spin_and_moment(model, q, units)
-        rows.append((z, torus.coupling_constant(z), q,
-                     torus.mass_closed_form(model), sm.mu_s))
+    for z in torus.zeta_grid(args.min, args.max, args.steps):
+        ev = torus.evaluate(units, z, cfg.quadrature_points)
+        rows.append((z, ev.alpha_q, ev.q, ev.m_s, ev.spin.mu_s))
     _emit(csv_rows(("zeta", "alpha_q", "q", "m_s", "mu_s"), rows), cfg.out)
     return 0
 
 
 def cmd_dump_matrices(args):
     cfg = _config(args)
-    if args.set == "canonical":
-        aset = dirac.canonical_alpha_set()
-    elif args.set == "prime":
-        aset = dirac.alpha_prime_set()
-    else:
-        raise SystemExit(USAGE_ERROR)
+    aset = (dirac.canonical_alpha_set() if args.set == "canonical"
+            else dirac.alpha_prime_set())
     doc = {"meta": {"version": VERSION, "config": cfg.to_dict()},
            "label": aset.label,
            "matrices": {name: _complex_pairs(m)

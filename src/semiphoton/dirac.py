@@ -101,16 +101,6 @@ def anticommutation_deviation(aset):
     return dev
 
 
-def verify_anticommutation(aset):
-    """Anticommutation check as a structured report (pass at exact zero)."""
-    from .report import CheckReport
-    dev = anticommutation_deviation(aset)
-    return CheckReport.build(
-        id=f"algebra/anticommutation-{aset.label}",
-        ref="alpha-set anticommutation", claimed=0.0, computed=dev,
-        tol_abs=0.0, tol_rel=0.0)
-
-
 def a5_product_deviation(aset):
     return max_abs_diff(aset.a1 @ aset.a2 @ aset.a3 @ aset.a4, aset.a5)
 

@@ -3,14 +3,13 @@
 Everything is double precision numpy.  No general-purpose routines live here,
 only the exact-shape operations the rest of the library needs.  Comparisons of
 integer-entry matrix identities are exact (error 0); everything else uses the
-module default tolerances.
+module default tolerance.
 """
 from __future__ import annotations
 
 import numpy as np
 
 ABS_TOL = 1e-12
-REL_TOL = 1e-12
 
 
 def require_finite(arr, name="value"):
@@ -79,9 +78,3 @@ def is_unitary(a, tol=ABS_TOL):
 def hermiticity_deviation(a):
     a = as_matrix(a)
     return max_abs_diff(a, a.conj().T)
-
-
-def close(a, b, tol_abs=ABS_TOL, tol_rel=REL_TOL):
-    d = max_abs_diff(a, b)
-    scale = max(entry_norm(np.asarray(a)), entry_norm(np.asarray(b)))
-    return d <= tol_abs or (scale > 0 and d / scale <= tol_rel)

@@ -198,11 +198,9 @@ class ContinuityReport:
     density_spread: float
     flux_spread: float
     deviation: float
-    normalization: float
 
 
-def continuity_check(state: PlaneWaveState, aset, volume=None,
-                     energy_scale=None, c=1.0, hbar=1.0, samples=16):
+def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
     """Probability continuity for a single plane wave.
 
     P = psi^+ a0 psi and the flux -c psi^+ a psi are space-time constants
@@ -211,11 +209,6 @@ def continuity_check(state: PlaneWaveState, aset, volume=None,
     space-time points through the explicit phase factor; the reported
     deviation is their spread divided by a period scale, which bounds the
     derivative combination.
-
-    With ``volume`` and ``energy_scale`` (8 pi m c^2) given, the amplitudes
-    are rescaled so the field energy over the volume equals m c^2, and the
-    normalization integral of psi' = psi / sqrt(energy_scale) is evaluated by
-    Simpson quadrature; it must come out 1.
     """
     psi = state.amplitudes
     omega = state.energy / hbar
@@ -234,12 +227,6 @@ def continuity_check(state: PlaneWaveState, aset, volume=None,
     f_spread = float(np.abs(fluxes - fluxes[0]).max())
     period = 2 * math.pi / max(abs(omega), 1e-300)
     deviation = (d_spread + f_spread) / period
-    normalization = float("nan")
-    if volume is not None and energy_scale is not None and densities[0] > 0:
-        from .torus import simpson
-        scaled_sq = energy_scale / volume  # psi^+ psi after energy rescale
-        integrand = scaled_sq / energy_scale
-        normalization = simpson(lambda _l: integrand, 0.0, volume, 256)
     return ContinuityReport(density=float(densities[0]), flux=fluxes[0],
                             density_spread=d_spread, flux_spread=f_spread,
-                            deviation=deviation, normalization=normalization)
+                            deviation=deviation)

@@ -58,6 +58,7 @@ class CheckReport:
     @classmethod
     def build(cls, id, ref, claimed, computed, tol_abs=1e-12, tol_rel=1e-12,
               notes="", ledgered=False):
+        tol_abs, tol_rel = float(tol_abs), float(tol_rel)
         c0 = complex(claimed) if claimed is not None else 0.0
         c1 = complex(computed)
         abs_err = abs(c1 - c0)

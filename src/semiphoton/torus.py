@@ -6,6 +6,11 @@ displacement ring current, charge and field-mass quadratures, the coupling
 constant 2 zeta^2 / pi, spin, magnetic moment, and the internal-rotation
 (Zitterbewegung) parameters.
 
+`calibrate_e0` fixes the one free amplitude E0 in closed form by matching the
+field-mass quadrature to the electron mass; `evaluate` builds the calibrated
+ring and its derived quantities as one record, and `zeta_grid` is the sweep
+grid over the cross-section ratio.
+
 Quadratures are composite Simpson on uniform grids; a result only counts once
 doubling the point count moves it by less than the convergence tolerance.
 Places where the model's stated closed forms and the quadrature of its own
@@ -240,32 +245,24 @@ def mass_density_half_wave(model: TorusModel, n_points=256):
                               0.0, model.lambda_p / 2, n_points, scale)
 
 
-def calibrate_e0(model: TorusModel, mass_target=None, n_points=512,
-                 rel_tol=1e-12) -> TorusModel:
-    """Bisection-solve integrate_mass(E0) = mass target (default m_e).
+def calibrate_e0(model: TorusModel, mass_target=None,
+                 n_points=512) -> TorusModel:
+    """Amplitude E0 for which integrate_mass equals the mass target (default m_e).
 
     Closes the one free amplitude of the model: the ring's field mass is made
-    equal to the electron mass of the unit system.
+    equal to the electron mass of the unit system.  The field mass is exactly
+    quadratic in E0, so one quadrature at unit amplitude fixes it:
+    E0 = sqrt(target / integrate_mass(E0 = 1)).
     """
     target = model.units.m_e if mass_target is None else mass_target
     if target <= 0:
         raise DomainError("mass target must be positive")
-
-    def mass_at(e0):
-        return integrate_mass(with_e0(model, e0), n_points)
-
-    lo, hi = 0.0, 1.0
-    while mass_at(hi) < target:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return with_e0(model, 0.5 * (lo + hi))
+    unit_mass = integrate_mass(with_e0(model, 1.0), n_points)
+    if not 0 < unit_mass < math.inf or not math.isfinite(target / unit_mass):
+        raise DomainError(
+            f"no finite amplitude gives field mass {target!r} at "
+            f"zeta={model.zeta!r}: the mass at unit amplitude is {unit_mass!r}")
+    return with_e0(model, math.sqrt(target / unit_mass))
 
 
 def coupling_constant(zeta):
@@ -354,6 +351,40 @@ def zitterbewegung(units: UnitSystem) -> Zitterbewegung:
     return Zitterbewegung(omega_z=2 * units.m_e * units.c ** 2 / units.hbar,
                           r_z=units.hbar / (2 * units.m_e * units.c),
                           v=units.c)
+
+
+@dataclass(frozen=True)
+class TorusEvaluation:
+    """A calibrated ring and every quantity derived from it."""
+    model: TorusModel
+    alpha_q: float
+    q: float
+    m_s: float
+    spin: SpinMoment
+    zitter: Zitterbewegung
+    chain: ChainReport
+
+
+def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
+    """Derive, calibrate and evaluate the ring at cross-section ratio zeta."""
+    model = calibrate_e0(derive_parameters(units, zeta), n_points=n_points)
+    chain = consistency_chain(model)
+    return TorusEvaluation(model=model, alpha_q=chain.alpha_q, q=chain.q,
+                           m_s=chain.m_s,
+                           spin=spin_and_moment(model, chain.q, units),
+                           zitter=zitterbewegung(units), chain=chain)
+
+
+def zeta_grid(zmin, zmax, steps):
+    """steps evenly spaced ratios from zmin to zmax, both ends exact."""
+    if not (0 < zmin <= zmax <= 1) or steps < 1:
+        raise DomainError(f"zeta sweep needs 0 < min <= max <= 1 and "
+                          f"steps >= 1, got min={zmin!r}, max={zmax!r}, "
+                          f"steps={steps!r}")
+    if steps == 1:
+        return [zmin]
+    return [zmin + (zmax - zmin) * i / (steps - 1)
+            for i in range(steps - 1)] + [zmax]
 
 
 def discrepancy_ledger(model: TorusModel, n_points=256):

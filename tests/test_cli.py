@@ -152,3 +152,42 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["checks"]
+
+
+def test_sweep_zeta_bad_range_exits_two_with_message(capsys):
+    assert main(["sweep-zeta", "--min", "0.5", "--max", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: zeta sweep needs")
+
+
+def test_torus_unreachable_zeta_exits_two_with_message(capsys):
+    assert main(["torus", "--zeta", "1e-200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no finite amplitude")
+
+
+@pytest.mark.parametrize("units", ["natural", "gaussian_cgs"])
+def test_torus_equals_sweep_row_at_same_zeta(units, capsys):
+    zeta = "0.37"
+    _, out = run_cli(["torus", "--units", units, "--zeta", zeta], capsys)
+    derived = json.loads(out)["derived"]
+    _, out = run_cli(["sweep-zeta", "--units", units, "--min", "0.1",
+                      "--max", zeta, "--steps", "4"], capsys)
+    last = out.strip().splitlines()[-1].split(",")
+    assert float(last[0]) == float(zeta)
+    assert [float(v) for v in last[2:]] == [derived[k]
+                                            for k in ("q", "m_s", "mu_s")]
+
+
+def test_verify_csv_cells_read_back(capsys):
+    code, out = run_cli(["verify", "--suite", "all", "--samples", "10",
+                         "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert any(line.startswith("planewave/expansion-") for line in lines)
+    for line in lines[1:]:
+        for cell in line.split(",")[2:]:
+            if cell:
+                complex(cell)

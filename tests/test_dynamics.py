@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semiphoton import bridge, dirac, dynamics, torus
 from semiphoton.bridge import EmField
+from semiphoton.report import RunConfig
+from semiphoton.suites import suite_dynamics
 
 CANON = dirac.canonical_alpha_set()
 NAT = torus.UnitSystem.natural()
@@ -218,3 +221,25 @@ def test_matter_motion_balanced_rotation():
 
     res0 = dynamics.matter_motion_residual(zero3, lambda _p: 0.0, zero3, pts)
     assert np.abs(res0).max() == 0.0
+
+
+def _quartic_routes(seed):
+    checks, _ = suite_dynamics(RunConfig(seed=seed, samples=200))
+    return next(c for c in checks if c.id == "dynamics/quartic-routes")
+
+
+def test_quartic_routes_scale_is_the_cancelling_terms():
+    # near-null fields make |quartic| tiny while the cancelling terms are
+    # of size pref (E^2+H^2)^2; this seed failed against |quartic|
+    assert _quartic_routes(1006851808).verdict == "pass"
+
+
+def test_quartic_routes_catches_a_planted_error(monkeypatch):
+    exact = dynamics.lagrangian_nonlinear
+
+    def planted(*args, **kwargs):
+        nl = exact(*args, **kwargs)
+        return replace(nl, quartic_bilinear=nl.quartic_bilinear * (1 + 1e-10))
+
+    monkeypatch.setattr(dynamics, "lagrangian_nonlinear", planted)
+    assert _quartic_routes(1006851808).verdict == "fail"

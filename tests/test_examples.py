@@ -1,0 +1,51 @@
+"""Smoke test: every command of the README's CLI and script examples runs."""
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_examples():
+    """Commands of the README's sh blocks under ## CLI and ## Experiment scripts."""
+    commands, section, in_block = [], None, False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("## "):
+            section = line[3:]
+        elif line.startswith("```"):
+            in_block = not in_block
+        elif in_block and section in ("CLI", "Experiment scripts"):
+            argv = shlex.split(line.split("#", 1)[0])
+            if argv and argv[0] == "semiphoton":
+                commands.append([sys.executable, "-m"] + argv)
+            elif argv and argv[0] == "python":
+                commands.append([sys.executable] + argv[1:])
+    return commands
+
+
+EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_the_examples():
+    scripts = [argv[1] for argv in EXAMPLES if argv[1] != "-m"]
+    assert scripts == ["scripts/residual_scan.py"]
+    assert len(EXAMPLES) >= 8
+
+
+def _example_id(argv):
+    return " ".join(argv[3:] if argv[1] == "-m" else argv[1:])
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=_example_id)
+def test_readme_example_exits_zero(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -201,3 +201,55 @@ def test_discrepancy_ledger_entries():
         0.5, rel=1e-9)
     assert "ring-mass/amplitude-exponent" in by_claim
     assert torus.discrepancy_ledger(model(), 256) == []
+
+
+@pytest.mark.parametrize("mode", ["natural", "gaussian_cgs"])
+def test_calibration_closed_form_across_grid(mode):
+    units = torus.unit_system(mode)
+    for zeta in (0.01, 0.05, 0.3, 0.55, 1.0):
+        for n in (128, 256, 512, 1024):
+            m = torus.calibrate_e0(torus.derive_parameters(units, zeta),
+                                   n_points=n)
+            mass = torus.integrate_mass(m, n)
+            assert abs(mass / units.m_e - 1) <= 5e-12
+            assert mass == pytest.approx(torus.mass_closed_form(m), rel=1e-10)
+
+
+def test_calibration_mass_target_scales_amplitude():
+    base = torus.calibrate_e0(model())
+    heavier = torus.calibrate_e0(model(), mass_target=4.0)
+    assert heavier.e0 == pytest.approx(2 * base.e0, rel=1e-15)
+    with pytest.raises(torus.DomainError):
+        torus.calibrate_e0(model(), mass_target=0.0)
+
+
+def test_calibration_out_of_range_raises_domain_error():
+    # the cross-section area underflows, so no finite amplitude exists
+    with pytest.raises(torus.DomainError, match="unit amplitude is 0.0"):
+        torus.calibrate_e0(model(zeta=1e-200))
+
+
+def test_evaluate_matches_the_separate_routes():
+    for units in (NAT, torus.UnitSystem.gaussian_cgs()):
+        ev = torus.evaluate(units, 0.3, 256)
+        m = torus.calibrate_e0(torus.derive_parameters(units, 0.3),
+                               n_points=256)
+        assert ev.model == m
+        assert ev.alpha_q == torus.coupling_constant(0.3)
+        assert ev.q == torus.charge_geometric(m)
+        assert ev.m_s == torus.mass_closed_form(m)
+        assert ev.spin == torus.spin_and_moment(m, ev.q, units)
+        assert ev.zitter == torus.zitterbewegung(units)
+        assert ev.chain == torus.consistency_chain(m)
+
+
+def test_zeta_grid():
+    assert torus.zeta_grid(0.2, 0.9, 1) == [0.2]
+    grid = torus.zeta_grid(0.05, 1.0, 20)
+    assert len(grid) == 20
+    assert grid[0] == 0.05 and grid[-1] == 1.0
+    assert grid == sorted(grid)
+    assert torus.zeta_grid(0.1, 0.1, 3) == [0.1, 0.1, 0.1]
+    for bad in ((0.5, 0.1, 5), (0.0, 0.5, 5), (0.1, 1.5, 5), (0.1, 0.5, 0)):
+        with pytest.raises(torus.DomainError):
+            torus.zeta_grid(*bad)
