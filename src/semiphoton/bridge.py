@@ -7,6 +7,10 @@ exactly one vector matrix gives the energy-flux component on the layout's
 axis.  In complex mode every quadratic form is sesquilinear, so E^2 means
 E.conj(E); for real fields this reduces to the ordinary expressions.
 
+Fields and spinors may be stacks of n samples (E, H of shape (n, 3), psi of
+shape (n, 4)); every dictionary kernel then returns one value per sample, and
+a single field or spinor is the same code without the leading axis.
+
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
 component equations against the matrix form.
@@ -19,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .dirac import AxisTriad, canonical_alpha_set, triad
-from .linalg import as_bispinor, as_vec3
+from .linalg import as_bispinor, as_vec3, inner
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
@@ -34,12 +38,16 @@ class GridTooCoarse(RuntimeError):
 
 @dataclass(frozen=True)
 class EmField:
+    """E and H of one field, shape (3,), or of a stack of n fields, (n, 3)."""
     e: np.ndarray
     h: np.ndarray
 
     def __init__(self, e, h):
-        object.__setattr__(self, "e", as_vec3(e))
-        object.__setattr__(self, "h", as_vec3(h))
+        e, h = as_vec3(e), as_vec3(h)
+        if e.shape != h.shape:
+            raise ValueError(f"E and H shapes differ: {e.shape} vs {h.shape}")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "h", h)
 
     @classmethod
     def zero(cls):
@@ -96,14 +104,15 @@ def positron_layout():
 
 
 def bispinor_from_fields(f: EmField, layout: FieldLayout):
+    """The spinor(s), shape (..., 4), holding the field(s) in the layout's slots."""
     comps = {"e": f.e, "h": f.h}
-    psi = np.zeros(4, dtype=complex)
+    psi = np.empty(f.e.shape[:-1] + (4,), dtype=complex)
     for i, (kind, ax, factor) in enumerate(layout.slots):
-        psi[i] = factor * comps[kind][AXIS_INDEX[ax]]
+        psi[..., i] = factor * comps[kind][..., AXIS_INDEX[ax]]
     for kind in ("e", "h"):
         covered = set(layout.covered(kind))
         for ax, idx in AXIS_INDEX.items():
-            if ax not in covered and comps[kind][idx] != 0:
+            if ax not in covered and comps[kind][..., idx].any():
                 raise LayoutViolation(
                     f"{kind}_{ax} is non-zero but has no slot in layout {layout.name}")
     return psi
@@ -111,11 +120,11 @@ def bispinor_from_fields(f: EmField, layout: FieldLayout):
 
 def fields_from_bispinor(psi, layout: FieldLayout):
     psi = as_bispinor(psi)
-    e = np.zeros(3, dtype=complex)
-    h = np.zeros(3, dtype=complex)
+    e = np.zeros(psi.shape[:-1] + (3,), dtype=complex)
+    h = np.zeros_like(e)
     comps = {"e": e, "h": h}
     for i, (kind, ax, factor) in enumerate(layout.slots):
-        comps[kind][AXIS_INDEX[ax]] = psi[i] / factor
+        comps[kind][..., AXIS_INDEX[ax]] = psi[..., i] / factor
     return EmField(e, h)
 
 
@@ -128,29 +137,38 @@ class BilinearKind(Enum):
     PSEUDOSCALAR = "a5"
 
 
+def bilinears(psi, aset):
+    """All six bilinears psi^+ a_k psi, k = 0..5, in the last axis.
+
+    psi of shape (n, 4) gives shape (n, 6); one spinor (4,) gives (6,).
+    Column k is the bilinear of a_k, so ``BilinearKind`` "a4" is column 4.
+    """
+    psi = as_bispinor(psi)
+    return np.einsum("...i,kij,...j->...k", psi.conj(),
+                     np.stack(list(aset.named().values())), psi)
+
+
 def bilinear(kind: BilinearKind, psi, aset):
     """psi^+ a psi for the matrix selected by kind."""
-    psi = as_bispinor(psi)
-    m = aset.named()[kind.value]
-    return complex(psi.conj() @ (m @ psi))
+    return np.moveaxis(bilinears(psi, aset), -1, 0)[int(kind.value[1])]
 
 
 def bilinear_vector(psi, aset):
-    psi = as_bispinor(psi)
-    return np.array([complex(psi.conj() @ (a @ psi)) for a in aset.vector()])
+    """(psi^+ a1 psi, psi^+ a2 psi, psi^+ a3 psi) in the last axis."""
+    return bilinears(psi, aset)[..., 1:4]
 
 
 def e_squared(f: EmField):
-    return float((f.e.conj() @ f.e).real)
+    return inner(f.e, f.e).real
 
 
 def h_squared(f: EmField):
-    return float((f.h.conj() @ f.h).real)
+    return inner(f.h, f.h).real
 
 
 def eh_dot(f: EmField):
     """Sesquilinear E.H; equals the plain dot product for real fields."""
-    return float((f.e.conj() @ f.h).real)
+    return inner(f.e, f.h).real
 
 
 def cross_sym(f: EmField):
@@ -179,7 +197,7 @@ def fierz_em(f: EmField):
     f.require_real()
     e2, h2 = e_squared(f), h_squared(f)
     exh = np.cross(f.e.real, f.h.real)
-    lhs = (e2 + h2) ** 2 - 4 * float(exh @ exh)
+    lhs = (e2 + h2) ** 2 - 4 * inner(exh, exh)
     rhs = (e2 - h2) ** 2 + 4 * eh_dot(f) ** 2
     return lhs, rhs
 
@@ -190,12 +208,10 @@ def fierz_quantum(psi, aset):
     lhs = (psi^+ a0 psi)^2 - sum_k (psi^+ a_k psi)^2, rhs = (psi^+ a4 psi)^2 +
     (psi^+ a5 psi)^2; an algebraic identity over all 4-component amplitudes.
     """
-    b0 = bilinear(BilinearKind.VECTOR0, psi, aset).real
-    bv = bilinear_vector(psi, aset).real
-    b4 = bilinear(BilinearKind.SCALAR, psi, aset).real
-    b5 = bilinear(BilinearKind.PSEUDOSCALAR, psi, aset).real
-    lhs = b0 ** 2 - float(bv @ bv)
-    rhs = b4 ** 2 + b5 ** 2
+    b = bilinears(psi, aset).real
+    bv = b[..., 1:4]
+    lhs = b[..., 0] ** 2 - inner(bv, bv)
+    rhs = b[..., 4] ** 2 + b[..., 5] ** 2
     return lhs, rhs
 
 
@@ -256,8 +272,8 @@ def scalar_residuals(f, df_dt, df_du, layout, mass, sign_form, c=1.0, hbar=1.0):
     return out
 
 
-def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, mass, sign_form,
-                       c=1.0, hbar=1.0):
+def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, aset, mass,
+                       sign_form, c=1.0, hbar=1.0):
     """Matrix-form residual (a0 eps_op +- c a.p_op +- a4 m c^2) psi / (i hbar c).
 
     The layout is linear, so derivative spinors are the layout images of the
@@ -265,7 +281,6 @@ def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, mass, sign_form,
     as the scalar component equations (up to the slot factors).
     """
     s = SIGN_FORMS[sign_form]
-    aset = canonical_alpha_set()
     working = aset.named()[t.working]
     psi = bispinor_from_fields(f, layout)
     dpsi_dt = bispinor_from_fields(df_dt, layout)
@@ -312,6 +327,7 @@ def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
     expanded, so any gap indicates a transcription defect.
     """
     layout = layout_for_triad(t_ax, charge_conjugated=charge_conjugated)
+    aset = canonical_alpha_set()
     if (d_dt is None) or (d_du is None):
         if fd_step is None:
             scale = max(abs(u_grid[-1] - u_grid[0]), 1.0)
@@ -336,7 +352,8 @@ def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
             ft = d_dt(t, u) if d_dt is not None else _fd_derivative(fields, t, u, "t", fd_step)
             fu = d_du(t, u) if d_du is not None else _fd_derivative(fields, t, u, "u", fd_step)
             scalar[idx] = scalar_residuals(f, ft, fu, layout, mass, sign_form, c, hbar)
-            bisp[idx] = bispinor_residuals(f, ft, fu, t_ax, layout, mass, sign_form, c, hbar)
+            bisp[idx] = bispinor_residuals(f, ft, fu, t_ax, layout, aset, mass,
+                                           sign_form, c, hbar)
             idx += 1
     cross = float(np.abs(scalar * factors - bisp).max())
     return ResidualReport(scalar=scalar, bispinor=bisp, cross_deviation=cross,

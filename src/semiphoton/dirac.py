@@ -39,9 +39,6 @@ class AlphaSet:
     a4: np.ndarray
     a5: np.ndarray
 
-    def vector(self):
-        return (self.a1, self.a2, self.a3)
-
     def named(self):
         return {"a0": self.a0, "a1": self.a1, "a2": self.a2,
                 "a3": self.a3, "a4": self.a4, "a5": self.a5}

@@ -7,6 +7,10 @@ energy-momentum pair and through its quartic-invariant rewriting, and both
 again through the bilinears; all four meet for real fields.  Everything uses
 the sesquilinear convention: quadratic forms pair a component with the
 conjugate of the other factor, reducing to ordinary products for real fields.
+
+``stress_tensor``, the Lagrangian evaluators and the helpers they share also
+take a stack of points: a ``WavePoint`` whose fields hold n samples, shape
+(n, 3), gives one value per sample.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (AXIS_INDEX, BilinearKind, EmField, bilinear,
-                     bilinear_vector, bispinor_from_fields, cross_sym,
-                     e_squared, eh_dot, electron_layout, h_squared)
+from .bridge import (AXIS_INDEX, EmField, bispinor_from_fields, cross_sym,
+                     e_squared, eh_dot, electron_layout, fierz_quantum,
+                     h_squared)
 from .dirac import canonical_alpha_set
+from .linalg import inner, mat_vec
 from .torus import TorusModel, ring_current
 
 
@@ -39,8 +44,9 @@ def stress_tensor(f: EmField) -> StressTensor:
     """
     f.require_real()
     e, h = f.e.real, f.h.real
-    total = float(e @ e + h @ h)
-    tau_pq = -(np.outer(e, e) + np.outer(h, h)) + 0.5 * total * np.eye(3)
+    total = inner(e, e) + inner(h, h)
+    outer = e[..., :, None] * e[..., None, :] + h[..., :, None] * h[..., None, :]
+    tau_pq = -outer + 0.5 * total[..., None, None] * np.eye(3)
     tau_p0 = np.cross(e, h)
     return StressTensor(tau_pq=tau_pq, tau_p0=tau_p0, tau_00=0.5 * total)
 
@@ -125,7 +131,7 @@ class WavePoint:
     """Field values and closed-form derivatives at one space-time point.
 
     ``df_du`` is the derivative along the layout's propagation axis; the wave
-    depends on (t, u) only.
+    depends on (t, u) only.  Fields that are stacks of n give n points.
     """
     f: EmField
     df_dt: EmField
@@ -135,12 +141,13 @@ class WavePoint:
 def _du_dt_terms(point: WavePoint, layout, c):
     """Sesquilinear energy-rate and flux-divergence terms for the layout."""
     f, ft, fu = point.f, point.df_dt, point.df_du
-    du_term = (complex(f.e.conj() @ ft.e) + complex(f.h.conj() @ ft.h)) / (4 * math.pi)
+    du_term = (inner(f.e, ft.e) + inner(f.h, ft.h)) / (4 * math.pi)
     a1, a2 = layout.covered("e")
     i1, i2 = AXIS_INDEX[a1], AXIS_INDEX[a2]
+    e, h = f.e.conj(), f.h.conj()
     div_term = (c / (4 * math.pi)) * (
-        -f.e[i1].conjugate() * fu.h[i2] + f.e[i2].conjugate() * fu.h[i1]
-        + f.h[i1].conjugate() * fu.e[i2] - f.h[i2].conjugate() * fu.e[i1])
+        -e[..., i1] * fu.h[..., i2] + e[..., i2] * fu.h[..., i1]
+        + h[..., i1] * fu.e[..., i2] - h[..., i2] * fu.e[..., i1])
     return du_term, div_term
 
 
@@ -166,11 +173,10 @@ def lagrangian_linear(point: WavePoint, mass, layout=None, aset=None,
     psi = bispinor_from_fields(point.f, layout)
     dpsi_t = bispinor_from_fields(point.df_dt, layout)
     dpsi_u = bispinor_from_fields(point.df_du, layout)
-    working = aset.named()["a2"]
     spinor = (c / (4 * math.pi)) * (
-        complex(psi.conj() @ dpsi_t) / c
-        - complex(psi.conj() @ (working @ dpsi_u))
-        - 1j * (mass * c / hbar) * complex(psi.conj() @ (aset.a4 @ psi)))
+        inner(psi, dpsi_t) / c
+        - inner(psi, mat_vec(aset.a2, dpsi_u))
+        - 1j * (mass * c / hbar) * inner(psi, mat_vec(aset.a4, psi)))
 
     # field-invariant route
     du_term, div_term = _du_dt_terms(point, layout, c)
@@ -180,8 +186,7 @@ def lagrangian_linear(point: WavePoint, mass, layout=None, aset=None,
     # current route
     pair = tangential_currents(point.f, omega_e)
     current = du_term + div_term - 0.5 * (
-        complex(point.f.e.conj() @ pair.j_e)
-        - complex(point.f.h.conj() @ pair.j_m))
+        inner(point.f.e, pair.j_e) - inner(point.f.h, pair.j_m))
 
     return LinearLagrangian(spinor=spinor, em=em, current=current)
 
@@ -236,18 +241,14 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
     sf = self_field(point.f, model, c)
     g_vec = sf.p_s / dtau
     quartic_em = (sf.epsilon_s * u_density
-                  - c * c * float(sf.p_s @ g_vec)) / mc2
+                  - c * c * inner(sf.p_s, g_vec)) / mc2
 
     pref = dtau / ((8 * math.pi) ** 2 * mc2)
     quartic_invariant = pref * ((e2 - h2) ** 2 + 4 * eh_dot(point.f) ** 2)
 
-    psi = bispinor_from_fields(point.f, layout)
-    b0 = bilinear(BilinearKind.VECTOR0, psi, aset).real
-    bv = bilinear_vector(psi, aset).real
-    b4 = bilinear(BilinearKind.SCALAR, psi, aset).real
-    b5 = bilinear(BilinearKind.PSEUDOSCALAR, psi, aset).real
-    quartic_bilinear = pref * (b0 ** 2 - float(bv @ bv))
-    quartic_bilinear_fierz = pref * (b4 ** 2 + b5 ** 2)
+    b_lhs, b_rhs = fierz_quantum(bispinor_from_fields(point.f, layout), aset)
+    quartic_bilinear = pref * b_lhs
+    quartic_bilinear_fierz = pref * b_rhs
 
     return NonlinearLagrangian(
         linear_em=linear_em, linear_invariant=linear_invariant,

@@ -4,6 +4,12 @@ Everything is double precision numpy.  No general-purpose routines live here,
 only the exact-shape operations the rest of the library needs.  Comparisons of
 integer-entry matrix identities are exact (error 0); everything else uses the
 module default tolerance.
+
+Vectors and spinors may come as a stack of n samples, shape (n, 3) or (n, 4).
+The stacked kernels act on the last axis only, so a single vector gives
+scalars and a stack gives one result per sample.  They use ``einsum``, never a
+complex matrix-matrix ``@``: one OpenBLAS zgemm call can leave later libm
+calls in the same process several times slower on some x86 CPUs.
 """
 from __future__ import annotations
 
@@ -18,10 +24,12 @@ def require_finite(arr, name="value"):
     return arr
 
 
-def _shaped(entries, shape, name):
+def _shaped(entries, shape, name, stacked=False):
     a = np.array(entries, dtype=complex)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if a.shape != shape and not (stacked and a.ndim == len(shape) + 1
+                                 and a.shape[1:] == shape):
+        stack = " or a stack of them" if stacked else ""
+        raise ValueError(f"{name} must have shape {shape}{stack}, got {a.shape}")
     require_finite(a, name)
     return a
 
@@ -31,11 +39,23 @@ def as_matrix(entries):
 
 
 def as_bispinor(entries):
-    return _shaped(entries, (4,), "bispinor")
+    """One spinor (4,) or a stack (n, 4), checked once for the whole stack."""
+    return _shaped(entries, (4,), "bispinor", stacked=True)
 
 
 def as_vec3(entries):
-    return _shaped(entries, (3,), "vector")
+    """One 3-vector (3,) or a stack (n, 3), checked once for the whole stack."""
+    return _shaped(entries, (3,), "vector", stacked=True)
+
+
+def inner(a, b):
+    """Sesquilinear conj(a) . b over the last axis, per stacked sample."""
+    return np.einsum("...i,...i->...", a.conj(), b)
+
+
+def mat_vec(m, v):
+    """The matrix m applied to each vector of the stack v."""
+    return np.einsum("ij,...j->...i", m, v)
 
 
 def frozen(a):

@@ -4,6 +4,10 @@ Builds the homogeneous 4x4 amplitude system, its dispersion roots, the two
 closed-form solution pairs per energy branch, a pivoted-elimination nullspace
 extractor as the independent route, and the interpretation of amplitudes as
 field components through a layout.
+
+Momenta may be a stack of shape (n, 3): ``build_system``, ``dispersion``,
+``solution_basis``, ``make_states`` and ``residual`` then work on all n at
+once, and a single momentum (3,) is the same code without the leading axis.
 """
 from __future__ import annotations
 
@@ -13,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (AXIS_INDEX, BilinearKind, FieldLayout, bilinear,
-                     bilinear_vector, fields_from_bispinor)
-from .linalg import as_bispinor, as_vec3, entry_norm
+from .bridge import AXIS_INDEX, FieldLayout, bilinears, fields_from_bispinor
+from .linalg import as_bispinor, as_vec3, entry_norm, inner
 from .report import Discrepancy
 
 
@@ -25,6 +28,7 @@ class AxisMismatch(ValueError):
 
 @dataclass(frozen=True)
 class PlaneWaveState:
+    """One state, or a stack of n: energy (n,), momentum (n, 3), amplitudes (n, 4)."""
     energy: float
     momentum: np.ndarray
     amplitudes: np.ndarray
@@ -40,22 +44,27 @@ def build_system(energy, momentum, mass, c=1.0):
     """Coefficient matrix of the homogeneous amplitude system.
 
     Acting on (B1..B4); its determinant is (energy^2 - m^2 c^4 - c^2 p^2)^2,
-    so non-trivial solutions exist exactly on shell.
+    so non-trivial solutions exist exactly on shell.  Stacked energies and
+    momenta give a stack of matrices, shape (n, 4, 4).
     """
-    px, py, pz = as_vec3(momentum).real
+    p = as_vec3(momentum).real
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     mc2 = mass * c * c
-    return np.array([
-        [energy + mc2, 0, c * pz, c * (px - 1j * py)],
-        [0, energy + mc2, c * (px + 1j * py), -c * pz],
-        [c * pz, c * (px - 1j * py), energy - mc2, 0],
-        [c * (px + 1j * py), -c * pz, 0, energy - mc2],
-    ], dtype=complex)
+    m = np.zeros(np.broadcast_shapes(np.shape(energy), px.shape) + (4, 4),
+                 dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = energy + mc2
+    m[..., 2, 2] = m[..., 3, 3] = energy - mc2
+    m[..., 0, 2] = m[..., 2, 0] = c * pz
+    m[..., 1, 3] = m[..., 3, 1] = -c * pz
+    m[..., 0, 3] = m[..., 2, 1] = c * (px - 1j * py)
+    m[..., 1, 2] = m[..., 3, 0] = c * (px + 1j * py)
+    return m
 
 
 def dispersion(momentum, mass, c=1.0):
     """(eps_plus, eps_minus) = +-sqrt(c^2 p^2 + m^2 c^4)."""
     p = as_vec3(momentum).real
-    e = math.sqrt(c * c * float(p @ p) + (mass * c * c) ** 2)
+    e = np.sqrt(c * c * inner(p, p) + (mass * c * c) ** 2)
     return e, -e
 
 
@@ -66,23 +75,25 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
     values at an off-shell substitution); by default the branch's dispersion
     root is used.
     """
-    px, py, pz = as_vec3(momentum).real
+    p = as_vec3(momentum).real
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    one, zero = np.ones_like(px), np.zeros_like(px)
     mc2 = mass * c * c
-    e_plus, e_minus = dispersion(momentum, mass, c)
+    e_plus, e_minus = dispersion(p, mass, c)
     if branch == "positive":
         eps = e_plus if energy is None else energy
         d = eps + mc2
-        first = np.array([-c * pz / d, -c * (px + 1j * py) / d, 1, 0], dtype=complex)
-        second = np.array([-c * (px - 1j * py) / d, c * pz / d, 0, 1], dtype=complex)
+        first = [-c * pz / d, -c * (px + 1j * py) / d, one, zero]
+        second = [-c * (px - 1j * py) / d, c * pz / d, zero, one]
     elif branch == "negative":
         eps = e_minus if energy is None else energy
         d = -eps + mc2
-        first = np.array([1, 0, c * pz / d, c * (px + 1j * py) / d], dtype=complex)
-        second = np.array([0, 1, c * (px - 1j * py) / d, -c * pz / d], dtype=complex)
+        first = [one, zero, c * pz / d, c * (px + 1j * py) / d]
+        second = [zero, one, c * (px - 1j * py) / d, -c * pz / d]
     else:
         raise ValueError(f"unknown branch {branch!r}")
     ph = cmath.exp(1j * phase)
-    return first * ph, second * ph
+    return np.stack(first, axis=-1) * ph, np.stack(second, axis=-1) * ph
 
 
 def make_states(branch, momentum, mass, c=1.0, phase=0.0):
@@ -94,12 +105,14 @@ def make_states(branch, momentum, mass, c=1.0, phase=0.0):
 
 
 def residual(state: PlaneWaveState, aset, mass, c=1.0):
-    """Max-entry norm of the amplitude system applied to the state."""
-    px, py, pz = state.momentum
-    op = (state.energy * aset.a0
+    """Max-entry norm of the amplitude system applied to the state(s)."""
+    energy = np.asarray(state.energy)[..., None, None]
+    px, py, pz = (state.momentum[..., k, None, None] for k in range(3))
+    op = (energy * aset.a0
           + c * (px * aset.a1 + py * aset.a2 + pz * aset.a3)
           + mass * c * c * aset.a4)
-    return entry_norm(op @ state.amplitudes)
+    out = np.einsum("...ij,...j->...i", op, state.amplitudes)
+    return np.abs(out).max(axis=-1)
 
 
 def nullspace(matrix, pivot_tol=1e-10):
@@ -210,19 +223,15 @@ def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
     deviation is their spread divided by a period scale, which bounds the
     derivative combination.
     """
-    psi = state.amplitudes
     omega = state.energy / hbar
     kvec = state.momentum / hbar
-    densities, fluxes = [], []
-    for n in range(samples):
-        t = 0.37 * n
-        r = np.array([0.11 * n, -0.23 * n, 0.05 * n])
-        phase = cmath.exp(1j * (float(kvec @ r) - omega * t + state.phase))
-        moving = psi * phase
-        densities.append(bilinear(BilinearKind.VECTOR0, moving, aset).real)
-        fluxes.append(-c * bilinear_vector(moving, aset).real)
-    densities = np.array(densities)
-    fluxes = np.array(fluxes)
+    n = np.arange(samples)
+    t = 0.37 * n
+    r = n[:, None] * np.array([0.11, -0.23, 0.05])
+    phase = np.exp(1j * (r @ kvec - omega * t + state.phase))
+    b = bilinears(state.amplitudes * phase[:, None], aset).real
+    densities = b[:, 0]
+    fluxes = -c * b[:, 1:4]
     d_spread = float(densities.max() - densities.min())
     f_spread = float(np.abs(fluxes - fluxes[0]).max())
     period = 2 * math.pi / max(abs(omega), 1e-300)

@@ -9,6 +9,7 @@ run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -30,6 +31,15 @@ SUITE_IDS = {
 SUITES = tuple(SUITE_IDS)
 
 
+def _number(value):
+    """A float for JSON; NaN and infinities as the strings "nan", "inf", "-inf".
+
+    Bare NaN/Infinity tokens are not JSON, so strict parsers reject them.
+    """
+    x = float(value)
+    return x if math.isfinite(x) else repr(x)
+
+
 def _scalarize(value):
     """Encode a real or complex scalar for JSON ([re, im] for complex)."""
     if value is None:
@@ -37,9 +47,9 @@ def _scalarize(value):
     if isinstance(value, complex) or np.iscomplexobj(value):
         z = complex(value)
         if z.imag == 0.0:
-            return z.real
-        return [z.real, z.imag]
-    return float(value)
+            return _number(z.real)
+        return [_number(z.real), _number(z.imag)]
+    return _number(value)
 
 
 @dataclass
@@ -73,6 +83,8 @@ class CheckReport:
         d = asdict(self)
         d["claimed"] = _scalarize(self.claimed)
         d["computed"] = _scalarize(self.computed)
+        d["abs_err"] = _number(self.abs_err)
+        d["rel_err"] = _number(self.rel_err)
         return d
 
     @property
@@ -93,6 +105,7 @@ class Discrepancy:
         d = asdict(self)
         d["stated"] = _scalarize(self.stated)
         d["computed"] = _scalarize(self.computed)
+        d["ratio"] = _number(self.ratio)
         return d
 
 
@@ -113,6 +126,10 @@ class RunConfig:
             raise ValueError(f"unknown unit system {self.units!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        for name in ("tol_abs", "tol_rel"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
         if self.quadrature_points < 64:
             raise ValueError("quadrature_points must be >= 64")
         if self.format not in ("json", "csv", "text"):
@@ -137,21 +154,21 @@ def report_json(config, checks, ledger):
         "checks": [c.to_dict() for c in checks],
         "ledger": [e.to_dict() for e in ledger],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def report_text(config, checks, ledger):
     lines = [f"semiphoton {VERSION}  units={config.units} zeta={config.zeta!r} "
              f"seed={config.seed} samples={config.samples}"]
     for c in checks:
-        lines.append(f"[{c.verdict.upper():8s}] {c.id}: claimed={_scalarize(c.claimed)!r} "
-                     f"computed={_scalarize(c.computed)!r} abs_err={c.abs_err!r}"
+        lines.append(f"[{c.verdict.upper():8s}] {c.id}: claimed={_scalarize(c.claimed)} "
+                     f"computed={_scalarize(c.computed)} abs_err={_number(c.abs_err)}"
                      + (f"  ({c.notes})" if c.notes else ""))
     if ledger:
         lines.append("-- discrepancy ledger --")
         for e in ledger:
-            lines.append(f"[LEDGER  ] {e.claim}: stated={_scalarize(e.stated)!r} "
-                         f"computed={_scalarize(e.computed)!r} ratio={e.ratio!r}  {e.note}")
+            lines.append(f"[LEDGER  ] {e.claim}: stated={_scalarize(e.stated)} "
+                         f"computed={_scalarize(e.computed)} ratio={_number(e.ratio)}  {e.note}")
     n_fail = sum(1 for c in checks if c.verdict == FAIL)
     lines.append(f"{len(checks)} checks, {n_fail} failed, {len(ledger)} ledgered")
     return "\n".join(lines)

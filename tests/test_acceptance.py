@@ -6,6 +6,8 @@ criterion.
 import contextlib
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -281,10 +283,13 @@ def test_criterion_10_determinism_and_runtime():
     with criterion(10, "byte-identical reports and the full run under 10 s"):
         cmd = [sys.executable, "-m", "semiphoton", "verify", "--suite", "all",
                "--samples", "1000", "--seed", "7"]
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         start = time.monotonic()
-        first = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
         elapsed = time.monotonic() - start
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.returncode == 0
         assert elapsed < 10.0

@@ -277,3 +277,20 @@ def test_detuned_wave_leaves_residual():
         stretched, t, 1.0, "plus", *(_grids()),
         d_dt=stretched_dt, d_du=lambda tt, uu: d_du(1.1 * tt, uu))
     assert rep.max_scalar > 0.01
+
+
+def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
+    calls = []
+    build = bridge.canonical_alpha_set
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(bridge, "canonical_alpha_set", counted)
+    t = dirac.triad("y", "negative")
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    rep = bridge.dirac_residual_em(fields, t, 1.0, "plus", *(_grids()),
+                                   d_dt=d_dt, d_du=d_du)
+    assert len(calls) == 1
+    assert rep.max_scalar <= 1e-12 * omega

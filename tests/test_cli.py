@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from semiphoton import bridge
 from semiphoton.cli import main
+from semiphoton.report import CheckReport, Discrepancy, RunConfig, report_json
 
 
 def run_cli(args, capsys):
@@ -191,3 +194,69 @@ def test_verify_csv_cells_read_back(capsys):
         for cell in line.split(",")[2:]:
             if cell:
                 complex(cell)
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN/Infinity constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nan_sample_fails_its_checks_and_the_run(monkeypatch, capsys):
+    exact = bridge.fierz_em
+
+    def planted(f):
+        lhs, rhs = exact(f)
+        lhs = np.array(lhs, dtype=float)
+        lhs[3] = np.nan
+        return lhs, rhs
+
+    monkeypatch.setattr(bridge, "fierz_em", planted)
+    code, out = run_cli(["verify", "--suite", "fierz", "--samples", "20"],
+                        capsys)
+    checks = {c["id"]: c for c in strict_json(out)["checks"]}
+    assert code == 1
+    for cid in ("fierz/field-form", "fierz/layout-agreement"):
+        assert checks[cid]["verdict"] == "fail"
+        assert checks[cid]["computed"] == "nan"
+        assert checks[cid]["abs_err"] == "nan"
+    assert checks["fierz/bilinear-form"]["verdict"] == "pass"
+
+
+def test_report_json_encodes_non_finite_values():
+    checks = [CheckReport.build("x/nan", "r", 0.0, math.nan),
+              CheckReport.build("x/inf", "r", 1.0, math.inf),
+              CheckReport.build("x/complex", "r", 0.0, complex(-math.inf, 1.0))]
+    ledger = [Discrepancy("y", stated=math.nan, computed=1.0, ratio=math.inf)]
+    doc = strict_json(report_json(RunConfig(), checks, ledger))
+    got = {c["id"]: c for c in doc["checks"]}
+    assert all(c["verdict"] == "fail" for c in doc["checks"])
+    assert (got["x/nan"]["computed"], got["x/nan"]["abs_err"],
+            got["x/nan"]["rel_err"]) == ("nan", "nan", "nan")
+    assert (got["x/inf"]["computed"], got["x/inf"]["abs_err"]) == ("inf", "inf")
+    assert got["x/complex"]["computed"] == ["-inf", 1.0]
+    assert (doc["ledger"][0]["stated"], doc["ledger"][0]["ratio"]) == ("nan", "inf")
+    # with finite tolerances a non-finite value can never pass
+    for value in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        assert CheckReport.build("x", "r", 0.0, value, tol_abs=1e300,
+                                 tol_rel=1e300).verdict == "fail"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--tol-abs", "inf"), ("--tol-rel", "inf"), ("--tol-abs", "nan"),
+    ("--tol-rel", "nan"), ("--tol-abs", "-1"), ("--tol-rel", "-1")])
+def test_tolerance_outside_its_domain_exits_two(option, value, capsys):
+    assert main(["verify", "--suite", "fierz", "--samples", "10",
+                 option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option[2:].replace('-', '_')} must be")
+
+
+def test_torus_suite_runs_at_tiny_zeta(capsys):
+    code, out = run_cli(["verify", "--suite", "torus", "--zeta", "1e-150"],
+                        capsys)
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["torus/radius-ratio"]["verdict"] == "pass"
