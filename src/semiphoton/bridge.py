@@ -13,7 +13,7 @@ a single field or spinor is the same code without the leading axis.
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
-component equations against the matrix form.
+component equations against the matrix form over a whole (t, u) grid at once.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .dirac import AxisTriad, canonical_alpha_set, triad
-from .linalg import as_bispinor, as_vec3, inner
+from .linalg import as_bispinor, as_vec3, inner, mat_vec
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
@@ -53,9 +53,8 @@ class EmField:
     def zero(cls):
         return cls(np.zeros(3), np.zeros(3))
 
-    def is_real(self, tol=0.0):
-        return float(np.abs(self.e.imag).max()) <= tol and \
-            float(np.abs(self.h.imag).max()) <= tol
+    def is_real(self):
+        return not (self.e.imag.any() or self.h.imag.any())
 
     def require_real(self):
         if not self.is_real():
@@ -258,18 +257,17 @@ def scalar_rows(layout: FieldLayout, sign_form):
 
 
 def _component(f: EmField, kind, ax):
-    return (f.e if kind == "e" else f.h)[AXIS_INDEX[ax]]
+    return (f.e if kind == "e" else f.h)[..., AXIS_INDEX[ax]]
 
 
 def scalar_residuals(f, df_dt, df_du, layout, mass, sign_form, c=1.0, hbar=1.0):
-    """Evaluate the four scalar component equations at one point."""
+    """The four scalar component equations at each point, shape (..., 4)."""
     w0_over_c = mass * c / hbar
-    out = np.zeros(4, dtype=complex)
-    for i, (k0, x0, s_du, k1, x1, s_m) in enumerate(scalar_rows(layout, sign_form)):
-        out[i] = (_component(df_dt, k0, x0) / c
-                  + s_du * _component(df_du, k1, x1)
-                  + s_m * 1j * w0_over_c * _component(f, k0, x0))
-    return out
+    return np.stack([_component(df_dt, k0, x0) / c
+                     + s_du * _component(df_du, k1, x1)
+                     + s_m * 1j * w0_over_c * _component(f, k0, x0)
+                     for k0, x0, s_du, k1, x1, s_m in scalar_rows(layout, sign_form)],
+                    axis=-1)
 
 
 def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, aset, mass,
@@ -278,7 +276,8 @@ def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, aset, mass,
 
     The layout is linear, so derivative spinors are the layout images of the
     derivative fields.  Division by i*hbar*c puts the rows in the same units
-    as the scalar component equations (up to the slot factors).
+    as the scalar component equations (up to the slot factors).  One row per
+    point, shape (..., 4).
     """
     s = SIGN_FORMS[sign_form]
     working = aset.named()[t.working]
@@ -286,22 +285,22 @@ def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, aset, mass,
     dpsi_dt = bispinor_from_fields(df_dt, layout)
     dpsi_du = bispinor_from_fields(df_du, layout)
     eps_term = 1j * hbar * dpsi_dt
-    p_term = s * c * (working @ (-1j * hbar * dpsi_du))
-    mass_term = s * mass * c * c * (aset.a4 @ psi)
+    p_term = s * c * mat_vec(working, -1j * hbar * dpsi_du)
+    mass_term = s * mass * c * c * mat_vec(aset.a4, psi)
     return (eps_term + p_term + mass_term) / (1j * hbar * c)
 
 
 def _fd_derivative(func, t, u, var, h):
-    """Fourth-order central difference of an EmField-valued function."""
+    """Fourth-order central difference of an EmField-valued function, per point."""
     def at(dt, du):
         f = func(t + dt, u + du)
-        return np.concatenate([f.e, f.h])
+        return np.concatenate([f.e, f.h], axis=-1)
     if var == "t":
         stencil = [at(s * h, 0.0) for s in (-2, -1, 1, 2)]
     else:
         stencil = [at(0.0, s * h) for s in (-2, -1, 1, 2)]
     v = (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3]) / (12 * h)
-    return EmField(v[:3], v[3:])
+    return EmField(v[..., :3], v[..., 3:])
 
 
 @dataclass
@@ -318,43 +317,37 @@ def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
                       fd_step=None, fd_tol=1e-6, charge_conjugated=False):
     """Residuals of the coupled first-order system on a (t, u) grid.
 
-    ``fields(t, u) -> EmField`` supplies the configuration; closed-form
-    derivative callables are preferred, otherwise fourth-order central
-    differences are used with a Richardson truncation estimate (raising
-    :class:`GridTooCoarse` if it exceeds ``fd_tol``).  Both the four scalar
-    component residuals and the matrix-form residual are evaluated per point,
-    and their pointwise deviation is reported: they are the same equation
-    expanded, so any gap indicates a transcription defect.
+    ``fields(t, u) -> EmField``, and ``d_dt``/``d_du`` if given, take t, u of
+    shape (n,); closed-form derivatives are preferred, otherwise fourth-order
+    central differences are used with a Richardson truncation estimate
+    (raising :class:`GridTooCoarse` if it exceeds ``fd_tol``).  The grid is
+    one stack: row i is (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).
+    The four scalar component residuals and the matrix-form residual of each
+    point are the same equation expanded, so any gap between them indicates a
+    transcription defect.
     """
     layout = layout_for_triad(t_ax, charge_conjugated=charge_conjugated)
     aset = canonical_alpha_set()
+    tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
     if (d_dt is None) or (d_du is None):
         if fd_step is None:
             scale = max(abs(u_grid[-1] - u_grid[0]), 1.0)
             fd_step = 1e-4 * scale
-        probe_t, probe_u = float(t_grid[0]), float(u_grid[0])
         for var in ("t", "u"):
-            full = _fd_derivative(fields, probe_t, probe_u, var, fd_step)
-            half = _fd_derivative(fields, probe_t, probe_u, var, fd_step / 2)
+            full = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step)
+            half = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step / 2)
             est = float(np.abs(np.concatenate([full.e - half.e, full.h - half.h])).max())
             if est > fd_tol:
                 raise GridTooCoarse(
                     f"d/d{var} truncation estimate {est:.3e} exceeds {fd_tol:.3e}")
     factors = np.array([factor for _, _, factor in layout.slots])
 
-    n = len(t_grid) * len(u_grid)
-    scalar = np.zeros((n, 4), dtype=complex)
-    bisp = np.zeros((n, 4), dtype=complex)
-    idx = 0
-    for t in t_grid:
-        for u in u_grid:
-            f = fields(t, u)
-            ft = d_dt(t, u) if d_dt is not None else _fd_derivative(fields, t, u, "t", fd_step)
-            fu = d_du(t, u) if d_du is not None else _fd_derivative(fields, t, u, "u", fd_step)
-            scalar[idx] = scalar_residuals(f, ft, fu, layout, mass, sign_form, c, hbar)
-            bisp[idx] = bispinor_residuals(f, ft, fu, t_ax, layout, aset, mass,
-                                           sign_form, c, hbar)
-            idx += 1
+    f = fields(tt, uu)
+    ft = d_dt(tt, uu) if d_dt is not None else _fd_derivative(fields, tt, uu, "t", fd_step)
+    fu = d_du(tt, uu) if d_du is not None else _fd_derivative(fields, tt, uu, "u", fd_step)
+    scalar = scalar_residuals(f, ft, fu, layout, mass, sign_form, c, hbar)
+    bisp = bispinor_residuals(f, ft, fu, t_ax, layout, aset, mass, sign_form,
+                              c, hbar)
     cross = float(np.abs(scalar * factors - bisp).max())
     return ResidualReport(scalar=scalar, bispinor=bisp, cross_deviation=cross,
                           max_scalar=float(np.abs(scalar).max()),
@@ -365,10 +358,11 @@ def onshell_plane_wave(t_ax: AxisTriad, sign_form, k, mass, e1_amp=1.0,
                        e2_amp=0.0, c=1.0, hbar=1.0):
     """A complex plane wave solving the (triad, sign form) system exactly.
 
-    Returns (omega, fields, d_dt, d_du) with closed-form derivatives.  The two
-    transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair up with
-    amplitude ratios fixed by the dispersion relation
-    omega^2 = (m c^2/hbar)^2 + c^2 k^2.
+    Returns (omega, fields, d_dt, d_du) with closed-form derivatives; each
+    callable takes t, u of shape (n,) and returns n stacked fields, and a
+    scalar pair gives one field.  The two transverse sub-blocks decouple:
+    (E_1, H_2) and (E_2, H_1) pair up with amplitude ratios fixed by the
+    dispersion relation omega^2 = (m c^2/hbar)^2 + c^2 k^2.
     """
     s = SIGN_FORMS[sign_form]
     w0 = mass * c * c / hbar
@@ -380,10 +374,10 @@ def onshell_plane_wave(t_ax: AxisTriad, sign_form, k, mass, e1_amp=1.0,
 
     def build(t, u, scale=1.0):
         ph = scale * np.exp(1j * (omega * t - k * u))
-        e = np.zeros(3, dtype=complex)
-        h = np.zeros(3, dtype=complex)
-        e[i1], e[i2] = e1_amp * ph, e2_amp * ph
-        h[i1], h[i2] = h1_amp * ph, h2_amp * ph
+        e = np.zeros(np.shape(ph) + (3,), dtype=complex)
+        h = np.zeros_like(e)
+        e[..., i1], e[..., i2] = e1_amp * ph, e2_amp * ph
+        h[..., i1], h[..., i2] = h1_amp * ph, h2_amp * ph
         return EmField(e, h)
 
     def fields(t, u):

@@ -8,14 +8,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import bridge, dirac, dynamics, planewave, torus
-from .report import (FAIL, RunConfig, SUITES, VERSION, csv_rows, report_csv,
-                     report_json, report_text)
+from .report import (FAIL, RunConfig, SUITES, csv_rows, document_json,
+                     report_csv, report_json, report_text)
 from .suites import run_suites
 
 USAGE_ERROR = 2
@@ -76,7 +75,6 @@ def cmd_torus(args):
                         cfg.quadrature_points)
     model = ev.model
     doc = {
-        "meta": {"version": VERSION, "config": cfg.to_dict()},
         "model": {
             "zeta": model.zeta, "lambda_p": model.lambda_p,
             "omega_p": model.omega_p, "omega_s": model.omega_s,
@@ -95,7 +93,7 @@ def cmd_torus(args):
         "ledger": [e.to_dict() for e in
                    torus.discrepancy_ledger(model, cfg.quadrature_points)],
     }
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(document_json(cfg, doc), cfg.out)
     return 0
 
 
@@ -126,14 +124,13 @@ def cmd_planewave(args):
         except planewave.AxisMismatch:
             entry["fields"] = None
         body.append(entry)
-    doc = {"meta": {"version": VERSION, "config": cfg.to_dict()},
-           "branch": args.branch, "states": body}
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(document_json(cfg, {"branch": args.branch, "states": body}), cfg.out)
     return 0
 
 
 def cmd_dynamics(args):
     cfg = _config(args)
+    alpha_q = torus.coupling_constant(cfg.zeta)
     units = torus.unit_system(cfg.units)
     model = torus.derive_parameters(units, cfg.zeta)
     force = dynamics.lorentz_force_ring(model, 1.0, "Ex_Hz")
@@ -151,7 +148,6 @@ def cmd_dynamics(args):
     comp = dynamics.photon_photon_comparison(
         torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), cfg.zeta))
     doc = {
-        "meta": {"version": VERSION, "config": cfg.to_dict()},
         "ring_force": {
             "Ex_Hz": {"f2": force.f2, "f0": force.f0},
             "Ez_Hx": {"f2": force_x.f2, "f0": force_x.f0},
@@ -167,10 +163,9 @@ def cmd_dynamics(args):
             "bilinear_route": nl.quartic_bilinear,
         },
         "photon_photon_comparison": comp,
-        "self_action_constant": dynamics.self_action_constant(
-            model, torus.coupling_constant(cfg.zeta)),
+        "self_action_constant": dynamics.self_action_constant(model, alpha_q),
     }
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(document_json(cfg, doc), cfg.out)
     return 0
 
 
@@ -189,11 +184,10 @@ def cmd_dump_matrices(args):
     cfg = _config(args)
     aset = (dirac.canonical_alpha_set() if args.set == "canonical"
             else dirac.alpha_prime_set())
-    doc = {"meta": {"version": VERSION, "config": cfg.to_dict()},
-           "label": aset.label,
+    doc = {"label": aset.label,
            "matrices": {name: _complex_pairs(m)
                         for name, m in aset.named().items()}}
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(document_json(cfg, doc), cfg.out)
     return 0
 
 

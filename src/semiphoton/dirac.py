@@ -20,6 +20,9 @@ PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 AXES = ("x", "y", "z")
 
+PHASE_CLASS_TOL = 1e-9  # max entry gap of two matrices in one phase class
+MAX_PRODUCT_ROUNDS = 5  # product rounds before the group must have closed
+
 
 class NonClosureError(RuntimeError):
     """Product closure exceeded 16 phase classes; the input set is malformed."""
@@ -110,16 +113,19 @@ def hermiticity_deviations(aset):
     return {name: hermiticity_deviation(m) for name, m in aset.named().items()}
 
 
-def phase_class_index(m, representatives, tol=1e-9):
-    """Index of the phase class of m among representatives, or None."""
-    for k, r in enumerate(representatives):
-        for ph in PHASES:
-            if max_abs_diff(m, ph * r) <= tol:
-                return k
-    return None
+def phase_class_index(m, representatives):
+    """Index of the first phase class of m among representatives, or None.
+
+    m is compared with every representative at every phase in one broadcast.
+    """
+    phased = (np.asarray(PHASES)[:, None, None, None]
+              * np.reshape(representatives, (-1, 4, 4)))
+    diff = np.abs(np.asarray(m) - phased).max(axis=(-2, -1))
+    hits = np.flatnonzero((diff <= PHASE_CLASS_TOL).any(axis=0))
+    return int(hits[0]) if hits.size else None
 
 
-def generate_group(aset, max_rounds=5):
+def generate_group(aset):
     """Close {I, a1..a5} under products, identified up to phase in {1,-1,i,-i}.
 
     Returns the class representatives; a well-formed set closes at exactly 16.
@@ -128,16 +134,15 @@ def generate_group(aset, max_rounds=5):
     for m in (aset.a1, aset.a2, aset.a3, aset.a4, aset.a5):
         if phase_class_index(m, reps) is None:
             reps.append(np.asarray(m))
-    for _ in range(max_rounds):
-        new = []
-        for x in reps:
-            for y in reps:
+    for _ in range(MAX_PRODUCT_ROUNDS):
+        known = len(reps)
+        for x in reps[:known]:
+            for y in reps[:known]:
                 m = x @ y
-                if phase_class_index(m, reps) is None and phase_class_index(m, new) is None:
-                    new.append(m)
-        if not new:
+                if phase_class_index(m, reps) is None:
+                    reps.append(m)
+        if len(reps) == known:
             break
-        reps.extend(new)
         if len(reps) > 16:
             raise NonClosureError(
                 f"closure reached {len(reps)} phase classes (expected 16)")

@@ -24,7 +24,7 @@ from .bridge import (AXIS_INDEX, EmField, bispinor_from_fields, cross_sym,
                      h_squared)
 from .dirac import canonical_alpha_set
 from .linalg import inner, mat_vec
-from .torus import TorusModel, ring_current
+from .torus import DomainError, TorusModel, ring_current
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,9 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
     quartic-invariant rewriting and through the squared bilinears; the three
     quartic routes and their pair identity agree for real fields.
     """
+    if model.delta_tau == 0.0:
+        raise DomainError(f"the ring volume delta_tau underflows to 0 at "
+                          f"zeta={model.zeta!r}; the quartic term divides by it")
     layout = layout or electron_layout()
     aset = aset or canonical_alpha_set()
     m_e = model.units.m_e
@@ -286,6 +289,9 @@ def self_action_constant(model: TorusModel, alpha_q):
 # Hydrodynamic rotation checks
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-6  # central-difference step (times r in centripetal_check)
+
+
 def _curl_fd(vfield, point, h):
     """Central-difference curl of a 3-vector field at a point."""
     point = np.asarray(point, dtype=float)
@@ -318,7 +324,7 @@ class CentripetalReport:
     expected_magnitude: float
 
 
-def centripetal_check(omega, r, fd_step=None) -> CentripetalReport:
+def centripetal_check(omega, r) -> CentripetalReport:
     """Rigid rotation about OZ: curl v = 2 omega, |v x curl v| / 2 = v^2 / r.
 
     The velocity field v = omega x r is linear, so the finite-difference curl
@@ -326,7 +332,7 @@ def centripetal_check(omega, r, fd_step=None) -> CentripetalReport:
     """
     if omega < 0 or r <= 0:
         raise ValueError("omega must be non-negative and r positive")
-    h = fd_step or 1e-6 * r
+    h = FD_STEP * r
 
     def vfield(p):
         return np.array([-omega * p[1], omega * p[0], 0.0])
@@ -342,19 +348,17 @@ def centripetal_check(omega, r, fd_step=None) -> CentripetalReport:
                              expected_magnitude=omega * omega * r)
 
 
-def matter_motion_residual(g_field, u_field, v_field, points,
-                           dg_dt=None, fd_step=1e-6):
+def matter_motion_residual(g_field, u_field, v_field, points):
     """Residual of (dg/dt + grad U) - v x curl g at the given points.
 
     ``g_field``/``v_field`` map a 3-point to 3-vectors, ``u_field`` to a
-    scalar; ``dg_dt`` defaults to a static configuration (zero).  Purely
-    exploratory: returns the per-point residual vectors, no verdict.
+    scalar; the configuration is static (dg/dt = 0).  Purely exploratory:
+    returns the per-point residual vectors, no verdict.
     """
     out = np.zeros((len(points), 3))
     for i, p in enumerate(points):
         p = np.asarray(p, dtype=float)
-        gdot = np.zeros(3) if dg_dt is None else np.asarray(dg_dt(p), dtype=float)
-        grad_u = _grad_fd(u_field, p, fd_step)
-        curl_g = _curl_fd(g_field, p, fd_step)
-        out[i] = gdot + grad_u - np.cross(np.asarray(v_field(p), dtype=float), curl_g)
+        grad_u = _grad_fd(u_field, p, FD_STEP)
+        curl_g = _curl_fd(g_field, p, FD_STEP)
+        out[i] = grad_u - np.cross(np.asarray(v_field(p), dtype=float), curl_g)
     return out

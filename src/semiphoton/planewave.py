@@ -22,6 +22,10 @@ from .linalg import as_bispinor, as_vec3, entry_norm, inner
 from .report import Discrepancy
 
 
+PIVOT_TOL = 1e-10  # pivots up to this fraction of the largest entry are zero
+ZERO_TOL = 1e-12  # relative size up to which momenta and amplitudes are zero
+
+
 class AxisMismatch(ValueError):
     """Momentum is not aligned with the layout's propagation axis."""
 
@@ -97,8 +101,11 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
 
 
 def make_states(branch, momentum, mass, c=1.0, phase=0.0):
-    s1, s2 = solution_basis(branch, momentum, mass, c, phase)
     e_plus, e_minus = dispersion(momentum, mass, c)
+    if not np.all(np.isfinite(e_plus)):
+        raise ValueError(f"on-shell energy is not finite for momentum "
+                         f"{np.asarray(momentum).tolist()} and mass {mass!r}")
+    s1, s2 = solution_basis(branch, momentum, mass, c, phase)
     eps = e_plus if branch == "positive" else e_minus
     return (PlaneWaveState(eps, momentum, s1, phase, branch),
             PlaneWaveState(eps, momentum, s2, phase, branch))
@@ -115,7 +122,7 @@ def residual(state: PlaneWaveState, aset, mass, c=1.0):
     return np.abs(out).max(axis=-1)
 
 
-def nullspace(matrix, pivot_tol=1e-10):
+def nullspace(matrix):
     """Nullspace basis by Gaussian elimination with partial pivoting.
 
     Free variables are assigned (1, 0), (0, 1), ... in column order, which
@@ -130,7 +137,7 @@ def nullspace(matrix, pivot_tol=1e-10):
         if row >= n_rows:
             break
         pivot = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[pivot, col]) <= pivot_tol * scale:
+        if abs(a[pivot, col]) <= PIVOT_TOL * scale:
             continue
         a[[row, pivot]] = a[[pivot, row]]
         a[row] = a[row] / a[row, col]
@@ -158,17 +165,16 @@ class FieldInterpretation:
     h_amplitude: float
 
 
-def field_interpretation(state: PlaneWaveState, layout: FieldLayout,
-                         zero_tol=1e-12):
+def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
     """Map amplitudes to field components and report the sparsity pattern."""
     axis = AXIS_INDEX[layout.axis]
     p = state.momentum
     off_axis = [abs(p[i]) for i in range(3) if i != axis]
-    if max(off_axis, default=0.0) > zero_tol * max(1.0, abs(p[axis])):
+    if max(off_axis, default=0.0) > ZERO_TOL * max(1.0, abs(p[axis])):
         raise AxisMismatch(
             f"momentum {p} is not along the layout axis {layout.axis!r}")
     scale = entry_norm(state.amplitudes)
-    sparsity = tuple(bool(abs(b) > zero_tol * max(scale, 1.0))
+    sparsity = tuple(bool(abs(b) > ZERO_TOL * max(scale, 1.0))
                      for b in state.amplitudes)
     f = fields_from_bispinor(state.amplitudes, layout)
     return FieldInterpretation(field=f, sparsity=sparsity,

@@ -148,13 +148,17 @@ def rng_for_suite(seed, suite):
     return np.random.default_rng(ss)
 
 
+def document_json(config, body):
+    """The meta block, then body's keys, as strict JSON (NaN raises ValueError)."""
+    doc = {"meta": {"version": VERSION, "config": config.to_dict()}, **body}
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
 def report_json(config, checks, ledger):
-    doc = {
-        "meta": {"version": VERSION, "config": config.to_dict()},
+    return document_json(config, {
         "checks": [c.to_dict() for c in checks],
         "ledger": [e.to_dict() for e in ledger],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    })
 
 
 def report_text(config, checks, ledger):

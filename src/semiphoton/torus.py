@@ -31,6 +31,7 @@ E_CGS = 4.80320471257e-10
 FINE_STRUCTURE = 7.2973525693e-3
 
 CONVERGENCE_TOL = 1e-10
+MAX_DOUBLINGS = 5  # grid doublings before a quadrature must have converged
 
 
 class DomainError(ValueError):
@@ -133,11 +134,6 @@ def ring_current(model: TorusModel, e_magnitude, de_dt) -> RingCurrent:
                        j_tau=model.omega_s * e_magnitude / (4 * math.pi))
 
 
-def charge_density(model: TorusModel, e_magnitude):
-    """rho = j_tau / c = (omega / 4 pi c) E."""
-    return ring_current(model, e_magnitude, 0.0).j_tau / model.units.c
-
-
 def simpson(f, a, b, n):
     """Composite Simpson's rule with n even subintervals."""
     if n % 2:
@@ -149,7 +145,7 @@ def simpson(f, a, b, n):
     return total * h / 3
 
 
-def _converged_simpson(f, a, b, n, scale, max_doublings=5):
+def _converged_simpson(f, a, b, n, scale):
     """Simpson value accepted only once doubling the grid stops moving it.
 
     Starts at the requested n and refines by doubling; raises if the result
@@ -160,7 +156,7 @@ def _converged_simpson(f, a, b, n, scale, max_doublings=5):
     n += n % 2
     value = simpson(f, a, b, n)
     delta = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n *= 2
         finer = simpson(f, a, b, n)
         delta = abs(finer - value)
@@ -269,14 +265,11 @@ def coupling_constant(zeta):
     """The model coupling alpha_q = 2 zeta^2 / pi."""
     if not 0 < zeta <= 1:
         raise DomainError(f"zeta must be in (0, 1], got {zeta}")
-    return 2 * zeta ** 2 / math.pi
-
-
-def zeta_for_coupling(alpha):
-    """Invert alpha_q = 2 zeta^2 / pi."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return math.sqrt(math.pi * alpha / 2)
+    alpha_q = 2 * zeta ** 2 / math.pi
+    if alpha_q == 0.0:
+        raise DomainError(f"the coupling 2 zeta^2 / pi underflows to 0 at "
+                          f"zeta={zeta!r}")
+    return alpha_q
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,43 @@ def test_lagrangian_nonlinear_matches_loop(point):
         assert single.total == got.total[i]
 
 
+@st.composite
+def residual_cases(draw):
+    """A triad, its layout and n points of fields and derivatives on its slots.
+
+    Stacks of 4 rows are drawn on purpose: a matrix ``@`` applied to an
+    (n, 4) stack instead of per row runs without error only at n == 4.
+    """
+    n = draw(st.one_of(st.just(1), st.just(4), st.integers(2, 32)))
+    t = draw(st.sampled_from(dirac.axis_triads()))
+    layout = bridge.layout_for_triad(t, charge_conjugated=draw(st.booleans()))
+    slots = [bridge.AXIS_INDEX[ax] for ax in t.e_axes]
+
+    def field():
+        v = draw(stack(4, n)) + 1j * draw(stack(4, n))
+        e, h = np.zeros((n, 3), dtype=complex), np.zeros((n, 3), dtype=complex)
+        e[:, slots], h[:, slots] = v[:, :2], v[:, 2:]
+        return EmField(e, h)
+
+    return t, layout, field(), field(), field()
+
+
+@settings(deadline=None, max_examples=100)
+@given(residual_cases(), st.sampled_from(("plus", "minus")),
+       st.floats(0, 3, allow_nan=False))
+def test_residual_stacks_match_single_points(case, form, mass):
+    t, layout, f, ft, fu = case
+    scalar = bridge.scalar_residuals(f, ft, fu, layout, mass, form)
+    bisp = bridge.bispinor_residuals(f, ft, fu, t, layout, CANON, mass, form)
+    assert scalar.shape == bisp.shape == (len(f.e), 4)
+    for i, one in enumerate(zip(field_rows(f), field_rows(ft), field_rows(fu))):
+        assert np.array_equal(
+            bridge.scalar_residuals(*one, layout, mass, form), scalar[i])
+        assert np.array_equal(
+            bridge.bispinor_residuals(*one, t, layout, CANON, mass, form),
+            bisp[i])
+
+
 def test_stacks_are_validated():
     with pytest.raises(ValueError):
         EmField(np.zeros((2, 3)), np.zeros((3, 3)))

@@ -185,10 +185,11 @@ def test_scalar_and_matrix_routes_agree_off_shell():
     ws, ks = rng.normal(size=4), rng.normal(size=4)
 
     def build(tt, uu, dt_order=0, du_order=0):
-        vals = amps * np.exp(1j * (ws * tt - ks * uu))
+        vals = amps * np.exp(1j * (ws * tt[:, None] - ks * uu[:, None]))
         vals = vals * (1j * ws) ** dt_order * (-1j * ks) ** du_order
-        e = np.array([vals[0], 0, vals[1]])
-        h = np.array([vals[2], 0, vals[3]])
+        zero = np.zeros(len(tt))
+        e = np.stack([vals[:, 0], zero, vals[:, 1]], axis=-1)
+        h = np.stack([vals[:, 2], zero, vals[:, 3]], axis=-1)
         return EmField(e, h)
 
     rep = bridge.dirac_residual_em(
@@ -207,12 +208,14 @@ def test_massless_free_wave_solves_minus_form():
         # E_x = H_z = cos(omega t - k u) with omega = k c
         theta = omega * tt - omega * uu
         if (dt_order, du_order) == (0, 0):
-            val = math.cos(theta)
+            val = np.cos(theta)
         elif dt_order == 1:
-            val = -omega * math.sin(theta)
+            val = -omega * np.sin(theta)
         else:
-            val = omega * math.sin(theta)
-        return EmField([val, 0, 0], [0, 0, val])
+            val = omega * np.sin(theta)
+        zero = np.zeros_like(val)
+        return EmField(np.stack([val, zero, zero], axis=-1),
+                       np.stack([zero, zero, val], axis=-1))
 
     rep = bridge.dirac_residual_em(
         cos_wave, t, mass=0.0, sign_form="minus", t_grid=np.linspace(0, 3, 5),
@@ -245,7 +248,9 @@ def test_conjugate_layout_solves_opposite_current_system():
 
     def build(tt, uu, scale=1.0):
         ph = scale * np.exp(1j * (omega * tt - k * uu))
-        return EmField([ph, 0, 0], [0, 0, amp_h * ph])
+        zero = np.zeros_like(ph)
+        return EmField(np.stack([ph, zero, zero], axis=-1),
+                       np.stack([zero, zero, amp_h * ph], axis=-1))
 
     rep = bridge.dirac_residual_em(
         build, t, 1.0, "minus", *(_grids()),
@@ -294,3 +299,56 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
                                    d_dt=d_dt, d_du=d_du)
     assert len(calls) == 1
     assert rep.max_scalar <= 1e-12 * omega
+
+
+def test_residual_rows_follow_the_grid_order():
+    """Row i is the point (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)])."""
+    t = dirac.triad("y", "negative")
+    layout = bridge.layout_for_triad(t)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    wave = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
+    calls = []
+
+    def counted(func):
+        def call(tt, uu):
+            calls.append((func, (tt.shape, uu.shape)))
+            return func(tt, uu)
+        return call
+
+    t_grid, u_grid = _grids()
+    n = len(t_grid) * len(u_grid)
+    rep = bridge.dirac_residual_em(
+        counted(wave[0]), t, 1.0, "plus", t_grid, u_grid,
+        d_dt=counted(wave[1]), d_du=counted(wave[2]))
+    assert sorted(id(func) for func, _ in calls) == sorted(map(id, wave))
+    assert {shapes for _, shapes in calls} == {((n,), (n,))}
+    assert rep.scalar.shape == rep.bispinor.shape == (n, 4)
+    for i in range(n):
+        point = (np.array([t_grid[i // len(u_grid)]]),
+                 np.array([u_grid[i % len(u_grid)]]))
+        f, ft, fu = (func(*point) for func in wave)
+        assert np.array_equal(
+            rep.scalar[i],
+            bridge.scalar_residuals(f, ft, fu, layout, 1.0, "plus")[0])
+        assert np.array_equal(
+            rep.bispinor[i],
+            bridge.bispinor_residuals(f, ft, fu, t, layout, CANON, 1.0,
+                                      "plus")[0])
+
+
+def test_finite_difference_route_stacks_its_stencils():
+    """Four stencil calls per variable on the grid, plus the (1,) probe."""
+    t = dirac.triad("y", "negative")
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    shapes = []
+
+    def counted(tt, uu):
+        shapes.append(tt.shape)
+        return fields(tt, uu)
+
+    t_grid, u_grid = _grids()
+    bridge.dirac_residual_em(counted, t, 1.0, "plus", t_grid, u_grid,
+                             fd_step=1e-4)
+    n = len(t_grid) * len(u_grid)
+    # probe: 2 variables x 2 steps x 4 stencil points; grid: values + 2 x 4
+    assert shapes == [(1,)] * 16 + [(n,)] * 9

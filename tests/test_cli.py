@@ -260,3 +260,49 @@ def test_torus_suite_runs_at_tiny_zeta(capsys):
     assert code == 0
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     assert checks["torus/radius-ratio"]["verdict"] == "pass"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["planewave", "--px", "1e200"],
+    ["planewave", "--py=-3e155", "--branch", "negative"]])
+def test_planewave_infinite_energy_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: on-shell energy is not finite")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["torus", "--zeta", "1e-150"], ["planewave", "--px", "1e150"],
+    ["dynamics", "--zeta", "1e-160"],
+    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
+    ["dump-matrices", "--set", "prime"]])
+def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    doc = strict_json(out)
+    assert list(doc)[0] == "meta"
+    assert set(doc["meta"]) == {"version", "config"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--zeta", "1e-170"], ["dynamics", "--zeta", "1e-162"],
+    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-150"],
+    ["verify", "--suite", "dynamics", "--zeta", "1e-162"]])
+def test_dynamics_underflowing_zeta_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "underflows to 0" in captured.err
+
+
+def test_dynamics_suite_runs_at_tiny_zeta(capsys):
+    code, out = run_cli(["verify", "--suite", "dynamics", "--zeta", "1e-150"],
+                        capsys)
+    assert code == 0
+    assert all(c["verdict"] != "fail" for c in strict_json(out)["checks"])

@@ -167,7 +167,7 @@ def test_solutions_solve_the_field_system():
         eps, k = state.energy, p[1]
 
         def build(tt, uu, scale=1.0):
-            ph = scale * np.exp(1j * (k * uu - eps * tt))
+            ph = scale * np.exp(1j * (k * uu - eps * tt))[:, None]
             return bridge.EmField(base.e * ph, base.h * ph)
 
         rep = bridge.dirac_residual_em(
