@@ -1,0 +1,95 @@
+"""Kernel micro-benchmark: median wall time of each kernel and each suite.
+
+Usage (from the repository root):
+
+    python scripts/bench.py [--repeat N] [--profile]
+
+Prints one JSON object.  ``meta`` holds the python and numpy versions, the
+CPU count and the repeat count; ``kernel_ms`` and ``suite_ms`` hold the
+median, in milliseconds, of N timed calls of each kernel and of each
+verification suite (samples 1000, seed 0), run in this process after one
+untimed call.  ``--profile`` then writes the top 25 cProfile entries of one
+run of every suite, by cumulative time, to stderr.  Nothing is gated: the
+numbers compare two trees on one machine.
+"""
+import argparse
+import cProfile
+import json
+import math
+import os
+import pathlib
+import platform
+import pstats
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from semiphoton import bridge, dirac, torus  # noqa: E402
+from semiphoton.report import RunConfig, report_json  # noqa: E402
+from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
+
+
+def median_ms(fn, repeat):
+    fn()
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e3, 4)
+
+
+def kernels(cfg):
+    canon = dirac.canonical_alpha_set()
+    s = dirac.s_matrix()
+    model = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
+    t_ax = dirac.triad("y", "negative")
+    _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, "plus", 0.7, 1.0)
+    t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
+    checks, ledger = run_suites(cfg, ["algebra", "torus"])
+    return {
+        "generate_group": lambda: dirac.generate_group(canon),
+        "anticommutation_deviation":
+            lambda: dirac.anticommutation_deviation(canon),
+        "canonical_transform":
+            lambda: dirac.canonical_transform(s, canon, "similarity"),
+        "simpson": lambda: torus.simpson(np.cos, 0.0, math.pi / 2, 512),
+        "calibrate_e0": lambda: torus.calibrate_e0(model),
+        "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
+            fields, t_ax, 1.0, "plus", t_grid, u_grid, d_dt=d_dt, d_du=d_du),
+        "report_json": lambda: report_json(cfg, checks, ledger),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=50)
+    parser.add_argument("--profile", action="store_true")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    cfg = RunConfig(samples=1000, seed=0).validate()
+    result = {
+        "meta": {"python": platform.python_version(),
+                 "numpy": np.__version__, "cpus": os.cpu_count(),
+                 "repeat": args.repeat},
+        "kernel_ms": {name: median_ms(fn, args.repeat)
+                      for name, fn in kernels(cfg).items()},
+        "suite_ms": {name: median_ms(lambda fn=fn: fn(cfg), args.repeat)
+                     for name, fn in SUITE_FUNCS.items()},
+    }
+    print(json.dumps(result, indent=2))
+    if args.profile:
+        profiler = cProfile.Profile()
+        profiler.runcall(run_suites, cfg, list(SUITE_FUNCS))
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats(
+            "cumulative").print_stats(25)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,15 +6,21 @@ tabulated (including its defects, which callers verify rather than assume),
 the six axis triads that assign matrices and field slots to each propagation
 direction, the 16-element phase-class group, and unitary changes of
 representation.
+
+The algebra kernels multiply stacks of matrices with ``einsum``, never a
+complex matrix-matrix ``@``.  The group closure forms each round's products
+as one stack and classifies them against the known classes CLASS_CHUNK
+products at a time, so its temporaries stay small.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .linalg import (adjoint, anticommutator, as_matrix, entry_norm, frozen,
-                     hermiticity_deviation, is_unitary, max_abs_diff)
+from .linalg import (as_matrices, as_matrix, entry_norm, frozen,
+                     hermiticity_deviation, is_unitary, mat_mul, max_abs_diff)
 
 PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
@@ -22,6 +28,7 @@ AXES = ("x", "y", "z")
 
 PHASE_CLASS_TOL = 1e-9  # max entry gap of two matrices in one phase class
 MAX_PRODUCT_ROUNDS = 5  # product rounds before the group must have closed
+CLASS_CHUNK = 16  # products classified at a time; bounds the closure's memory
 
 
 class NonClosureError(RuntimeError):
@@ -53,7 +60,7 @@ class AlphaSet:
 def _alpha_set(label, a1, a2, a3, a4, a5=None):
     a1, a2, a3, a4 = map(as_matrix, (a1, a2, a3, a4))
     if a5 is None:
-        a5 = a1 @ a2 @ a3 @ a4
+        a5 = reduce(mat_mul, (a1, a2, a3, a4))
     return AlphaSet(label=label,
                     a0=frozen(np.eye(4, dtype=complex)),
                     a1=frozen(a1), a2=frozen(a2), a3=frozen(a3),
@@ -89,67 +96,110 @@ def alpha_prime_set():
     )
 
 
+def _pair_products(mats):
+    """Every product m_a m_b of the k matrices of mats: (..., k, k, 4, 4)."""
+    return np.einsum("...aij,...bjk->...abik", mats, mats)
+
+
+def _anticommutators(mats):
+    """{m_a, m_b} for every pair of the k matrices of mats: (..., k, k, 4, 4)."""
+    prod = _pair_products(mats)
+    return prod + np.swapaxes(prod, -4, -3)
+
+
+_CLIFFORD = 2 * np.eye(4)[:, :, None, None] * np.eye(4)  # 2 delta_mu_nu I
+
+
 def anticommutation_deviation(aset):
-    """Max entry of {a_mu, a_nu} - 2 delta_mu_nu I over the four generators."""
-    gens = aset.generators()
-    eye2 = 2 * np.eye(4, dtype=complex)
-    dev = 0.0
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            target = eye2 if i == j else 0.0
-            dev = max(dev, entry_norm(anticommutator(a, b) - target))
-    return dev
+    """Max entry of {a_mu, a_nu} - 2 delta_mu_nu I over the four generators.
+
+    The 16 anticommutators are one (4, 4, 4, 4) product stack.  A set whose
+    matrices are stacks (n, 4, 4) gives the max over all n members.
+    """
+    gens = np.stack(aset.generators(), axis=-3)
+    return entry_norm(_anticommutators(gens) - _CLIFFORD)
 
 
 def a5_product_deviation(aset):
-    return max_abs_diff(aset.a1 @ aset.a2 @ aset.a3 @ aset.a4, aset.a5)
+    return max_abs_diff(reduce(mat_mul, aset.generators()), aset.a5)
 
 
 def a5_anticommutation_deviation(aset):
-    return max(entry_norm(anticommutator(aset.a5, g)) for g in aset.generators())
+    """Max entry of {a5, a_mu} over the four generators, one product stack."""
+    mats = np.stack((*aset.generators(), aset.a5), axis=-3)
+    return entry_norm(_anticommutators(mats)[..., 4, :4, :, :])
 
 
 def hermiticity_deviations(aset):
     return {name: hermiticity_deviation(m) for name, m in aset.named().items()}
 
 
-def phase_class_index(m, representatives):
-    """Index of the first phase class of m among representatives, or None.
+def _phase_matches(ms, classes):
+    """Boolean (len(ms), len(classes)): ms[i] is phase * classes[j] for a phase.
 
-    m is compared with every representative at every phase in one broadcast.
+    Equal means every entry within PHASE_CLASS_TOL, at any of the four PHASES.
+    The rows of ms are compared CLASS_CHUNK at a time, so the temporaries stay
+    at CLASS_CHUNK x 4 x len(classes) matrices whatever the number of rows.
     """
-    phased = (np.asarray(PHASES)[:, None, None, None]
-              * np.reshape(representatives, (-1, 4, 4)))
-    diff = np.abs(np.asarray(m) - phased).max(axis=(-2, -1))
-    hits = np.flatnonzero((diff <= PHASE_CLASS_TOL).any(axis=0))
+    phases = np.asarray(PHASES)[:, None, None, None]
+    phased = (phases * classes).reshape(4, -1, 16)
+    flat = np.reshape(ms, (-1, 16))
+    out = np.empty((len(flat), phased.shape[1]), dtype=bool)
+    for start in range(0, len(flat), CLASS_CHUNK):
+        close = np.abs(flat[start:start + CLASS_CHUNK, None, None] - phased)
+        out[start:start + CLASS_CHUNK] = (
+            (close <= PHASE_CLASS_TOL).all(axis=-1).any(axis=1))
+    return out
+
+
+def phase_class_index(m, representatives):
+    """Index of the first phase class of m among representatives, or None."""
+    row = _phase_matches(np.asarray(m)[None],
+                         np.reshape(representatives, (-1, 4, 4)))[0]
+    hits = np.flatnonzero(row)
     return int(hits[0]) if hits.size else None
+
+
+def _new_classes(candidates, classes):
+    """The candidates, in order, in no class of classes or of an earlier pick.
+
+    Reproduces appending the candidates one at a time to a growing list of
+    classes: the first candidate of each new class is the one kept.
+    """
+    fresh = candidates[~_phase_matches(candidates, classes).any(axis=1)]
+    same = _phase_matches(fresh, fresh)
+    kept = []
+    for i in range(len(fresh)):
+        if not same[i, kept].any():
+            kept.append(i)
+    return fresh[kept]
 
 
 def generate_group(aset):
     """Close {I, a1..a5} under products, identified up to phase in {1,-1,i,-i}.
 
     Returns the class representatives; a well-formed set closes at exactly 16.
+    Each round multiplies the representatives known at its start with each
+    other as one stack, classifies the products against those classes in
+    chunks, and appends the unmatched ones in product order.
     """
-    reps = [np.eye(4, dtype=complex)]
-    for m in (aset.a1, aset.a2, aset.a3, aset.a4, aset.a5):
-        if phase_class_index(m, reps) is None:
-            reps.append(np.asarray(m))
+    reps = np.eye(4, dtype=complex)[None]
+    seeds = np.stack((aset.a1, aset.a2, aset.a3, aset.a4, aset.a5))
+    reps = np.concatenate([reps, _new_classes(seeds, reps)])
     for _ in range(MAX_PRODUCT_ROUNDS):
         known = len(reps)
-        for x in reps[:known]:
-            for y in reps[:known]:
-                m = x @ y
-                if phase_class_index(m, reps) is None:
-                    reps.append(m)
+        products = _pair_products(reps).reshape(-1, 4, 4)
+        reps = np.concatenate([reps, _new_classes(products, reps)])
         if len(reps) == known:
             break
         if len(reps) > 16:
             raise NonClosureError(
                 f"closure reached {len(reps)} phase classes (expected 16)")
     else:
-        if any(phase_class_index(x @ y, reps) is None for x in reps for y in reps):
+        products = _pair_products(reps).reshape(-1, 4, 4)
+        if not _phase_matches(products, reps).any(axis=1).all():
             raise NonClosureError("closure not reached within product rounds")
-    return reps
+    return list(reps)
 
 
 @dataclass(frozen=True)
@@ -216,25 +266,29 @@ def s_matrix():
 
 
 def canonical_transform(s, aset, mode):
-    """Change of representation by the unitary s.
+    """Change of representation by the unitary s, or by each of a stack of them.
 
     ``two_sided`` applies S a S literally; ``similarity`` applies S^+ a S.
     Both are provided so the intended product can be adjudicated numerically
-    instead of hard-coded.
+    instead of hard-coded.  The six matrices are moved as one stack; for s of
+    shape (n, 4, 4) each matrix of the result is an (n, 4, 4) stack, one set
+    per unitary.
     """
-    s = as_matrix(s)
+    s = as_matrices(s)
     if not is_unitary(s, 1e-12):
         raise NotUnitaryError("transform matrix is not unitary")
     if mode == "two_sided":
-        def conv(a):
-            return s @ a @ s
+        left = s
     elif mode == "similarity":
-        def conv(a):
-            return adjoint(s) @ a @ s
+        left = s.conj().swapaxes(-2, -1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    named = {k: frozen(conv(m)) for k, m in aset.named().items()}
-    return AlphaSet(label=f"{aset.label}:{mode}", **named)
+    names = aset.named()
+    mats = as_matrices(list(names.values()))
+    moved = np.einsum("a...ij,...jk->a...ik",
+                      np.einsum("...ij,ajk->a...ik", left, mats), s)
+    return AlphaSet(label=f"{aset.label}:{mode}",
+                    **{k: frozen(m) for k, m in zip(names, moved)})
 
 
 def transform_mode_match(s, source, target):

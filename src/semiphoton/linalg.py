@@ -5,9 +5,10 @@ only the exact-shape operations the rest of the library needs.  Comparisons of
 integer-entry matrix identities are exact (error 0); everything else uses the
 module default tolerance.
 
-Vectors and spinors may come as a stack of n samples, shape (n, 3) or (n, 4).
-The stacked kernels act on the last axis only, so a single vector gives
-scalars and a stack gives one result per sample.  They use ``einsum``, never a
+Vectors and spinors may come as a stack of n samples, shape (n, 3) or (n, 4),
+and matrices as a stack of shape (n, 4, 4).  The stacked kernels act on the
+last axis (the last two for matrices) only, so a single vector gives scalars
+and a stack gives one result per sample.  They use ``einsum``, never a
 complex matrix-matrix ``@``: one OpenBLAS zgemm call can leave later libm
 calls in the same process several times slower on some x86 CPUs.
 """
@@ -38,6 +39,11 @@ def as_matrix(entries):
     return _shaped(entries, (4, 4), "matrix")
 
 
+def as_matrices(entries):
+    """One 4x4 matrix or a stack (n, 4, 4), checked once for the whole stack."""
+    return _shaped(entries, (4, 4), "matrix", stacked=True)
+
+
 def as_bispinor(entries):
     """One spinor (4,) or a stack (n, 4), checked once for the whole stack."""
     return _shaped(entries, (4,), "bispinor", stacked=True)
@@ -66,17 +72,13 @@ def frozen(a):
 
 
 def mat_mul(a, b):
-    """Plain matrix product, no normalization."""
-    return as_matrix(a) @ as_matrix(b)
+    """Plain matrix product, no normalization; per matrix for stacks (n, 4, 4)."""
+    return np.einsum("...ij,...jk->...ik", as_matrices(a), as_matrices(b))
 
 
 def adjoint(a):
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def anticommutator(a, b):
-    return mat_mul(a, b) + mat_mul(b, a)
+    """Conjugate transpose, of each matrix for a stack (n, 4, 4)."""
+    return as_matrices(a).conj().swapaxes(-2, -1)
 
 
 def entry_norm(a):
@@ -89,10 +91,10 @@ def max_abs_diff(a, b):
 
 
 def is_unitary(a, tol=ABS_TOL):
+    """Whether a, or every matrix of a stack (n, 4, 4), is unitary within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = as_matrix(a)
-    return entry_norm(adjoint(a) @ a - np.eye(4)) <= tol
+    return entry_norm(mat_mul(adjoint(a), a) - np.eye(4)) <= tol
 
 
 def hermiticity_deviation(a):

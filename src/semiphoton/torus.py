@@ -19,7 +19,10 @@ densities disagree are emitted as ledger entries, never silently patched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .report import Discrepancy
 
@@ -135,14 +138,17 @@ def ring_current(model: TorusModel, e_magnitude, de_dt) -> RingCurrent:
 
 
 def simpson(f, a, b, n):
-    """Composite Simpson's rule with n even subintervals."""
+    """Composite Simpson's rule with n even subintervals.
+
+    f takes an array: it is called once, on the n + 1 nodes
+    a + h * arange(n + 1), and the values are summed with weights 1-4-2-...-4-1.
+    """
     if n % 2:
         raise ValueError("n must be even for Simpson's rule")
     h = (b - a) / n
-    total = f(a) + f(b)
-    total += 4 * sum(f(a + h * i) for i in range(1, n, 2))
-    total += 2 * sum(f(a + h * i) for i in range(2, n, 2))
-    return total * h / 3
+    y = f(a + h * np.arange(n + 1))
+    total = y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()
+    return float(total * h / 3)
 
 
 def _converged_simpson(f, a, b, n, scale):
@@ -180,7 +186,7 @@ def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
     lam = model.lambda_p
 
     def integrand(l):
-        return pref * math.cos(model.k * l)
+        return pref * np.cos(model.k * l)
 
     scale = abs(pref) * lam if pref else 1.0
     if span == "full_wave":
@@ -196,7 +202,7 @@ def charge_quadrature_stated_prefactor(model: TorusModel, n_points=256):
     c = model.units.c
     pref = (model.omega_s / (math.pi * c)) * e0 * model.s_c
     scale = abs(pref) * model.lambda_p if pref else 1.0
-    return 2 * _converged_simpson(lambda l: pref * math.cos(model.k * l),
+    return 2 * _converged_simpson(lambda l: pref * np.cos(model.k * l),
                                   0.0, model.lambda_p / 4, n_points, scale)
 
 
@@ -221,7 +227,7 @@ def integrate_mass(model: TorusModel, n_points=256):
     c = model.units.c
     pref = model.s_c * e0 * e0 / (math.pi * c * c)
     scale = abs(pref) * model.lambda_p if pref else 1.0
-    return _converged_simpson(lambda l: pref * math.cos(model.k * l) ** 2,
+    return _converged_simpson(lambda l: pref * np.cos(model.k * l) ** 2,
                               0.0, model.lambda_p / 4, n_points, scale)
 
 
@@ -237,7 +243,7 @@ def mass_density_half_wave(model: TorusModel, n_points=256):
     c = model.units.c
     pref = model.s_c * e0 * e0 / (4 * math.pi * c * c)
     scale = abs(pref) * model.lambda_p if pref else 1.0
-    return _converged_simpson(lambda l: pref * math.cos(model.k * l) ** 2,
+    return _converged_simpson(lambda l: pref * np.cos(model.k * l) ** 2,
                               0.0, model.lambda_p / 2, n_points, scale)
 
 
@@ -266,9 +272,10 @@ def coupling_constant(zeta):
     if not 0 < zeta <= 1:
         raise DomainError(f"zeta must be in (0, 1], got {zeta}")
     alpha_q = 2 * zeta ** 2 / math.pi
-    if alpha_q == 0.0:
-        raise DomainError(f"the coupling 2 zeta^2 / pi underflows to 0 at "
-                          f"zeta={zeta!r}")
+    if alpha_q < sys.float_info.min:
+        # a subnormal coupling has lost digits: results built on it are wrong
+        raise DomainError(f"the coupling 2 zeta^2 / pi underflows to 0 or "
+                          f"below the normal float range at zeta={zeta!r}")
     return alpha_q
 
 

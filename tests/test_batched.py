@@ -395,3 +395,191 @@ def test_stacks_are_validated():
     with pytest.raises(bridge.LayoutViolation):
         bridge.bispinor_from_fields(
             EmField(np.eye(3)[[0, 1]], np.zeros((2, 3))), LAYOUT)
+
+
+def loop_closure(aset, mul=np.matmul):
+    """The group closure one product and one class at a time.
+
+    ``mul`` multiplies one pair; the stacked closure multiplies with
+    ``einsum``, whose one-pair product is the same arithmetic as its stack.
+    """
+    def index(m, reps):
+        for k, r in enumerate(reps):
+            if any(np.abs(m - ph * r).max() <= dirac.PHASE_CLASS_TOL
+                   for ph in dirac.PHASES):
+                return k
+        return None
+
+    reps = [np.eye(4, dtype=complex)]
+    for m in (aset.a1, aset.a2, aset.a3, aset.a4, aset.a5):
+        if index(m, reps) is None:
+            reps.append(np.asarray(m))
+    for _ in range(dirac.MAX_PRODUCT_ROUNDS):
+        known = len(reps)
+        for x in reps[:known]:
+            for y in reps[:known]:
+                m = mul(x, y)
+                if index(m, reps) is None:
+                    reps.append(m)
+        if len(reps) == known:
+            break
+        if len(reps) > 16:
+            raise dirac.NonClosureError(f"{len(reps)} classes")
+    else:
+        if any(index(mul(x, y), reps) is None for x in reps for y in reps):
+            raise dirac.NonClosureError("not closed")
+    return reps
+
+
+def pair_einsum(x, y):
+    return np.einsum("ij,jk->ik", x, y)
+
+
+def closure_or_error(closure, aset):
+    try:
+        return np.array(closure(aset))
+    except dirac.NonClosureError:
+        return "NonClosureError"
+
+
+def random_unitaries(seed, n):
+    x = np.random.default_rng(seed).normal(size=(n, 2, 4, 4))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def with_generators(aset, *mats, label="test"):
+    return dirac.AlphaSet(label, aset.a0, *mats)
+
+
+def closure_cases():
+    """Similarity transforms, permuted generators and perturbed sets."""
+    cases = [dirac.canonical_transform(u, CANON, "similarity")
+             for u in random_unitaries(5, 6)]
+    gens = CANON.generators()
+    for perm in ((1, 0, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1), (0, 3, 1, 2)):
+        cases.append(with_generators(CANON, *(gens[i] for i in perm), CANON.a5))
+    rng = np.random.default_rng(17)
+    for scale in (0.5, -0.5, 2.0, -2.0):
+        for g in range(5):
+            step = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mats = np.array((*gens, CANON.a5))
+            mats[g] += scale * dirac.PHASE_CLASS_TOL * step / np.abs(step).max()
+            cases.append(with_generators(CANON, *mats))
+    return cases
+
+
+def test_group_closure_matches_loop_on_the_canonical_set():
+    got = dirac.generate_group(CANON)
+    want = loop_closure(CANON)
+    assert len(got) == len(want) == 16
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("aset", closure_cases())
+def test_group_closure_matches_loop(aset):
+    got = closure_or_error(dirac.generate_group, aset)
+    want = closure_or_error(lambda a: loop_closure(a, pair_einsum), aset)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+
+
+def test_perturbed_closures_take_both_outcomes():
+    """Half-tolerance steps mostly still close, double ones never do."""
+    outcomes = [closure_or_error(dirac.generate_group, a)
+                for a in closure_cases()[10:]]
+    closed = [not isinstance(o, str) and len(o) == 16 for o in outcomes]
+    assert sum(closed[:10]) >= 5 and not any(closed[10:])
+
+
+def test_open_set_raises_in_both_closures():
+    rot = np.diag([1, 1j ** 0.5, 1, 1]).astype(complex)  # irrational phase
+    broken = with_generators(CANON, rot, CANON.a2, CANON.a3, CANON.a4, CANON.a5)
+    with pytest.raises(dirac.NonClosureError):
+        dirac.generate_group(broken)
+    with pytest.raises(dirac.NonClosureError):
+        loop_closure(broken)
+
+
+def test_phase_class_index_is_the_first_match():
+    reps = dirac.generate_group(CANON)
+    for k, r in enumerate(reps):
+        for ph in dirac.PHASES:
+            assert dirac.phase_class_index(ph * r, reps) == k
+            assert dirac.phase_class_index(ph * r, reps[:k]) is None
+    doubled = reps[:3] + reps[:3]
+    assert dirac.phase_class_index(reps[1], doubled) == 1
+
+
+def loop_anticommutation(gens):
+    dev = 0.0
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            target = 2 * np.eye(4) if i == j else 0.0
+            dev = max(dev, float(np.abs(a @ b + b @ a - target).max()))
+    return dev
+
+
+def test_anticommutation_matches_loop():
+    prime = dirac.alpha_prime_set()
+    broken = with_generators(CANON, np.eye(4), CANON.a2, CANON.a3, CANON.a4,
+                             CANON.a5)
+    assert dirac.anticommutation_deviation(CANON) == 0.0
+    assert dirac.a5_anticommutation_deviation(CANON) == 0.0
+    assert dirac.anticommutation_deviation(broken) == 2.0
+    assert dirac.anticommutation_deviation(prime) == 4.0
+    for aset in (CANON, broken, prime):
+        assert dirac.anticommutation_deviation(aset) == loop_anticommutation(
+            aset.generators())
+    assert dirac.a5_anticommutation_deviation(prime) == max(
+        float(np.abs(prime.a5 @ g + g @ prime.a5).max())
+        for g in prime.generators())
+    # moved generators are unitary: each anticommutator entry has term scale 2
+    us = random_unitaries(23, 8)
+    moved = dirac.canonical_transform(us, CANON, "similarity")
+    devs = [loop_anticommutation([u.conj().T @ g @ u for g in CANON.generators()])
+            for u in us]
+    assert abs(dirac.anticommutation_deviation(moved) - max(devs)) <= TOL * 4
+
+
+def test_stacked_transform_matches_single_unitaries():
+    us = random_unitaries(29, 8)
+    for mode in ("similarity", "two_sided"):
+        moved = dirac.canonical_transform(us, CANON, mode)
+        for i, u in enumerate(us):
+            one = dirac.canonical_transform(u, CANON, mode)
+            left = u.conj().T if mode == "similarity" else u
+            for name, m in CANON.named().items():
+                assert np.array_equal(moved.named()[name][i], one.named()[name])
+                assert_close(one.named()[name], left @ m @ u, 4.0)
+    bad = us.copy()
+    bad[5] *= 2
+    with pytest.raises(dirac.NotUnitaryError):
+        dirac.canonical_transform(bad, CANON, "similarity")
+
+
+def loop_simpson(f, a, b, n):
+    """Composite Simpson as generator sums over the nodes, summed exactly.
+
+    Plain ``sum`` adds its own rounding, up to about 5 ulps at n = 2048.
+    """
+    h = (b - a) / n
+    total = f(a) + f(b)
+    total += 4 * math.fsum(f(a + h * i) for i in range(1, n, 2))
+    total += 2 * math.fsum(f(a + h * i) for i in range(2, n, 2))
+    return total * h / 3
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+def test_simpson_matches_generator_sums(n):
+    lam = MODEL.lambda_p
+    k = MODEL.k
+    cases = [(lambda x: np.cos(k * x), lam / 4),
+             (lambda x: np.cos(k * x) ** 2, lam / 4),
+             (lambda x: np.cos(k * x) ** 2, lam / 2),
+             (lambda x: x ** 3, 2.0), (np.exp, 1.0)]
+    for f, b in cases:
+        want = loop_simpson(f, 0.0, b, n)
+        assert abs(torus.simpson(f, 0.0, b, n) - want) <= TOL * abs(want)

@@ -277,7 +277,7 @@ def test_planewave_infinite_energy_exits_two(argv, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["torus", "--zeta", "1e-150"], ["planewave", "--px", "1e150"],
-    ["dynamics", "--zeta", "1e-160"],
+    ["dynamics", "--zeta", "1e-150"],
     ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
     ["dump-matrices", "--set", "prime"]])
 def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
@@ -291,6 +291,7 @@ def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["dynamics", "--zeta", "1e-170"], ["dynamics", "--zeta", "1e-162"],
+    ["dynamics", "--zeta", "1e-161"], ["dynamics", "--zeta", "1e-160"],
     ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-150"],
     ["verify", "--suite", "dynamics", "--zeta", "1e-162"]])
 def test_dynamics_underflowing_zeta_exits_two(argv, capsys):

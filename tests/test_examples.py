@@ -1,4 +1,5 @@
 """Smoke test: every command of the README's CLI and script examples runs."""
+import json
 import os
 import pathlib
 import shlex
@@ -49,3 +50,20 @@ def test_readme_example_exits_zero(argv):
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_kernel_benchmark_prints_its_medians():
+    result = subprocess.run(
+        [sys.executable, "scripts/bench.py", "--repeat", "1", "--profile"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert set(doc["kernel_ms"]) == {
+        "generate_group", "anticommutation_deviation", "canonical_transform",
+        "simpson", "calibrate_e0", "dirac_residual_em_4x5", "report_json"}
+    assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
+                                    "planewave", "dynamics"}
+    times = [*doc["kernel_ms"].values(), *doc["suite_ms"].values()]
+    assert all(t > 0 for t in times)
+    assert doc["meta"]["repeat"] == 1
+    assert "cumulative" in result.stderr

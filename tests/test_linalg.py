@@ -82,11 +82,6 @@ def test_unitary_closed_under_composition():
         assert linalg.is_unitary(v @ u, 1e-12)
 
 
-def test_anticommutator_identity():
-    eye = np.eye(4, dtype=complex)
-    np.testing.assert_array_equal(linalg.anticommutator(eye, eye), 2 * eye)
-
-
 def test_entry_norm():
     m = np.zeros((4, 4), dtype=complex)
     m[2, 1] = 3 - 4j

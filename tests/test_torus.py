@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,11 +55,11 @@ def test_ring_current():
 
 
 def test_simpson_against_closed_integrals():
-    assert torus.simpson(math.cos, 0.0, math.pi / 2, 256) == pytest.approx(
+    assert torus.simpson(np.cos, 0.0, math.pi / 2, 256) == pytest.approx(
         1.0, abs=1e-10)
     assert torus.simpson(lambda x: x ** 3, 0.0, 2.0, 64) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        torus.simpson(math.cos, 0.0, 1.0, 63)
+        torus.simpson(np.cos, 0.0, 1.0, 63)
 
 
 def test_coarse_grid_refines_until_converged():
@@ -71,11 +72,12 @@ def test_coarse_grid_refines_until_converged():
 
 
 def test_quadrature_convergence_guard():
-    rngf = [0.0]
+    calls = [0]
 
-    def noisy(_x):
-        rngf[0] += 1.0
-        return math.sin(rngf[0] * 1000.0)
+    def noisy(x):
+        k = calls[0] + np.arange(1, x.size + 1)
+        calls[0] += x.size
+        return np.sin(k * 1000.0)
 
     with pytest.raises(torus.QuadratureNotConverged):
         torus._converged_simpson(noisy, 0.0, 1.0, 64, 1.0)
