@@ -5,10 +5,11 @@ Usage (from the repository root):
     python scripts/bench.py [--repeat N] [--profile]
 
 Prints one JSON object.  ``meta`` holds the python and numpy versions, the
-CPU count and the repeat count; ``kernel_ms`` and ``suite_ms`` hold the
-median, in milliseconds, of N timed calls of each kernel and of each
-verification suite (samples 1000, seed 0), run in this process after one
-untimed call.  ``--profile`` then writes the top 25 cProfile entries of one
+CPU count, the repeat count, the git commit of the checkout (null outside
+git) and ``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
+``suite_ms`` hold the median, in milliseconds, of N timed calls of each
+kernel and of each verification suite (samples 1000, seed 0), run in this
+process after one untimed call.  ``--profile`` then writes the top 25 cProfile entries of one
 run of every suite, by cumulative time, to stderr.  Nothing is gated: the
 numbers compare two trees on one machine.
 """
@@ -21,14 +22,16 @@ import pathlib
 import platform
 import pstats
 import statistics
+import subprocess
 import sys
 import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from semiphoton import bridge, dirac, torus  # noqa: E402
+from semiphoton import bridge, cli, dirac, torus  # noqa: E402
 from semiphoton.report import RunConfig, report_json  # noqa: E402
 from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
@@ -62,7 +65,18 @@ def kernels(cfg):
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
             fields, t_ax, 1.0, "plus", t_grid, u_grid, d_dt=d_dt, d_du=d_du),
         "report_json": lambda: report_json(cfg, checks, ledger),
+        "build_parser": cli.build_parser,
     }
+
+
+def git_commit():
+    """HEAD of the checkout this script is in, or None without git."""
+    try:
+        result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                                capture_output=True, text=True)
+    except OSError:
+        return None
+    return result.stdout.strip() if result.returncode == 0 else None
 
 
 def main(argv=None):
@@ -76,7 +90,9 @@ def main(argv=None):
     result = {
         "meta": {"python": platform.python_version(),
                  "numpy": np.__version__, "cpus": os.cpu_count(),
-                 "repeat": args.repeat},
+                 "repeat": args.repeat, "commit": git_commit(),
+                 "PYTHONDONTWRITEBYTECODE":
+                     os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "kernel_ms": {name: median_ms(fn, args.repeat)
                       for name, fn in kernels(cfg).items()},
         "suite_ms": {name: median_ms(lambda fn=fn: fn(cfg), args.repeat)

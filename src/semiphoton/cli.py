@@ -8,38 +8,23 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import bridge, dirac, dynamics, planewave, torus
-from .report import (FAIL, RunConfig, SUITES, csv_rows, document_json,
-                     report_csv, report_json, report_text)
+from .report import (DEFAULT_TOL, FAIL, RunConfig, SUITES, csv_rows,
+                     document_json, report_csv, report_json, report_text)
 from .suites import run_suites
 
 USAGE_ERROR = 2
 
 
-def _add_common(parser):
-    parser.add_argument("--units", choices=("natural", "gaussian_cgs"),
-                        default="natural")
-    parser.add_argument("--zeta", type=float, default=1.0)
-    parser.add_argument("--tol-abs", type=float, default=1e-12)
-    parser.add_argument("--tol-rel", type=float, default=1e-12)
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    parser.add_argument("--quad-points", type=int, default=256)
-    parser.add_argument("--out", default=None)
-
-
-def _config(args):
-    return RunConfig(units=args.units, zeta=args.zeta, tol_abs=args.tol_abs,
-                     tol_rel=args.tol_rel, samples=args.samples,
-                     seed=args.seed, format=args.format,
-                     quadrature_points=args.quad_points,
-                     out=args.out).validate()
+def _meta_config(args):
+    """meta.config of a document: the RunConfig settings the command reads."""
+    return {k: getattr(args, k) for k in RunConfig().to_dict()
+            if hasattr(args, k)}
 
 
 def _emit(text, out):
@@ -57,7 +42,8 @@ def _complex_pairs(matrix):
 
 
 def cmd_verify(args):
-    cfg = _config(args)
+    cfg = RunConfig(**{f.name: getattr(args, f.name)
+                       for f in dataclasses.fields(RunConfig)}).validate()
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks, ledger = run_suites(cfg, names)
     if cfg.format == "text":
@@ -70,9 +56,8 @@ def cmd_verify(args):
 
 
 def cmd_torus(args):
-    cfg = _config(args)
-    ev = torus.evaluate(torus.unit_system(cfg.units), cfg.zeta,
-                        cfg.quadrature_points)
+    ev = torus.evaluate(torus.unit_system(args.units), args.zeta,
+                        args.quadrature_points)
     model = ev.model
     doc = {
         "model": {
@@ -91,14 +76,13 @@ def cmd_torus(args):
             "r_o": ev.chain.r_o, "radius_ratio": ev.chain.radius_ratio,
         },
         "ledger": [e.to_dict() for e in
-                   torus.discrepancy_ledger(model, cfg.quadrature_points)],
+                   torus.discrepancy_ledger(model, args.quadrature_points)],
     }
-    _emit(document_json(cfg, doc), cfg.out)
+    _emit(document_json(_meta_config(args), doc), args.out)
     return 0
 
 
 def cmd_planewave(args):
-    cfg = _config(args)
     aset = dirac.canonical_alpha_set()
     p = np.array([args.px, args.py, args.pz])
     mass, c = 1.0, 1.0
@@ -124,15 +108,15 @@ def cmd_planewave(args):
         except planewave.AxisMismatch:
             entry["fields"] = None
         body.append(entry)
-    _emit(document_json(cfg, {"branch": args.branch, "states": body}), cfg.out)
+    doc = {"branch": args.branch, "states": body}
+    _emit(document_json(_meta_config(args), doc), args.out)
     return 0
 
 
 def cmd_dynamics(args):
-    cfg = _config(args)
-    alpha_q = torus.coupling_constant(cfg.zeta)
-    units = torus.unit_system(cfg.units)
-    model = torus.derive_parameters(units, cfg.zeta)
+    alpha_q = torus.coupling_constant(args.zeta)
+    units = torus.unit_system(args.units)
+    model = torus.derive_parameters(units, args.zeta)
     force = dynamics.lorentz_force_ring(model, 1.0, "Ex_Hz")
     force_x = dynamics.lorentz_force_ring(model, 1.0, "Ez_Hx")
     mass = units.m_e
@@ -146,7 +130,7 @@ def cmd_dynamics(args):
     forms = dynamics.lagrangian_linear(point, mass, c=c, hbar=units.hbar)
     nl = dynamics.lagrangian_nonlinear(point, model, c=c, hbar=units.hbar)
     comp = dynamics.photon_photon_comparison(
-        torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), cfg.zeta))
+        torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), args.zeta))
     doc = {
         "ring_force": {
             "Ex_Hz": {"f2": force.f2, "f0": force.f0},
@@ -165,30 +149,70 @@ def cmd_dynamics(args):
         "photon_photon_comparison": comp,
         "self_action_constant": dynamics.self_action_constant(model, alpha_q),
     }
-    _emit(document_json(cfg, doc), cfg.out)
+    _emit(document_json(_meta_config(args), doc), args.out)
     return 0
 
 
 def cmd_sweep_zeta(args):
-    cfg = _config(args)
-    units = torus.unit_system(cfg.units)
+    units = torus.unit_system(args.units)
     rows = []
     for z in torus.zeta_grid(args.min, args.max, args.steps):
-        ev = torus.evaluate(units, z, cfg.quadrature_points)
+        ev = torus.evaluate(units, z, args.quadrature_points)
         rows.append((z, ev.alpha_q, ev.q, ev.m_s, ev.spin.mu_s))
-    _emit(csv_rows(("zeta", "alpha_q", "q", "m_s", "mu_s"), rows), cfg.out)
+    _emit(csv_rows(("zeta", "alpha_q", "q", "m_s", "mu_s"), rows), args.out)
     return 0
 
 
 def cmd_dump_matrices(args):
-    cfg = _config(args)
     aset = (dirac.canonical_alpha_set() if args.set == "canonical"
             else dirac.alpha_prime_set())
     doc = {"label": aset.label,
            "matrices": {name: _complex_pairs(m)
                         for name, m in aset.named().items()}}
-    _emit(document_json(cfg, doc), cfg.out)
+    _emit(document_json(_meta_config(args), doc), args.out)
     return 0
+
+
+# Every option once: its flag and its add_argument keywords.  An option's
+# dest is the RunConfig field it sets, where it sets one.
+OPTIONS = {
+    "--suite": dict(choices=SUITES + ("all",), default="all"),
+    "--units": dict(choices=("natural", "gaussian_cgs"), default="natural"),
+    "--zeta": dict(type=float, default=1.0),
+    "--tol-abs": dict(type=float, default=DEFAULT_TOL),
+    "--tol-rel": dict(type=float, default=DEFAULT_TOL),
+    "--samples": dict(type=int, default=1000),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(choices=("json", "csv", "text"), default="json"),
+    "--quad-points": dict(type=int, default=256, dest="quadrature_points"),
+    "--out": dict(default=None),
+    "--px": dict(type=float, default=0.0),
+    "--py": dict(type=float, default=0.0),
+    "--pz": dict(type=float, default=0.0),
+    "--branch": dict(choices=("positive", "negative"), default="positive"),
+    "--min": dict(type=float, default=0.05),
+    "--max": dict(type=float, default=1.0),
+    "--steps": dict(type=int, default=20),
+    "--set": dict(choices=("canonical", "prime"), default="canonical"),
+}
+
+# Every command once: its handler, its help line and the options it reads.
+COMMANDS = {
+    "verify": (cmd_verify, "run a verification suite",
+               ("--suite", "--units", "--zeta", "--tol-abs", "--tol-rel",
+                "--samples", "--seed", "--format", "--quad-points", "--out")),
+    "torus": (cmd_torus, "emit the ring model and its ledger",
+              ("--units", "--zeta", "--quad-points", "--out")),
+    "planewave": (cmd_planewave, "solve plane-wave amplitudes",
+                  ("--px", "--py", "--pz", "--branch", "--out")),
+    "dynamics": (cmd_dynamics, "emit forces and Lagrangian values",
+                 ("--units", "--zeta", "--out")),
+    "sweep-zeta": (cmd_sweep_zeta, "CSV sweep over the section ratio",
+                   ("--min", "--max", "--steps", "--units", "--quad-points",
+                    "--out")),
+    "dump-matrices": (cmd_dump_matrices, "serialize a matrix set",
+                      ("--set", "--out")),
+}
 
 
 def build_parser():
@@ -197,40 +221,11 @@ def build_parser():
         description="Deterministic verification of the rolled-wave electron "
                     "model and its matrix-form field equations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("torus", help="emit the ring model and its ledger")
-    _add_common(p)
-    p.set_defaults(func=cmd_torus)
-
-    p = sub.add_parser("planewave", help="solve plane-wave amplitudes")
-    p.add_argument("--px", type=float, default=0.0)
-    p.add_argument("--py", type=float, default=0.0)
-    p.add_argument("--pz", type=float, default=0.0)
-    p.add_argument("--branch", choices=("positive", "negative"),
-                   default="positive")
-    _add_common(p)
-    p.set_defaults(func=cmd_planewave)
-
-    p = sub.add_parser("dynamics", help="emit forces and Lagrangian values")
-    _add_common(p)
-    p.set_defaults(func=cmd_dynamics)
-
-    p = sub.add_parser("sweep-zeta", help="CSV sweep over the section ratio")
-    p.add_argument("--min", type=float, default=0.05)
-    p.add_argument("--max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_zeta)
-
-    p = sub.add_parser("dump-matrices", help="serialize a matrix set")
-    p.add_argument("--set", choices=("canonical", "prime"), default="canonical")
-    _add_common(p)
-    p.set_defaults(func=cmd_dump_matrices)
+    for name, (func, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in options:
+            p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

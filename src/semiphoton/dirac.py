@@ -24,8 +24,6 @@ from .linalg import (as_matrices, as_matrix, entry_norm, frozen,
 
 PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
-AXES = ("x", "y", "z")
-
 PHASE_CLASS_TOL = 1e-9  # max entry gap of two matrices in one phase class
 MAX_PRODUCT_ROUNDS = 5  # product rounds before the group must have closed
 CLASS_CHUNK = 16  # products classified at a time; bounds the closure's memory

@@ -15,6 +15,7 @@ take a stack of points: a ``WavePoint`` whose fields hold n samples, shape
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,15 +226,18 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
     quartic-invariant rewriting and through the squared bilinears; the three
     quartic routes and their pair identity agree for real fields.
     """
-    if model.delta_tau == 0.0:
-        raise DomainError(f"the ring volume delta_tau underflows to 0 at "
-                          f"zeta={model.zeta!r}; the quartic term divides by it")
-    layout = layout or electron_layout()
-    aset = aset or canonical_alpha_set()
     m_e = model.units.m_e
     mc2 = m_e * c * c
-    omega_e = 2 * mc2 / hbar
     dtau = model.delta_tau
+    pref = dtau / ((8 * math.pi) ** 2 * mc2)
+    if min(dtau, pref) < sys.float_info.min:
+        # a subnormal factor has lost digits: the quartic routes would disagree
+        raise DomainError(f"the ring volume delta_tau or the quartic prefactor "
+                          f"underflows to 0 or below the normal float range "
+                          f"at zeta={model.zeta!r}")
+    layout = layout or electron_layout()
+    aset = aset or canonical_alpha_set()
+    omega_e = 2 * mc2 / hbar
 
     du_term, div_term = _du_dt_terms(point, layout, c)
     linear_em = (1j / omega_e) * (du_term + div_term)
@@ -246,7 +250,6 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
     quartic_em = (sf.epsilon_s * u_density
                   - c * c * inner(sf.p_s, g_vec)) / mc2
 
-    pref = dtau / ((8 * math.pi) ** 2 * mc2)
     quartic_invariant = pref * ((e2 - h2) ** 2 + 4 * eh_dot(point.f) ** 2)
 
     b_lhs, b_rhs = fierz_quantum(bispinor_from_fields(point.f, layout), aset)

@@ -30,6 +30,8 @@ SUITE_IDS = {
 }
 SUITES = tuple(SUITE_IDS)
 
+DEFAULT_TOL = 1e-12  # loosest tolerance a run may ask for
+
 
 def _number(value):
     """A float for JSON; NaN and infinities as the strings "nan", "inf", "-inf".
@@ -87,10 +89,6 @@ class CheckReport:
         d["rel_err"] = _number(self.rel_err)
         return d
 
-    @property
-    def passed(self):
-        return self.verdict != FAIL
-
 
 @dataclass
 class Discrepancy:
@@ -113,8 +111,8 @@ class Discrepancy:
 class RunConfig:
     units: str = "natural"
     zeta: float = 1.0
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-12
+    tol_abs: float = DEFAULT_TOL
+    tol_rel: float = DEFAULT_TOL
     samples: int = 1000
     seed: int = 0
     format: str = "json"
@@ -128,8 +126,10 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         for name in ("tol_abs", "tol_rel"):
             tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+            # a tolerance may tighten the gates, never loosen them
+            if not 0 <= tol <= DEFAULT_TOL:
+                raise ValueError(f"{name} must be in [0, {DEFAULT_TOL!r}], "
+                                 f"got {tol!r}")
         if self.quadrature_points < 64:
             raise ValueError("quadrature_points must be >= 64")
         if self.format not in ("json", "csv", "text"):
@@ -149,13 +149,13 @@ def rng_for_suite(seed, suite):
 
 
 def document_json(config, body):
-    """The meta block, then body's keys, as strict JSON (NaN raises ValueError)."""
-    doc = {"meta": {"version": VERSION, "config": config.to_dict()}, **body}
+    """meta (config is a dict), then body's keys, as strict JSON; NaN raises."""
+    doc = {"meta": {"version": VERSION, "config": config}, **body}
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def report_json(config, checks, ledger):
-    return document_json(config, {
+    return document_json(config.to_dict(), {
         "checks": [c.to_dict() for c in checks],
         "ledger": [e.to_dict() for e in ledger],
     })

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiphoton import bridge
-from semiphoton.cli import main
+from semiphoton.cli import build_parser, main
 from semiphoton.report import CheckReport, Discrepancy, RunConfig, report_json
 
 
@@ -245,7 +246,8 @@ def test_report_json_encodes_non_finite_values():
 
 @pytest.mark.parametrize("option,value", [
     ("--tol-abs", "inf"), ("--tol-rel", "inf"), ("--tol-abs", "nan"),
-    ("--tol-rel", "nan"), ("--tol-abs", "-1"), ("--tol-rel", "-1")])
+    ("--tol-rel", "nan"), ("--tol-abs", "-1"), ("--tol-rel", "-1"),
+    ("--tol-abs", "1e300"), ("--tol-rel", "1.1e-12")])
 def test_tolerance_outside_its_domain_exits_two(option, value, capsys):
     assert main(["verify", "--suite", "fierz", "--samples", "10",
                  option, value]) == 2
@@ -278,7 +280,7 @@ def test_planewave_infinite_energy_exits_two(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["torus", "--zeta", "1e-150"], ["planewave", "--px", "1e150"],
     ["dynamics", "--zeta", "1e-150"],
-    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
+    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-138"],
     ["dump-matrices", "--set", "prime"]])
 def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
     code, out = run_cli(argv, capsys)
@@ -293,7 +295,10 @@ def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
     ["dynamics", "--zeta", "1e-170"], ["dynamics", "--zeta", "1e-162"],
     ["dynamics", "--zeta", "1e-161"], ["dynamics", "--zeta", "1e-160"],
     ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-150"],
-    ["verify", "--suite", "dynamics", "--zeta", "1e-162"]])
+    ["verify", "--suite", "dynamics", "--zeta", "1e-162"],
+    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
+    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-140"],
+    ["dynamics", "--zeta", "1e-153"]])
 def test_dynamics_underflowing_zeta_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -307,3 +312,97 @@ def test_dynamics_suite_runs_at_tiny_zeta(capsys):
                         capsys)
     assert code == 0
     assert all(c["verdict"] != "fail" for c in strict_json(out)["checks"])
+
+
+def test_loose_tolerances_cannot_hide_a_planted_fault(monkeypatch, capsys):
+    exact = bridge.fierz_em
+
+    def planted(f):
+        lhs, rhs = exact(f)
+        return lhs + 1e-3, rhs
+
+    monkeypatch.setattr(bridge, "fierz_em", planted)
+    argv = ["verify", "--suite", "fierz", "--samples", "20"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--tol-abs", "1e300", "--tol-rel", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol_abs must be")
+    assert main(argv + ["--tol-abs", "1e-12", "--tol-rel", "0"]) == 1
+    capsys.readouterr()
+
+
+# the options each command reads, written out independently of cli.COMMANDS
+READS = {
+    "verify": ["--suite", "--units", "--zeta", "--tol-abs", "--tol-rel",
+               "--samples", "--seed", "--format", "--quad-points", "--out"],
+    "torus": ["--units", "--zeta", "--quad-points", "--out"],
+    "planewave": ["--px", "--py", "--pz", "--branch", "--out"],
+    "dynamics": ["--units", "--zeta", "--out"],
+    "sweep-zeta": ["--min", "--max", "--steps", "--units", "--quad-points",
+                   "--out"],
+    "dump-matrices": ["--set", "--out"],
+}
+VALUES = {
+    "--suite": "fierz", "--units": "gaussian_cgs", "--zeta": "0.5",
+    "--tol-abs": "1e-13", "--tol-rel": "1e-14", "--samples": "10", "--seed": "3",
+    "--format": "csv", "--quad-points": "128", "--out": "report.out",
+    "--px": "0.1", "--py": "0.2", "--pz": "0.3", "--branch": "negative",
+    "--min": "0.2", "--max": "0.4", "--steps": "3", "--set": "prime",
+}
+PAIRS = [(command, option) for command in READS for option in VALUES]
+
+
+def test_each_command_has_exactly_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings
+                  if s not in ("-h", "--help")]
+           for name, p in sub.choices.items()}
+    assert got == READS
+    assert sum(map(len, READS.values())) == 30
+
+
+@pytest.mark.parametrize("command,option", [
+    p for p in PAIRS if p[1] in READS[p[0]]])
+def test_option_a_command_reads_parses(command, option):
+    default = vars(build_parser().parse_args([command]))
+    args = vars(build_parser().parse_args([command, option, VALUES[option]]))
+    changed = [k for k in args if args[k] != default[k]]
+    assert len(changed) == 1
+    assert str(args[changed[0]]) == VALUES[option]
+
+
+@pytest.mark.parametrize("command,option", [
+    p for p in PAIRS if p[1] not in READS[p[0]]])
+def test_option_a_command_ignores_is_a_usage_error(command, option, capsys):
+    assert main([command, option, VALUES[option]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["verify", "--suite", "algebra", "--samples", "10"],
+     [("units", "natural"), ("zeta", 1.0), ("tol_abs", 1e-12),
+      ("tol_rel", 1e-12), ("samples", 10), ("seed", 0), ("format", "json"),
+      ("quadrature_points", 256)]),
+    (["torus", "--units", "gaussian_cgs", "--zeta", "0.25", "--quad-points",
+      "128"],
+     [("units", "gaussian_cgs"), ("zeta", 0.25), ("quadrature_points", 128)]),
+    (["dynamics"], [("units", "natural"), ("zeta", 1.0)]),
+    (["planewave"], []), (["dump-matrices"], [])])
+def test_meta_config_lists_only_the_settings_read(argv, config, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert list(strict_json(out)["meta"]["config"].items()) == config
+
+
+@pytest.mark.parametrize("command", ["torus", "sweep-zeta"])
+def test_too_few_quadrature_points_exit_two(command, capsys):
+    assert main([command, "--quad-points", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1

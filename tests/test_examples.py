@@ -60,10 +60,12 @@ def test_kernel_benchmark_prints_its_medians():
     doc = json.loads(result.stdout)
     assert set(doc["kernel_ms"]) == {
         "generate_group", "anticommutation_deviation", "canonical_transform",
-        "simpson", "calibrate_e0", "dirac_residual_em_4x5", "report_json"}
+        "simpson", "calibrate_e0", "dirac_residual_em_4x5", "report_json",
+        "build_parser"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
                                     "planewave", "dynamics"}
     times = [*doc["kernel_ms"].values(), *doc["suite_ms"].values()]
     assert all(t > 0 for t in times)
     assert doc["meta"]["repeat"] == 1
+    assert set(doc["meta"]) >= {"commit", "PYTHONDONTWRITEBYTECODE"}
     assert "cumulative" in result.stderr
