@@ -31,7 +31,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from semiphoton import bridge, cli, dirac, torus  # noqa: E402
+from semiphoton import bridge, cli, dirac, planewave, torus  # noqa: E402
 from semiphoton.report import RunConfig, report_json  # noqa: E402
 from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
@@ -54,12 +54,19 @@ def kernels(cfg):
     _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, "plus", 0.7, 1.0)
     t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
     checks, ledger = run_suites(cfg, ["algebra", "torus"])
+    x = np.random.default_rng(0).normal(size=(2, 1000, 4))
+    psi = x[0] + 1j * x[1]
+    p = np.array([0.3, -0.7, 1.1])
+    on_shell = planewave.build_system(planewave.dispersion(p, 1.0)[0], p, 1.0)
     return {
         "generate_group": lambda: dirac.generate_group(canon),
         "anticommutation_deviation":
             lambda: dirac.anticommutation_deviation(canon),
         "canonical_transform":
             lambda: dirac.canonical_transform(s, canon, "similarity"),
+        "bilinears_1000": lambda: bridge.bilinears(psi, canon),
+        "fierz_quantum_1000": lambda: bridge.fierz_quantum(psi, canon),
+        "nullspace": lambda: planewave.nullspace(on_shell),
         "simpson": lambda: torus.simpson(np.cos, 0.0, math.pi / 2, 512),
         "calibrate_e0": lambda: torus.calibrate_e0(model),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(

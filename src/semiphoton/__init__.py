@@ -6,11 +6,11 @@ toroidal ring-wave model with its quadratures, plane-wave solutions of the
 amplitude system, and the Lagrangian and force evaluators, each checked
 against independent numeric routes.
 """
-from .bridge import (BilinearKind, EmField, FieldLayout, LayoutViolation,
-                     bilinear, bispinor_from_fields, dirac_residual_em,
-                     electron_layout, energy_density, fields_from_bispinor,
-                     fierz_em, fierz_quantum, layout_for_triad,
-                     positron_layout, poynting)
+from .bridge import (EmField, FieldLayout, LayoutViolation,
+                     bispinor_from_fields, dirac_residual_em, electron_layout,
+                     energy_density, fields_from_bispinor, fierz_em,
+                     fierz_quantum, layout_for_triad, positron_layout,
+                     poynting)
 from .dirac import (AlphaSet, AxisTriad, NonClosureError, NotUnitaryError,
                     alpha_prime_set, anticommutation_deviation, axis_triads,
                     canonical_alpha_set, canonical_transform, generate_group,
@@ -26,8 +26,8 @@ from .planewave import (AxisMismatch, PlaneWaveState, build_system,
                         continuity_check, dispersion, field_interpretation,
                         make_states, nullspace, residual, solution_basis)
 from .report import CheckReport, Discrepancy, RunConfig, VERSION
-from .torus import (DomainError, QuadratureNotConverged, RingCurrent,
-                    TorusModel, UnitSystem, calibrate_e0, coupling_constant,
+from .torus import (DomainError, QuadratureNotConverged, TorusModel,
+                    UnitSystem, calibrate_e0, coupling_constant,
                     derive_parameters, integrate_charge, integrate_mass,
                     ring_current, spin_and_moment, zitterbewegung)
 

@@ -18,7 +18,6 @@ component equations against the matrix form over a whole (t, u) grid at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -72,9 +71,7 @@ class FieldLayout:
     """
     name: str
     axis: str
-    orientation: str
     slots: tuple
-    charge_conjugated: bool = False
 
     def covered(self, kind):
         return tuple(ax for k, ax, _ in self.slots if k == kind)
@@ -86,9 +83,7 @@ def layout_for_triad(t: AxisTriad, charge_conjugated=False, name=None):
              ("e", t.e_axes[1], signs[1] * (1 + 0j)),
              ("h", t.h_axes[0], signs[2] * 1j),
              ("h", t.h_axes[1], signs[3] * 1j))
-    return FieldLayout(name=name or t.name, axis=t.axis,
-                       orientation=t.orientation, slots=slots,
-                       charge_conjugated=charge_conjugated)
+    return FieldLayout(name=name or t.name, axis=t.axis, slots=slots)
 
 
 def electron_layout():
@@ -127,34 +122,16 @@ def fields_from_bispinor(psi, layout: FieldLayout):
     return EmField(e, h)
 
 
-class BilinearKind(Enum):
-    SCALAR = "a4"
-    VECTOR0 = "a0"
-    VECTOR1 = "a1"
-    VECTOR2 = "a2"
-    VECTOR3 = "a3"
-    PSEUDOSCALAR = "a5"
-
-
 def bilinears(psi, aset):
     """All six bilinears psi^+ a_k psi, k = 0..5, in the last axis.
 
     psi of shape (n, 4) gives shape (n, 6); one spinor (4,) gives (6,).
-    Column k is the bilinear of a_k, so ``BilinearKind`` "a4" is column 4.
+    Column k is the bilinear of a_k: column 4 is the scalar psi^+ a4 psi,
+    columns 1:4 the vector.
     """
     psi = as_bispinor(psi)
     return np.einsum("...i,kij,...j->...k", psi.conj(),
                      np.stack(list(aset.named().values())), psi)
-
-
-def bilinear(kind: BilinearKind, psi, aset):
-    """psi^+ a psi for the matrix selected by kind."""
-    return np.moveaxis(bilinears(psi, aset), -1, 0)[int(kind.value[1])]
-
-
-def bilinear_vector(psi, aset):
-    """(psi^+ a1 psi, psi^+ a2 psi, psi^+ a3 psi) in the last axis."""
-    return bilinears(psi, aset)[..., 1:4]
 
 
 def e_squared(f: EmField):
@@ -309,7 +286,6 @@ class ResidualReport:
     bispinor: np.ndarray
     cross_deviation: float
     max_scalar: float
-    max_bispinor: float
 
 
 def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
@@ -350,8 +326,7 @@ def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
                               c, hbar)
     cross = float(np.abs(scalar * factors - bisp).max())
     return ResidualReport(scalar=scalar, bispinor=bisp, cross_deviation=cross,
-                          max_scalar=float(np.abs(scalar).max()),
-                          max_bispinor=float(np.abs(bisp).max()))
+                          max_scalar=float(np.abs(scalar).max()))
 
 
 def onshell_plane_wave(t_ax: AxisTriad, sign_form, k, mass, e1_amp=1.0,

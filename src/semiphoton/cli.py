@@ -128,7 +128,7 @@ def cmd_dynamics(args):
     point = dynamics.WavePoint(f=fields(0.0, 0.0), df_dt=d_dt(0.0, 0.0),
                                df_du=d_du(0.0, 0.0))
     forms = dynamics.lagrangian_linear(point, mass, c=c, hbar=units.hbar)
-    nl = dynamics.lagrangian_nonlinear(point, model, c=c, hbar=units.hbar)
+    nl = dynamics.lagrangian_nonlinear(point, model)
     comp = dynamics.photon_photon_comparison(
         torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), args.zeta))
     doc = {

@@ -118,10 +118,6 @@ def anticommutation_deviation(aset):
     return entry_norm(_anticommutators(gens) - _CLIFFORD)
 
 
-def a5_product_deviation(aset):
-    return max_abs_diff(reduce(mat_mul, aset.generators()), aset.a5)
-
-
 def a5_anticommutation_deviation(aset):
     """Max entry of {a5, a_mu} over the four generators, one product stack."""
     mats = np.stack((*aset.generators(), aset.a5), axis=-3)
@@ -148,14 +144,6 @@ def _phase_matches(ms, classes):
         out[start:start + CLASS_CHUNK] = (
             (close <= PHASE_CLASS_TOL).all(axis=-1).any(axis=1))
     return out
-
-
-def phase_class_index(m, representatives):
-    """Index of the first phase class of m among representatives, or None."""
-    row = _phase_matches(np.asarray(m)[None],
-                         np.reshape(representatives, (-1, 4, 4)))[0]
-    hits = np.flatnonzero(row)
-    return int(hits[0]) if hits.size else None
 
 
 def _new_classes(candidates, classes):

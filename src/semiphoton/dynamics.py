@@ -81,7 +81,7 @@ def lorentz_force_via_current(model: TorusModel, e_amplitude, polarization,
     """Same components computed as (1/c) j_tau H and (1/c) j_tau E."""
     h = e_amplitude if h_amplitude is None else h_amplitude
     sign = {"Ex_Hz": +1.0, "Ez_Hx": -1.0}[polarization]
-    j_tau = ring_current(model, e_amplitude, 0.0).j_tau
+    j_tau = ring_current(model, e_amplitude)
     c = model.units.c
     return RingForce(f2=sign * j_tau * h / c, f0=sign * j_tau * e_amplitude / c)
 
@@ -208,28 +208,31 @@ def maxwell_invariant_forms(point: WavePoint, omega_e, layout=None, c=1.0):
 
 @dataclass(frozen=True)
 class NonlinearLagrangian:
-    linear_em: complex
-    linear_invariant: float
     quartic_em: float
     quartic_invariant: float
     quartic_bilinear: float
     quartic_bilinear_fierz: float
-    total: complex
+
+
+def quartic_prefactor(model: TorusModel):
+    """The self-interaction quartic scale delta_tau / ((8 pi)^2 m c^2)."""
+    u = model.units
+    return model.delta_tau / ((8 * math.pi) ** 2 * (u.m_e * u.c * u.c))
 
 
 def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
-                         aset=None, c=1.0, hbar=1.0) -> NonlinearLagrangian:
+                         aset=None) -> NonlinearLagrangian:
     """Quartic self-interaction Lagrangian through its equivalent routes.
 
-    The derivative summand is (i hbar / 2 m c^2)(dU/dt + div S); the quartic
-    summand (delta_tau / m c^2)(U^2 - c^2 g^2) is also evaluated through the
-    quartic-invariant rewriting and through the squared bilinears; the three
-    quartic routes and their pair identity agree for real fields.
+    The quartic summand (delta_tau / m c^2)(U^2 - c^2 g^2) is evaluated from
+    the energy-momentum pair, through the quartic-invariant rewriting and
+    through the squared bilinears; the three quartic routes and their pair
+    identity agree for real fields.
     """
-    m_e = model.units.m_e
-    mc2 = m_e * c * c
+    c = model.units.c
+    mc2 = model.units.m_e * c * c
     dtau = model.delta_tau
-    pref = dtau / ((8 * math.pi) ** 2 * mc2)
+    pref = quartic_prefactor(model)
     if min(dtau, pref) < sys.float_info.min:
         # a subnormal factor has lost digits: the quartic routes would disagree
         raise DomainError(f"the ring volume delta_tau or the quartic prefactor "
@@ -237,13 +240,8 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
                           f"at zeta={model.zeta!r}")
     layout = layout or electron_layout()
     aset = aset or canonical_alpha_set()
-    omega_e = 2 * mc2 / hbar
 
-    du_term, div_term = _du_dt_terms(point, layout, c)
-    linear_em = (1j / omega_e) * (du_term + div_term)
     e2, h2 = e_squared(point.f), h_squared(point.f)
-    linear_invariant = (e2 - h2) / (8 * math.pi)
-
     u_density = (e2 + h2) / (8 * math.pi)
     sf = self_field(point.f, model, c)
     g_vec = sf.p_s / dtau
@@ -253,15 +251,9 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
     quartic_invariant = pref * ((e2 - h2) ** 2 + 4 * eh_dot(point.f) ** 2)
 
     b_lhs, b_rhs = fierz_quantum(bispinor_from_fields(point.f, layout), aset)
-    quartic_bilinear = pref * b_lhs
-    quartic_bilinear_fierz = pref * b_rhs
-
     return NonlinearLagrangian(
-        linear_em=linear_em, linear_invariant=linear_invariant,
         quartic_em=quartic_em, quartic_invariant=quartic_invariant,
-        quartic_bilinear=quartic_bilinear,
-        quartic_bilinear_fierz=quartic_bilinear_fierz,
-        total=linear_em + quartic_em)
+        quartic_bilinear=pref * b_lhs, quartic_bilinear_fierz=pref * b_rhs)
 
 
 def photon_photon_comparison(model: TorusModel):
@@ -273,7 +265,7 @@ def photon_photon_comparison(model: TorusModel):
     """
     u = model.units
     b_const = (2.0 / 45.0) * u.e ** 4 * u.hbar / (u.m_e ** 4 * u.c ** 7)
-    self_scale = model.delta_tau / ((8 * math.pi) ** 2 * u.m_e * u.c ** 2)
+    self_scale = quartic_prefactor(model)
     return {
         "eh_squared_coefficient_self": 4.0,
         "eh_squared_coefficient_perturbative": 7.0,
@@ -321,10 +313,8 @@ def _grad_fd(sfield, point, h):
 @dataclass(frozen=True)
 class CentripetalReport:
     curl: np.ndarray
-    curl_expected: np.ndarray
     acceleration: np.ndarray
     acceleration_magnitude: float
-    expected_magnitude: float
 
 
 def centripetal_check(omega, r) -> CentripetalReport:
@@ -344,11 +334,8 @@ def centripetal_check(omega, r) -> CentripetalReport:
     curl = _curl_fd(vfield, point, h)
     v = vfield(point)
     accel = 0.5 * np.cross(v, curl)
-    return CentripetalReport(curl=curl,
-                             curl_expected=np.array([0.0, 0.0, 2 * omega]),
-                             acceleration=accel,
-                             acceleration_magnitude=float(np.linalg.norm(accel)),
-                             expected_magnitude=omega * omega * r)
+    return CentripetalReport(curl=curl, acceleration=accel,
+                             acceleration_magnitude=float(np.linalg.norm(accel)))
 
 
 def matter_motion_residual(g_field, u_field, v_field, points):

@@ -210,22 +210,13 @@ def special_amplitude_values(mass=1.0, c=1.0):
     return {"literal": literal, "onshell": onshell, "ledger": entry}
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    density: float
-    flux: np.ndarray
-    density_spread: float
-    flux_spread: float
-    deviation: float
-
-
 def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
     """Probability continuity for a single plane wave.
 
     P = psi^+ a0 psi and the flux -c psi^+ a psi are space-time constants
     for a plane wave (the phase cancels in every hermitian bilinear), so
     dP/dt + div flux vanishes.  Both quantities are sampled over a grid of
-    space-time points through the explicit phase factor; the reported
+    space-time points through the explicit phase factor; the returned
     deviation is their spread divided by a period scale, which bounds the
     derivative combination.
     """
@@ -241,7 +232,4 @@ def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
     d_spread = float(densities.max() - densities.min())
     f_spread = float(np.abs(fluxes - fluxes[0]).max())
     period = 2 * math.pi / max(abs(omega), 1e-300)
-    deviation = (d_spread + f_spread) / period
-    return ContinuityReport(density=float(densities[0]), flux=fluxes[0],
-                            density_spread=d_spread, flux_spread=f_spread,
-                            deviation=deviation)
+    return (d_spread + f_spread) / period

@@ -100,12 +100,6 @@ class TorusModel:
         return self.e0
 
 
-@dataclass(frozen=True)
-class RingCurrent:
-    j_n: float
-    j_tau: float
-
-
 def derive_parameters(units: UnitSystem, zeta: float) -> TorusModel:
     """All ring parameters for the given cross-section ratio zeta in (0, 1]."""
     if not 0 < zeta <= 1:
@@ -131,10 +125,9 @@ def with_e0(model: TorusModel, e0: float) -> TorusModel:
     return replace(model, e0=e0)
 
 
-def ring_current(model: TorusModel, e_magnitude, de_dt) -> RingCurrent:
-    """Normal and tangential displacement-current components on the ring."""
-    return RingCurrent(j_n=de_dt / (4 * math.pi),
-                       j_tau=model.omega_s * e_magnitude / (4 * math.pi))
+def ring_current(model: TorusModel, e_magnitude):
+    """Tangential displacement current omega_s E / 4 pi on the ring."""
+    return model.omega_s * e_magnitude / (4 * math.pi)
 
 
 def simpson(f, a, b, n):
@@ -194,16 +187,6 @@ def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
     if span == "half_wave":
         return 2 * _converged_simpson(integrand, 0.0, lam / 4, n_points, scale)
     raise ValueError(f"unknown span {span!r}")
-
-
-def charge_quadrature_stated_prefactor(model: TorusModel, n_points=256):
-    """Half-wave charge with the 1/pi prefactor the closed form is quoted with."""
-    e0 = model.require_e0()
-    c = model.units.c
-    pref = (model.omega_s / (math.pi * c)) * e0 * model.s_c
-    scale = abs(pref) * model.lambda_p if pref else 1.0
-    return 2 * _converged_simpson(lambda l: pref * np.cos(model.k * l),
-                                  0.0, model.lambda_p / 4, n_points, scale)
 
 
 def charge_closed_form(model: TorusModel):
@@ -400,7 +383,8 @@ def discrepancy_ledger(model: TorusModel, n_points=256):
             note="half-wave charge from the current-density quadrature is half "
                  "the stated closed form (1/pi) E0 S_c; the quadrature with the "
                  "closed form's own 1/pi prefactor gives twice it instead"))
-        stated_pref = charge_quadrature_stated_prefactor(model, n_points)
+        # the closed form's 1/pi prefactor is 4 times the density's 1/4 pi
+        stated_pref = 4 * density
         entries.append(Discrepancy(
             claim="ring-charge/stated-prefactor-quadrature",
             stated=stated, computed=stated_pref,

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from semiphoton import bridge, dirac, dynamics, planewave, torus
-from semiphoton.bridge import BilinearKind, EmField
+from semiphoton.bridge import EmField
 from semiphoton.report import RunConfig
 from semiphoton.suites import run_suites
 
@@ -47,9 +47,6 @@ def test_criterion_2_sixteen_classes():
 def test_criterion_3_bilinear_dictionary():
     with criterion(3, "bilinear dictionary over 1000 fields, all six triads"):
         rng = np.random.default_rng(3)
-        vector_kinds = {"a1": BilinearKind.VECTOR1,
-                        "a2": BilinearKind.VECTOR2,
-                        "a3": BilinearKind.VECTOR3}
         for t in dirac.axis_triads():
             layout = bridge.layout_for_triad(t)
             worst = 0.0
@@ -65,15 +62,12 @@ def test_criterion_3_bilinear_dictionary():
                 e2, h2 = bridge.e_squared(f), bridge.h_squared(f)
                 exh = np.cross(e, h)
                 scale = max(e2 + h2, 1e-30)
-                b0 = bridge.bilinear(BilinearKind.VECTOR0, psi, CANON)
-                b4 = bridge.bilinear(BilinearKind.SCALAR, psi, CANON)
-                b5 = bridge.bilinear(BilinearKind.PSEUDOSCALAR, psi, CANON)
+                b = bridge.bilinears(psi, CANON)
                 worst = max(worst,
-                            abs(b0 - (e2 + h2)) / scale,
-                            abs(b4 - (e2 - h2)) / scale,
-                            abs(b5 - 2 * bridge.eh_dot(f)) / scale)
-                for name, kind in vector_kinds.items():
-                    bv = bridge.bilinear(kind, psi, CANON)
+                            abs(b[0] - (e2 + h2)) / scale,
+                            abs(b[4] - (e2 - h2)) / scale,
+                            abs(b[5] - 2 * bridge.eh_dot(f)) / scale)
+                for name, bv in zip(("a1", "a2", "a3"), b[1:4]):
                     axis = dict(t.matrix_axes)[name]
                     want = (t.sign * 2 * exh[bridge.AXIS_INDEX[axis]]
                             if name == t.working else 0.0)
@@ -273,10 +267,10 @@ def test_criterion_9_canonical_transformation():
         for _ in range(200):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi_p = s.conj().T @ psi
-            for kind in BilinearKind:
-                b0 = bridge.bilinear(kind, psi, CANON)
-                b1 = bridge.bilinear(kind, psi_p, primed)
-                assert abs(b0 - b1) <= 1e-12 * max(1.0, abs(b0))
+            b0 = bridge.bilinears(psi, CANON)
+            b1 = bridge.bilinears(psi_p, primed)
+            assert np.all(np.abs(b0 - b1)
+                          <= 1e-12 * np.maximum(1.0, np.abs(b0)))
 
 
 def test_criterion_10_determinism_and_runtime():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semiphoton import bridge, dirac, dynamics, planewave, torus
-from semiphoton.bridge import BilinearKind, EmField
+from semiphoton.bridge import EmField
 
 CANON = dirac.canonical_alpha_set()
 MODEL = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
@@ -87,10 +87,7 @@ def test_bilinears_match_loop(psi):
                       for p in psi])
     assert_close(got, want, scale)
     for i, p in enumerate(psi):
-        for kind in BilinearKind:
-            k = int(kind.value[1])
-            assert bridge.bilinear(kind, p, CANON) == got[i, k]
-        assert np.array_equal(bridge.bilinear_vector(p, CANON), got[i, 1:4])
+        assert np.array_equal(bridge.bilinears(p, CANON), got[i])
 
 
 @settings(deadline=None, max_examples=100)
@@ -317,7 +314,6 @@ def test_lagrangian_nonlinear_matches_loop(point):
     point = dynamics.WavePoint(f, point.df_dt, point.df_du)
     got = dynamics.lagrangian_nonlinear(point, MODEL, LAYOUT, CANON)
     pref = MODEL.delta_tau / ((8 * math.pi) ** 2 * MODEL.units.m_e)
-    omega_e = 2.0
     for i, one in enumerate(point_rows(point)):
         e, h = one.f.e.real, one.f.h.real
         e2, h2, eh = e @ e, h @ h, e @ h
@@ -336,14 +332,26 @@ def test_lagrangian_nonlinear_matches_loop(point):
                      quartic_scale)
         assert_close(got.quartic_bilinear_fierz[i],
                      pref * (b[4] ** 2 + b[5] ** 2), quartic_scale)
-        assert_close(got.linear_invariant[i], (e2 - h2) / (8 * math.pi),
+        single = dynamics.lagrangian_nonlinear(one, MODEL, LAYOUT, CANON)
+        assert single.quartic_em == got.quartic_em[i]
+
+
+@settings(deadline=None, max_examples=100)
+@given(wave_points())
+def test_maxwell_invariant_forms_match_loop(point):
+    omega_e = 2.0
+    lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e, LAYOUT)
+    for i, one in enumerate(point_rows(point)):
+        e2 = complex(one.f.e.conj() @ one.f.e).real
+        h2 = complex(one.f.h.conj() @ one.f.h).real
+        assert_close(lhs[i], (e2 - h2) / (8 * math.pi),
                      (e2 + h2) / (8 * math.pi))
         _, em, _ = loop_linear(one)
-        linear_em = em + 1j * (omega_e / (8 * math.pi)) * (e2 - h2)
-        assert_close(got.linear_em[i], (1j / omega_e) * linear_em,
+        du_div = em + 1j * (omega_e / (8 * math.pi)) * (e2 - h2)
+        assert_close(rhs[i], (1j / omega_e) * du_div,
                      point_scale(one) / omega_e)
-        single = dynamics.lagrangian_nonlinear(one, MODEL, LAYOUT, CANON)
-        assert single.total == got.total[i]
+        single = dynamics.maxwell_invariant_forms(one, omega_e, LAYOUT)
+        assert single == (lhs[i], rhs[i])
 
 
 @st.composite
@@ -504,13 +512,16 @@ def test_open_set_raises_in_both_closures():
 
 
 def test_phase_class_index_is_the_first_match():
-    reps = dirac.generate_group(CANON)
-    for k, r in enumerate(reps):
-        for ph in dirac.PHASES:
-            assert dirac.phase_class_index(ph * r, reps) == k
-            assert dirac.phase_class_index(ph * r, reps[:k]) is None
-    doubled = reps[:3] + reps[:3]
-    assert dirac.phase_class_index(reps[1], doubled) == 1
+    reps = np.stack(dirac.generate_group(CANON))
+    phased = np.stack([ph * r for r in reps for ph in dirac.PHASES])
+    matches = dirac._phase_matches(phased, reps)
+    # each phased member matches its own class first and no earlier one
+    assert matches.any(axis=1).all()
+    assert matches.argmax(axis=1).tolist() == [
+        k for k in range(len(reps)) for _ in dirac.PHASES]
+    doubled = np.concatenate([reps[:3], reps[:3]])
+    assert dirac._phase_matches(reps[1:2], doubled)[0].tolist() == [
+        False, True, False, False, True, False]
 
 
 def loop_anticommutation(gens):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiphoton import bridge, dirac
-from semiphoton.bridge import BilinearKind, EmField
+from semiphoton.bridge import EmField
 
 CANON = dirac.canonical_alpha_set()
 unit = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
@@ -62,10 +62,8 @@ def test_round_trip_every_layout(e_vals, h_vals):
 
 def test_bilinears_unit_pair():
     psi = np.array([1, 0, 0, 1j])
-    assert bridge.bilinear(BilinearKind.VECTOR0, psi, CANON) == 2
-    assert bridge.bilinear(BilinearKind.SCALAR, psi, CANON) == 0
-    assert bridge.bilinear(BilinearKind.VECTOR2, psi, CANON) == 2
-    assert bridge.bilinear(BilinearKind.PSEUDOSCALAR, psi, CANON) == 0
+    b = bridge.bilinears(psi, CANON)
+    assert (b[0], b[4], b[2], b[5]) == (2, 0, 2, 0)
 
 
 def test_fierz_em_examples():

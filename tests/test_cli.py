@@ -1,10 +1,14 @@
 import argparse
+import ast
 import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import semiphoton
 from semiphoton import bridge
 from semiphoton.cli import build_parser, main
 from semiphoton.report import CheckReport, Discrepancy, RunConfig, report_json
@@ -406,3 +410,54 @@ def test_too_few_quadrature_points_exit_two(command, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+# One run of every command in both unit systems and all three verify
+# formats, an off-axis plane wave, and two usage errors.
+REACH_ARGV = [
+    ["verify", "--samples", "20", "--format", "json"],
+    ["verify", "--samples", "20", "--format", "text"],
+    ["verify", "--samples", "20", "--format", "csv"],
+    ["verify", "--samples", "20", "--units", "gaussian_cgs"],
+    ["torus"], ["torus", "--units", "gaussian_cgs"],
+    ["planewave", "--py", "1.3"],
+    ["planewave", "--px", "1", "--branch", "negative"],
+    ["dynamics"], ["dynamics", "--units", "gaussian_cgs"],
+    ["sweep-zeta", "--steps", "2"],
+    ["sweep-zeta", "--steps", "2", "--units", "gaussian_cgs"],
+    ["dump-matrices"], ["dump-matrices", "--set", "prime"],
+    ["torus", "--zeta", "2"], ["verify", "--tol-abs", "1"],
+]
+
+
+def _package_defs():
+    """(path, first line, name) of every def in the package source.
+
+    A decorated function's code object starts at its first decorator.
+    """
+    for path in sorted(pathlib.Path(semiphoton.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno]
+                            + [d.lineno for d in node.decorator_list])
+                yield str(path), first, node.name
+
+
+def test_every_function_is_reached_by_a_command(capsys):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in REACH_ARGV]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * 14 + [2, 2]
+    unreached = [name for path, line, name in _package_defs()
+                 if (path, line) not in entered]
+    assert unreached == []

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from semiphoton import bridge, dirac, dynamics, torus
 from semiphoton.bridge import EmField
+from semiphoton.cli import main
 from semiphoton.report import RunConfig
 from semiphoton.suites import suite_dynamics
 
@@ -65,7 +67,7 @@ def test_magnetic_confinement():
     np.testing.assert_array_equal(
         dynamics.magnetic_confinement_density([0, 1.0, 0], [0, 0, 1.0]),
         [1.0, 0, 0])
-    jt = torus.ring_current(MODEL, 1.0, 0.0).j_tau
+    jt = torus.ring_current(MODEL, 1.0)
     f2 = dynamics.lorentz_force_ring(MODEL, 1.0, "Ex_Hz").f2
     fm = dynamics.magnetic_confinement_density([0, jt, 0], [0, 0, 1.0])
     assert float(np.linalg.norm(fm)) == pytest.approx(f2, rel=1e-14)
@@ -144,8 +146,6 @@ def test_quartic_routes_agree():
         assert abs(nl.quartic_em - nl.quartic_invariant) <= 1e-12 * scale
         assert abs(nl.quartic_em - nl.quartic_bilinear) <= 1e-12 * scale
         assert abs(nl.quartic_em - nl.quartic_bilinear_fierz) <= 1e-12 * scale
-    zero = dynamics.WavePoint(EmField.zero(), EmField.zero(), EmField.zero())
-    assert dynamics.lagrangian_nonlinear(zero, MODEL).total == 0
 
 
 def test_self_field_and_currents():
@@ -243,3 +243,25 @@ def test_quartic_routes_catches_a_planted_error(monkeypatch):
 
     monkeypatch.setattr(dynamics, "lagrangian_nonlinear", planted)
     assert _quartic_routes(1006851808).verdict == "fail"
+
+
+@pytest.mark.parametrize("zeta", ["1", "1e-30", "1e-100", "1e-150"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_quartic_routes_stay_relative_at_tiny_zeta(zeta, planted, monkeypatch,
+                                                   capsys):
+    # the quartics scale with zeta^2; a floor on the whole scale turned the
+    # check absolute, and a doubled route passed below zeta of about 1e-25
+    exact = dynamics.lagrangian_nonlinear
+
+    def doubled(*args, **kwargs):
+        nl = exact(*args, **kwargs)
+        return replace(nl, quartic_em=2 * nl.quartic_em)
+
+    if planted:
+        monkeypatch.setattr(dynamics, "lagrangian_nonlinear", doubled)
+    code = main(["verify", "--suite", "dynamics", "--samples", "50",
+                 "--zeta", zeta])
+    doc = json.loads(capsys.readouterr().out)
+    verdict = next(c["verdict"] for c in doc["checks"]
+                   if c["id"] == "dynamics/quartic-routes")
+    assert (code, verdict) == ((1, "fail") if planted else (0, "pass"))

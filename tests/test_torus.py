@@ -49,9 +49,9 @@ def test_zeta_domain():
 
 def test_ring_current():
     m = model()
-    assert torus.ring_current(m, 0.0, 0.0) == torus.RingCurrent(0.0, 0.0)
-    rc = torus.ring_current(m, 1.0, 0.0)
-    assert rc.j_tau == pytest.approx(1 / (2 * math.pi), rel=1e-15)
+    assert torus.ring_current(m, 0.0) == 0.0
+    assert torus.ring_current(m, 1.0) == pytest.approx(1 / (2 * math.pi),
+                                                       rel=1e-15)
 
 
 def test_simpson_against_closed_integrals():
@@ -102,8 +102,9 @@ def test_half_wave_charge_conventions():
     assert torus.charge_closed_form(m) == pytest.approx(0.25, rel=1e-15)
     assert torus.charge_geometric(m) == pytest.approx(0.25, rel=1e-15)
     # quadrature carrying the stated 1/pi prefactor doubles the closed form
-    assert torus.charge_quadrature_stated_prefactor(m, 256) == pytest.approx(
-        0.5, rel=1e-10)
+    ledger = {e.claim: e for e in torus.discrepancy_ledger(m, 256)}
+    assert ledger["ring-charge/stated-prefactor-quadrature"].computed == \
+        pytest.approx(0.5, rel=1e-10)
 
 
 def test_mass_quadrature_matches_closed_form():
