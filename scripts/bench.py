@@ -1,4 +1,4 @@
-"""Kernel micro-benchmark: median wall time of each kernel and each suite.
+"""Benchmark: median wall time of each kernel and suite, and end to end.
 
 Usage (from the repository root):
 
@@ -9,7 +9,13 @@ CPU count, the repeat count, the git commit of the checkout (null outside
 git) and ``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
 ``suite_ms`` hold the median, in milliseconds, of N timed calls of each
 kernel and of each verification suite (samples 1000, seed 0), run in this
-process after one untimed call.  ``--profile`` then writes the top 25 cProfile entries of one
+process after one untimed call.  ``e2e_ms`` holds the median wall time of N
+runs of each of four fresh interpreters, alternated and importing
+``semiphoton`` from this checkout:
+``python -m semiphoton verify --suite all --samples 1000 --seed 7``
+(``verify_all``), ``python -c "import semiphoton"`` (``import_semiphoton``),
+``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
+(``interpreter``).  ``--profile`` then writes the top 25 cProfile entries of one
 run of every suite, by cumulative time, to stderr.  Nothing is gated: the
 numbers compare two trees on one machine.
 """
@@ -44,6 +50,31 @@ def median_ms(fn, repeat):
         fn()
         times.append(time.perf_counter() - start)
     return round(statistics.median(times) * 1e3, 4)
+
+
+# The end-to-end commands: python's arguments of each fresh interpreter.
+E2E = {
+    "verify_all": ["-m", "semiphoton", "verify", "--suite", "all",
+                   "--samples", "1000", "--seed", "7"],
+    "import_semiphoton": ["-c", "import semiphoton"],
+    "import_numpy": ["-c", "import numpy"],
+    "interpreter": ["-c", "pass"],
+}
+
+
+def e2e_ms(repeat):
+    """Median wall time of each E2E command as a subprocess, run alternated."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    times = {name: [] for name in E2E}
+    for _ in range(repeat):
+        for name, argv in E2E.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                           stdout=subprocess.DEVNULL, check=True)
+            times[name].append(time.perf_counter() - start)
+    return {name: round(statistics.median(t) * 1e3, 4)
+            for name, t in times.items()}
 
 
 def kernels(cfg):
@@ -104,6 +135,7 @@ def main(argv=None):
                       for name, fn in kernels(cfg).items()},
         "suite_ms": {name: median_ms(lambda fn=fn: fn(cfg), args.repeat)
                      for name, fn in SUITE_FUNCS.items()},
+        "e2e_ms": e2e_ms(args.repeat),
     }
     print(json.dumps(result, indent=2))
     if args.profile:

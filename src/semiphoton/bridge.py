@@ -25,6 +25,7 @@ from .dirac import AxisTriad, canonical_alpha_set, triad
 from .linalg import as_bispinor, as_vec3, inner, mat_vec
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+FD_TOL = 1e-6  # largest finite-difference truncation estimate accepted
 
 
 class LayoutViolation(ValueError):
@@ -282,40 +283,36 @@ def _fd_derivative(func, t, u, var, h):
 
 @dataclass
 class ResidualReport:
-    scalar: np.ndarray
-    bispinor: np.ndarray
     cross_deviation: float
     max_scalar: float
 
 
 def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
                       d_dt=None, d_du=None, c=1.0, hbar=1.0,
-                      fd_step=None, fd_tol=1e-6, charge_conjugated=False):
+                      fd_step=None, charge_conjugated=False):
     """Residuals of the coupled first-order system on a (t, u) grid.
 
     ``fields(t, u) -> EmField``, and ``d_dt``/``d_du`` if given, take t, u of
     shape (n,); closed-form derivatives are preferred, otherwise fourth-order
-    central differences are used with a Richardson truncation estimate
-    (raising :class:`GridTooCoarse` if it exceeds ``fd_tol``).  The grid is
-    one stack: row i is (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).
-    The four scalar component residuals and the matrix-form residual of each
-    point are the same equation expanded, so any gap between them indicates a
-    transcription defect.
+    central differences of step ``fd_step`` are used with a Richardson
+    truncation estimate (raising :class:`GridTooCoarse` if it exceeds
+    ``FD_TOL``).  The grid is one stack: row i is
+    (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The four scalar
+    component residuals and the matrix-form residual of each point are the
+    same equation expanded, so any gap between them indicates a transcription
+    defect.
     """
     layout = layout_for_triad(t_ax, charge_conjugated=charge_conjugated)
     aset = canonical_alpha_set()
     tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
     if (d_dt is None) or (d_du is None):
-        if fd_step is None:
-            scale = max(abs(u_grid[-1] - u_grid[0]), 1.0)
-            fd_step = 1e-4 * scale
         for var in ("t", "u"):
             full = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step)
             half = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step / 2)
             est = float(np.abs(np.concatenate([full.e - half.e, full.h - half.h])).max())
-            if est > fd_tol:
+            if est > FD_TOL:
                 raise GridTooCoarse(
-                    f"d/d{var} truncation estimate {est:.3e} exceeds {fd_tol:.3e}")
+                    f"d/d{var} truncation estimate {est:.3e} exceeds {FD_TOL:.3e}")
     factors = np.array([factor for _, _, factor in layout.slots])
 
     f = fields(tt, uu)
@@ -325,7 +322,7 @@ def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
     bisp = bispinor_residuals(f, ft, fu, t_ax, layout, aset, mass, sign_form,
                               c, hbar)
     cross = float(np.abs(scalar * factors - bisp).max())
-    return ResidualReport(scalar=scalar, bispinor=bisp, cross_deviation=cross,
+    return ResidualReport(cross_deviation=cross,
                           max_scalar=float(np.abs(scalar).max()))
 
 

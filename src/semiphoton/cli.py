@@ -19,12 +19,21 @@ from .report import (DEFAULT_TOL, FAIL, RunConfig, SUITES, csv_rows,
 from .suites import run_suites
 
 USAGE_ERROR = 2
+MAX_SIZE = 10 ** 6  # largest --samples, --quad-points or --steps
 
 
 def _meta_config(args):
     """meta.config of a document: the RunConfig settings the command reads."""
     return {k: getattr(args, k) for k in RunConfig().to_dict()
             if hasattr(args, k)}
+
+
+def _check_sizes(args):
+    """Reject a size option above MAX_SIZE before anything is allocated."""
+    for flag in ("--samples", "--quad-points", "--steps"):
+        value = getattr(args, OPTIONS[flag].get("dest", flag[2:]), None)
+        if value is not None and value > MAX_SIZE:
+            raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
 
 
 def _emit(text, out):
@@ -237,6 +246,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize other codes
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
+        _check_sizes(args)
         return args.func(args)
     except (ValueError, torus.DomainError, torus.QuadratureNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

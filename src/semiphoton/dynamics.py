@@ -27,6 +27,9 @@ from .dirac import canonical_alpha_set
 from .linalg import inner, mat_vec
 from .torus import DomainError, TorusModel, ring_current
 
+LAYOUT = electron_layout()  # the slot map of every Lagrangian route
+ASET = canonical_alpha_set()  # the matrix set of every Lagrangian route
+
 
 @dataclass(frozen=True)
 class StressTensor:
@@ -139,11 +142,11 @@ class WavePoint:
     df_du: EmField
 
 
-def _du_dt_terms(point: WavePoint, layout, c):
-    """Sesquilinear energy-rate and flux-divergence terms for the layout."""
+def _du_dt_terms(point: WavePoint, c):
+    """Sesquilinear energy-rate and flux-divergence terms of the slot map."""
     f, ft, fu = point.f, point.df_dt, point.df_du
     du_term = (inner(f.e, ft.e) + inner(f.h, ft.h)) / (4 * math.pi)
-    a1, a2 = layout.covered("e")
+    a1, a2 = LAYOUT.covered("e")
     i1, i2 = AXIS_INDEX[a1], AXIS_INDEX[a2]
     e, h = f.e.conj(), f.h.conj()
     div_term = (c / (4 * math.pi)) * (
@@ -159,28 +162,26 @@ class LinearLagrangian:
     current: complex
 
 
-def lagrangian_linear(point: WavePoint, mass, layout=None, aset=None,
-                      c=1.0, hbar=1.0) -> LinearLagrangian:
+def lagrangian_linear(point: WavePoint, mass, c=1.0,
+                      hbar=1.0) -> LinearLagrangian:
     """The linear wave Lagrangian through its three equivalent routes.
 
     All three vanish on solutions and agree pointwise on arbitrary
     differentiable inputs; any gap flags a transcription defect.
     """
-    layout = layout or electron_layout()
-    aset = aset or canonical_alpha_set()
     omega_e = 2 * mass * c * c / hbar
 
     # spinor route
-    psi = bispinor_from_fields(point.f, layout)
-    dpsi_t = bispinor_from_fields(point.df_dt, layout)
-    dpsi_u = bispinor_from_fields(point.df_du, layout)
+    psi = bispinor_from_fields(point.f, LAYOUT)
+    dpsi_t = bispinor_from_fields(point.df_dt, LAYOUT)
+    dpsi_u = bispinor_from_fields(point.df_du, LAYOUT)
     spinor = (c / (4 * math.pi)) * (
         inner(psi, dpsi_t) / c
-        - inner(psi, mat_vec(aset.a2, dpsi_u))
-        - 1j * (mass * c / hbar) * inner(psi, mat_vec(aset.a4, psi)))
+        - inner(psi, mat_vec(ASET.a2, dpsi_u))
+        - 1j * (mass * c / hbar) * inner(psi, mat_vec(ASET.a4, psi)))
 
     # field-invariant route
-    du_term, div_term = _du_dt_terms(point, layout, c)
+    du_term, div_term = _du_dt_terms(point, c)
     invariant = e_squared(point.f) - h_squared(point.f)
     em = du_term + div_term - 1j * (omega_e / (8 * math.pi)) * invariant
 
@@ -192,15 +193,14 @@ def lagrangian_linear(point: WavePoint, mass, layout=None, aset=None,
     return LinearLagrangian(spinor=spinor, em=em, current=current)
 
 
-def maxwell_invariant_forms(point: WavePoint, omega_e, layout=None, c=1.0):
+def maxwell_invariant_forms(point: WavePoint, omega_e, c=1.0):
     """Both sides of the invariant-replacement identity.
 
     lhs = (E^2 - H^2) / 8 pi, rhs = (i / omega_e)(dU/dt + div S).  Equality is
     specific to the rolling-wave solutions; degenerate inputs (static fields)
     separate the two sides.
     """
-    layout = layout or electron_layout()
-    du_term, div_term = _du_dt_terms(point, layout, c)
+    du_term, div_term = _du_dt_terms(point, c)
     lhs = (e_squared(point.f) - h_squared(point.f)) / (8 * math.pi)
     rhs = (1j / omega_e) * (du_term + div_term)
     return lhs, rhs
@@ -220,8 +220,8 @@ def quartic_prefactor(model: TorusModel):
     return model.delta_tau / ((8 * math.pi) ** 2 * (u.m_e * u.c * u.c))
 
 
-def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
-                         aset=None) -> NonlinearLagrangian:
+def lagrangian_nonlinear(point: WavePoint,
+                         model: TorusModel) -> NonlinearLagrangian:
     """Quartic self-interaction Lagrangian through its equivalent routes.
 
     The quartic summand (delta_tau / m c^2)(U^2 - c^2 g^2) is evaluated from
@@ -238,8 +238,6 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
         raise DomainError(f"the ring volume delta_tau or the quartic prefactor "
                           f"underflows to 0 or below the normal float range "
                           f"at zeta={model.zeta!r}")
-    layout = layout or electron_layout()
-    aset = aset or canonical_alpha_set()
 
     e2, h2 = e_squared(point.f), h_squared(point.f)
     u_density = (e2 + h2) / (8 * math.pi)
@@ -250,7 +248,7 @@ def lagrangian_nonlinear(point: WavePoint, model: TorusModel, layout=None,
 
     quartic_invariant = pref * ((e2 - h2) ** 2 + 4 * eh_dot(point.f) ** 2)
 
-    b_lhs, b_rhs = fierz_quantum(bispinor_from_fields(point.f, layout), aset)
+    b_lhs, b_rhs = fierz_quantum(bispinor_from_fields(point.f, LAYOUT), ASET)
     return NonlinearLagrangian(
         quartic_em=quartic_em, quartic_invariant=quartic_invariant,
         quartic_bilinear=pref * b_lhs, quartic_bilinear_fierz=pref * b_rhs)
@@ -313,7 +311,6 @@ def _grad_fd(sfield, point, h):
 @dataclass(frozen=True)
 class CentripetalReport:
     curl: np.ndarray
-    acceleration: np.ndarray
     acceleration_magnitude: float
 
 
@@ -334,7 +331,7 @@ def centripetal_check(omega, r) -> CentripetalReport:
     curl = _curl_fd(vfield, point, h)
     v = vfield(point)
     accel = 0.5 * np.cross(v, curl)
-    return CentripetalReport(curl=curl, acceleration=accel,
+    return CentripetalReport(curl=curl,
                              acceleration_magnitude=float(np.linalg.norm(accel)))
 
 

@@ -24,6 +24,7 @@ from .report import Discrepancy
 
 PIVOT_TOL = 1e-10  # pivots up to this fraction of the largest entry are zero
 ZERO_TOL = 1e-12  # relative size up to which momenta and amplitudes are zero
+CONTINUITY_SAMPLES = 16  # space-time points of the continuity check
 
 
 class AxisMismatch(ValueError):
@@ -36,8 +37,6 @@ class PlaneWaveState:
     energy: float
     momentum: np.ndarray
     amplitudes: np.ndarray
-    phase: float
-    branch: str
 
     def __post_init__(self):
         object.__setattr__(self, "momentum", as_vec3(self.momentum).real)
@@ -100,15 +99,15 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
     return np.stack(first, axis=-1) * ph, np.stack(second, axis=-1) * ph
 
 
-def make_states(branch, momentum, mass, c=1.0, phase=0.0):
+def make_states(branch, momentum, mass, c=1.0):
     e_plus, e_minus = dispersion(momentum, mass, c)
     if not np.all(np.isfinite(e_plus)):
         raise ValueError(f"on-shell energy is not finite for momentum "
                          f"{np.asarray(momentum).tolist()} and mass {mass!r}")
-    s1, s2 = solution_basis(branch, momentum, mass, c, phase)
+    s1, s2 = solution_basis(branch, momentum, mass, c)
     eps = e_plus if branch == "positive" else e_minus
-    return (PlaneWaveState(eps, momentum, s1, phase, branch),
-            PlaneWaveState(eps, momentum, s2, phase, branch))
+    return (PlaneWaveState(eps, momentum, s1),
+            PlaneWaveState(eps, momentum, s2))
 
 
 def residual(state: PlaneWaveState, aset, mass, c=1.0):
@@ -183,23 +182,18 @@ def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
 
 
 def special_amplitude_values(mass=1.0, c=1.0):
-    """The four families at the stated special substitution, plus on-shell.
+    """The four families at the stated special substitution.
 
     The stated evaluation puts energy = m c^2 together with momentum m c on
     the propagation axis and phase pi/2; that point is off shell (the root is
-    sqrt(2) m c^2), so both the literal values and the on-shell ones are
-    returned, with the inconsistency recorded as a ledger entry.
+    sqrt(2) m c^2), so the literal values are returned with the
+    inconsistency recorded as a ledger entry.
     """
     p = np.array([0.0, mass * c, 0.0])
     mc2 = mass * c * c
-    literal = {}
-    onshell = {}
-    for branch, sign in (("positive", +1), ("negative", -1)):
-        lit = solution_basis(branch, p, mass, c, phase=math.pi / 2,
-                             energy=sign * mc2)
-        ons = solution_basis(branch, p, mass, c, phase=math.pi / 2)
-        literal[branch] = lit
-        onshell[branch] = ons
+    literal = {branch: solution_basis(branch, p, mass, c, phase=math.pi / 2,
+                                      energy=sign * mc2)
+               for branch, sign in (("positive", +1), ("negative", -1))}
     e_plus, _ = dispersion(p, mass, c)
     entry = Discrepancy(
         claim="planewave/special-substitution",
@@ -207,10 +201,10 @@ def special_amplitude_values(mass=1.0, c=1.0):
         note="the stated amplitude table substitutes energy = m c^2 at "
              "momentum m c, which is off shell by a factor sqrt(2); both "
              "evaluations are emitted")
-    return {"literal": literal, "onshell": onshell, "ledger": entry}
+    return {"literal": literal, "ledger": entry}
 
 
-def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
+def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0):
     """Probability continuity for a single plane wave.
 
     P = psi^+ a0 psi and the flux -c psi^+ a psi are space-time constants
@@ -222,10 +216,10 @@ def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0, samples=16):
     """
     omega = state.energy / hbar
     kvec = state.momentum / hbar
-    n = np.arange(samples)
+    n = np.arange(CONTINUITY_SAMPLES)
     t = 0.37 * n
     r = n[:, None] * np.array([0.11, -0.23, 0.05])
-    phase = np.exp(1j * (r @ kvec - omega * t + state.phase))
+    phase = np.exp(1j * (r @ kvec - omega * t))
     b = bilinears(state.amplitudes * phase[:, None], aset).real
     densities = b[:, 0]
     fluxes = -c * b[:, 1:4]

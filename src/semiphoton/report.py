@@ -44,8 +44,6 @@ def _number(value):
 
 def _scalarize(value):
     """Encode a real or complex scalar for JSON ([re, im] for complex)."""
-    if value is None:
-        return None
     if isinstance(value, complex) or np.iscomplexobj(value):
         z = complex(value)
         if z.imag == 0.0:
@@ -71,7 +69,7 @@ class CheckReport:
     def build(cls, id, ref, claimed, computed, tol_abs=1e-12, tol_rel=1e-12,
               notes="", ledgered=False):
         tol_abs, tol_rel = float(tol_abs), float(tol_rel)
-        c0 = complex(claimed) if claimed is not None else 0.0
+        c0 = complex(claimed)
         c1 = complex(computed)
         abs_err = abs(c1 - c0)
         rel_err = abs_err / abs(c0) if abs(c0) > 0 else abs_err
@@ -124,6 +122,8 @@ class RunConfig:
             raise ValueError(f"unknown unit system {self.units!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("tol_abs", "tol_rel"):
             tol = getattr(self, name)
             # a tolerance may tighten the gates, never loosen them
@@ -192,8 +192,6 @@ def csv_rows(header, rows):
 def report_csv(checks):
     """Checks as CSV; complex scalars use the comma-free complex repr."""
     def cell(v):
-        if v is None:
-            return ""
         z = complex(v)
         return repr(z.real) if z.imag == 0.0 else repr(z)
     rows = [(c.id, c.verdict, cell(c.claimed), cell(c.computed),

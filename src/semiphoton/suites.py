@@ -460,8 +460,7 @@ def suite_planewave(cfg: RunConfig):
 
     lit_state = planewave.PlaneWaveState(
         energy=mc2, momentum=np.array([0.0, mass * c, 0.0]),
-        amplitudes=special["literal"]["positive"][0], phase=math.pi / 2,
-        branch="positive")
+        amplitudes=special["literal"]["positive"][0])
     interp = planewave.field_interpretation(lit_state, layout)
     ledger.append(Discrepancy(
         claim="planewave/amplitude-ratio",
@@ -515,8 +514,7 @@ def suite_planewave(cfg: RunConfig):
 
     rep_fd = bridge.dirac_residual_em(
         fields, t, mass, "plus", t_grid=np.linspace(0, 1.0, 3),
-        u_grid=np.linspace(-0.5, 0.5, 3), c=c, fd_step=1e-4 * 2 * math.pi / k,
-        fd_tol=1e-6)
+        u_grid=np.linspace(-0.5, 0.5, 3), c=c, fd_step=1e-4 * 2 * math.pi / k)
     checks.append(CheckReport.build(
         "planewave/expansion-finite-difference",
         "finite-difference route agrees within its truncation", 0.0,
@@ -527,7 +525,6 @@ def suite_planewave(cfg: RunConfig):
 def suite_dynamics(cfg: RunConfig):
     rng = rng_for_suite(cfg.seed, "dynamics")
     checks, ledger = [], []
-    canon = dirac.canonical_alpha_set()
     units = torus.UnitSystem.natural()
     model = torus.derive_parameters(units, cfg.zeta)
 
@@ -606,7 +603,7 @@ def suite_dynamics(cfg: RunConfig):
     # each sample draws amplitude real and imaginary parts, then ws, then ks
     x = rng.normal(size=(min(cfg.samples, 200), 4, 4))
     point = wave_point(x[:, 0] + 1j * x[:, 1], x[:, 2], x[:, 3], 0.3, 1.1)
-    forms = dynamics.lagrangian_linear(point, mass, layout, canon, c)
+    forms = dynamics.lagrangian_linear(point, mass, c=c)
     scale = np.maximum(np.abs(forms.em), 1.0)
     worst = _worst(np.abs(forms.spinor - forms.em) / scale,
                    np.abs(forms.current - forms.em) / scale)
@@ -620,7 +617,7 @@ def suite_dynamics(cfg: RunConfig):
     tt, yy = np.array([0.0, 0.7, 2.1]), np.array([0.0, -1.2, 0.4])
     point = dynamics.WavePoint(f=fields(tt, yy), df_dt=d_dt(tt, yy),
                                df_du=d_du(tt, yy))
-    forms = dynamics.lagrangian_linear(point, mass, layout, canon, c)
+    forms = dynamics.lagrangian_linear(point, mass, c=c)
     checks.append(CheckReport.build(
         "dynamics/linear-on-shell", "all three routes vanish on shell",
         0.0, _worst(np.abs(forms.spinor), np.abs(forms.em),
@@ -641,14 +638,14 @@ def suite_dynamics(cfg: RunConfig):
     point = dynamics.WavePoint(f=conj_fields(tt, yy),
                                df_dt=conj_fields(tt, yy, 1j * omega),
                                df_du=conj_fields(tt, yy, -1j * k))
-    lhs, rhs = dynamics.maxwell_invariant_forms(point, 2 * w0, layout, c)
+    lhs, rhs = dynamics.maxwell_invariant_forms(point, 2 * w0, c)
     checks.append(CheckReport.build(
         "dynamics/invariant-replacement",
         "(E^2-H^2)/8pi = (i/omega_e)(dU/dt + div S) on the rolling wave",
         0.0, _worst(np.abs(lhs - rhs)), tol_abs=1e-12))
     static = dynamics.WavePoint(f=EmField([1, 0, 0], [0, 0, 0]),
                                 df_dt=EmField.zero(), df_du=EmField.zero())
-    lhs, rhs = dynamics.maxwell_invariant_forms(static, 2 * w0, layout, c)
+    lhs, rhs = dynamics.maxwell_invariant_forms(static, 2 * w0, c)
     ledger.append(Discrepancy(
         claim="dynamics/invariant-replacement-static",
         stated=float(lhs.real if hasattr(lhs, "real") else lhs),
@@ -662,7 +659,7 @@ def suite_dynamics(cfg: RunConfig):
     f = _random_layout_field(rng, layout, min(cfg.samples, 200))
     static = EmField(np.zeros_like(f.e), np.zeros_like(f.h))
     point = dynamics.WavePoint(f=f, df_dt=static, df_du=static)
-    nl = dynamics.lagrangian_nonlinear(point, model, layout, canon)
+    nl = dynamics.lagrangian_nonlinear(point, model)
     scale = dynamics.quartic_prefactor(model) * np.maximum(
         (bridge.e_squared(f) + bridge.h_squared(f)) ** 2, 1e-30)
     worst = _worst(np.abs(nl.quartic_em - nl.quartic_invariant) / scale,

@@ -230,18 +230,15 @@ def mass_density_half_wave(model: TorusModel, n_points=256):
                               0.0, model.lambda_p / 2, n_points, scale)
 
 
-def calibrate_e0(model: TorusModel, mass_target=None,
-                 n_points=512) -> TorusModel:
-    """Amplitude E0 for which integrate_mass equals the mass target (default m_e).
+def calibrate_e0(model: TorusModel, n_points=512) -> TorusModel:
+    """Amplitude E0 for which integrate_mass equals the electron mass m_e.
 
     Closes the one free amplitude of the model: the ring's field mass is made
     equal to the electron mass of the unit system.  The field mass is exactly
     quadratic in E0, so one quadrature at unit amplitude fixes it:
-    E0 = sqrt(target / integrate_mass(E0 = 1)).
+    E0 = sqrt(m_e / integrate_mass(E0 = 1)).
     """
-    target = model.units.m_e if mass_target is None else mass_target
-    if target <= 0:
-        raise DomainError("mass target must be positive")
+    target = model.units.m_e
     unit_mass = integrate_mass(with_e0(model, 1.0), n_points)
     if not 0 < unit_mass < math.inf or not math.isfinite(target / unit_mass):
         raise DomainError(
@@ -272,7 +269,6 @@ class ChainReport:
     coupling_identity_ratio: float
     alpha_q: float
     r_o: float
-    r_s: float
     radius_ratio: float
 
 
@@ -299,7 +295,7 @@ def consistency_chain(model: TorusModel) -> ChainReport:
         radius_identity_ratio=radius_identity / model.r_s,
         coupling_identity_ratio=coupling / coupling_constant(zeta),
         alpha_q=coupling_constant(zeta),
-        r_o=r_o, r_s=model.r_s, radius_ratio=r_o / model.r_s)
+        r_o=r_o, radius_ratio=r_o / model.r_s)
 
 
 @dataclass(frozen=True)
@@ -372,39 +368,38 @@ def zeta_grid(zmin, zmax, steps):
 
 def discrepancy_ledger(model: TorusModel, n_points=256):
     """Machine-readable record of closed-form vs quadrature mismatches."""
-    entries = []
-    if model.e0 is not None:
-        stated = charge_closed_form(model)
-        density = integrate_charge(model, "half_wave", n_points)
-        entries.append(Discrepancy(
+    stated = charge_closed_form(model)
+    density = integrate_charge(model, "half_wave", n_points)
+    # the closed form's 1/pi prefactor is 4 times the density's 1/4 pi
+    stated_pref = 4 * density
+    half_density = mass_density_half_wave(model, n_points)
+    closed = mass_closed_form(model)
+    return [
+        Discrepancy(
             claim="ring-charge/half-wave",
             stated=stated, computed=density,
             ratio=density / stated if stated else 0.0,
             note="half-wave charge from the current-density quadrature is half "
                  "the stated closed form (1/pi) E0 S_c; the quadrature with the "
-                 "closed form's own 1/pi prefactor gives twice it instead"))
-        # the closed form's 1/pi prefactor is 4 times the density's 1/4 pi
-        stated_pref = 4 * density
-        entries.append(Discrepancy(
+                 "closed form's own 1/pi prefactor gives twice it instead"),
+        Discrepancy(
             claim="ring-charge/stated-prefactor-quadrature",
             stated=stated, computed=stated_pref,
             ratio=stated_pref / stated if stated else 0.0,
             note="doubled quarter-wave quadrature of the integrand carrying the "
                  "1/pi prefactor; no prefactor convention reproduces the closed "
-                 "form from its own printed integrand"))
-        half_density = mass_density_half_wave(model, n_points)
-        closed = mass_closed_form(model)
-        entries.append(Discrepancy(
+                 "form from its own printed integrand"),
+        Discrepancy(
             claim="ring-mass/density-route",
             stated=closed, computed=half_density,
             ratio=half_density / closed if closed else 0.0,
             note="energy-density quadrature over the half wave is half the "
-                 "stated closed form E0^2 S_c / (4 omega c)"))
-        entries.append(Discrepancy(
+                 "stated closed form E0^2 S_c / (4 omega c)"),
+        Discrepancy(
             claim="ring-mass/amplitude-exponent",
             stated=model.e0, computed=model.e0 ** 2,
             ratio=model.e0 if model.e0 else 0.0,
             note="the stated closed form is written linear in the amplitude; "
                  "dimensional analysis and chain closure require the square, "
-                 "which is the reading adopted everywhere here"))
-    return entries
+                 "which is the reading adopted everywhere here"),
+    ]

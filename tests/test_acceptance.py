@@ -218,7 +218,7 @@ def test_criterion_8_lagrangians():
 
             point = dynamics.WavePoint(emf(vals), emf(1j * ws * vals),
                                        emf(-1j * ks * vals))
-            forms = dynamics.lagrangian_linear(point, 1.0, layout, CANON)
+            forms = dynamics.lagrangian_linear(point, 1.0)
             scale = max(abs(forms.em), 1.0)
             assert abs(forms.spinor - forms.em) <= 1e-12 * scale
             assert abs(forms.current - forms.em) <= 1e-12 * scale
@@ -227,7 +227,7 @@ def test_criterion_8_lagrangians():
             dirac.triad("y", "negative"), "plus", 0.8, 1.0)
         point = dynamics.WavePoint(fields(0.6, -0.4), d_dt(0.6, -0.4),
                                    d_du(0.6, -0.4))
-        forms = dynamics.lagrangian_linear(point, 1.0, layout, CANON)
+        forms = dynamics.lagrangian_linear(point, 1.0)
         assert max(abs(forms.spinor), abs(forms.em), abs(forms.current)) <= 1e-12
 
         for _ in range(200):
@@ -238,7 +238,7 @@ def test_criterion_8_lagrangians():
                 h[bridge.AXIS_INDEX[ax]] = rng.uniform(-2, 2)
             point = dynamics.WavePoint(EmField(e, h), EmField.zero(),
                                        EmField.zero())
-            nl = dynamics.lagrangian_nonlinear(point, model, layout, CANON)
+            nl = dynamics.lagrangian_nonlinear(point, model)
             scale = max(abs(nl.quartic_em), 1e-30)
             assert abs(nl.quartic_em - nl.quartic_invariant) <= 1e-12 * scale
             assert abs(nl.quartic_em - nl.quartic_bilinear) <= 1e-12 * scale

@@ -222,7 +222,7 @@ def test_solution_basis_matches_loop(pe):
 def test_residual_matches_loop(pe, amps):
     p, eps = pe
     n = min(len(p), len(amps))
-    state = planewave.PlaneWaveState(eps[:n], p[:n], amps[:n], 0.0, "positive")
+    state = planewave.PlaneWaveState(eps[:n], p[:n], amps[:n])
     got = planewave.residual(state, CANON, 1.0)
     want, scale = [], []
     for e, q, a in zip(eps[:n], p[:n], amps[:n]):
@@ -232,7 +232,7 @@ def test_residual_matches_loop(pe, amps):
         scale.append((np.abs(op) @ np.abs(a)).max())
     assert_close(got, want, np.array(scale))
     for i in range(n):
-        one = planewave.PlaneWaveState(eps[i], p[i], amps[i], 0.0, "positive")
+        one = planewave.PlaneWaveState(eps[i], p[i], amps[i])
         assert planewave.residual(one, CANON, 1.0) == got[i]
 
 
@@ -294,14 +294,14 @@ def point_scale(point):
 @settings(deadline=None, max_examples=100)
 @given(wave_points())
 def test_lagrangian_linear_matches_loop(point):
-    got = dynamics.lagrangian_linear(point, 1.0, LAYOUT, CANON)
+    got = dynamics.lagrangian_linear(point, 1.0)
     scale = point_scale(point)
     for i, one in enumerate(point_rows(point)):
         spinor, em, current = loop_linear(one)
         assert_close(got.spinor[i], spinor, scale[i])
         assert_close(got.em[i], em, scale[i])
         assert_close(got.current[i], current, scale[i])
-        single = dynamics.lagrangian_linear(one, 1.0, LAYOUT, CANON)
+        single = dynamics.lagrangian_linear(one, 1.0)
         assert (single.spinor, single.em, single.current) == (
             got.spinor[i], got.em[i], got.current[i])
 
@@ -312,7 +312,7 @@ def test_lagrangian_nonlinear_matches_loop(point):
     # the quartic routes are real-field identities; keep the real parts
     f = EmField(point.f.e.real, point.f.h.real)
     point = dynamics.WavePoint(f, point.df_dt, point.df_du)
-    got = dynamics.lagrangian_nonlinear(point, MODEL, LAYOUT, CANON)
+    got = dynamics.lagrangian_nonlinear(point, MODEL)
     pref = MODEL.delta_tau / ((8 * math.pi) ** 2 * MODEL.units.m_e)
     for i, one in enumerate(point_rows(point)):
         e, h = one.f.e.real, one.f.h.real
@@ -332,7 +332,7 @@ def test_lagrangian_nonlinear_matches_loop(point):
                      quartic_scale)
         assert_close(got.quartic_bilinear_fierz[i],
                      pref * (b[4] ** 2 + b[5] ** 2), quartic_scale)
-        single = dynamics.lagrangian_nonlinear(one, MODEL, LAYOUT, CANON)
+        single = dynamics.lagrangian_nonlinear(one, MODEL)
         assert single.quartic_em == got.quartic_em[i]
 
 
@@ -340,7 +340,7 @@ def test_lagrangian_nonlinear_matches_loop(point):
 @given(wave_points())
 def test_maxwell_invariant_forms_match_loop(point):
     omega_e = 2.0
-    lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e, LAYOUT)
+    lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e)
     for i, one in enumerate(point_rows(point)):
         e2 = complex(one.f.e.conj() @ one.f.e).real
         h2 = complex(one.f.h.conj() @ one.f.h).real
@@ -350,7 +350,7 @@ def test_maxwell_invariant_forms_match_loop(point):
         du_div = em + 1j * (omega_e / (8 * math.pi)) * (e2 - h2)
         assert_close(rhs[i], (1j / omega_e) * du_div,
                      point_scale(one) / omega_e)
-        single = dynamics.maxwell_invariant_forms(one, omega_e, LAYOUT)
+        single = dynamics.maxwell_invariant_forms(one, omega_e)
         assert single == (lhs[i], rhs[i])
 
 

@@ -412,6 +412,26 @@ def test_too_few_quadrature_points_exit_two(command, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "1000001"],
+    ["verify", "--quad-points", "1000001"],
+    ["torus", "--quad-points", "1000001"],
+    ["sweep-zeta", "--quad-points", "1000001"],
+    ["sweep-zeta", "--steps", "1000001"]])
+def test_size_above_its_cap_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[1]} must be <= 1000000, got 1000001\n"
+
+
+def test_negative_seed_exits_two(capsys):
+    assert main(["verify", "--suite", "fierz", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 # One run of every command in both unit systems and all three verify
 # formats, an off-axis plane wave, and two usage errors.
 REACH_ARGV = [
@@ -461,3 +481,74 @@ def test_every_function_is_reached_by_a_command(capsys):
     unreached = [name for path, line, name in _package_defs()
                  if (path, line) not in entered]
     assert unreached == []
+
+
+
+# Parameters with a default that no call in the package or its scripts sets,
+# each kept on purpose.
+UNSET_DEFAULTS = {
+    "bridge.poynting.c": "unit constant, kept for rescaled units",
+    "planewave.continuity_check.hbar": "unit constant, kept for rescaled units",
+    "bridge.dirac_residual_em.hbar": "unit constant, kept for rescaled units",
+    "bridge.dirac_residual_em.charge_conjugated":
+        "the one check that the conjugate-current wave solves the minus form",
+    "cli.main.argv": "the entry point; None reads sys.argv",
+}
+
+
+def _defaulted_parameters(module, tree):
+    """(function name, position, name, qualified name) of every parameter
+    with a default of the module-level functions and methods.
+
+    ``position`` counts from the first argument a call passes, so a method's
+    self or cls is skipped; it is None for keyword-only parameters.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, None)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(d, node.name) for d in node.body
+                    if isinstance(d, ast.FunctionDef)]
+        else:
+            continue
+        for d, cls in defs:
+            qual = ".".join(filter(None, (module, cls, d.name)))
+            positional = d.args.posonlyargs + d.args.args
+            first = len(positional) - len(d.args.defaults)
+            bound = 0 if cls is None else 1
+            for i, a in enumerate(positional[first:], first):
+                yield d.name, i - bound, a.arg, f"{qual}.{a.arg}"
+            for a, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
+                if default is not None:
+                    yield d.name, None, a.arg, f"{qual}.{a.arg}"
+
+
+def _passed_parameters(trees):
+    """{called name: positions and keywords it is passed} over every call."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            got = passed.setdefault(name, set())
+            got.update(range(len(node.args)))
+            got.update(k.arg for k in node.keywords)
+    return passed
+
+
+def test_every_default_is_set_by_some_caller():
+    package = pathlib.Path(semiphoton.__file__).parent
+    scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+    sources = sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    passed = _passed_parameters(trees.values())
+    unset = sorted(
+        qual
+        for path in sources if path.parent == package
+        for func, position, name, qual in _defaulted_parameters(
+            path.stem, trees[path])
+        if not passed.get(func, set()) & {position, name})
+    assert [q for q in unset if q not in UNSET_DEFAULTS] == []
+    # an allowlisted parameter that a caller now sets leaves the list
+    assert [q for q in UNSET_DEFAULTS if q not in unset] == []

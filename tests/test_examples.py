@@ -65,7 +65,10 @@ def test_kernel_benchmark_prints_its_medians():
         "build_parser"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
                                     "planewave", "dynamics"}
-    times = [*doc["kernel_ms"].values(), *doc["suite_ms"].values()]
+    assert set(doc["e2e_ms"]) == {"verify_all", "import_semiphoton",
+                                  "import_numpy", "interpreter"}
+    times = [*doc["kernel_ms"].values(), *doc["suite_ms"].values(),
+             *doc["e2e_ms"].values()]
     assert all(t > 0 for t in times)
     assert doc["meta"]["repeat"] == 1
     assert set(doc["meta"]) >= {"commit", "PYTHONDONTWRITEBYTECODE"}

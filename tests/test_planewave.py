@@ -73,16 +73,14 @@ def test_residual_small_on_solutions(p):
         for state in planewave.make_states(branch, p, 1.0):
             assert planewave.residual(state, CANON, 1.0) <= 1e-12
             scaled = planewave.PlaneWaveState(
-                state.energy, state.momentum, 5 * state.amplitudes,
-                state.phase, state.branch)
+                state.energy, state.momentum, 5 * state.amplitudes)
             assert planewave.residual(scaled, CANON, 1.0) <= 5e-12
 
 
 def test_residual_detects_non_solution():
     state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.zeros(3),
-        amplitudes=np.array([1, 1, 1, 1], dtype=complex), phase=0.0,
-        branch="positive")
+        amplitudes=np.array([1, 1, 1, 1], dtype=complex))
     assert planewave.residual(state, CANON, 1.0) > 0.1
 
 
@@ -90,10 +88,10 @@ def test_residual_homogeneous():
     p = np.array([0.2, 0.9, -0.4])
     state = planewave.make_states("positive", p, 1.0)[0]
     detuned = planewave.PlaneWaveState(1.5 * state.energy, p,
-                                       state.amplitudes, 0.0, "positive")
+                                       state.amplitudes)
     r1 = planewave.residual(detuned, CANON, 1.0)
     scaled = planewave.PlaneWaveState(1.5 * state.energy, p,
-                                      5 * state.amplitudes, 0.0, "positive")
+                                      5 * state.amplitudes)
     assert planewave.residual(scaled, CANON, 1.0) == pytest.approx(
         5 * r1, rel=1e-12)
 
@@ -198,7 +196,8 @@ def test_special_values_table():
     np.testing.assert_allclose(lit["negative"][1], [0, 1j, 0.5, 0], atol=1e-12)
     assert special["ledger"].ratio == pytest.approx(math.sqrt(2), rel=1e-15)
     # on-shell evaluation differs from the literal substitution
-    ons = special["onshell"]["positive"][0]
+    p = np.array([0.0, 1.0, 0.0])
+    ons = planewave.solution_basis("positive", p, 1.0, phase=math.pi / 2)[0]
     assert abs(ons[1]) == pytest.approx(1 / (math.sqrt(2) + 1), rel=1e-14)
 
 
@@ -206,8 +205,7 @@ def test_special_values_amplitude_ratio():
     special = planewave.special_amplitude_values()
     state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.array([0.0, 1.0, 0.0]),
-        amplitudes=special["literal"]["positive"][0], phase=math.pi / 2,
-        branch="positive")
+        amplitudes=special["literal"]["positive"][0])
     interp = planewave.field_interpretation(state, bridge.electron_layout())
     assert interp.h_amplitude == pytest.approx(2 * interp.e_amplitude,
                                                rel=1e-12)
@@ -217,6 +215,5 @@ def test_continuity_and_normalization():
     p = np.array([0.0, 0.7, 0.0])
     state = planewave.make_states("positive", p, 1.0)[0]
     assert planewave.continuity_check(state, CANON) <= 1e-12
-    zero = planewave.PlaneWaveState(state.energy, p, np.zeros(4), 0.0,
-                                    "positive")
+    zero = planewave.PlaneWaveState(state.energy, p, np.zeros(4))
     assert planewave.continuity_check(zero, CANON) == 0.0

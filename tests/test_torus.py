@@ -199,7 +199,8 @@ def test_discrepancy_ledger_entries():
     assert by_claim["ring-mass/density-route"].ratio == pytest.approx(
         0.5, rel=1e-9)
     assert "ring-mass/amplitude-exponent" in by_claim
-    assert torus.discrepancy_ledger(model(), 256) == []
+    with pytest.raises(ValueError):
+        torus.discrepancy_ledger(model(), 256)
 
 
 @pytest.mark.parametrize("mode", ["natural", "gaussian_cgs"])
@@ -212,14 +213,6 @@ def test_calibration_closed_form_across_grid(mode):
             mass = torus.integrate_mass(m, n)
             assert abs(mass / units.m_e - 1) <= 5e-12
             assert mass == pytest.approx(torus.mass_closed_form(m), rel=1e-10)
-
-
-def test_calibration_mass_target_scales_amplitude():
-    base = torus.calibrate_e0(model())
-    heavier = torus.calibrate_e0(model(), mass_target=4.0)
-    assert heavier.e0 == pytest.approx(2 * base.e0, rel=1e-15)
-    with pytest.raises(torus.DomainError):
-        torus.calibrate_e0(model(), mass_target=0.0)
 
 
 def test_calibration_out_of_range_raises_domain_error():
