@@ -77,13 +77,24 @@ def e2e_ms(repeat):
             for name, t in times.items()}
 
 
+def expansion(triads, forms, t_grid, u_grid):
+    """The waves and residuals of a stack of (triad, form) cases, as the
+    planewave suite's expansion checks build them."""
+    _, fields, d_dt, d_du = bridge.onshell_plane_wave(
+        triads, forms, 0.8, 1.0, e1_amp=1.0, e2_amp=0.7)
+    return bridge.dirac_residual_em(fields, triads, 1.0, forms, t_grid,
+                                    u_grid, d_dt=d_dt, d_du=d_du)
+
+
 def kernels(cfg):
     canon = dirac.canonical_alpha_set()
     s = dirac.s_matrix()
     model = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
-    t_ax = dirac.triad("y", "negative")
-    _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, "plus", 0.7, 1.0)
+    t_ax = [dirac.triad("y", "negative")]
+    _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7, 1.0)
     t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
+    triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
+                          for form in ("plus", "minus")])
     checks, ledger = run_suites(cfg, ["algebra", "torus"])
     x = np.random.default_rng(0).normal(size=(2, 1000, 4))
     psi = x[0] + 1j * x[1]
@@ -101,7 +112,8 @@ def kernels(cfg):
         "simpson": lambda: torus.simpson(np.cos, 0.0, math.pi / 2, 512),
         "calibrate_e0": lambda: torus.calibrate_e0(model),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
-            fields, t_ax, 1.0, "plus", t_grid, u_grid, d_dt=d_dt, d_du=d_du),
+            fields, t_ax, 1.0, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
+        "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
         "report_json": lambda: report_json(cfg, checks, ledger),
         "build_parser": cli.build_parser,
     }

@@ -4,6 +4,7 @@
 For each triad and sign form, evaluates the on-shell wave and a family of
 detuned frequencies, printing max residual per detuning.  The on-shell column
 should sit at rounding level; the residual grows linearly with the detuning.
+All twelve (triad, form) cases of one detuning are one stacked residual call.
 """
 import argparse
 
@@ -22,20 +23,22 @@ def main():
 
     t_grid = np.linspace(0.0, 2.0, 4)
     u_grid = np.linspace(-1.0, 1.0, 5)
+    cases = [(t, form) for t in dirac.axis_triads()
+             for form in ("plus", "minus")]
+    triads, forms = zip(*cases)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
+        triads, forms, args.k, args.mass)
+    columns = []
+    for d in args.detunings:
+        f, ft, fu = bridge.detuned_wave(fields, d_dt, d_du, d)
+        columns.append(bridge.dirac_residual_em(
+            f, triads, args.mass, forms, t_grid, u_grid,
+            d_dt=ft, d_du=fu).max_scalar)
     header = "triad        form   " + "".join(f"  x{d:<10g}" for d in args.detunings)
     print(header)
-    for t in dirac.axis_triads():
-        for form in ("plus", "minus"):
-            omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-                t, form, args.k, args.mass)
-            cells = []
-            for d in args.detunings:
-                f, ft, fu = bridge.detuned_wave(fields, d_dt, d_du, d)
-                rep = bridge.dirac_residual_em(f, t, args.mass, form,
-                                               t_grid, u_grid,
-                                               d_dt=ft, d_du=fu)
-                cells.append(f"  {rep.max_scalar:<11.3e}")
-            print(f"{t.name:<12s} {form:<6s}" + "".join(cells))
+    for i, (t, form) in enumerate(cases):
+        cells = "".join(f"  {col[i]:<11.3e}" for col in columns)
+        print(f"{t.name:<12s} {form:<6s}" + cells)
 
 
 if __name__ == "__main__":

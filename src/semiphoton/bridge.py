@@ -13,7 +13,8 @@ a single field or spinor is the same code without the leading axis.
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
-component equations against the matrix form over a whole (t, u) grid at once.
+component equations against the matrix form for a stack of C cases (triad,
+sign form, layout and wave), each over the same (t, u) grid, at once.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ class GridTooCoarse(RuntimeError):
 
 @dataclass(frozen=True)
 class EmField:
-    """E and H of one field, shape (3,), or of a stack of n fields, (n, 3)."""
+    """E and H of one field, (3,), of a stack of n fields, (n, 3), or of C
+    cases of n fields each, (C, n, 3)."""
     e: np.ndarray
     h: np.ndarray
 
@@ -52,6 +54,10 @@ class EmField:
     @classmethod
     def zero(cls):
         return cls(np.zeros(3), np.zeros(3))
+
+    def __getitem__(self, i):
+        """The field(s) at index i of the stack."""
+        return EmField(self.e[i], self.h[i])
 
     def is_real(self):
         return not (self.e.imag.any() or self.h.imag.any())
@@ -98,19 +104,51 @@ def positron_layout():
                             name="positron-y")
 
 
+# Index of each field component in the [E, H] 6-vector of _stacked.
+_FLAT = {(kind, ax): 3 * j + i
+         for j, kind in enumerate("eh") for ax, i in AXIS_INDEX.items()}
+
+
+def _stacked(f: EmField):
+    """E and H side by side, shape (..., 6)."""
+    return np.concatenate([f.e, f.h], axis=-1)
+
+
+def _gather(v, index):
+    """Components index[i] of case i's [E, H] stack, v (C, ..., 6), for an
+    index table (C, k); shape (C, ..., k)."""
+    g = v[np.arange(len(v))[:, None], ..., index]  # (C, k, ...)
+    return g.transpose(0, *range(2, g.ndim), 1)
+
+
+def _slot_table(layouts):
+    """Per layout: the (C, 4) [E, H] indices and factors of its slots, and
+    the (C, 2) indices of the components it has no slot for."""
+    index = [[_FLAT[kind, ax] for kind, ax, _ in layout.slots]
+             for layout in layouts]
+    factors = [[factor for *_, factor in layout.slots] for layout in layouts]
+    outside = [[j for j in range(6) if j not in row] for row in index]
+    return np.array(index), np.array(factors), np.array(outside)
+
+
+def _case_spinors(v, layouts):
+    """Spinors (C, ..., 4) of the [E, H] stacks v (C, ..., 6), case i in the
+    slots of layouts[i]; a non-zero component outside them is a violation."""
+    index, factors, outside = _slot_table(layouts)
+    stray = _gather(v, outside)
+    if stray.any():
+        case, j = np.argwhere(stray.reshape(len(v), -1, 2).any(axis=1))[0]
+        comp = outside[case, j]
+        raise LayoutViolation(
+            f"{'eh'[comp // 3]}_{'xyz'[comp % 3]} is non-zero but has no slot "
+            f"in layout {layouts[case].name}")
+    return factors.reshape(factors.shape[:1] + (1,) * (v.ndim - 2) + (4,)) \
+        * _gather(v, index)
+
+
 def bispinor_from_fields(f: EmField, layout: FieldLayout):
     """The spinor(s), shape (..., 4), holding the field(s) in the layout's slots."""
-    comps = {"e": f.e, "h": f.h}
-    psi = np.empty(f.e.shape[:-1] + (4,), dtype=complex)
-    for i, (kind, ax, factor) in enumerate(layout.slots):
-        psi[..., i] = factor * comps[kind][..., AXIS_INDEX[ax]]
-    for kind in ("e", "h"):
-        covered = set(layout.covered(kind))
-        for ax, idx in AXIS_INDEX.items():
-            if ax not in covered and comps[kind][..., idx].any():
-                raise LayoutViolation(
-                    f"{kind}_{ax} is non-zero but has no slot in layout {layout.name}")
-    return psi
+    return _case_spinors(_stacked(f)[None], [layout])[0]
 
 
 def fields_from_bispinor(psi, layout: FieldLayout):
@@ -234,122 +272,144 @@ def scalar_rows(layout: FieldLayout, sign_form):
     return tuple(rows)
 
 
-def _component(f: EmField, kind, ax):
-    return (f.e if kind == "e" else f.h)[..., AXIS_INDEX[ax]]
+def scalar_residuals(f, df_dt, df_du, layouts, mass, sign_forms, c=1.0,
+                     hbar=1.0):
+    """The four scalar component equations of each case at each point.
 
-
-def scalar_residuals(f, df_dt, df_du, layout, mass, sign_form, c=1.0, hbar=1.0):
-    """The four scalar component equations at each point, shape (..., 4)."""
+    Case i holds its fields as the stacks of row i, shape (C, n, 3), and
+    follows ``scalar_rows(layouts[i], sign_forms[i])``; the rows become
+    (C, 4) index and sign tables, so every case is gathered at once.
+    Shape (C, n, 4).
+    """
     w0_over_c = mass * c / hbar
-    return np.stack([_component(df_dt, k0, x0) / c
-                     + s_du * _component(df_du, k1, x1)
-                     + s_m * 1j * w0_over_c * _component(f, k0, x0)
-                     for k0, x0, s_du, k1, x1, s_m in scalar_rows(layout, sign_form)],
-                    axis=-1)
+    rows = [scalar_rows(layout, form)
+            for layout, form in zip(layouts, sign_forms)]
+    lhs, du = (np.array([[_FLAT[row[j:j + 2]] for row in r] for r in rows])
+               for j in (0, 3))
+    du_sign = np.array([[row[2] for row in r] for r in rows])
+    mass_coef = np.array([[row[5] * 1j * w0_over_c for row in r] for r in rows])
+    v, vt, vu = (_stacked(g) for g in (f, df_dt, df_du))
+    return (_gather(vt, lhs) / c + du_sign[:, None] * _gather(vu, du)
+            + mass_coef[:, None] * _gather(v, lhs))
 
 
-def bispinor_residuals(f, df_dt, df_du, t: AxisTriad, layout, aset, mass,
-                       sign_form, c=1.0, hbar=1.0):
+def bispinor_residuals(f, df_dt, df_du, triads, layouts, aset, mass,
+                       sign_forms, c=1.0, hbar=1.0):
     """Matrix-form residual (a0 eps_op +- c a.p_op +- a4 m c^2) psi / (i hbar c).
 
-    The layout is linear, so derivative spinors are the layout images of the
-    derivative fields.  Division by i*hbar*c puts the rows in the same units
-    as the scalar component equations (up to the slot factors).  One row per
-    point, shape (..., 4).
+    Case i acts with the working matrix of triads[i] on the spinors of its
+    fields in layouts[i]; fields are (C, n, 3) stacks as for
+    :func:`scalar_residuals`.  The layout is linear, so derivative spinors
+    are the layout images of the derivative fields.  Division by i*hbar*c
+    puts the rows in the same units as the scalar component equations (up to
+    the slot factors).  Shape (C, n, 4).
     """
-    s = SIGN_FORMS[sign_form]
-    working = aset.named()[t.working]
-    psi = bispinor_from_fields(f, layout)
-    dpsi_dt = bispinor_from_fields(df_dt, layout)
-    dpsi_du = bispinor_from_fields(df_du, layout)
+    s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
+    working = np.stack([aset.named()[t.working] for t in triads])
+    spinors = _case_spinors(
+        np.stack([_stacked(g) for g in (f, df_dt, df_du)], axis=1), layouts)
+    psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
     eps_term = 1j * hbar * dpsi_dt
-    p_term = s * c * mat_vec(working, -1j * hbar * dpsi_du)
+    p_term = s * c * np.einsum("cij,c...j->c...i", working, -1j * hbar * dpsi_du)
     mass_term = s * mass * c * c * mat_vec(aset.a4, psi)
     return (eps_term + p_term + mass_term) / (1j * hbar * c)
 
 
-def _fd_derivative(func, t, u, var, h):
-    """Fourth-order central difference of an EmField-valued function, per point."""
-    def at(dt, du):
-        f = func(t + dt, u + du)
-        return np.concatenate([f.e, f.h], axis=-1)
-    if var == "t":
-        stencil = [at(s * h, 0.0) for s in (-2, -1, 1, 2)]
-    else:
-        stencil = [at(0.0, s * h) for s in (-2, -1, 1, 2)]
-    v = (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3]) / (12 * h)
-    return EmField(v[..., :3], v[..., 3:])
+def _fd_derivatives(func, t, u, steps):
+    """Fourth-order central differences of an EmField-valued function.
+
+    The four stencil points of d/dt and of d/du, for every step, go through
+    one ``func`` call.  Returns the [E, H] derivatives, shape
+    (len(steps), 2, C, n, 6): step, variable (t, u), case, point.
+    """
+    shifts = [(s * h, 0.0) if var == "t" else (0.0, s * h)
+              for h in steps for var in "tu" for s in (-2, -1, 1, 2)]
+    v = _stacked(func(np.concatenate([t + dt for dt, _ in shifts]),
+                      np.concatenate([u + du for _, du in shifts])))
+    x = np.moveaxis(v.reshape(len(v), len(steps), 2, 4, len(t), 6), 0, 3)
+    h = np.reshape(steps, (-1, 1, 1, 1, 1))
+    return (x[:, :, 0] - 8 * x[:, :, 1] + 8 * x[:, :, 2] - x[:, :, 3]) / (12 * h)
 
 
 @dataclass
 class ResidualReport:
-    cross_deviation: float
-    max_scalar: float
+    """Per-case maxima over the grid, shape (C,)."""
+    cross_deviation: np.ndarray
+    max_scalar: np.ndarray
 
 
-def dirac_residual_em(fields, t_ax: AxisTriad, mass, sign_form, t_grid, u_grid,
+def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
                       d_dt=None, d_du=None, c=1.0, hbar=1.0,
                       fd_step=None, charge_conjugated=False):
-    """Residuals of the coupled first-order system on a (t, u) grid.
+    """Residuals of a stack of coupled first-order systems on one (t, u) grid.
 
-    ``fields(t, u) -> EmField``, and ``d_dt``/``d_du`` if given, take t, u of
-    shape (n,); closed-form derivatives are preferred, otherwise fourth-order
-    central differences of step ``fd_step`` are used with a Richardson
-    truncation estimate (raising :class:`GridTooCoarse` if it exceeds
-    ``FD_TOL``).  The grid is one stack: row i is
+    Case i is the (triads[i], sign_forms[i]) system in the layout of
+    triads[i], charge conjugated where ``charge_conjugated`` (one flag, or
+    one per case) is set.  ``fields(t, u) -> EmField``, and ``d_dt``/``d_du``
+    if given, take t, u of shape (n,) and return the (C, n, 3) stack of the
+    C cases' waves; closed-form derivatives are preferred, otherwise
+    fourth-order central differences of step ``fd_step`` are used with a
+    Richardson truncation estimate (raising :class:`GridTooCoarse` if it
+    exceeds ``FD_TOL``).  The grid is one stack: row i is
     (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The four scalar
     component residuals and the matrix-form residual of each point are the
     same equation expanded, so any gap between them indicates a transcription
-    defect.
+    defect.  Each case reduces over its own points only.
     """
-    layout = layout_for_triad(t_ax, charge_conjugated=charge_conjugated)
+    flags = np.broadcast_to(charge_conjugated, (len(triads),))
+    layouts = [layout_for_triad(t, charge_conjugated=bool(conj))
+               for t, conj in zip(triads, flags)]
     aset = canonical_alpha_set()
     tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
     if (d_dt is None) or (d_du is None):
-        for var in ("t", "u"):
-            full = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step)
-            half = _fd_derivative(fields, tt[:1], uu[:1], var, fd_step / 2)
-            est = float(np.abs(np.concatenate([full.e - half.e, full.h - half.h])).max())
-            if est > FD_TOL:
+        full, half = _fd_derivatives(fields, tt[:1], uu[:1],
+                                     (fd_step, fd_step / 2))
+        for var, est in zip("tu", np.abs(full - half).max(axis=(1, 2, 3))):
+            if not est <= FD_TOL:
                 raise GridTooCoarse(
                     f"d/d{var} truncation estimate {est:.3e} exceeds {FD_TOL:.3e}")
-    factors = np.array([factor for _, _, factor in layout.slots])
+        fd_t, fd_u = (EmField(d[..., :3], d[..., 3:])
+                      for d in _fd_derivatives(fields, tt, uu, (fd_step,))[0])
 
     f = fields(tt, uu)
-    ft = d_dt(tt, uu) if d_dt is not None else _fd_derivative(fields, tt, uu, "t", fd_step)
-    fu = d_du(tt, uu) if d_du is not None else _fd_derivative(fields, tt, uu, "u", fd_step)
-    scalar = scalar_residuals(f, ft, fu, layout, mass, sign_form, c, hbar)
-    bisp = bispinor_residuals(f, ft, fu, t_ax, layout, aset, mass, sign_form,
-                              c, hbar)
-    cross = float(np.abs(scalar * factors - bisp).max())
-    return ResidualReport(cross_deviation=cross,
-                          max_scalar=float(np.abs(scalar).max()))
+    ft = d_dt(tt, uu) if d_dt is not None else fd_t
+    fu = d_du(tt, uu) if d_du is not None else fd_u
+    scalar = scalar_residuals(f, ft, fu, layouts, mass, sign_forms, c, hbar)
+    bisp = bispinor_residuals(f, ft, fu, triads, layouts, aset, mass,
+                              sign_forms, c, hbar)
+    factors = _slot_table(layouts)[1][:, None]
+    return ResidualReport(
+        cross_deviation=np.abs(scalar * factors - bisp).max(axis=(1, 2)),
+        max_scalar=np.abs(scalar).max(axis=(1, 2)))
 
 
-def onshell_plane_wave(t_ax: AxisTriad, sign_form, k, mass, e1_amp=1.0,
-                       e2_amp=0.0, c=1.0, hbar=1.0):
-    """A complex plane wave solving the (triad, sign form) system exactly.
+def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
+                       c=1.0, hbar=1.0):
+    """Complex plane waves, case i solving the (triads[i], sign_forms[i]) system.
 
     Returns (omega, fields, d_dt, d_du) with closed-form derivatives; each
-    callable takes t, u of shape (n,) and returns n stacked fields, and a
-    scalar pair gives one field.  The two transverse sub-blocks decouple:
-    (E_1, H_2) and (E_2, H_1) pair up with amplitude ratios fixed by the
-    dispersion relation omega^2 = (m c^2/hbar)^2 + c^2 k^2.
+    callable takes t, u of shape (n,) and returns the (C, n, 3) stack of the
+    C cases' fields, and a scalar pair gives one field per case, (C, 3).
+    The two transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair
+    up with amplitude ratios fixed by the sign form and the dispersion
+    relation omega^2 = (m c^2/hbar)^2 + c^2 k^2, which every case shares.
     """
-    s = SIGN_FORMS[sign_form]
+    s = np.array([SIGN_FORMS[form] for form in sign_forms])
     w0 = mass * c * c / hbar
     omega = np.sqrt(w0 ** 2 + (c * k) ** 2)
     h2_amp = -s * (omega - s * w0) * e1_amp / (c * k)
     h1_amp = s * (omega - s * w0) * e2_amp / (c * k)
-    a1, a2 = t_ax.e_axes
-    i1, i2 = AXIS_INDEX[a1], AXIS_INDEX[a2]
+    cases = np.arange(len(triads))
+    i1, i2 = (np.array([AXIS_INDEX[t.e_axes[j]] for t in triads])
+              for j in (0, 1))
 
     def build(t, u, scale=1.0):
         ph = scale * np.exp(1j * (omega * t - k * u))
-        e = np.zeros(np.shape(ph) + (3,), dtype=complex)
+        e = np.zeros((len(cases),) + np.shape(ph) + (3,), dtype=complex)
         h = np.zeros_like(e)
-        e[..., i1], e[..., i2] = e1_amp * ph, e2_amp * ph
-        h[..., i1], h[..., i2] = h1_amp * ph, h2_amp * ph
+        e[cases, ..., i1], e[cases, ..., i2] = e1_amp * ph, e2_amp * ph
+        h[cases, ..., i1] = np.multiply.outer(h1_amp, ph)
+        h[cases, ..., i2] = np.multiply.outer(h2_amp, ph)
         return EmField(e, h)
 
     def fields(t, u):

@@ -65,15 +65,21 @@ def _alpha_set(label, a1, a2, a3, a4, a5=None):
                     a4=frozen(a4), a5=frozen(as_matrix(a5)))
 
 
+_CANONICAL = _alpha_set(
+    "canonical",
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    [[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+)
+
+
 def canonical_alpha_set():
-    """The standard alpha set; a5 is computed as the product a1*a2*a3*a4."""
-    return _alpha_set(
-        "canonical",
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-        [[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]],
-        [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]],
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-    )
+    """The standard alpha set; a5 is computed as the product a1*a2*a3*a4.
+
+    One read-only instance per process, built at import.
+    """
+    return _CANONICAL
 
 
 def alpha_prime_set():

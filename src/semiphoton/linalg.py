@@ -6,7 +6,8 @@ integer-entry matrix identities are exact (error 0); everything else uses the
 module default tolerance.
 
 Vectors and spinors may come as a stack of n samples, shape (n, 3) or (n, 4),
-and matrices as a stack of shape (n, 4, 4).  The stacked kernels act on the
+and matrices as a stack of shape (n, 4, 4); vectors also as C stacks of n,
+shape (C, n, 3).  The stacked kernels act on the
 last axis (the last two for matrices) only, so a single vector gives scalars
 and a stack gives one result per sample.  They use ``einsum``, never a
 complex matrix-matrix ``@``: one OpenBLAS zgemm call can leave later libm
@@ -25,11 +26,12 @@ def require_finite(arr, name="value"):
     return arr
 
 
-def _shaped(entries, shape, name, stacked=False):
+def _shaped(entries, shape, name, stacks=0):
+    """entries as a complex array of the shape, or of up to ``stacks``
+    leading stack axes before it."""
     a = np.array(entries, dtype=complex)
-    if a.shape != shape and not (stacked and a.ndim == len(shape) + 1
-                                 and a.shape[1:] == shape):
-        stack = " or a stack of them" if stacked else ""
+    if a.shape[a.ndim - len(shape):] != shape or a.ndim - len(shape) > stacks:
+        stack = " or a stack of them" if stacks else ""
         raise ValueError(f"{name} must have shape {shape}{stack}, got {a.shape}")
     require_finite(a, name)
     return a
@@ -41,17 +43,18 @@ def as_matrix(entries):
 
 def as_matrices(entries):
     """One 4x4 matrix or a stack (n, 4, 4), checked once for the whole stack."""
-    return _shaped(entries, (4, 4), "matrix", stacked=True)
+    return _shaped(entries, (4, 4), "matrix", stacks=1)
 
 
 def as_bispinor(entries):
     """One spinor (4,) or a stack (n, 4), checked once for the whole stack."""
-    return _shaped(entries, (4,), "bispinor", stacked=True)
+    return _shaped(entries, (4,), "bispinor", stacks=1)
 
 
 def as_vec3(entries):
-    """One 3-vector (3,) or a stack (n, 3), checked once for the whole stack."""
-    return _shaped(entries, (3,), "vector", stacked=True)
+    """One 3-vector (3,), a stack (n, 3) or a stack of stacks (C, n, 3),
+    checked once for the whole stack."""
+    return _shaped(entries, (3,), "vector", stacks=2)
 
 
 def inner(a, b):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class CheckReport:
                    tol_rel=tol_rel, verdict=verdict, notes=notes)
 
     def to_dict(self):
-        d = asdict(self)
+        d = dict(self.__dict__)
         d["claimed"] = _scalarize(self.claimed)
         d["computed"] = _scalarize(self.computed)
         d["abs_err"] = _number(self.abs_err)
@@ -98,7 +98,7 @@ class Discrepancy:
     note: str = ""
 
     def to_dict(self):
-        d = asdict(self)
+        d = dict(self.__dict__)
         d["stated"] = _scalarize(self.stated)
         d["computed"] = _scalarize(self.computed)
         d["ratio"] = _number(self.ratio)
@@ -137,7 +137,7 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        d = asdict(self)
+        d = dict(self.__dict__)
         d.pop("out")
         return d
 

@@ -188,17 +188,17 @@ def test_criterion_7_expansion_agreement():
                       "all axes, orientations and sign forms"):
         t_grid = np.linspace(0.0, 2.0, 4)
         u_grid = np.linspace(-1.0, 1.0, 5)
-        combos = 0
-        for t in dirac.axis_triads():
-            for form in ("plus", "minus"):
-                omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-                    t, form, k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.7)
-                rep = bridge.dirac_residual_em(fields, t, 1.0, form, t_grid,
-                                               u_grid, d_dt=d_dt, d_du=d_du)
-                assert rep.cross_deviation <= 1e-12 * omega, (t.name, form)
-                assert rep.max_scalar <= 1e-12 * omega, (t.name, form)
-                combos += 1
-        assert combos == 12
+        cases = [(t, form) for t in dirac.axis_triads()
+                 for form in ("plus", "minus")]
+        triads, forms = zip(*cases)
+        omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
+            triads, forms, k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.7)
+        rep = bridge.dirac_residual_em(fields, triads, 1.0, forms, t_grid,
+                                       u_grid, d_dt=d_dt, d_du=d_du)
+        for i, (t, form) in enumerate(cases):
+            assert rep.cross_deviation[i] <= 1e-12 * omega, (t.name, form)
+            assert rep.max_scalar[i] <= 1e-12 * omega, (t.name, form)
+        assert len(cases) == len(rep.max_scalar) == 12
 
 
 def test_criterion_8_lagrangians():
@@ -224,9 +224,9 @@ def test_criterion_8_lagrangians():
             assert abs(forms.current - forms.em) <= 1e-12 * scale
 
         omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-            dirac.triad("y", "negative"), "plus", 0.8, 1.0)
-        point = dynamics.WavePoint(fields(0.6, -0.4), d_dt(0.6, -0.4),
-                                   d_du(0.6, -0.4))
+            [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
+        point = dynamics.WavePoint(fields(0.6, -0.4)[0], d_dt(0.6, -0.4)[0],
+                                   d_du(0.6, -0.4)[0])
         forms = dynamics.lagrangian_linear(point, 1.0)
         assert max(abs(forms.spinor), abs(forms.em), abs(forms.current)) <= 1e-12
 

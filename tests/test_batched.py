@@ -380,15 +380,84 @@ def residual_cases(draw):
        st.floats(0, 3, allow_nan=False))
 def test_residual_stacks_match_single_points(case, form, mass):
     t, layout, f, ft, fu = case
-    scalar = bridge.scalar_residuals(f, ft, fu, layout, mass, form)
-    bisp = bridge.bispinor_residuals(f, ft, fu, t, layout, CANON, mass, form)
-    assert scalar.shape == bisp.shape == (len(f.e), 4)
-    for i, one in enumerate(zip(field_rows(f), field_rows(ft), field_rows(fu))):
+    f, ft, fu = (EmField(g.e[None], g.h[None]) for g in (f, ft, fu))
+    scalar = bridge.scalar_residuals(f, ft, fu, [layout], mass, [form])[0]
+    bisp = bridge.bispinor_residuals(f, ft, fu, [t], [layout], CANON, mass,
+                                     [form])[0]
+    assert scalar.shape == bisp.shape == (len(f.e[0]), 4)
+    for i in range(len(scalar)):
+        one = [g[:, i:i + 1] for g in (f, ft, fu)]
         assert np.array_equal(
-            bridge.scalar_residuals(*one, layout, mass, form), scalar[i])
+            bridge.scalar_residuals(*one, [layout], mass, [form])[0, 0],
+            scalar[i])
         assert np.array_equal(
-            bridge.bispinor_residuals(*one, t, layout, CANON, mass, form),
+            bridge.bispinor_residuals(*one, [t], [layout], CANON, mass,
+                                      [form])[0, 0],
             bisp[i])
+
+
+def test_residual_case_stack_matches_single_cases():
+    """All 12 (triad, form) cases, plain and charge conjugated, with one
+    detuned case among them: each case of the stack equals its own call."""
+    triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
+                          for form in ("plus", "minus")])
+    omega, *on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0,
+                                                 e1_amp=1.0, e2_amp=0.7)
+    y_neg = dirac.triad("y", "negative")
+    detuned = bridge.detuned_wave(
+        *bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0)[1:], 1.1)
+    # cases 0-5 and 7-12 plain, 6 detuned, 13-24 charge conjugated
+    order = list(range(6)) + [None] + list(range(6, 12)) + list(range(12))
+    stack_triads = [y_neg if j is None else triads[j] for j in order]
+    stack_forms = ["plus" if j is None else forms[j] for j in order]
+    conjugated = [False] * 13 + [True] * 12
+
+    def joined(w):
+        def call(tt, uu):
+            a, b = on_shell[w](tt, uu), detuned[w](tt, uu)
+            return EmField(
+                np.concatenate([a.e[:6], b.e, a.e[6:], a.e]),
+                np.concatenate([a.h[:6], b.h, a.h[6:], a.h]))
+        return call
+
+    grids = np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 1.0, 5)
+    waves = [joined(w) for w in range(3)]
+    rep = bridge.dirac_residual_em(
+        waves[0], stack_triads, 1.0, stack_forms, *grids, d_dt=waves[1],
+        d_du=waves[2], charge_conjugated=conjugated)
+    assert rep.max_scalar.shape == rep.cross_deviation.shape == (25,)
+    for i in range(25):
+        one = [lambda tt, uu, w=w: w(tt, uu)[i:i + 1] for w in waves]
+        single = bridge.dirac_residual_em(
+            one[0], stack_triads[i:i + 1], 1.0, stack_forms[i:i + 1], *grids,
+            d_dt=one[1], d_du=one[2], charge_conjugated=conjugated[i])
+        assert single.max_scalar[0] == rep.max_scalar[i], i
+        assert single.cross_deviation[0] == rep.cross_deviation[i], i
+    # the gathers read no other case: the detuned case's neighbours stay on
+    # shell, and the two routes agree for every case
+    assert rep.max_scalar[6] > 0.01
+    assert rep.max_scalar[[5, 7]].max() <= 1e-12 * omega
+    assert np.delete(rep.max_scalar[:13], 6).max() <= 1e-12 * omega
+    assert rep.max_scalar[13:].min() > 0.1
+    scale = np.maximum(rep.max_scalar, omega)
+    assert (rep.cross_deviation <= 1e-12 * scale).all()
+
+
+def test_finite_difference_case_stack_matches_single_cases():
+    triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
+                          for form in ("plus", "minus")])
+    fields = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0,
+                                       e2_amp=0.7)[1]
+    grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
+    rep = bridge.dirac_residual_em(fields, triads, 1.0, forms, *grids,
+                                   fd_step=1e-4)
+    assert rep.max_scalar.max() <= 1e-6
+    for i in range(12):
+        single = bridge.dirac_residual_em(
+            lambda tt, uu: fields(tt, uu)[i:i + 1], triads[i:i + 1], 1.0,
+            forms[i:i + 1], *grids, fd_step=1e-4)
+        assert single.max_scalar[0] == rep.max_scalar[i], i
+        assert single.cross_deviation[0] == rep.cross_deviation[i], i
 
 
 def test_stacks_are_validated():

@@ -162,18 +162,27 @@ def _grids():
     return np.linspace(0.0, 2.0, 3), np.linspace(-1.0, 1.0, 4)
 
 
+def _one_case(wave):
+    """A wave callable giving (n, 3) fields as a stack of one case, (1, n, 3)."""
+    def stacked(tt, uu):
+        f = wave(tt, uu)
+        return EmField(f.e[None], f.h[None])
+    return stacked
+
+
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("orientation", ["negative", "positive"])
 @pytest.mark.parametrize("form", ["plus", "minus"])
 def test_onshell_wave_has_zero_residual(axis, orientation, form):
     t = dirac.triad(axis, orientation)
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        t, form, k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.4)
+        [t], [form], k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.4)
     t_grid, u_grid = _grids()
-    rep = bridge.dirac_residual_em(fields, t, 1.0, form, t_grid, u_grid,
+    rep = bridge.dirac_residual_em(fields, [t], 1.0, [form], t_grid, u_grid,
                                    d_dt=d_dt, d_du=d_du)
-    assert rep.max_scalar <= 1e-12 * omega
-    assert rep.cross_deviation <= 1e-12 * omega
+    assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
+    assert rep.max_scalar[0] <= 1e-12 * omega
+    assert rep.cross_deviation[0] <= 1e-12 * omega
 
 
 def test_scalar_and_matrix_routes_agree_off_shell():
@@ -191,11 +200,11 @@ def test_scalar_and_matrix_routes_agree_off_shell():
         return EmField(e, h)
 
     rep = bridge.dirac_residual_em(
-        build, t, 1.3, "plus", *(_grids()),
-        d_dt=lambda tt, uu: build(tt, uu, dt_order=1),
-        d_du=lambda tt, uu: build(tt, uu, du_order=1))
-    assert rep.max_scalar > 0.1  # generic wave is not a solution
-    assert rep.cross_deviation <= 1e-12 * rep.max_scalar
+        _one_case(build), [t], 1.3, ["plus"], *(_grids()),
+        d_dt=_one_case(lambda tt, uu: build(tt, uu, dt_order=1)),
+        d_du=_one_case(lambda tt, uu: build(tt, uu, du_order=1)))
+    assert rep.max_scalar[0] > 0.1  # generic wave is not a solution
+    assert rep.cross_deviation[0] <= 1e-12 * rep.max_scalar[0]
 
 
 def test_massless_free_wave_solves_minus_form():
@@ -216,24 +225,25 @@ def test_massless_free_wave_solves_minus_form():
                        np.stack([zero, zero, val], axis=-1))
 
     rep = bridge.dirac_residual_em(
-        cos_wave, t, mass=0.0, sign_form="minus", t_grid=np.linspace(0, 3, 5),
-        u_grid=np.linspace(-2, 2, 5),
-        d_dt=lambda tt, uu: cos_wave(tt, uu, dt_order=1),
-        d_du=lambda tt, uu: cos_wave(tt, uu, du_order=1))
-    assert rep.max_scalar <= 1e-12 * omega
-    assert rep.cross_deviation <= 1e-12 * omega
+        _one_case(cos_wave), [t], mass=0.0, sign_forms=["minus"],
+        t_grid=np.linspace(0, 3, 5), u_grid=np.linspace(-2, 2, 5),
+        d_dt=_one_case(lambda tt, uu: cos_wave(tt, uu, dt_order=1)),
+        d_du=_one_case(lambda tt, uu: cos_wave(tt, uu, du_order=1)))
+    assert rep.max_scalar[0] <= 1e-12 * omega
+    assert rep.cross_deviation[0] <= 1e-12 * omega
 
 
 def test_finite_difference_fallback_and_truncation_guard():
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
+                                                          1.0)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(fields, t, 1.0, "plus", t_grid, u_grid,
+    rep = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], t_grid, u_grid,
                                    fd_step=1e-4)
-    assert rep.max_scalar <= 1e-6
-    assert rep.cross_deviation <= 1e-6
+    assert rep.max_scalar[0] <= 1e-6
+    assert rep.cross_deviation[0] <= 1e-6
     with pytest.raises(bridge.GridTooCoarse):
-        bridge.dirac_residual_em(fields, t, 1.0, "plus", t_grid, u_grid,
+        bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], t_grid, u_grid,
                                  fd_step=0.5)
 
 
@@ -251,23 +261,24 @@ def test_conjugate_layout_solves_opposite_current_system():
                        np.stack([zero, zero, amp_h * ph], axis=-1))
 
     rep = bridge.dirac_residual_em(
-        build, t, 1.0, "minus", *(_grids()),
-        d_dt=lambda tt, uu: build(tt, uu, 1j * omega),
-        d_du=lambda tt, uu: build(tt, uu, -1j * k),
+        _one_case(build), [t], 1.0, ["minus"], *(_grids()),
+        d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
+        d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)),
         charge_conjugated=True)
-    assert rep.max_scalar <= 1e-12 * omega
-    assert rep.cross_deviation <= 1e-12 * omega
+    assert rep.max_scalar[0] <= 1e-12 * omega
+    assert rep.cross_deviation[0] <= 1e-12 * omega
     # the same wave does not solve the plain minus-form system
     plain = bridge.dirac_residual_em(
-        build, t, 1.0, "minus", *(_grids()),
-        d_dt=lambda tt, uu: build(tt, uu, 1j * omega),
-        d_du=lambda tt, uu: build(tt, uu, -1j * k))
-    assert plain.max_scalar > 0.1
+        _one_case(build), [t], 1.0, ["minus"], *(_grids()),
+        d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
+        d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)))
+    assert plain.max_scalar[0] > 0.1
 
 
 def test_detuned_wave_leaves_residual():
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
+                                                          1.0)
 
     def stretched(tt, uu):
         return fields(1.1 * tt, uu)
@@ -277,9 +288,9 @@ def test_detuned_wave_leaves_residual():
         return EmField(1.1 * inner.e, 1.1 * inner.h)
 
     rep = bridge.dirac_residual_em(
-        stretched, t, 1.0, "plus", *(_grids()),
+        stretched, [t], 1.0, ["plus"], *(_grids()),
         d_dt=stretched_dt, d_du=lambda tt, uu: d_du(1.1 * tt, uu))
-    assert rep.max_scalar > 0.01
+    assert rep.max_scalar[0] > 0.01
 
 
 def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
@@ -292,18 +303,20 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
 
     monkeypatch.setattr(bridge, "canonical_alpha_set", counted)
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
-    rep = bridge.dirac_residual_em(fields, t, 1.0, "plus", *(_grids()),
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
+                                                          1.0)
+    rep = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], *(_grids()),
                                    d_dt=d_dt, d_du=d_du)
     assert len(calls) == 1
-    assert rep.max_scalar <= 1e-12 * omega
+    assert rep.max_scalar[0] <= 1e-12 * omega
 
 
 def test_residual_rows_follow_the_grid_order():
     """Row i is the point (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)])."""
     t = dirac.triad("y", "negative")
     layout = bridge.layout_for_triad(t)
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
+                                                          1.0)
     wave = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
     calls = []
 
@@ -316,7 +329,7 @@ def test_residual_rows_follow_the_grid_order():
     t_grid, u_grid = _grids()
     n = len(t_grid) * len(u_grid)
     rep = bridge.dirac_residual_em(
-        counted(wave[0]), t, 1.0, "plus", t_grid, u_grid,
+        counted(wave[0]), [t], 1.0, ["plus"], t_grid, u_grid,
         d_dt=counted(wave[1]), d_du=counted(wave[2]))
     assert sorted(id(func) for func, _ in calls) == sorted(map(id, wave))
     assert {shapes for _, shapes in calls} == {((n,), (n,))}
@@ -326,19 +339,20 @@ def test_residual_rows_follow_the_grid_order():
         point = (np.array([t_grid[i // len(u_grid)]]),
                  np.array([u_grid[i % len(u_grid)]]))
         f, ft, fu = (func(*point) for func in wave)
-        row = bridge.scalar_residuals(f, ft, fu, layout, 1.0, "plus")[0]
-        bisp = bridge.bispinor_residuals(f, ft, fu, t, layout, CANON, 1.0,
-                                         "plus")[0]
+        row = bridge.scalar_residuals(f, ft, fu, [layout], 1.0, ["plus"])[0, 0]
+        bisp = bridge.bispinor_residuals(f, ft, fu, [t], [layout], CANON, 1.0,
+                                         ["plus"])[0, 0]
         scalar.append(np.abs(row).max())
         cross.append(np.abs(row * factors - bisp).max())
-    assert rep.max_scalar == max(scalar)
-    assert rep.cross_deviation == max(cross)
+    assert rep.max_scalar[0] == max(scalar)
+    assert rep.cross_deviation[0] == max(cross)
 
 
 def test_finite_difference_route_stacks_its_stencils():
-    """Four stencil calls per variable on the grid, plus the (1,) probe."""
+    """One call for the probe's stencils, one for the grid's, one for values."""
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(t, "plus", 0.8, 1.0)
+    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
+                                                          1.0)
     shapes = []
 
     def counted(tt, uu):
@@ -346,8 +360,9 @@ def test_finite_difference_route_stacks_its_stencils():
         return fields(tt, uu)
 
     t_grid, u_grid = _grids()
-    bridge.dirac_residual_em(counted, t, 1.0, "plus", t_grid, u_grid,
+    bridge.dirac_residual_em(counted, [t], 1.0, ["plus"], t_grid, u_grid,
                              fd_step=1e-4)
     n = len(t_grid) * len(u_grid)
-    # probe: 2 variables x 2 steps x 4 stencil points; grid: values + 2 x 4
-    assert shapes == [(1,)] * 16 + [(n,)] * 9
+    # probe at the first point: 2 steps x 2 variables x 4 stencil points;
+    # grid: 2 variables x 4 stencil points of n, then the n values
+    assert shapes == [(16,), (8 * n,), (n,)]

@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from semiphoton import dirac, linalg
+from semiphoton import dirac, dynamics, linalg
 
 I4 = np.eye(4, dtype=complex)
 
@@ -20,6 +20,15 @@ def test_canonical_entries_pinned():
                             [1j, 0, 0, 0],
                             [0, 1j, 0, 0]])
     np.testing.assert_array_equal(a.a5, expected_a5)
+
+
+def test_canonical_set_is_one_read_only_instance():
+    a = dirac.canonical_alpha_set()
+    assert a is dirac.canonical_alpha_set() is dynamics.ASET
+    for m in a.named().values():
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    np.testing.assert_array_equal(np.diag(a.a4), [1, 1, -1, -1])
 
 
 def test_canonical_algebra_exact():

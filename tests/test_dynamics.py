@@ -95,9 +95,10 @@ def test_linear_forms_agree_off_shell():
 
 def test_linear_forms_vanish_on_shell():
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        dirac.triad("y", "negative"), "plus", 0.8, 1.0)
+        [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
     for (t, y) in ((0.0, 0.0), (1.3, -0.7)):
-        point = dynamics.WavePoint(fields(t, y), d_dt(t, y), d_du(t, y))
+        point = dynamics.WavePoint(fields(t, y)[0], d_dt(t, y)[0],
+                                   d_du(t, y)[0])
         forms = dynamics.lagrangian_linear(point, 1.0)
         assert abs(forms.spinor) <= 1e-12
         assert abs(forms.em) <= 1e-12

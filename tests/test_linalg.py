@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semiphoton
 from semiphoton import linalg
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -33,6 +37,51 @@ def test_non_finite_rejected():
         linalg.as_matrix(bad)
     with pytest.raises(ValueError):
         linalg.as_vec3([1.0, np.inf, 0.0])
+
+
+def test_vectors_stack_up_to_two_axes():
+    assert linalg.as_vec3(np.zeros((2, 5, 3))).shape == (2, 5, 3)
+    with pytest.raises(ValueError):
+        linalg.as_vec3(np.zeros((2, 2, 5, 3)))
+    with pytest.raises(ValueError):
+        linalg.as_bispinor(np.zeros((2, 5, 4)))
+    with pytest.raises(ValueError):
+        linalg.as_matrix(np.zeros((2, 4, 4)))
+
+
+# Each ``@`` allowed in the package, by module and function, with its reason.
+MATMUL_ALLOWED = {
+    "planewave.continuity_check":
+        "r @ kvec: real sample positions times the real wave vector",
+}
+
+
+def _matmul_sites(tree, module):
+    """module.function (module for top-level code) of every ``@`` in tree."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            here = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                here = f"{where}.{child.name}" if where == module else where
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(child.op, ast.MatMult):
+                yield here, child.lineno
+            yield from visit(child, here)
+    return list(visit(tree, module))
+
+
+def test_no_matrix_operator_in_the_package():
+    """Complex 4x4 products go through einsum (``mat_mul``, ``mat_vec``).
+
+    One complex ``@`` reaches OpenBLAS, and on some x86 CPUs later libm calls
+    in the same process then run several times slower.
+    """
+    package = pathlib.Path(semiphoton.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py"))
+             for site in _matmul_sites(ast.parse(path.read_text()), path.stem)]
+    assert [s for s in sites if s[0] not in MATMUL_ALLOWED] == []
+    # an allowlisted function that no longer uses ``@`` leaves the list
+    assert sorted({where for where, _ in sites}) == sorted(MATMUL_ALLOWED)
 
 
 @settings(deadline=None, max_examples=50)

@@ -165,20 +165,21 @@ def test_solutions_solve_the_field_system():
         eps, k = state.energy, p[1]
 
         def build(tt, uu, scale=1.0):
-            ph = scale * np.exp(1j * (k * uu - eps * tt))[:, None]
+            # one case of n points, shape (1, n, 3)
+            ph = scale * np.exp(1j * (k * uu - eps * tt))[None, :, None]
             return bridge.EmField(base.e * ph, base.h * ph)
 
         rep = bridge.dirac_residual_em(
-            build, t, mass, "plus", **grids,
+            build, [t], mass, ["plus"], **grids,
             d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
             d_du=lambda tt, uu: build(tt, uu, 1j * k))
-        assert rep.max_scalar <= 1e-12
-        assert rep.cross_deviation <= 1e-12
+        assert rep.max_scalar[0] <= 1e-12
+        assert rep.cross_deviation[0] <= 1e-12
         wrong = bridge.dirac_residual_em(
-            build, t, mass, "minus", **grids,
+            build, [t], mass, ["minus"], **grids,
             d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
             d_du=lambda tt, uu: build(tt, uu, 1j * k))
-        assert wrong.max_scalar > 0.1
+        assert wrong.max_scalar[0] > 0.1
 
 
 def test_field_interpretation_axis_guard():
