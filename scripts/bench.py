@@ -10,10 +10,12 @@ git) and ``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
 ``suite_ms`` hold the median, in milliseconds, of N timed calls of each
 kernel and of each verification suite (samples 1000, seed 0), run in this
 process after one untimed call.  ``e2e_ms`` holds the median wall time of N
-runs of each of four fresh interpreters, alternated and importing
+runs of each of five fresh interpreters, alternated and importing
 ``semiphoton`` from this checkout:
 ``python -m semiphoton verify --suite all --samples 1000 --seed 7``
-(``verify_all``), ``python -c "import semiphoton"`` (``import_semiphoton``),
+(``verify_all``), ``python -m semiphoton torus --zeta 0.3`` (``torus``, the
+start-up of a command that needs no checker module),
+``python -c "import semiphoton"`` (``import_semiphoton``),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
 (``interpreter``).  ``--profile`` then writes the top 25 cProfile entries of one
 run of every suite, by cumulative time, to stderr.  Nothing is gated: the
@@ -56,6 +58,7 @@ def median_ms(fn, repeat):
 E2E = {
     "verify_all": ["-m", "semiphoton", "verify", "--suite", "all",
                    "--samples", "1000", "--seed", "7"],
+    "torus": ["-m", "semiphoton", "torus", "--zeta", "0.3"],
     "import_semiphoton": ["-c", "import semiphoton"],
     "import_numpy": ["-c", "import numpy"],
     "interpreter": ["-c", "pass"],

@@ -4,6 +4,10 @@ Subcommands: verify, torus, planewave, dynamics, sweep-zeta, dump-matrices.
 Exit codes: 0 all checks pass or are ledgered, 1 at least one failure,
 2 usage or configuration error.  Identical configuration and seed produce
 byte-identical output.
+
+Only ``report`` and ``torus`` load with this module; each handler imports
+the checker modules it runs, so ``torus`` and ``sweep-zeta`` start without
+them.  ``main`` looks each handler up by name when it is called.
 """
 from __future__ import annotations
 
@@ -13,10 +17,9 @@ import sys
 
 import numpy as np
 
-from . import bridge, dirac, dynamics, planewave, torus
+from . import torus
 from .report import (DEFAULT_TOL, FAIL, RunConfig, SUITES, csv_rows,
                      document_json, report_csv, report_json, report_text)
-from .suites import run_suites
 
 USAGE_ERROR = 2
 MAX_SIZE = 10 ** 6  # largest --samples, --quad-points or --steps
@@ -38,8 +41,11 @@ def _check_sizes(args):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a usage error, not a failed check
+            raise ValueError(f"--out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -51,6 +57,7 @@ def _complex_pairs(matrix):
 
 
 def cmd_verify(args):
+    from .suites import run_suites
     cfg = RunConfig(**{f.name: getattr(args, f.name)
                        for f in dataclasses.fields(RunConfig)}).validate()
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -92,6 +99,7 @@ def cmd_torus(args):
 
 
 def cmd_planewave(args):
+    from . import bridge, dirac, planewave
     aset = dirac.canonical_alpha_set()
     p = np.array([args.px, args.py, args.pz])
     mass, c = 1.0, 1.0
@@ -123,6 +131,7 @@ def cmd_planewave(args):
 
 
 def cmd_dynamics(args):
+    from . import bridge, dirac, dynamics
     alpha_q = torus.coupling_constant(args.zeta)
     units = torus.unit_system(args.units)
     model = torus.derive_parameters(units, args.zeta)
@@ -173,6 +182,7 @@ def cmd_sweep_zeta(args):
 
 
 def cmd_dump_matrices(args):
+    from . import dirac
     aset = (dirac.canonical_alpha_set() if args.set == "canonical"
             else dirac.alpha_prime_set())
     doc = {"label": aset.label,
@@ -205,22 +215,22 @@ OPTIONS = {
     "--set": dict(choices=("canonical", "prime"), default="canonical"),
 }
 
-# Every command once: its handler, its help line and the options it reads.
+# Every command once: its help line and the options it reads.  Its handler
+# is cmd_<name>, with "-" as "_".
 COMMANDS = {
-    "verify": (cmd_verify, "run a verification suite",
+    "verify": ("run a verification suite",
                ("--suite", "--units", "--zeta", "--tol-abs", "--tol-rel",
                 "--samples", "--seed", "--format", "--quad-points", "--out")),
-    "torus": (cmd_torus, "emit the ring model and its ledger",
+    "torus": ("emit the ring model and its ledger",
               ("--units", "--zeta", "--quad-points", "--out")),
-    "planewave": (cmd_planewave, "solve plane-wave amplitudes",
+    "planewave": ("solve plane-wave amplitudes",
                   ("--px", "--py", "--pz", "--branch", "--out")),
-    "dynamics": (cmd_dynamics, "emit forces and Lagrangian values",
+    "dynamics": ("emit forces and Lagrangian values",
                  ("--units", "--zeta", "--out")),
-    "sweep-zeta": (cmd_sweep_zeta, "CSV sweep over the section ratio",
+    "sweep-zeta": ("CSV sweep over the section ratio",
                    ("--min", "--max", "--steps", "--units", "--quad-points",
                     "--out")),
-    "dump-matrices": (cmd_dump_matrices, "serialize a matrix set",
-                      ("--set", "--out")),
+    "dump-matrices": ("serialize a matrix set", ("--set", "--out")),
 }
 
 
@@ -230,11 +240,10 @@ def build_parser():
         description="Deterministic verification of the rolled-wave electron "
                     "model and its matrix-form field equations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, options) in COMMANDS.items():
+    for name, (help_line, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag in options:
             p.add_argument(flag, **OPTIONS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
@@ -247,7 +256,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         _check_sizes(args)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, torus.DomainError, torus.QuadratureNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

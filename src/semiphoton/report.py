@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__
 
 PASS = "pass"
 FAIL = "fail"
@@ -150,7 +150,7 @@ def rng_for_suite(seed, suite):
 
 def document_json(config, body):
     """meta (config is a dict), then body's keys, as strict JSON; NaN raises."""
-    doc = {"meta": {"version": VERSION, "config": config}, **body}
+    doc = {"meta": {"version": __version__, "config": config}, **body}
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
@@ -162,7 +162,7 @@ def report_json(config, checks, ledger):
 
 
 def report_text(config, checks, ledger):
-    lines = [f"semiphoton {VERSION}  units={config.units} zeta={config.zeta!r} "
+    lines = [f"semiphoton {__version__}  units={config.units} zeta={config.zeta!r} "
              f"seed={config.seed} samples={config.samples}"]
     for c in checks:
         lines.append(f"[{c.verdict.upper():8s}] {c.id}: claimed={_scalarize(c.claimed)} "

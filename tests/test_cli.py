@@ -2,7 +2,9 @@ import argparse
 import ast
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -160,6 +162,50 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["checks"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["torus"], "missing/report.json"),
+    (["verify", "--suite", "algebra", "--samples", "5"], ".")])
+def test_unwritable_out_exits_two_with_message(argv, target, tmp_path,
+                                               capsys):
+    out = tmp_path / target
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+COMMAND_MODULES = {"cli", "report", "torus"}
+CHECKER_MODULES = {"suites", "bridge", "dirac", "dynamics", "planewave",
+                   "linalg"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["torus", "--zeta", "0.3"], COMMAND_MODULES),
+    (["sweep-zeta", "--steps", "2"], COMMAND_MODULES),
+    (["verify", "--suite", "all", "--samples", "10"],
+     COMMAND_MODULES | CHECKER_MODULES)])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    """A fresh interpreter runs one command (or only imports the package)
+    and lists the package modules it has loaded."""
+    run = ("from semiphoton.cli import main\n"
+           "code = main(sys.argv[1:])\n" if argv else
+           "import semiphoton\ncode = 0\n")
+    script = ("import sys\n" + run + "print(code, *(m.split('.')[1] for m "
+              "in sys.modules if m.startswith('semiphoton.')))")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    args = argv + ["--out", os.devnull] if argv else []
+    result = subprocess.run([sys.executable, "-c", script, *args],
+                            capture_output=True, text=True, check=True,
+                            env=env)
+    code, *modules = result.stdout.split()
+    assert code == "0"
+    assert set(modules) == loaded
 
 
 def test_sweep_zeta_bad_range_exits_two_with_message(capsys):
