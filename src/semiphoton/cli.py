@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: verify, torus, planewave, dynamics, sweep-zeta, dump-matrices.
-Exit codes: 0 all checks pass or are ledgered, 1 at least one failure,
-2 usage or configuration error.  Identical configuration and seed produce
-byte-identical output.
+Exit codes: 0 all checks pass (ledger entries never fail a run), 1 at least
+one failure, 2 usage or configuration error.  Identical configuration and
+seed produce byte-identical output.
 
 Only ``report`` and ``torus`` load with this module; each handler imports
 the checker modules it runs, so ``torus`` and ``sweep-zeta`` start without

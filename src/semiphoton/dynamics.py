@@ -100,37 +100,6 @@ def magnetic_confinement_density(j_tau, h, c=1.0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SelfField:
-    """Own-field energy and momentum: densities integrated over the ring volume.
-
-    For the uniform-density approximation the integrals collapse to density
-    times delta_tau.
-    """
-    epsilon_s: float
-    p_s: np.ndarray
-
-
-def self_field(f: EmField, model: TorusModel, c=1.0) -> SelfField:
-    u_density = (e_squared(f) + h_squared(f)) / (8 * math.pi)
-    s_vec = (c / (4 * math.pi)) * cross_sym(f)
-    g_vec = s_vec / (c * c)
-    return SelfField(epsilon_s=u_density * model.delta_tau,
-                     p_s=g_vec * model.delta_tau)
-
-
-@dataclass(frozen=True)
-class CurrentPair:
-    """Tangential electric and magnetic currents i (omega_e / 4 pi) E, H."""
-    j_e: np.ndarray
-    j_m: np.ndarray
-
-
-def tangential_currents(f: EmField, omega_e) -> CurrentPair:
-    factor = 1j * omega_e / (4 * math.pi)
-    return CurrentPair(j_e=factor * f.e, j_m=factor * f.h)
-
-
-@dataclass(frozen=True)
 class WavePoint:
     """Field values and closed-form derivatives at one space-time point.
 
@@ -185,10 +154,10 @@ def lagrangian_linear(point: WavePoint, mass, c=1.0,
     invariant = e_squared(point.f) - h_squared(point.f)
     em = du_term + div_term - 1j * (omega_e / (8 * math.pi)) * invariant
 
-    # current route
-    pair = tangential_currents(point.f, omega_e)
-    current = du_term + div_term - 0.5 * (
-        inner(point.f.e, pair.j_e) - inner(point.f.h, pair.j_m))
+    # current route: tangential currents i (omega_e / 4 pi) E and H
+    factor = 1j * omega_e / (4 * math.pi)
+    current = du_term + div_term - 0.5 * (inner(point.f.e, factor * point.f.e)
+                                          - inner(point.f.h, factor * point.f.h))
 
     return LinearLagrangian(spinor=spinor, em=em, current=current)
 
@@ -241,10 +210,11 @@ def lagrangian_nonlinear(point: WavePoint,
 
     e2, h2 = e_squared(point.f), h_squared(point.f)
     u_density = (e2 + h2) / (8 * math.pi)
-    sf = self_field(point.f, model, c)
-    g_vec = sf.p_s / dtau
-    quartic_em = (sf.epsilon_s * u_density
-                  - c * c * inner(sf.p_s, g_vec)) / mc2
+    # own-field energy and momentum: uniform densities times the ring volume
+    epsilon_s = u_density * dtau
+    p_s = (c / (4 * math.pi)) * cross_sym(point.f) / (c * c) * dtau
+    g_vec = p_s / dtau
+    quartic_em = (epsilon_s * u_density - c * c * inner(p_s, g_vec)) / mc2
 
     quartic_invariant = pref * ((e2 - h2) ** 2 + 4 * eh_dot(point.f) ** 2)
 
@@ -285,27 +255,21 @@ def self_action_constant(model: TorusModel, alpha_q):
 FD_STEP = 1e-6  # central-difference step (times r in centripetal_check)
 
 
+def _partial(field, point, axis, h):
+    """Central difference of a scalar or vector field along one axis."""
+    dp = np.zeros(3)
+    dp[axis] = h
+    return (np.asarray(field(point + dp)) - np.asarray(field(point - dp))) / (2 * h)
+
+
 def _curl_fd(vfield, point, h):
     """Central-difference curl of a 3-vector field at a point."""
-    point = np.asarray(point, dtype=float)
-
-    def partial(axis):
-        dp = np.zeros(3)
-        dp[axis] = h
-        return (np.asarray(vfield(point + dp)) - np.asarray(vfield(point - dp))) / (2 * h)
-
-    dx, dy, dz = partial(0), partial(1), partial(2)
+    dx, dy, dz = (_partial(vfield, point, axis, h) for axis in range(3))
     return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
 
 
 def _grad_fd(sfield, point, h):
-    point = np.asarray(point, dtype=float)
-    out = np.zeros(3)
-    for axis in range(3):
-        dp = np.zeros(3)
-        dp[axis] = h
-        out[axis] = (sfield(point + dp) - sfield(point - dp)) / (2 * h)
-    return out
+    return np.array([_partial(sfield, point, axis, h) for axis in range(3)])
 
 
 @dataclass(frozen=True)
@@ -339,8 +303,8 @@ def matter_motion_residual(g_field, u_field, v_field, points):
     """Residual of (dg/dt + grad U) - v x curl g at the given points.
 
     ``g_field``/``v_field`` map a 3-point to 3-vectors, ``u_field`` to a
-    scalar; the configuration is static (dg/dt = 0).  Purely exploratory:
-    returns the per-point residual vectors, no verdict.
+    scalar; the configuration is static (dg/dt = 0).  Returns the per-point
+    residual vectors; the caller gates them.
     """
     out = np.zeros((len(points), 3))
     for i, p in enumerate(points):

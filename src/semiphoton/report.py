@@ -1,10 +1,10 @@
 """Structured check reports, discrepancy records, and run configuration.
 
 Every verification produces a :class:`CheckReport` comparing a claimed value
-against an independently computed one.  Known internal inconsistencies of the
-model's closed forms are never patched silently; they are emitted as
-:class:`Discrepancy` records with verdict ``ledgered``, which does not fail a
-run.
+against an independently computed one; its verdict is PASS when the error is
+within either tolerance and FAIL otherwise.  Known internal inconsistencies of
+the model's closed forms are never patched silently; they are emitted as
+:class:`Discrepancy` records in the ledger, which does not fail a run.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from . import __version__
 
 PASS = "pass"
 FAIL = "fail"
-LEDGERED = "ledgered"
 
 SUITE_IDS = {
     "algebra": 1,
@@ -67,14 +66,13 @@ class CheckReport:
 
     @classmethod
     def build(cls, id, ref, claimed, computed, tol_abs=1e-12, tol_rel=1e-12,
-              notes="", ledgered=False):
+              notes=""):
         tol_abs, tol_rel = float(tol_abs), float(tol_rel)
         c0 = complex(claimed)
         c1 = complex(computed)
         abs_err = abs(c1 - c0)
         rel_err = abs_err / abs(c0) if abs(c0) > 0 else abs_err
-        ok = abs_err <= tol_abs or rel_err <= tol_rel
-        verdict = LEDGERED if ledgered else (PASS if ok else FAIL)
+        verdict = PASS if abs_err <= tol_abs or rel_err <= tol_rel else FAIL
         return cls(id=id, ref=ref, claimed=claimed, computed=computed,
                    abs_err=abs_err, rel_err=rel_err, tol_abs=tol_abs,
                    tol_rel=tol_rel, verdict=verdict, notes=notes)

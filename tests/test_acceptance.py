@@ -292,9 +292,12 @@ def test_criterion_10_determinism_and_runtime():
 
 
 def test_in_process_suites_match_exit_contract():
-    cfg = RunConfig(samples=100, seed=5).validate()
-    checks, ledger = run_suites(cfg, ["algebra", "bilinear", "fierz", "torus",
-                                      "planewave", "dynamics"])
-    assert not any(c.verdict == "fail" for c in checks)
-    assert any(c.verdict == "ledgered" for c in checks)
-    assert len(ledger) >= 6
+    for units in ("natural", "gaussian_cgs"):
+        cfg = RunConfig(units=units, samples=100, seed=5).validate()
+        checks, ledger = run_suites(cfg, ["algebra", "bilinear", "fierz",
+                                          "torus", "planewave", "dynamics"])
+        assert not any(c.verdict == "fail" for c in checks)
+        for c in checks:
+            ok = c.abs_err <= c.tol_abs or c.rel_err <= c.tol_rel
+            assert c.verdict == ("pass" if ok else "fail"), c.id
+        assert len(ledger) >= 6

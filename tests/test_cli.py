@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import semiphoton
-from semiphoton import bridge
+from semiphoton import bridge, dirac
 from semiphoton.cli import build_parser, main
 from semiphoton.report import CheckReport, Discrepancy, RunConfig, report_json
 
@@ -30,10 +30,30 @@ def test_verify_suite_exit_zero(capsys):
     assert set(doc) == {"meta", "checks", "ledger"}
     assert doc["meta"]["version"]
     assert doc["meta"]["config"]["seed"] == 0
-    assert all(c["verdict"] in ("pass", "fail", "ledgered")
-               for c in doc["checks"])
-    assert any(c["verdict"] == "ledgered" for c in doc["checks"])
     assert doc["ledger"]
+    for units in ("natural", "gaussian_cgs"):
+        code, out = run_cli(["verify", "--suite", "all", "--samples", "50",
+                             "--units", units], capsys)
+        assert code == 0
+        for c in json.loads(out)["checks"]:
+            # "nan" errors are strings and must fail, so compare as floats
+            ok = (float(c["abs_err"]) <= c["tol_abs"]
+                  or float(c["rel_err"]) <= c["tol_rel"])
+            assert c["verdict"] == ("pass" if ok else "fail"), c["id"]
+
+
+def test_prime_set_checks_gate_the_tabulated_defect(monkeypatch, capsys):
+    pinned = {"algebra/anticommutation-prime", "algebra/hermiticity-prime-a2"}
+    code, out = run_cli(["verify", "--suite", "algebra"], capsys)
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert code == 0 and {verdicts[i] for i in pinned} == {"pass"}
+    # a transcription that lost the a2 defect moves both deviations to 0
+    monkeypatch.setattr(dirac, "alpha_prime_set", dirac.canonical_alpha_set)
+    code, out = run_cli(["verify", "--suite", "algebra"], capsys)
+    failed = {c["id"] for c in json.loads(out)["checks"]
+              if c["verdict"] == "fail"}
+    assert code == 1
+    assert pinned <= failed
 
 
 def test_verify_deterministic(capsys):

@@ -148,15 +148,23 @@ def test_quartic_routes_agree():
 
 
 def test_self_field_and_currents():
-    f = EmField([1, 0, 0], [0, 0, 1])
-    sf = dynamics.self_field(f, MODEL)
-    assert sf.epsilon_s == pytest.approx(
-        bridge.energy_density(f) * MODEL.delta_tau, rel=1e-15)
-    np.testing.assert_allclose(sf.p_s, bridge.poynting(f) * MODEL.delta_tau,
-                               atol=1e-16)
-    pair = dynamics.tangential_currents(f, omega_e=2.0)
-    np.testing.assert_allclose(pair.j_e, 1j / (2 * math.pi) * f.e, atol=1e-16)
-    np.testing.assert_allclose(pair.j_m, 1j / (2 * math.pi) * f.h, atol=1e-16)
+    # own-field energy U delta_tau and momentum g delta_tau, with g the
+    # Poynting vector at c = 1, give the quartic (delta_tau / m c^2)(U^2 - g^2)
+    f = EmField([1, 0, 0], [0, 0, 0.5])
+    still = dynamics.WavePoint(f, EmField.zero(), EmField.zero())
+    u, g = bridge.energy_density(f), bridge.poynting(f)
+    nl = dynamics.lagrangian_nonlinear(still, MODEL)
+    assert nl.quartic_em == pytest.approx(
+        MODEL.delta_tau * (u * u - g @ g), rel=1e-15)
+    # tangential currents i (omega_e / 4 pi) E, H with omega_e = 2 m c^2 = 2:
+    # on a static point the current route is -(1/2)(E.j_e - H.j_m)
+    for e, h, expected in (([1, 0, 0], [0, 0, 0], -1j / (4 * math.pi)),
+                           ([0, 0, 0], [0, 0, 1], 1j / (4 * math.pi))):
+        point = dynamics.WavePoint(EmField(e, h), EmField.zero(),
+                                   EmField.zero())
+        forms = dynamics.lagrangian_linear(point, 1.0)
+        assert forms.current == pytest.approx(expected, abs=1e-16)
+        assert forms.em == pytest.approx(expected, abs=1e-16)
 
 
 def test_photon_photon_comparison():
