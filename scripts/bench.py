@@ -92,7 +92,10 @@ def expansion(triads, forms, t_grid, u_grid):
 def kernels(cfg):
     canon = dirac.canonical_alpha_set()
     s = dirac.s_matrix()
-    model = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
+    natural = torus.UnitSystem.natural()
+    model = torus.derive_parameters(natural, 1.0)
+    chain_zetas = torus.zeta_grid(0.05, 1.0, 20)
+    nodes = np.linspace(0.0, math.pi / 2, 513)
     t_ax = [dirac.triad("y", "negative")]
     _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7, 1.0)
     t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
@@ -112,8 +115,9 @@ def kernels(cfg):
         "bilinears_1000": lambda: bridge.bilinears(psi, canon),
         "fierz_quantum_1000": lambda: bridge.fierz_quantum(psi, canon),
         "nullspace": lambda: planewave.nullspace(on_shell),
-        "simpson": lambda: torus.simpson(np.cos, 0.0, math.pi / 2, 512),
+        "simpson": lambda: torus.simpson(np.cos(nodes), nodes[1]),
         "calibrate_e0": lambda: torus.calibrate_e0(model),
+        "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
             fields, t_ax, 1.0, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),

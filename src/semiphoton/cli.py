@@ -76,21 +76,12 @@ def cmd_torus(args):
                         args.quadrature_points)
     model = ev.model
     doc = {
-        "model": {
-            "zeta": model.zeta, "lambda_p": model.lambda_p,
-            "omega_p": model.omega_p, "omega_s": model.omega_s,
-            "r_t": model.r_t, "r_s": model.r_s, "r_c": model.r_c,
-            "s_c": model.s_c, "delta_tau": model.delta_tau, "k": model.k,
-            "e0": model.e0,
-        },
-        "derived": {
-            "alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
-            "sigma_p": ev.spin.sigma_p, "sigma_s": ev.spin.sigma_s,
-            "mu_s": ev.spin.mu_s, "mu_closed_form": ev.spin.mu_closed_form,
-            "omega_z": ev.zitter.omega_z, "r_z": ev.zitter.r_z,
-            "v": ev.zitter.v,
-            "r_o": ev.chain.r_o, "radius_ratio": ev.chain.radius_ratio,
-        },
+        # every model field but the unit system, in field order
+        "model": {k: v for k, v in vars(model).items() if k != "units"},
+        "derived": {"alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
+                    **vars(ev.spin), **vars(ev.zitter),
+                    "r_o": ev.chain.r_o,
+                    "radius_ratio": ev.chain.radius_ratio},
         "ledger": [e.to_dict() for e in
                    torus.discrepancy_ledger(model, args.quadrature_points)],
     }
@@ -172,11 +163,11 @@ def cmd_dynamics(args):
 
 
 def cmd_sweep_zeta(args):
-    units = torus.unit_system(args.units)
-    rows = []
-    for z in torus.zeta_grid(args.min, args.max, args.steps):
-        ev = torus.evaluate(units, z, args.quadrature_points)
-        rows.append((z, ev.alpha_q, ev.q, ev.m_s, ev.spin.mu_s))
+    zetas = torus.zeta_grid(args.min, args.max, args.steps)
+    ev = torus.evaluate(torus.unit_system(args.units), zetas,
+                        args.quadrature_points)
+    rows = zip(zetas, *(a.tolist() for a in (ev.alpha_q, ev.q, ev.m_s,
+                                              ev.spin.mu_s)))
     _emit(csv_rows(("zeta", "alpha_q", "q", "m_s", "mu_s"), rows), args.out)
     return 0
 

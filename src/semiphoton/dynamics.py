@@ -256,16 +256,19 @@ FD_STEP = 1e-6  # central-difference step (times r in centripetal_check)
 
 
 def _partial(field, point, axis, h):
-    """Central difference of a scalar or vector field along one axis."""
-    dp = np.zeros(3)
-    dp[axis] = h
-    return (np.asarray(field(point + dp)) - np.asarray(field(point - dp))) / (2 * h)
+    """Central difference of a scalar or vector field along one axis, at one
+    point (3,) or a stack (n, 3) with one step per point."""
+    dp = np.zeros(np.shape(point))
+    dp[..., axis] = h
+    diff = np.asarray(field(point + dp)) - np.asarray(field(point - dp))
+    return (diff.T / (2 * np.asarray(h))).T  # a stack's axis leads, as h's
 
 
 def _curl_fd(vfield, point, h):
-    """Central-difference curl of a 3-vector field at a point."""
+    """Central-difference curl of a 3-vector field at a point or a stack."""
     dx, dy, dz = (_partial(vfield, point, axis, h) for axis in range(3))
-    return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
+    return np.stack([dy[..., 2] - dz[..., 1], dz[..., 0] - dx[..., 2],
+                     dx[..., 1] - dy[..., 0]], axis=-1)
 
 
 def _grad_fd(sfield, point, h):
@@ -281,22 +284,26 @@ class CentripetalReport:
 def centripetal_check(omega, r) -> CentripetalReport:
     """Rigid rotation about OZ: curl v = 2 omega, |v x curl v| / 2 = v^2 / r.
 
-    The velocity field v = omega x r is linear, so the finite-difference curl
-    is exact up to rounding.
+    omega and r are one pair or equal-length arrays of pairs; a stack gives
+    curl (n, 3) and n magnitudes.  The velocity field v = omega x r is
+    linear, so the finite-difference curl is exact up to rounding.
     """
-    if omega < 0 or r <= 0:
+    omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
+    if np.any(omega < 0) or np.any(r <= 0):
         raise ValueError("omega must be non-negative and r positive")
-    h = FD_STEP * r
+    zero = np.zeros_like(r)
 
     def vfield(p):
-        return np.array([-omega * p[1], omega * p[0], 0.0])
+        return np.stack([-omega * p[..., 1], omega * p[..., 0], zero], axis=-1)
 
-    point = np.array([r, 0.0, 0.0])
-    curl = _curl_fd(vfield, point, h)
-    v = vfield(point)
-    accel = 0.5 * np.cross(v, curl)
-    return CentripetalReport(curl=curl,
-                             acceleration_magnitude=float(np.linalg.norm(accel)))
+    point = np.stack([r, zero, zero], axis=-1)
+    curl = _curl_fd(vfield, point, FD_STEP * r)
+    accel = 0.5 * np.cross(vfield(point), curl)
+    magnitude = np.linalg.norm(accel, axis=-1)
+    return CentripetalReport(
+        curl=curl,
+        acceleration_magnitude=float(magnitude) if magnitude.ndim == 0
+        else magnitude)
 
 
 def matter_motion_residual(g_field, u_field, v_field, points):

@@ -111,13 +111,18 @@ def make_states(branch, momentum, mass, c=1.0):
 
 
 def residual(state: PlaneWaveState, aset, mass, c=1.0):
-    """Max-entry norm of the amplitude system applied to the state(s)."""
-    energy = np.asarray(state.energy)[..., None, None]
-    px, py, pz = (state.momentum[..., k, None, None] for k in range(3))
-    op = (energy * aset.a0
-          + c * (px * aset.a1 + py * aset.a2 + pz * aset.a3)
-          + mass * c * c * aset.a4)
-    out = np.einsum("...ij,...j->...i", op, state.amplitudes)
+    """Max-entry norm of the amplitude system applied to the state(s).
+
+    a0..a4 act on the amplitudes, and their five images are weighted by the
+    energy, c p and m c^2, so no stack of operators is built.
+    """
+    images = np.einsum("kij,...j->k...i", np.stack(
+        (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
+    energy = np.asarray(state.energy)[..., None]
+    px, py, pz = (state.momentum[..., k, None] for k in range(3))
+    out = (energy * images[0]
+           + c * (px * images[1] + py * images[2] + pz * images[3])
+           + mass * c * c * images[4])
     return np.abs(out).max(axis=-1)
 
 

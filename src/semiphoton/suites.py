@@ -287,9 +287,9 @@ def suite_torus(cfg: RunConfig):
         "torus/coupling-constant", "alpha_q(1) near 0.637",
         0.637, torus.coupling_constant(1.0), tol_abs=5e-4,
         notes="2/pi = 0.6366197723675814"))
-    worst = _worst([abs(torus.coupling_constant(2 * z)
-                        / torus.coupling_constant(z) - 4.0)
-                    for z in torus.zeta_grid(0.05, 0.5, 10)])
+    grid = np.array(torus.zeta_grid(0.05, 0.5, 10))
+    alpha = torus.coupling_constant(np.concatenate([grid, 2 * grid]))
+    worst = _worst(np.abs(alpha[grid.size:] / alpha[:grid.size] - 4.0))
     checks.append(CheckReport.build(
         "torus/coupling-quadratic", "alpha_q(2 zeta) / alpha_q(zeta) = 4",
         0.0, worst, tol_abs=1e-14))
@@ -312,15 +312,13 @@ def suite_torus(cfg: RunConfig):
         "torus/calibration", "calibrated amplitude reproduces m_e",
         units.m_e, mass_q, tol_abs=0.0, tol_rel=5e-12))
 
-    errors = []
-    for z in torus.zeta_grid(0.05, 1.0, 20):
-        chain = torus.evaluate(units, z, 128).chain
-        errors += [abs(chain.mass_identity_ratio - 1),
-                   abs(chain.radius_identity_ratio - 1),
-                   abs(chain.coupling_identity_ratio - 1)]
+    chain = torus.evaluate(units, torus.zeta_grid(0.05, 1.0, 20), 128).chain
     checks.append(CheckReport.build(
         "torus/chain-closure", "charge -> mass -> radius -> coupling chain",
-        0.0, _worst(errors), tol_abs=cfg.tol_abs,
+        0.0, _worst(np.abs(chain.mass_identity_ratio - 1),
+                    np.abs(chain.radius_identity_ratio - 1),
+                    np.abs(chain.coupling_identity_ratio - 1)),
+        tol_abs=cfg.tol_abs,
         notes="20-point zeta sweep; mass, radius and coupling identities"))
 
     # r_o / r_s does not depend on zeta (bit for bit at 0.3 and 1), and the
@@ -698,14 +696,11 @@ def suite_dynamics(cfg: RunConfig):
     checks.append(CheckReport.build(
         "dynamics/centripetal-acceleration", "|v x curl v| / 2 = v^2 / r",
         2.0, rep.acceleration_magnitude, tol_abs=1e-8))
-    errors = []
-    for _ in range(16):
-        omega = float(rng.uniform(0.1, 5.0))
-        r = float(rng.uniform(0.1, 3.0))
-        rr = dynamics.centripetal_check(omega, r)
-        errors.append(abs(rr.acceleration_magnitude * r / (omega * r) ** 2 - 1.0))
+    omega, r = rng.uniform([0.1, 0.1], [5.0, 3.0], size=(16, 2)).T
+    rr = dynamics.centripetal_check(omega, r)
     checks.append(CheckReport.build(
-        "dynamics/centripetal-identity", "a r / v^2 = 1", 0.0, _worst(errors),
+        "dynamics/centripetal-identity", "a r / v^2 = 1", 0.0,
+        _worst(np.abs(rr.acceleration_magnitude * r / (omega * r) ** 2 - 1.0)),
         tol_abs=1e-6))
 
     rho, omega = 1.3, 0.9

@@ -8,8 +8,14 @@ constant 2 zeta^2 / pi, spin, magnetic moment, and the internal-rotation
 
 `calibrate_e0` fixes the one free amplitude E0 in closed form by matching the
 field-mass quadrature to the electron mass; `evaluate` builds the calibrated
-ring and its derived quantities as one record, and `zeta_grid` is the sweep
-grid over the cross-section ratio.
+ring and its derived quantities as one record, for one zeta or a stack, and
+`zeta_grid` is the sweep grid over the cross-section ratio.
+
+A stack of zetas is a 1-D array, and every zeta-dependent field is then an
+array over it; a single zeta runs the same code on plain floats.  The code
+squares by multiplying, as numpy does, so row i of a stack equals the single
+evaluation at its zeta bit for bit.  A stack fails as its first failing zeta
+would alone.
 
 Quadratures are composite Simpson on uniform grids; a result only counts once
 doubling the point count moves it by less than the convergence tolerance.
@@ -35,6 +41,7 @@ FINE_STRUCTURE = 7.2973525693e-3
 
 CONVERGENCE_TOL = 1e-10
 MAX_DOUBLINGS = 5  # grid doublings before a quadrature must have converged
+QUAD_CHUNK = 2 ** 16  # integrand values per quadrature block; bounds its memory
 
 
 class DomainError(ValueError):
@@ -43,6 +50,22 @@ class DomainError(ValueError):
 
 class QuadratureNotConverged(RuntimeError):
     pass
+
+
+def _require(ok, error):
+    """Raise error(row), with its row attribute set, at the first row where
+    ok, a bool for a single zeta or a boolean array for a stack, is False."""
+    if ok is True or ok is not False and ok.all():
+        return
+    row = int(np.flatnonzero(~np.asarray(ok))[0])
+    exc = error(row)
+    exc.row = row
+    raise exc
+
+
+def _check_zeta(zeta):
+    _require((0 < zeta) & (zeta <= 1), lambda i: DomainError(
+        f"zeta must be in (0, 1], got {float(np.ravel(zeta)[i])}"))
 
 
 @dataclass(frozen=True)
@@ -100,10 +123,9 @@ class TorusModel:
         return self.e0
 
 
-def derive_parameters(units: UnitSystem, zeta: float) -> TorusModel:
-    """All ring parameters for the given cross-section ratio zeta in (0, 1]."""
-    if not 0 < zeta <= 1:
-        raise DomainError(f"zeta must be in (0, 1], got {zeta}")
+def derive_parameters(units: UnitSystem, zeta) -> TorusModel:
+    """All ring parameters for the cross-section ratio zeta in (0, 1], or a stack."""
+    _check_zeta(zeta)
     hbar, c, m_e = units.hbar, units.c, units.m_e
     omega_p = 2 * m_e * c * c / hbar
     lambda_p = 2 * math.pi * c / omega_p
@@ -112,15 +134,15 @@ def derive_parameters(units: UnitSystem, zeta: float) -> TorusModel:
     omega_s = c / r_s
     r_c = zeta * r_t
     s_c = math.pi * r_c * r_c
-    delta_tau = 2 * math.pi ** 2 * zeta ** 2 * r_s ** 3
+    delta_tau = 2 * math.pi ** 2 * (zeta * zeta) * r_s ** 3
     k = omega_s / c
     return TorusModel(zeta=zeta, lambda_p=lambda_p, omega_p=omega_p,
                       omega_s=omega_s, r_t=r_t, r_s=r_s, r_c=r_c, s_c=s_c,
                       delta_tau=delta_tau, k=k, units=units)
 
 
-def with_e0(model: TorusModel, e0: float) -> TorusModel:
-    if e0 < 0:
+def with_e0(model: TorusModel, e0) -> TorusModel:
+    if (np.asarray(e0) < 0).any():
         raise DomainError("e0 must be non-negative")
     return replace(model, e0=e0)
 
@@ -130,40 +152,68 @@ def ring_current(model: TorusModel, e_magnitude):
     return model.omega_s * e_magnitude / (4 * math.pi)
 
 
-def simpson(f, a, b, n):
-    """Composite Simpson's rule with n even subintervals.
+def simpson(y, h):
+    """Composite Simpson's rule on samples y at uniform spacing h.
 
-    f takes an array: it is called once, on the n + 1 nodes
-    a + h * arange(n + 1), and the values are summed with weights 1-4-2-...-4-1.
+    The n + 1 nodes are y's last axis, n even, summed with weights
+    1-4-2-...-4-1; any leading axes are rows, each integrated on its own.
     """
-    if n % 2:
+    if (y.shape[-1] - 1) % 2:
         raise ValueError("n must be even for Simpson's rule")
-    h = (b - a) / n
-    y = f(a + h * np.arange(n + 1))
-    total = y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()
-    return float(total * h / 3)
+    total = (y[..., 0] + y[..., -1] + 4 * y[..., 1:-1:2].sum(axis=-1)
+             + 2 * y[..., 2:-1:2].sum(axis=-1))
+    return total * h / 3
 
 
-def _converged_simpson(f, a, b, n, scale):
-    """Simpson value accepted only once doubling the grid stops moving it.
+def _simpson_rows(pref, g, b, n):
+    """simpson of each pref[i] * g(l) over [0, b] with n intervals: g is
+    evaluated once, and QUAD_CHUNK integrand values are held at a time."""
+    h = b / n
+    gl = g(h * np.arange(n + 1))
+    step = max(1, QUAD_CHUNK // gl.size)
+    out = np.empty(len(pref))
+    for i in range(0, len(pref), step):
+        out[i:i + step] = simpson(pref[i:i + step, None] * gl, h)
+    return out
 
-    Starts at the requested n and refines by doubling; raises if the result
-    still moves by more than the convergence tolerance at the finest grid.
+
+def _converged_simpson(pref, g, b, n, scale):
+    """Integral of pref * g(l) over [0, b], accepted only once doubling the
+    grid stops moving it; pref and scale are scalars, or one value per row.
+
+    Starts at the requested n and refines by doubling.  Each row is accepted
+    at its own first converged doubling, so it gets the value it would get
+    alone; raises for the first row still moving at the finest grid.
     """
     if n < 64:
         raise ValueError("n_points must be >= 64")
     n += n % 2
-    value = simpson(f, a, b, n)
-    delta = math.inf
+    rows = np.array(pref, dtype=float, ndmin=1)
+    scale = np.array(scale, dtype=float, ndmin=1)
+    out = np.empty_like(rows)
+    live = np.arange(rows.size)
+    value = _simpson_rows(rows, g, b, n)
     for _ in range(MAX_DOUBLINGS):
         n *= 2
-        finer = simpson(f, a, b, n)
-        delta = abs(finer - value)
-        if delta <= CONVERGENCE_TOL * max(abs(finer), scale):
-            return finer
-        value = finer
-    raise QuadratureNotConverged(
-        f"result still moving by {delta:.3e} at {n} points")
+        finer = _simpson_rows(rows[live], g, b, n)
+        delta = np.abs(finer - value)
+        done = delta <= CONVERGENCE_TOL * np.maximum(np.abs(finer), scale[live])
+        out[live[done]] = finer[done]
+        live, value, delta = live[~done], finer[~done], delta[~done]
+        if not live.size:
+            return float(out[0]) if np.ndim(pref) == 0 else out
+    exc = QuadratureNotConverged(
+        f"result still moving by {delta[0]:.3e} at {n} points")
+    exc.row = int(live[0])  # the first row still moving
+    raise exc
+
+
+def _cos_integral(model, pref, power, upper, n_points):
+    """Converged quadrature of pref cos(k l)^power over [0, upper], on the
+    scale |pref| lambda_p (1 where pref is 0)."""
+    scale = np.where(np.asarray(pref) != 0, np.abs(pref) * model.lambda_p, 1.0)
+    return _converged_simpson(pref, lambda l: np.cos(model.k * l) ** power,
+                              upper, n_points, scale)
 
 
 def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
@@ -176,16 +226,10 @@ def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
     e0 = model.require_e0()
     c = model.units.c
     pref = (model.omega_s / (4 * math.pi * c)) * e0 * model.s_c
-    lam = model.lambda_p
-
-    def integrand(l):
-        return pref * np.cos(model.k * l)
-
-    scale = abs(pref) * lam if pref else 1.0
     if span == "full_wave":
-        return _converged_simpson(integrand, 0.0, lam, n_points, scale)
+        return _cos_integral(model, pref, 1, model.lambda_p, n_points)
     if span == "half_wave":
-        return 2 * _converged_simpson(integrand, 0.0, lam / 4, n_points, scale)
+        return 2 * _cos_integral(model, pref, 1, model.lambda_p / 4, n_points)
     raise ValueError(f"unknown span {span!r}")
 
 
@@ -196,7 +240,7 @@ def charge_closed_form(model: TorusModel):
 
 def charge_geometric(model: TorusModel):
     """Equivalent geometric form zeta^2 E0 r_s^2."""
-    return model.zeta ** 2 * model.require_e0() * model.r_s ** 2
+    return model.zeta * model.zeta * model.require_e0() * model.r_s ** 2
 
 
 def integrate_mass(model: TorusModel, n_points=256):
@@ -209,9 +253,7 @@ def integrate_mass(model: TorusModel, n_points=256):
     e0 = model.require_e0()
     c = model.units.c
     pref = model.s_c * e0 * e0 / (math.pi * c * c)
-    scale = abs(pref) * model.lambda_p if pref else 1.0
-    return _converged_simpson(lambda l: pref * np.cos(model.k * l) ** 2,
-                              0.0, model.lambda_p / 4, n_points, scale)
+    return _cos_integral(model, pref, 2, model.lambda_p / 4, n_points)
 
 
 def mass_closed_form(model: TorusModel):
@@ -225,9 +267,7 @@ def mass_density_half_wave(model: TorusModel, n_points=256):
     e0 = model.require_e0()
     c = model.units.c
     pref = model.s_c * e0 * e0 / (4 * math.pi * c * c)
-    scale = abs(pref) * model.lambda_p if pref else 1.0
-    return _converged_simpson(lambda l: pref * np.cos(model.k * l) ** 2,
-                              0.0, model.lambda_p / 2, n_points, scale)
+    return _cos_integral(model, pref, 2, model.lambda_p / 2, n_points)
 
 
 def calibrate_e0(model: TorusModel, n_points=512) -> TorusModel:
@@ -240,22 +280,25 @@ def calibrate_e0(model: TorusModel, n_points=512) -> TorusModel:
     """
     target = model.units.m_e
     unit_mass = integrate_mass(with_e0(model, 1.0), n_points)
-    if not 0 < unit_mass < math.inf or not math.isfinite(target / unit_mass):
-        raise DomainError(
-            f"no finite amplitude gives field mass {target!r} at "
-            f"zeta={model.zeta!r}: the mass at unit amplitude is {unit_mass!r}")
-    return with_e0(model, math.sqrt(target / unit_mass))
+    with np.errstate(divide="ignore", over="ignore"):
+        e0_squared = np.divide(target, unit_mass)
+    _require((0 < unit_mass) & (unit_mass < math.inf) & np.isfinite(e0_squared),
+             lambda i: DomainError(
+                 f"no finite amplitude gives field mass {target!r} at "
+                 f"zeta={float(np.ravel(model.zeta)[i])!r}: the mass at unit "
+                 f"amplitude is {float(np.ravel(unit_mass)[i])!r}"))
+    e0 = np.sqrt(e0_squared)
+    return with_e0(model, float(e0) if e0.ndim == 0 else e0)
 
 
 def coupling_constant(zeta):
-    """The model coupling alpha_q = 2 zeta^2 / pi."""
-    if not 0 < zeta <= 1:
-        raise DomainError(f"zeta must be in (0, 1], got {zeta}")
-    alpha_q = 2 * zeta ** 2 / math.pi
-    if alpha_q < sys.float_info.min:
-        # a subnormal coupling has lost digits: results built on it are wrong
-        raise DomainError(f"the coupling 2 zeta^2 / pi underflows to 0 or "
-                          f"below the normal float range at zeta={zeta!r}")
+    """The model coupling alpha_q = 2 zeta^2 / pi, for one zeta or a stack."""
+    _check_zeta(zeta)
+    alpha_q = 2 * (zeta * zeta) / math.pi
+    # a subnormal coupling has lost digits: results built on it are wrong
+    _require(alpha_q >= sys.float_info.min, lambda i: DomainError(
+        f"the coupling 2 zeta^2 / pi underflows to 0 or below the normal "
+        f"float range at zeta={float(np.ravel(zeta)[i])!r}"))
     return alpha_q
 
 
@@ -284,17 +327,18 @@ def consistency_chain(model: TorusModel) -> ChainReport:
     zeta = model.zeta
     q = charge_geometric(model)
     m_s = mass_closed_form(model)
-    mass_identity = math.pi * q * q / (4 * zeta ** 2 * model.omega_s
+    mass_identity = math.pi * q * q / (4 * (zeta * zeta) * model.omega_s
                                        * units.c * model.r_s ** 2)
-    radius_identity = (math.pi / (2 * zeta ** 2)) * q * q / (2 * m_s * units.c ** 2)
+    radius_identity = (math.pi / (2 * (zeta * zeta))) * q * q / (2 * m_s * units.c ** 2)
     coupling = q * q * units.m_e / (units.hbar * units.c * m_s)
+    alpha_q = coupling_constant(zeta)
     r_o = units.e ** 2 / (2 * units.m_e * units.c ** 2)
     return ChainReport(
         q=q, m_s=m_s,
         mass_identity_ratio=mass_identity / m_s,
         radius_identity_ratio=radius_identity / model.r_s,
-        coupling_identity_ratio=coupling / coupling_constant(zeta),
-        alpha_q=coupling_constant(zeta),
+        coupling_identity_ratio=coupling / alpha_q,
+        alpha_q=alpha_q,
         r_o=r_o, radius_ratio=r_o / model.r_s)
 
 
@@ -345,9 +389,27 @@ class TorusEvaluation:
 
 
 def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
-    """Derive, calibrate and evaluate the ring at cross-section ratio zeta."""
-    model = calibrate_e0(derive_parameters(units, zeta), n_points=n_points)
-    chain = consistency_chain(model)
+    """Derive, calibrate and evaluate the ring at cross-section ratio zeta.
+
+    zeta is one ratio or a 1-D stack; a stack gives one record whose
+    zeta-dependent fields are arrays over it, and a single zeta one of plain
+    floats.  A failing stack raises what its first failing zeta raises alone.
+    """
+    zetas = np.asarray(zeta, dtype=float) if np.ndim(zeta) else zeta
+    error = None
+    while True:
+        try:
+            model = calibrate_e0(derive_parameters(units, zetas),
+                                 n_points=n_points)
+            chain = consistency_chain(model)
+            break
+        except (ValueError, QuadratureNotConverged) as exc:
+            if not getattr(exc, "row", 0):
+                raise
+            # an earlier row may fail at a later stage: retry the rows before
+            error, zetas = exc, zetas[:exc.row]
+    if error is not None:
+        raise error
     return TorusEvaluation(model=model, alpha_q=chain.alpha_q, q=chain.q,
                            m_s=chain.m_s,
                            spin=spin_and_moment(model, chain.q, units),

@@ -8,7 +8,9 @@ sum of at most four squares of quadratic forms of term scale Q each, so its
 term scale is 4 Q^2.  A single input (no leading axis) is the same code and
 gives the row of the stack, bit for bit except where it squares numpy scalars.
 """
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -662,4 +664,207 @@ def test_simpson_matches_generator_sums(n):
              (lambda x: x ** 3, 2.0), (np.exp, 1.0)]
     for f, b in cases:
         want = loop_simpson(f, 0.0, b, n)
-        assert abs(torus.simpson(f, 0.0, b, n) - want) <= TOL * abs(want)
+        got = torus.simpson(f(b / n * np.arange(n + 1)), b / n)
+        assert abs(got - want) <= TOL * abs(want)
+
+
+def row_of(record, i):
+    """Row i of a stacked torus record: its arrays as floats, nested too."""
+    if dataclasses.is_dataclass(record):
+        return type(record)(**{k: row_of(v, i) for k, v in vars(record).items()})
+    return float(record[i]) if isinstance(record, np.ndarray) else record
+
+
+@pytest.mark.parametrize("mode", ["natural", "gaussian_cgs"])
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
+def test_torus_stack_rows_equal_single_evaluations(mode, n):
+    units = torus.unit_system(mode)
+    zetas = torus.zeta_grid(0.01, 1.0, 23) + [0.3, 0.123456, 0.759913]
+    stacked = torus.evaluate(units, zetas, n)
+    assert stacked.alpha_q.shape == stacked.model.e0.shape == (len(zetas),)
+    for i, zeta in enumerate(zetas):
+        single = torus.evaluate(units, zeta, n)
+        assert row_of(stacked, i) == single
+        assert type(single.model.e0) is float and type(single.q) is float
+        assert type(single.spin.mu_s) is float
+
+
+def loop_torus(units, zeta, n_points):
+    """One zeta at a time on plain floats, as ``torus.evaluate`` ran before it
+    took stacks: derive, calibrate by the converged quadrature, then the chain,
+    spin and moment.  Raises what that evaluation raised, in its order."""
+    if not 0 < zeta <= 1:
+        raise torus.DomainError(f"zeta must be in (0, 1], got {zeta}")
+    hbar, c, m_e = units.hbar, units.c, units.m_e
+    omega_s = c / (hbar / (2 * m_e * c))
+    r_s = (2 * math.pi * c / (2 * m_e * c * c / hbar)) / (2 * math.pi)
+    lam = 2 * math.pi * r_s
+    r_c = zeta * r_s
+    s_c = math.pi * r_c * r_c
+    pref = s_c * 1.0 * 1.0 / (math.pi * c * c)
+    scale = abs(pref) * lam if pref else 1.0
+    if n_points < 64:
+        raise ValueError("n_points must be >= 64")
+    n = n_points + n_points % 2
+
+    def simpson(n):
+        h = lam / 4 / n
+        y = pref * np.cos(omega_s / c * (h * np.arange(n + 1))) ** 2
+        return float((y[0] + y[-1] + 4 * y[1:-1:2].sum()
+                      + 2 * y[2:-1:2].sum()) * h / 3)
+
+    value, unit_mass = simpson(n), None
+    for _ in range(torus.MAX_DOUBLINGS):
+        n *= 2
+        finer = simpson(n)
+        delta = abs(finer - value)
+        if delta <= torus.CONVERGENCE_TOL * max(abs(finer), scale):
+            unit_mass = finer
+            break
+        value = finer
+    if unit_mass is None:
+        raise torus.QuadratureNotConverged(
+            f"result still moving by {delta:.3e} at {n} points")
+    if not 0 < unit_mass < math.inf or not math.isfinite(m_e / unit_mass):
+        raise torus.DomainError(
+            f"no finite amplitude gives field mass {m_e!r} at zeta={zeta!r}: "
+            f"the mass at unit amplitude is {unit_mass!r}")
+    e0 = math.sqrt(m_e / unit_mass)
+    alpha_q = 2 * zeta ** 2 / math.pi
+    if alpha_q < sys.float_info.min:
+        raise torus.DomainError(
+            f"the coupling 2 zeta^2 / pi underflows to 0 or below the normal "
+            f"float range at zeta={zeta!r}")
+    q = zeta ** 2 * e0 * r_s ** 2
+    m_s = e0 * e0 * s_c / (4 * omega_s * c)
+    return {
+        "e0": e0, "s_c": s_c, "delta_tau": 2 * math.pi ** 2 * zeta ** 2 * r_s ** 3,
+        "alpha_q": alpha_q, "q": q, "m_s": m_s,
+        "mass_identity_ratio": math.pi * q * q / (
+            4 * zeta ** 2 * omega_s * c * r_s ** 2) / m_s,
+        "radius_identity_ratio": (math.pi / (2 * zeta ** 2)) * q * q / (
+            2 * m_s * c ** 2) / r_s,
+        "coupling_identity_ratio": q * q * m_e / (hbar * c * m_s) / alpha_q,
+        "mu_s": q * omega_s / (2 * math.pi) * (math.pi * r_s ** 2),
+        "mu_closed_form": 0.5 * q * hbar / (2 * m_e),
+    }
+
+
+def stacked_fields(ev):
+    m, ch, sp = ev.model, ev.chain, ev.spin
+    return {"e0": m.e0, "s_c": m.s_c, "delta_tau": m.delta_tau,
+            "alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
+            "mass_identity_ratio": ch.mass_identity_ratio,
+            "radius_identity_ratio": ch.radius_identity_ratio,
+            "coupling_identity_ratio": ch.coupling_identity_ratio,
+            "mu_s": sp.mu_s, "mu_closed_form": sp.mu_closed_form}
+
+
+def loop_error(units, zetas, n_points):
+    """(type, message) of the first failing zeta of the loop, or None."""
+    try:
+        for z in zetas:
+            loop_torus(units, z, n_points)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=24),
+       st.sampled_from(("natural", "gaussian_cgs")),
+       st.sampled_from((64, 100, 256, 512)))
+def test_torus_stack_matches_loop(zetas, mode, n):
+    units = torus.unit_system(mode)
+    if loop_error(units, zetas, n):
+        return
+    got = stacked_fields(torus.evaluate(units, zetas, n))
+    for i, z in enumerate(zetas):
+        for key, want in loop_torus(units, z, n).items():
+            assert abs(got[key][i] - want) <= TOL * abs(want), (key, z)
+
+
+BAD_STACKS = [
+    ("natural", [0.3, 0.5, 1.5, 0.7]),          # out of range
+    ("natural", [0.3, 0.0]),
+    ("natural", [0.3, float("nan")]),
+    ("natural", [0.3, 1e-160, 0.5]),            # coupling below normal floats
+    ("natural", [0.3, 1e-160, 2.0]),
+    ("gaussian_cgs", [0.3, 1e-140, 0.5]),       # unit mass underflows to 0
+    ("gaussian_cgs", [0.3, 0.2, 1e-150, 5.0]),
+]
+
+
+@pytest.mark.parametrize("mode, zetas", BAD_STACKS)
+def test_torus_stack_raises_the_first_failing_zeta(mode, zetas):
+    units = torus.unit_system(mode)
+    want = loop_error(units, zetas, 256)
+    assert want is not None
+    with pytest.raises(want[0]) as info:
+        torus.evaluate(units, zetas, 256)
+    assert (type(info.value), str(info.value)) == want
+    with pytest.raises(ValueError, match="n_points must be >= 64"):
+        torus.evaluate(units, [0.3] + zetas, 10)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_torus_stack_rows_converge_at_their_own_doublings(n, monkeypatch):
+    # with no tolerance a row is accepted only when a doubling repeats its
+    # value exactly, which these rows reach after 1 to 5 doublings
+    monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
+    units = torus.UnitSystem.natural()
+    zetas = [0.05, 0.1, 0.3, 0.37, 0.5, 0.7, 1.0]
+    stacked = torus.evaluate(units, zetas, n)
+    got = stacked_fields(stacked)
+    for i, z in enumerate(zetas):
+        assert row_of(stacked, i) == torus.evaluate(units, z, n)
+        for key, want in loop_torus(units, z, n).items():
+            assert abs(got[key][i] - want) <= TOL * abs(want), (key, z)
+
+
+@pytest.mark.parametrize("zetas", [[0.3, 0.5, 0.7, 2.0], [0.05, 0.7, 1e-160],
+                                   [0.7]])
+def test_torus_stack_raises_the_first_unconverged_zeta(zetas, monkeypatch):
+    # with no tolerance, the cgs quadrature at zeta 0.7 and 128 points never
+    # repeats its value
+    monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
+    units = torus.UnitSystem.gaussian_cgs()
+    want = loop_error(units, zetas, 128)
+    assert want[0] is torus.QuadratureNotConverged
+    with pytest.raises(torus.QuadratureNotConverged) as info:
+        torus.evaluate(units, zetas, 128)
+    assert str(info.value) == want[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--min", "1e-160", "--max", "0.5", "--steps", "3"],
+    ["--min", "1e-140", "--max", "0.5", "--steps", "4", "--units",
+     "gaussian_cgs"]])
+def test_sweep_zeta_error_line_is_the_first_failing_zeta(argv, capsys):
+    from semiphoton.cli import main
+    assert main(["sweep-zeta"] + argv) == 2
+    captured = capsys.readouterr()
+    units = torus.unit_system("gaussian_cgs" if "--units" in argv else "natural")
+    _, message = loop_error(units, torus.zeta_grid(
+        float(argv[1]), float(argv[3]), int(argv[5])), 256)
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_centripetal_stack_matches_single_pairs():
+    rng = np.random.default_rng(11)
+    pairs = rng.uniform([0.1, 0.1], [5.0, 3.0], size=(16, 2))
+    rng = np.random.default_rng(11)
+    alternating = [float(rng.uniform(lo, hi))
+                   for _ in range(16) for lo, hi in ((0.1, 5.0), (0.1, 3.0))]
+    assert pairs.ravel().tolist() == alternating
+    omega, r = pairs.T
+    rep = dynamics.centripetal_check(omega, r)
+    assert rep.curl.shape == (16, 3)
+    for i in range(16):
+        one = dynamics.centripetal_check(float(omega[i]), float(r[i]))
+        assert np.array_equal(one.curl, rep.curl[i])
+        assert one.acceleration_magnitude == rep.acceleration_magnitude[i]
+        assert type(one.acceleration_magnitude) is float
+    with pytest.raises(ValueError):
+        dynamics.centripetal_check(omega, np.where(r > 1, 0.0, r))

@@ -61,7 +61,7 @@ def test_kernel_benchmark_prints_its_medians():
     assert set(doc["kernel_ms"]) == {
         "generate_group", "anticommutation_deviation", "canonical_transform",
         "bilinears_1000", "fierz_quantum_1000", "nullspace", "simpson",
-        "calibrate_e0", "dirac_residual_em_4x5", "expansion_12x4x5",
+        "calibrate_e0", "sweep_zeta_20", "dirac_residual_em_4x5", "expansion_12x4x5",
         "report_json", "build_parser"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
                                     "planewave", "dynamics"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,11 +56,14 @@ def test_ring_current():
 
 
 def test_simpson_against_closed_integrals():
-    assert torus.simpson(np.cos, 0.0, math.pi / 2, 256) == pytest.approx(
-        1.0, abs=1e-10)
-    assert torus.simpson(lambda x: x ** 3, 0.0, 2.0, 64) == pytest.approx(4.0)
+    x = np.linspace(0.0, math.pi / 2, 257)
+    assert torus.simpson(np.cos(x), x[1]) == pytest.approx(1.0, abs=1e-10)
+    x = np.linspace(0.0, 2.0, 65)
+    assert torus.simpson(x ** 3, x[1]) == pytest.approx(4.0)
+    rows = torus.simpson(np.array([x ** 3, 2 * x]), x[1])
+    assert rows == pytest.approx([4.0, 4.0])
     with pytest.raises(ValueError):
-        torus.simpson(np.cos, 0.0, 1.0, 63)
+        torus.simpson(np.cos(x[:64]), x[1])
 
 
 def test_coarse_grid_refines_until_converged():
@@ -80,7 +84,7 @@ def test_quadrature_convergence_guard():
         return np.sin(k * 1000.0)
 
     with pytest.raises(torus.QuadratureNotConverged):
-        torus._converged_simpson(noisy, 0.0, 1.0, 64, 1.0)
+        torus._converged_simpson(1.0, noisy, 1.0, 64, 1.0)
     with pytest.raises(ValueError):
         torus.integrate_charge(model(e0=1.0), "full_wave", 32)
 
@@ -245,3 +249,42 @@ def test_zeta_grid():
     for bad in ((0.5, 0.1, 5), (0.0, 0.5, 5), (0.1, 1.5, 5), (0.1, 0.5, 0)):
         with pytest.raises(torus.DomainError):
             torus.zeta_grid(*bad)
+
+
+def test_each_row_is_accepted_at_its_own_doubling():
+    # with scale 1 the tolerance is absolute, so the small rows converge at
+    # coarser grids than the large ones
+    def g(x):
+        return np.exp(3 * x)
+
+    pref = np.array([1e-6, 1.0, 1e3, 0.0])
+    got = torus._converged_simpson(pref, g, 1.0, 64, np.ones(4))
+    singles = [torus._converged_simpson(p, g, 1.0, 64, 1.0) for p in pref]
+    assert got.tolist() == singles
+    h = 1.0 / 128
+    gx = g(h * np.arange(129))
+    assert singles[0] == torus.simpson(pref[0] * gx, h)  # the first doubling
+    assert singles[2] != torus.simpson(pref[2] * gx, h)  # a later one
+
+
+def test_stacked_quadrature_memory_does_not_grow_with_the_rows():
+    zetas = np.linspace(0.05, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        ev = torus.evaluate(NAT, zetas, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.abs(ev.chain.mass_identity_ratio - 1) <= 1e-12)
+    # one (4096, 2049) block of integrand values alone is 67 MB
+    assert peak <= 8 * 2 ** 20, peak
+
+
+def test_coupling_constant_takes_a_stack():
+    grid = np.array([0.05, 0.3, 1.0])
+    assert torus.coupling_constant(grid).tolist() == [
+        torus.coupling_constant(z) for z in grid.tolist()]
+    with pytest.raises(torus.DomainError, match="at zeta=1e-160$"):
+        torus.coupling_constant(np.array([0.3, 1e-160, 0.5]))
+    with pytest.raises(torus.DomainError, match="got 2.0$"):
+        torus.coupling_constant(np.array([0.3, 2.0, 1e-160]))
