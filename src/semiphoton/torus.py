@@ -17,8 +17,10 @@ squares by multiplying, as numpy does, so row i of a stack equals the single
 evaluation at its zeta bit for bit.  A stack fails as its first failing zeta
 would alone.
 
-Quadratures are composite Simpson on uniform grids; a result only counts once
-doubling the point count moves it by less than the convergence tolerance.
+Each ring integral is a zeta-dependent prefactor times the integral of
+cos(k l)^p over limits set by the unit system, so a stack shares one composite
+Simpson quadrature, which counts only once doubling its point count moves it
+by less than the convergence tolerance.
 Places where the model's stated closed forms and the quadrature of its own
 densities disagree are emitted as ledger entries, never silently patched.
 """
@@ -41,7 +43,6 @@ FINE_STRUCTURE = 7.2973525693e-3
 
 CONVERGENCE_TOL = 1e-10
 MAX_DOUBLINGS = 5  # grid doublings before a quadrature must have converged
-QUAD_CHUNK = 2 ** 16  # integrand values per quadrature block; bounds its memory
 
 
 class DomainError(ValueError):
@@ -165,55 +166,34 @@ def simpson(y, h):
     return total * h / 3
 
 
-def _simpson_rows(pref, g, b, n):
-    """simpson of each pref[i] * g(l) over [0, b] with n intervals: g is
-    evaluated once, and QUAD_CHUNK integrand values are held at a time."""
-    h = b / n
-    gl = g(h * np.arange(n + 1))
-    step = max(1, QUAD_CHUNK // gl.size)
-    out = np.empty(len(pref))
-    for i in range(0, len(pref), step):
-        out[i:i + step] = simpson(pref[i:i + step, None] * gl, h)
-    return out
+def _converged_simpson(g, b, n, scale):
+    """Integral of g(l) over [0, b], accepted only once doubling the grid
+    moves it by at most CONVERGENCE_TOL * max(|result|, scale).
 
-
-def _converged_simpson(pref, g, b, n, scale):
-    """Integral of pref * g(l) over [0, b], accepted only once doubling the
-    grid stops moving it; pref and scale are scalars, or one value per row.
-
-    Starts at the requested n and refines by doubling.  Each row is accepted
-    at its own first converged doubling, so it gets the value it would get
-    alone; raises for the first row still moving at the finest grid.
+    Starts at the requested n and refines by doubling; raises
+    QuadratureNotConverged if the finest grid still moves it.
     """
     if n < 64:
         raise ValueError("n_points must be >= 64")
     n += n % 2
-    rows = np.array(pref, dtype=float, ndmin=1)
-    scale = np.array(scale, dtype=float, ndmin=1)
-    out = np.empty_like(rows)
-    live = np.arange(rows.size)
-    value = _simpson_rows(rows, g, b, n)
+    value = simpson(g(b / n * np.arange(n + 1)), b / n)
     for _ in range(MAX_DOUBLINGS):
         n *= 2
-        finer = _simpson_rows(rows[live], g, b, n)
-        delta = np.abs(finer - value)
-        done = delta <= CONVERGENCE_TOL * np.maximum(np.abs(finer), scale[live])
-        out[live[done]] = finer[done]
-        live, value, delta = live[~done], finer[~done], delta[~done]
-        if not live.size:
-            return float(out[0]) if np.ndim(pref) == 0 else out
-    exc = QuadratureNotConverged(
-        f"result still moving by {delta[0]:.3e} at {n} points")
-    exc.row = int(live[0])  # the first row still moving
-    raise exc
+        finer = simpson(g(b / n * np.arange(n + 1)), b / n)
+        delta = abs(finer - value)
+        if delta <= CONVERGENCE_TOL * max(abs(finer), scale):
+            return float(finer)
+        value = finer
+    raise QuadratureNotConverged(
+        f"result still moving by {delta:.3e} at {n} points")
 
 
 def _cos_integral(model, pref, power, upper, n_points):
-    """Converged quadrature of pref cos(k l)^power over [0, upper], on the
-    scale |pref| lambda_p (1 where pref is 0)."""
-    scale = np.where(np.asarray(pref) != 0, np.abs(pref) * model.lambda_p, 1.0)
-    return _converged_simpson(pref, lambda l: np.cos(model.k * l) ** power,
-                              upper, n_points, scale)
+    """pref times the converged quadrature of cos(k l)^power over [0, upper],
+    on the scale lambda_p.  The shape integral depends only on the unit
+    system, so one quadrature serves every zeta of a stack."""
+    return pref * _converged_simpson(lambda l: np.cos(model.k * l) ** power,
+                                     upper, n_points, model.lambda_p)
 
 
 def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
@@ -403,7 +383,7 @@ def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
                                  n_points=n_points)
             chain = consistency_chain(model)
             break
-        except (ValueError, QuadratureNotConverged) as exc:
+        except ValueError as exc:
             if not getattr(exc, "row", 0):
                 raise
             # an earlier row may fail at a later stage: retry the rows before

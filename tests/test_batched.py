@@ -808,9 +808,10 @@ def test_torus_stack_raises_the_first_failing_zeta(mode, zetas):
 
 
 @pytest.mark.parametrize("n", [64, 256])
-def test_torus_stack_rows_converge_at_their_own_doublings(n, monkeypatch):
-    # with no tolerance a row is accepted only when a doubling repeats its
-    # value exactly, which these rows reach after 1 to 5 doublings
+def test_torus_stack_rows_share_one_doubling(n, monkeypatch):
+    # with no tolerance the quadrature is accepted only when a doubling
+    # repeats the zeta-free shape integral exactly; every row of the stack is
+    # that one integral times its own prefactor
     monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
     units = torus.UnitSystem.natural()
     zetas = [0.05, 0.1, 0.3, 0.37, 0.5, 0.7, 1.0]
@@ -822,18 +823,25 @@ def test_torus_stack_rows_converge_at_their_own_doublings(n, monkeypatch):
             assert abs(got[key][i] - want) <= TOL * abs(want), (key, z)
 
 
-@pytest.mark.parametrize("zetas", [[0.3, 0.5, 0.7, 2.0], [0.05, 0.7, 1e-160],
+@pytest.mark.parametrize("zetas", [[0.3, 0.5, 0.7], [0.05, 1.0, 1e-160],
                                    [0.7]])
 def test_torus_stack_raises_the_first_unconverged_zeta(zetas, monkeypatch):
-    # with no tolerance, the cgs quadrature at zeta 0.7 and 128 points never
-    # repeats its value
+    # with no tolerance and one doubling, the natural cos^2 shape quadrature
+    # from 64 points still moves, whatever the zeta
     monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
-    units = torus.UnitSystem.gaussian_cgs()
-    want = loop_error(units, zetas, 128)
-    assert want[0] is torus.QuadratureNotConverged
-    with pytest.raises(torus.QuadratureNotConverged) as info:
-        torus.evaluate(units, zetas, 128)
-    assert str(info.value) == want[1]
+    monkeypatch.setattr(torus, "MAX_DOUBLINGS", 1)
+    units = torus.UnitSystem.natural()
+    message = "result still moving by 5.551e-17 at 128 points"
+    for stack in [zetas, *zetas]:
+        with pytest.raises(torus.QuadratureNotConverged) as info:
+            torus.evaluate(units, stack, 64)
+        assert type(info.value) is torus.QuadratureNotConverged
+        assert str(info.value) == message
+    # the first failing zeta decides, whichever stage the later ones fail at
+    with pytest.raises(torus.QuadratureNotConverged, match=message):
+        torus.evaluate(units, [0.3, 2.0], 64)
+    with pytest.raises(torus.DomainError, match="got 2.0$"):
+        torus.evaluate(units, [2.0, 0.3], 64)
 
 
 @pytest.mark.parametrize("argv", [

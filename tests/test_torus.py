@@ -84,7 +84,7 @@ def test_quadrature_convergence_guard():
         return np.sin(k * 1000.0)
 
     with pytest.raises(torus.QuadratureNotConverged):
-        torus._converged_simpson(1.0, noisy, 1.0, 64, 1.0)
+        torus._converged_simpson(noisy, 1.0, 64, 1.0)
     with pytest.raises(ValueError):
         torus.integrate_charge(model(e0=1.0), "full_wave", 32)
 
@@ -205,6 +205,21 @@ def test_discrepancy_ledger_entries():
     assert "ring-mass/amplitude-exponent" in by_claim
     with pytest.raises(ValueError):
         torus.discrepancy_ledger(model(), 256)
+    # each quadrature ratio is the defect's size on every calibrated ring
+    pinned = {"ring-charge/half-wave": 0.5,
+              "ring-charge/stated-prefactor-quadrature": 2.0,
+              "ring-mass/density-route": 0.5}
+    for units in (NAT, torus.UnitSystem.gaussian_cgs()):
+        for zeta in torus.zeta_grid(0.01, 1.0, 23):
+            for n in (64, 256, 1024):
+                m = torus.calibrate_e0(torus.derive_parameters(units, zeta), n)
+                by_claim = {e.claim: e for e in torus.discrepancy_ledger(m, n)}
+                for claim, want in pinned.items():
+                    entry = by_claim[claim]
+                    assert entry.ratio == entry.computed / entry.stated
+                    assert abs(entry.ratio / want - 1) <= 1e-10, (
+                        claim, units.mode, zeta, n)
+                assert by_claim["ring-mass/amplitude-exponent"].ratio == m.e0
 
 
 @pytest.mark.parametrize("mode", ["natural", "gaussian_cgs"])
@@ -251,22 +266,6 @@ def test_zeta_grid():
             torus.zeta_grid(*bad)
 
 
-def test_each_row_is_accepted_at_its_own_doubling():
-    # with scale 1 the tolerance is absolute, so the small rows converge at
-    # coarser grids than the large ones
-    def g(x):
-        return np.exp(3 * x)
-
-    pref = np.array([1e-6, 1.0, 1e3, 0.0])
-    got = torus._converged_simpson(pref, g, 1.0, 64, np.ones(4))
-    singles = [torus._converged_simpson(p, g, 1.0, 64, 1.0) for p in pref]
-    assert got.tolist() == singles
-    h = 1.0 / 128
-    gx = g(h * np.arange(129))
-    assert singles[0] == torus.simpson(pref[0] * gx, h)  # the first doubling
-    assert singles[2] != torus.simpson(pref[2] * gx, h)  # a later one
-
-
 def test_stacked_quadrature_memory_does_not_grow_with_the_rows():
     zetas = np.linspace(0.05, 1.0, 4096)
     tracemalloc.start()
@@ -278,6 +277,20 @@ def test_stacked_quadrature_memory_does_not_grow_with_the_rows():
     assert np.all(np.abs(ev.chain.mass_identity_ratio - 1) <= 1e-12)
     # one (4096, 2049) block of integrand values alone is 67 MB
     assert peak <= 8 * 2 ** 20, peak
+
+
+def test_quadrature_calls_do_not_grow_with_the_rows(monkeypatch):
+    simpson, calls = torus.simpson, [0]
+
+    def counted(y, h):
+        calls[0] += 1
+        return simpson(y, h)
+
+    monkeypatch.setattr(torus, "simpson", counted)
+    torus.evaluate(NAT, 0.3, 1024)
+    single, calls[0] = calls[0], 0
+    torus.evaluate(NAT, np.linspace(0.05, 1.0, 4096), 1024)
+    assert calls[0] == single, (single, calls[0])
 
 
 def test_coupling_constant_takes_a_stack():
