@@ -7,9 +7,11 @@ Usage (from the repository root):
 Prints one JSON object.  ``meta`` holds the python and numpy versions, the
 CPU count, the repeat count, the git commit of the checkout (null outside
 git) and ``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
-``suite_ms`` hold the median, in milliseconds, of N timed calls of each
-kernel and of each verification suite (samples 1000, seed 0), run in this
-process after one untimed call.  ``e2e_ms`` holds the median wall time of N
+``suite_ms`` hold, in milliseconds, the time of one call of each kernel
+and of each verification suite (samples 1000, seed 0), run in this process
+after one untimed call: the median over N batches of the mean call time of
+each batch.  A batch repeats the call until it lasts at least 10 ms, so a
+call of tens of microseconds is timed over hundreds of calls.  ``e2e_ms`` holds the median wall time of N
 runs of each of five fresh interpreters, alternated and importing
 ``semiphoton`` from this checkout:
 ``python -m semiphoton verify --suite all --samples 1000 --seed 7``
@@ -44,14 +46,29 @@ from semiphoton.report import RunConfig, report_json  # noqa: E402
 from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
 
-def median_ms(fn, repeat):
-    fn()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
+BATCH_S = 0.01  # shortest timed batch of calls, seconds
+
+
+def batch_s(fn, calls):
+    """Wall time of calls back-to-back calls of fn."""
+    start = time.perf_counter()
+    for _ in range(calls):
         fn()
-        times.append(time.perf_counter() - start)
-    return round(statistics.median(times) * 1e3, 4)
+    return time.perf_counter() - start
+
+
+def median_ms(fn, repeat):
+    """Median over repeat batches of the mean time of one call, in ms.
+
+    After one untimed call the batch size doubles until one batch lasts at
+    least BATCH_S; every timed batch has that size.
+    """
+    fn()
+    calls = 1
+    while batch_s(fn, calls) < BATCH_S:
+        calls *= 2
+    means = [batch_s(fn, calls) / calls for _ in range(repeat)]
+    return round(statistics.median(means) * 1e3, 4)
 
 
 # The end-to-end commands: python's arguments of each fresh interpreter.

@@ -151,14 +151,48 @@ def bispinor_from_fields(f: EmField, layout: FieldLayout):
     return _case_spinors(_stacked(f)[None], [layout])[0]
 
 
+def case_spinors(f: EmField, layouts):
+    """Spinors (C, ..., 4) of the fields f (C, ..., 3), case i held in the
+    slots of layouts[i]; bispinor_from_fields is the view of one case."""
+    return _case_spinors(_stacked(f), layouts)
+
+
+def _placed(vals, index):
+    """[E, H] stacks (C, ..., 6) holding vals[i, ..., s] in component
+    index[i, s] and zero in the others."""
+    v = np.zeros(vals.shape[:-1] + (6,), dtype=vals.dtype)
+    v[np.arange(len(v))[:, None], ..., index] = np.moveaxis(vals, -1, 1)
+    return v
+
+
+def slot_fields(vals, layouts):
+    """Fields (C, ..., 3) with vals[i, ..., s] in the component of slot s of
+    layouts[i] and zero in the components without a slot."""
+    v = _placed(vals, _slot_table(layouts)[0])
+    return EmField(v[..., :3], v[..., 3:])
+
+
+def _case_fields(psi, layouts):
+    """[E, H] stacks (C, ..., 6) held by the spinors psi (C, ..., 4): each
+    slot of layouts[i] divided by its factor; the inverse of _case_spinors."""
+    index, factors, _ = _slot_table(layouts)
+    return _placed(
+        psi / factors.reshape(factors.shape[:1] + (1,) * (psi.ndim - 2) + (4,)),
+        index)
+
+
+def case_fields(psi, layouts):
+    """Fields (C, ..., 3) held by the spinors psi (C, ..., 4), case i read
+    from the slots of layouts[i]: the inverse of case_spinors."""
+    v = _case_fields(psi, layouts)
+    return EmField(v[..., :3], v[..., 3:])
+
+
 def fields_from_bispinor(psi, layout: FieldLayout):
-    psi = as_bispinor(psi)
-    e = np.zeros(psi.shape[:-1] + (3,), dtype=complex)
-    h = np.zeros_like(e)
-    comps = {"e": e, "h": h}
-    for i, (kind, ax, factor) in enumerate(layout.slots):
-        comps[kind][..., AXIS_INDEX[ax]] = psi[..., i] / factor
-    return EmField(e, h)
+    """The field(s) held by the spinor(s) psi (..., 4): the view of one case
+    of case_fields."""
+    v = _case_fields(as_bispinor(psi)[None], [layout])[0]
+    return EmField(v[..., :3], v[..., 3:])
 
 
 def bilinears(psi, aset):

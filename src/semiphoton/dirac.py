@@ -10,7 +10,9 @@ representation.
 The algebra kernels multiply stacks of matrices with ``einsum``, never a
 complex matrix-matrix ``@``.  The group closure forms each round's products
 as one stack and classifies them against the known classes CLASS_CHUNK
-products at a time, so its temporaries stay small.
+products at a time, so its temporaries stay small.  Each class is first
+tested on one key entry, its largest in modulus, and only the (product,
+phase, class) triples that pass it are compared on all 16 entries.
 """
 from __future__ import annotations
 
@@ -131,24 +133,42 @@ def a5_anticommutation_deviation(aset):
 
 
 def hermiticity_deviations(aset):
-    return {name: hermiticity_deviation(m) for name, m in aset.named().items()}
+    """{name: max entry of m - m^+} over the six matrices, one stack."""
+    names = aset.named()
+    return dict(zip(names, hermiticity_deviation(
+        np.stack(list(names.values()))).tolist()))
 
 
 def _phase_matches(ms, classes):
     """Boolean (len(ms), len(classes)): ms[i] is phase * classes[j] for a phase.
 
     Equal means every entry within PHASE_CLASS_TOL, at any of the four PHASES.
-    The rows of ms are compared CLASS_CHUNK at a time, so the temporaries stay
-    at CLASS_CHUNK x 4 x len(classes) matrices whatever the number of rows.
+    A row can equal phase * classes[j] only if it does on the key entry of
+    classes[j], its largest in modulus; so each (row, phase, class) triple is
+    tested on that one entry first, and on all 16 only if it passes, with the
+    same products and comparison.  The rows of ms are taken CLASS_CHUNK at a
+    time and the survivors of a chunk CLASS_CHUNK x len(classes) at a time, so
+    the temporaries stay under CLASS_CHUNK x 4 x len(classes) matrices
+    whatever the number of rows.
     """
     phases = np.asarray(PHASES)[:, None, None, None]
     phased = (phases * classes).reshape(4, -1, 16)
+    k = phased.shape[1]
+    key = np.abs(np.reshape(classes, (k, 16))).argmax(axis=1)
+    keyed = phased[:, np.arange(k), key]  # (4, k)
     flat = np.reshape(ms, (-1, 16))
-    out = np.empty((len(flat), phased.shape[1]), dtype=bool)
+    out = np.zeros((len(flat), k), dtype=bool)
+    batch = CLASS_CHUNK * max(k, 1)
     for start in range(0, len(flat), CLASS_CHUNK):
-        close = np.abs(flat[start:start + CLASS_CHUNK, None, None] - phased)
-        out[start:start + CLASS_CHUNK] = (
-            (close <= PHASE_CLASS_TOL).all(axis=-1).any(axis=1))
+        rows = flat[start:start + CLASS_CHUNK]
+        near = np.abs(rows[:, key][:, None] - keyed) <= PHASE_CLASS_TOL
+        row, phase, cls = np.nonzero(near)
+        for s in range(0, len(row), batch):
+            i, p, j = row[s:s + batch], phase[s:s + batch], cls[s:s + batch]
+            gap = rows[i]
+            gap -= phased[p, j]
+            hit = (np.abs(gap) <= PHASE_CLASS_TOL).all(axis=1)
+            out[start + i[hit], j[hit]] = True
     return out
 
 

@@ -67,9 +67,10 @@ def lorentz_force_ring(model: TorusModel, e_amplitude, polarization,
 
     ``Ex_Hz`` is the rotation about OZ (positive sign), ``Ez_Hx`` the rotation
     about OX (negative sign).  The magnetic amplitude defaults to the electric
-    one, as for the free transverse wave.
+    one, as for the free transverse wave.  Amplitude arrays give one force
+    per amplitude pair.
     """
-    if e_amplitude < 0:
+    if np.any(np.less(e_amplitude, 0)):
         raise ValueError("e_amplitude must be non-negative")
     h = e_amplitude if h_amplitude is None else h_amplitude
     sign = {"Ex_Hz": +1.0, "Ez_Hx": -1.0}[polarization]
@@ -271,10 +272,6 @@ def _curl_fd(vfield, point, h):
                      dx[..., 1] - dy[..., 0]], axis=-1)
 
 
-def _grad_fd(sfield, point, h):
-    return np.array([_partial(sfield, point, axis, h) for axis in range(3)])
-
-
 @dataclass(frozen=True)
 class CentripetalReport:
     curl: np.ndarray
@@ -307,16 +304,14 @@ def centripetal_check(omega, r) -> CentripetalReport:
 
 
 def matter_motion_residual(g_field, u_field, v_field, points):
-    """Residual of (dg/dt + grad U) - v x curl g at the given points.
+    """Residual of (dg/dt + grad U) - v x curl g at a stack of points (n, 3).
 
-    ``g_field``/``v_field`` map a 3-point to 3-vectors, ``u_field`` to a
-    scalar; the configuration is static (dg/dt = 0).  Returns the per-point
-    residual vectors; the caller gates them.
+    ``g_field``/``v_field`` map a stack of points to 3-vectors (n, 3),
+    ``u_field`` to scalars (n,); the configuration is static (dg/dt = 0).
+    Returns the residual vectors (n, 3); the caller gates them.
     """
-    out = np.zeros((len(points), 3))
-    for i, p in enumerate(points):
-        p = np.asarray(p, dtype=float)
-        grad_u = _grad_fd(u_field, p, FD_STEP)
-        curl_g = _curl_fd(g_field, p, FD_STEP)
-        out[i] = grad_u - np.cross(np.asarray(v_field(p), dtype=float), curl_g)
-    return out
+    points = np.asarray(points, dtype=float)
+    grad_u = np.stack([_partial(u_field, points, axis, FD_STEP)
+                       for axis in range(3)], axis=-1)
+    curl_g = _curl_fd(g_field, points, FD_STEP)
+    return grad_u - np.cross(v_field(points), curl_g)

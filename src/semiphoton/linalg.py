@@ -101,5 +101,6 @@ def is_unitary(a, tol=ABS_TOL):
 
 
 def hermiticity_deviation(a):
-    a = as_matrix(a)
-    return max_abs_diff(a, a.conj().T)
+    """Max entry of a - a^+; one per matrix, shape (n,), for a stack (n, 4, 4)."""
+    a = as_matrices(a)
+    return np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1))

@@ -170,20 +170,27 @@ class FieldInterpretation:
 
 
 def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
-    """Map amplitudes to field components and report the sparsity pattern."""
+    """Map amplitudes to field components and report the sparsity pattern.
+
+    A stack of n states gives n sparsity tuples and (n,) amplitudes.
+    """
     axis = AXIS_INDEX[layout.axis]
-    p = state.momentum
-    off_axis = [abs(p[i]) for i in range(3) if i != axis]
-    if max(off_axis, default=0.0) > ZERO_TOL * max(1.0, abs(p[axis])):
-        raise AxisMismatch(
-            f"momentum {p} is not along the layout axis {layout.axis!r}")
-    scale = entry_norm(state.amplitudes)
-    sparsity = tuple(bool(abs(b) > ZERO_TOL * max(scale, 1.0))
-                     for b in state.amplitudes)
+    p = np.abs(state.momentum)
+    off_axis = np.delete(p, axis, axis=-1).max(axis=-1)
+    if np.any(off_axis > ZERO_TOL * np.maximum(1.0, p[..., axis])):
+        raise AxisMismatch(f"momentum {state.momentum} is not along the "
+                           f"layout axis {layout.axis!r}")
+    mag = np.abs(state.amplitudes)
+    scale = np.maximum(mag.max(axis=-1, keepdims=True), 1.0)
+    nonzero = (mag > ZERO_TOL * scale).tolist()
     f = fields_from_bispinor(state.amplitudes, layout)
-    return FieldInterpretation(field=f, sparsity=sparsity,
-                               e_amplitude=float(np.abs(f.e).max()),
-                               h_amplitude=float(np.abs(f.h).max()))
+    e_amp, h_amp = np.abs(f.e).max(axis=-1), np.abs(f.h).max(axis=-1)
+    if mag.ndim == 1:
+        return FieldInterpretation(field=f, sparsity=tuple(nonzero),
+                                   e_amplitude=float(e_amp),
+                                   h_amplitude=float(h_amp))
+    return FieldInterpretation(field=f, sparsity=tuple(map(tuple, nonzero)),
+                               e_amplitude=e_amp, h_amplitude=h_amp)
 
 
 def special_amplitude_values(mass=1.0, c=1.0):

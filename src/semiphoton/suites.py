@@ -5,6 +5,12 @@ CheckReports plus discrepancy-ledger entries.  Randomized identities draw an
 independent stream per suite, so suite order never affects values.  Each
 sampled identity draws all its samples in one call and checks them as one
 stack; the draws equal those of one sample at a time, in the same order.
+
+A loop whose trip count and array sizes do not depend on ``--samples`` (the
+12 round-trip layouts, the 12 expansion cases, the centripetal pairs, ...)
+is one stacked call.  A loop over sample-sized stacks (the six dictionary
+triads, the two planewave branches) stays one item at a time, so memory
+grows with n, not with n times the trip count.
 """
 from __future__ import annotations
 
@@ -32,13 +38,11 @@ def _random_unitaries(rng, n):
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _random_layout_field(rng, layout, n):
-    """n random real fields, shape (n, 3), with support only on the layout's slots."""
-    vals = rng.uniform(-2.0, 2.0, size=(n, 4))
-    e, h = np.zeros((n, 3)), np.zeros((n, 3))
-    for j, (kind, ax, _) in enumerate(layout.slots):
-        (e if kind == "e" else h)[:, bridge.AXIS_INDEX[ax]] = vals[:, j]
-    return EmField(e, h)
+def _random_layout_field(rng, layouts, n):
+    """n random real fields per layout, shape (C, n, 3), each with support
+    only on its layout's slots; the draws equal those of one layout at a time."""
+    return bridge.slot_fields(rng.uniform(-2.0, 2.0, size=(len(layouts), n, 4)),
+                              layouts)
 
 
 def _random_spinors(rng, n):
@@ -133,7 +137,7 @@ def suite_algebra(cfg: RunConfig):
     # component mixing: psi' = S^+ psi reproduces the stated combinations
     # except for the sign of the fourth component
     layout = bridge.electron_layout()
-    f = _random_layout_field(rng, layout, 1)
+    f = _random_layout_field(rng, [layout], 1)[0]
     psi = bridge.bispinor_from_fields(f, layout)[0]
     psi_p = mat_vec(adjoint(s), psi)
     ex, ez = f.e[0, 0], f.e[0, 2]
@@ -166,7 +170,7 @@ def suite_bilinear(cfg: RunConfig):
 
     for t in dirac.axis_triads():
         layout = bridge.layout_for_triad(t)
-        f = _random_layout_field(rng, layout, cfg.samples)
+        f = _random_layout_field(rng, [layout], cfg.samples)[0]
         b = bridge.bilinears(bridge.bispinor_from_fields(f, layout), canon)
         e2, h2 = bridge.e_squared(f), bridge.h_squared(f)
         exh = np.cross(f.e.real, f.h.real)
@@ -187,17 +191,14 @@ def suite_bilinear(cfg: RunConfig):
             tol_abs=cfg.tol_rel, tol_rel=cfg.tol_rel,
             notes=f"{cfg.samples} samples; working axis sign {t.sign:+d}"))
 
-    errors = []
-    for t in dirac.axis_triads():
-        for conj in (False, True):
-            layout = bridge.layout_for_triad(t, charge_conjugated=conj)
-            f = _random_layout_field(rng, layout, 16)
-            back = bridge.fields_from_bispinor(
-                bridge.bispinor_from_fields(f, layout), layout)
-            errors += [np.abs(back.e - f.e), np.abs(back.h - f.h)]
+    layouts = [bridge.layout_for_triad(t, charge_conjugated=conj)
+               for t in dirac.axis_triads() for conj in (False, True)]
+    f = _random_layout_field(rng, layouts, 16)
+    back = bridge.case_fields(bridge.case_spinors(f, layouts), layouts)
     checks.append(CheckReport.build(
         "bilinear/round-trip", "fields -> spinor -> fields is the identity",
-        0.0, _worst(*errors), tol_abs=0.0, tol_rel=0.0))
+        0.0, _worst(np.abs(back.e - f.e), np.abs(back.h - f.h)),
+        tol_abs=0.0, tol_rel=0.0))
 
     pos = bridge.bispinor_from_fields(
         EmField([1, 0, 0], [0, 0, 1]), bridge.positron_layout())
@@ -242,7 +243,7 @@ def suite_fierz(cfg: RunConfig):
         tol_rel=cfg.tol_rel, notes=f"{cfg.samples} samples"))
 
     layout = bridge.electron_layout()
-    f = _random_layout_field(rng, layout, cfg.samples)
+    f = _random_layout_field(rng, [layout], cfg.samples)[0]
     psi = bridge.bispinor_from_fields(f, layout)
     em_lhs, em_rhs = bridge.fierz_em(f)
     q_lhs, q_rhs = bridge.fierz_quantum(psi, canon)
@@ -428,8 +429,13 @@ def suite_planewave(cfg: RunConfig):
         "planewave/sparsity-negative-2": (n2, (False, True, True, False)),
     }
     layout = bridge.electron_layout()
-    for cid, (state, want) in pattern.items():
-        got = planewave.field_interpretation(state, layout).sparsity
+    states = [state for state, _ in pattern.values()]
+    stack = planewave.PlaneWaveState(
+        np.array([state.energy for state in states]),
+        np.tile(p, (len(states), 1)),
+        np.stack([state.amplitudes for state in states]))
+    sparsity = planewave.field_interpretation(stack, layout).sparsity
+    for (cid, (_, want)), got in zip(pattern.items(), sparsity):
         checks.append(CheckReport.build(
             cid, "amplitude sparsity pattern", 0, int(got != want),
             tol_abs=0.0, tol_rel=0.0, notes=f"pattern {got}"))
@@ -485,11 +491,12 @@ def suite_planewave(cfg: RunConfig):
         fields, triads, mass, forms, t_grid=np.linspace(0, 2.0, 4),
         u_grid=np.linspace(-1.0, 1.0, 5), d_dt=d_dt, d_du=d_du, c=c)
     scale = max(omega, 1.0)
+    worst = np.maximum(rep.cross_deviation, rep.max_scalar)  # NaN propagates
     for i, (t, form) in enumerate(cases):
         checks.append(CheckReport.build(
             f"planewave/expansion-{t.name}-{form}",
             "scalar rows equal the matrix residual and vanish on shell",
-            0.0, _worst(rep.cross_deviation[i], rep.max_scalar[i]),
+            0.0, float(worst[i]),
             tol_abs=1e-12 * scale, notes=f"omega={omega:.6f}, k={k}"))
 
     y_neg = [dirac.triad("y", "negative")]
@@ -548,11 +555,11 @@ def suite_dynamics(cfg: RunConfig):
         "dynamics/ring-force", "f0 = omega E^2 / 4 pi c at unit amplitude",
         1 / (2 * math.pi), force.f0, tol_abs=0.0, tol_rel=1e-15))
     errors = []
+    e_amp, h_amp = np.array([(1.0, 1.0), (0.5, 2.0), (2.2, 0.0)]).T
     for pol in ("Ex_Hz", "Ez_Hx"):
-        for e_amp, h_amp in ((1.0, 1.0), (0.5, 2.0), (2.2, 0.0)):
-            a = dynamics.lorentz_force_ring(model, e_amp, pol, h_amp)
-            b = dynamics.lorentz_force_via_current(model, e_amp, pol, h_amp)
-            errors += [abs(a.f2 - b.f2), abs(a.f0 - b.f0)]
+        a = dynamics.lorentz_force_ring(model, e_amp, pol, h_amp)
+        b = dynamics.lorentz_force_via_current(model, e_amp, pol, h_amp)
+        errors += [np.abs(a.f2 - b.f2), np.abs(a.f0 - b.f0)]
     checks.append(CheckReport.build(
         "dynamics/ring-force-current-route",
         "force components equal (1/c) j_tau H and (1/c) j_tau E", 0.0,
@@ -651,7 +658,7 @@ def suite_dynamics(cfg: RunConfig):
     # the routes cancel terms of size pref (E^2+H^2)^2, as in the fierz suite;
     # the floor is on the field factor, so a tiny prefactor keeps the test
     # relative
-    f = _random_layout_field(rng, layout, min(cfg.samples, 200))
+    f = _random_layout_field(rng, [layout], min(cfg.samples, 200))[0]
     static = EmField(np.zeros_like(f.e), np.zeros_like(f.h))
     point = dynamics.WavePoint(f=f, df_dt=static, df_du=static)
     nl = dynamics.lagrangian_nonlinear(point, model)
@@ -688,33 +695,36 @@ def suite_dynamics(cfg: RunConfig):
         dynamics.self_action_constant(doubled, alpha_q), tol_abs=0.0,
         tol_rel=1e-15))
 
-    rep = dynamics.centripetal_check(2.0, 0.5)
+    # the spot pair (2.0, 0.5) first, then 16 random ones
+    omega, r = np.concatenate(
+        [[[2.0, 0.5]], rng.uniform([0.1, 0.1], [5.0, 3.0], size=(16, 2))]).T
+    rep = dynamics.centripetal_check(omega, r)
+    curl, accel = rep.curl, rep.acceleration_magnitude
     checks.append(CheckReport.build(
         "dynamics/centripetal-curl", "curl v = 2 omega", 4.0,
-        float(rep.curl[2]), tol_abs=1e-8,
-        notes=f"off-axis components {np.abs(rep.curl[:2]).max():.2e}"))
+        float(curl[0, 2]), tol_abs=1e-8,
+        notes=f"off-axis components {np.abs(curl[0, :2]).max():.2e}"))
     checks.append(CheckReport.build(
         "dynamics/centripetal-acceleration", "|v x curl v| / 2 = v^2 / r",
-        2.0, rep.acceleration_magnitude, tol_abs=1e-8))
-    omega, r = rng.uniform([0.1, 0.1], [5.0, 3.0], size=(16, 2)).T
-    rr = dynamics.centripetal_check(omega, r)
+        2.0, float(accel[0]), tol_abs=1e-8))
     checks.append(CheckReport.build(
         "dynamics/centripetal-identity", "a r / v^2 = 1", 0.0,
-        _worst(np.abs(rr.acceleration_magnitude * r / (omega * r) ** 2 - 1.0)),
+        _worst(np.abs(accel[1:] * r[1:] / (omega[1:] * r[1:]) ** 2 - 1.0)),
         tol_abs=1e-6))
 
     rho, omega = 1.3, 0.9
 
+    def v_field(p):
+        return np.stack([-omega * p[..., 1], omega * p[..., 0],
+                         np.zeros(p.shape[:-1])], axis=-1)
+
     def g_field(p):
-        return rho * np.array([-omega * p[1], omega * p[0], 0.0])
+        return rho * v_field(p)
 
     def u_field(p):
-        return rho * omega ** 2 * (p[0] ** 2 + p[1] ** 2)
+        return rho * omega ** 2 * (p[..., 0] ** 2 + p[..., 1] ** 2)
 
-    def v_field(p):
-        return np.array([-omega * p[1], omega * p[0], 0.0])
-
-    pts = [(0.5, 0.0, 0.0), (0.2, 0.4, 0.1), (-0.3, 0.2, -0.2)]
+    pts = np.array([(0.5, 0.0, 0.0), (0.2, 0.4, 0.1), (-0.3, 0.2, -0.2)])
     res = dynamics.matter_motion_residual(g_field, u_field, v_field, pts)
     checks.append(CheckReport.build(
         "dynamics/matter-motion-balanced",

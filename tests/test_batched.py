@@ -11,13 +11,14 @@ gives the row of the stack, bit for bit except where it squares numpy scalars.
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semiphoton import bridge, dirac, dynamics, planewave, torus
+from semiphoton import bridge, dirac, dynamics, planewave, suites, torus
 from semiphoton.bridge import EmField
 
 CANON = dirac.canonical_alpha_set()
@@ -595,6 +596,87 @@ def test_phase_class_index_is_the_first_match():
         False, True, False, False, True, False]
 
 
+def all_entry_matches(ms, classes):
+    """The classifier without its key test: every row against every class
+    at all four phases, on all 16 entries at once."""
+    phased = (np.asarray(dirac.PHASES)[:, None, None, None]
+              * classes).reshape(4, -1, 16)
+    close = np.abs(np.reshape(ms, (-1, 16))[:, None, None] - phased)
+    return (close <= dirac.PHASE_CLASS_TOL).all(axis=-1).any(axis=1)
+
+
+def phased_rows(classes):
+    """Each class at each of the four phases, (4 k, 16)."""
+    return np.stack([ph * c for c in classes
+                     for ph in dirac.PHASES]).reshape(-1, 16)
+
+
+def classifier_cases():
+    """(rows, classes) pairs that the key test must not change."""
+    rng = np.random.default_rng(23)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    reps = np.stack(dirac.generate_group(CANON))  # unit entries tie in argmax
+    randoms = cplx(9, 4, 4)
+    cases = [(cplx(40, 4, 4), cplx(7, 4, 4)),
+             (phased_rows(randoms) + 1e-10 * cplx(36, 16), randoms),
+             (_pair_products(reps), reps)]
+    tol = dirac.PHASE_CLASS_TOL
+    for classes in (reps, randoms):
+        key = np.repeat(np.abs(classes.reshape(-1, 16)).argmax(axis=1), 4)
+        for scale in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 0.5j, -2j):
+            for shift in (0, 5):  # on the key entry, then off it
+                rows = phased_rows(classes)
+                rows[np.arange(len(rows)), (key + shift) % 16] += scale * tol
+                cases.append((rows, classes))
+    zero = np.zeros((1, 4, 4), dtype=complex)
+    cases.append((np.concatenate([phased_rows(reps[:4]).reshape(-1, 4, 4),
+                                  zero, zero + 0.5 * tol, zero + 2 * tol]),
+                  np.concatenate([reps[:4], zero, reps[:4], zero])))
+    with_nan = phased_rows(reps)
+    with_nan[::3, 7] = np.nan
+    with_nan[1::3, 0] = np.nan + 0j
+    nan_classes = reps.copy()
+    nan_classes[2, 1, 1] = np.nan
+    cases += [(with_nan, reps), (phased_rows(reps), nan_classes)]
+    many = np.concatenate([phased_rows(reps)] * 2)  # 128 rows
+    many[::7] += 3 * tol
+    cases.append((many, reps))
+    return cases
+
+
+def _pair_products(mats):
+    return np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 4, 4)
+
+
+def test_keyed_classifier_matches_all_entry_comparison():
+    cases = classifier_cases()
+    assert max(len(np.reshape(rows, (-1, 16))) for rows, _ in cases) \
+        > dirac.CLASS_CHUNK
+    found = []
+    for rows, classes in cases:
+        got = dirac._phase_matches(rows, classes)
+        want = all_entry_matches(rows, classes)
+        assert got.dtype == bool and np.array_equal(got, want)
+        found.append(want.any())
+    assert any(found) and not all(found)
+
+
+def test_keyed_classifier_memory_stays_bounded():
+    """All-zero rows and classes: every triple passes the key test."""
+    zeros = np.zeros((272, 4, 4), dtype=complex)
+    tracemalloc.start()
+    try:
+        got = dirac._phase_matches(zeros, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.all()
+    assert peak <= 8e6, peak
+
+
 def loop_anticommutation(gens):
     dev = 0.0
     for i, a in enumerate(gens):
@@ -876,3 +958,133 @@ def test_centripetal_stack_matches_single_pairs():
         assert type(one.acceleration_magnitude) is float
     with pytest.raises(ValueError):
         dynamics.centripetal_check(omega, np.where(r > 1, 0.0, r))
+
+
+def test_centripetal_spot_pair_is_row_zero_of_the_stack():
+    pairs = np.random.default_rng(4).uniform([0.1, 0.1], [5.0, 3.0], (16, 2))
+    omega, r = np.concatenate([[[2.0, 0.5]], pairs]).T
+    rep = dynamics.centripetal_check(omega, r)
+    one = dynamics.centripetal_check(2.0, 0.5)
+    assert np.array_equal(one.curl, rep.curl[0])
+    assert one.acceleration_magnitude == rep.acceleration_magnitude[0]
+
+
+ROUND_TRIP_LAYOUTS = [bridge.layout_for_triad(t, charge_conjugated=conj)
+                      for t in dirac.axis_triads() for conj in (False, True)]
+
+
+def loop_layout_field(rng, layout, n):
+    """One layout's draw, placed one slot at a time."""
+    vals = rng.uniform(-2.0, 2.0, size=(n, 4))
+    e, h = np.zeros((n, 3)), np.zeros((n, 3))
+    for j, (kind, ax, _) in enumerate(layout.slots):
+        (e if kind == "e" else h)[:, bridge.AXIS_INDEX[ax]] = vals[:, j]
+    return e, h
+
+
+def loop_fields_from_bispinor(psi, layout):
+    """One layout's inverse map, one slot at a time."""
+    e = np.zeros(psi.shape[:-1] + (3,), dtype=complex)
+    h = np.zeros_like(e)
+    for j, (kind, ax, factor) in enumerate(layout.slots):
+        (e if kind == "e" else h)[..., bridge.AXIS_INDEX[ax]] = psi[..., j] / factor
+    return e, h
+
+
+def test_stacked_layout_draws_match_one_layout_at_a_time():
+    f = suites._random_layout_field(np.random.default_rng(3),
+                                    ROUND_TRIP_LAYOUTS, 16)
+    assert f.e.shape == (12, 16, 3)
+    rng = np.random.default_rng(3)
+    for i, layout in enumerate(ROUND_TRIP_LAYOUTS):
+        e, h = loop_layout_field(rng, layout, 16)
+        assert np.array_equal(f.e[i], e) and np.array_equal(f.h[i], h)
+
+
+def test_case_maps_match_one_layout_at_a_time():
+    x = np.random.default_rng(5).normal(size=(2, 12, 16, 4))
+    psi = x[0] + 1j * x[1]
+    back = bridge.case_fields(psi, ROUND_TRIP_LAYOUTS)
+    spinors = bridge.case_spinors(back, ROUND_TRIP_LAYOUTS)
+    for i, layout in enumerate(ROUND_TRIP_LAYOUTS):
+        e, h = loop_fields_from_bispinor(psi[i], layout)
+        assert np.array_equal(back.e[i], e) and np.array_equal(back.h[i], h)
+        one = bridge.fields_from_bispinor(psi[i], layout)
+        assert np.array_equal(one.e, e) and np.array_equal(one.h, h)
+        assert np.array_equal(spinors[i],
+                              bridge.bispinor_from_fields(back[i], layout))
+
+
+def loop_matter_motion(g_field, u_field, v_field, p, h=dynamics.FD_STEP):
+    """The residual at one point, one central difference at a time."""
+    def partial(field, axis):
+        dp = np.zeros(3)
+        dp[axis] = h
+        return (np.asarray(field(p + dp)) - np.asarray(field(p - dp))) / (2 * h)
+
+    dx, dy, dz = (partial(g_field, axis) for axis in range(3))
+    curl = np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
+    grad = np.array([partial(u_field, axis) for axis in range(3)])
+    return grad - np.cross(v_field(p), curl)
+
+
+def test_matter_motion_stack_matches_single_points():
+    def g_field(p):
+        return np.stack([p[..., 1] * p[..., 2], -p[..., 0] ** 2,
+                         np.sin(p[..., 1])], axis=-1)
+
+    def u_field(p):
+        return p[..., 0] * p[..., 1] ** 2 + np.cos(p[..., 2])
+
+    def v_field(p):
+        return np.stack([p[..., 2], 1.5 * p[..., 0], -p[..., 1]], axis=-1)
+
+    pts = np.random.default_rng(8).uniform(-1, 1, size=(9, 3))
+    res = dynamics.matter_motion_residual(g_field, u_field, v_field, pts)
+    assert res.shape == (9, 3)
+    for i, p in enumerate(pts):
+        assert np.array_equal(
+            res[i], loop_matter_motion(g_field, u_field, v_field, p))
+
+
+def test_hermiticity_stack_matches_each_matrix():
+    x = np.random.default_rng(9).normal(size=(2, 6, 4, 4))
+    odd = dirac.AlphaSet("random", *(x[0] + 1j * x[1]))
+    for aset in (CANON, dirac.alpha_prime_set(), odd):
+        got = dirac.hermiticity_deviations(aset)
+        want = {k: float(np.abs(m - m.conj().T).max())
+                for k, m in aset.named().items()}
+        assert got == want
+        assert all(type(v) is float for v in got.values())
+
+
+def test_field_interpretation_stack_matches_single_states():
+    p = np.array([0.0, 1.3, 0.0])
+    states = [*planewave.make_states("positive", p, 1.0),
+              *planewave.make_states("negative", p, 1.0)]
+    stack = planewave.PlaneWaveState(
+        np.array([s.energy for s in states]), np.tile(p, (4, 1)),
+        np.stack([s.amplitudes for s in states]))
+    got = planewave.field_interpretation(stack, LAYOUT)
+    for i, state in enumerate(states):
+        one = planewave.field_interpretation(state, LAYOUT)
+        assert got.sparsity[i] == one.sparsity
+        assert got.e_amplitude[i] == one.e_amplitude
+        assert got.h_amplitude[i] == one.h_amplitude
+        assert np.array_equal(got.field.e[i], one.field.e)
+    off = dataclasses.replace(stack, momentum=np.tile([0.0, 1.3, 0.1], (4, 1)))
+    with pytest.raises(planewave.AxisMismatch):
+        planewave.field_interpretation(off, LAYOUT)
+
+
+def test_ring_forces_stack_matches_single_amplitudes():
+    e_amp, h_amp = np.array([(1.0, 1.0), (0.5, 2.0), (2.2, 0.0)]).T
+    for pol in ("Ex_Hz", "Ez_Hx"):
+        for route in (dynamics.lorentz_force_ring,
+                      dynamics.lorentz_force_via_current):
+            got = route(MODEL, e_amp, pol, h_amp)
+            for i in range(3):
+                one = route(MODEL, float(e_amp[i]), pol, float(h_amp[i]))
+                assert (got.f2[i], got.f0[i]) == (one.f2, one.f0)
+    with pytest.raises(ValueError):
+        dynamics.lorentz_force_ring(MODEL, -e_amp, "Ex_Hz")

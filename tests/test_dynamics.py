@@ -210,22 +210,26 @@ def test_matter_motion_balanced_rotation():
     rho, omega = 1.3, 0.9
 
     def g_field(p):
-        return rho * np.array([-omega * p[1], omega * p[0], 0.0])
+        return rho * np.stack([-omega * p[..., 1], omega * p[..., 0],
+                               np.zeros(len(p))], axis=-1)
 
     def u_field(p):
-        return rho * omega ** 2 * (p[0] ** 2 + p[1] ** 2)
+        return rho * omega ** 2 * (p[..., 0] ** 2 + p[..., 1] ** 2)
 
     def v_field(p):
-        return np.array([-omega * p[1], omega * p[0], 0.0])
+        return np.stack([-omega * p[..., 1], omega * p[..., 0],
+                         np.zeros(len(p))], axis=-1)
 
     pts = [(0.5, 0.0, 0.0), (0.2, 0.4, 0.1)]
     res = dynamics.matter_motion_residual(g_field, u_field, v_field, pts)
+    assert res.shape == (2, 3)
     assert np.abs(res).max() <= 1e-7
 
-    def zero3(_p):
-        return np.zeros(3)
+    def zero3(p):
+        return np.zeros(np.shape(p))
 
-    res0 = dynamics.matter_motion_residual(zero3, lambda _p: 0.0, zero3, pts)
+    res0 = dynamics.matter_motion_residual(
+        zero3, lambda p: np.zeros(len(p)), zero3, pts)
     assert np.abs(res0).max() == 0.0
 
 
