@@ -611,6 +611,11 @@ def phased_rows(classes):
                      for ph in dirac.PHASES]).reshape(-1, 16)
 
 
+def pair_products(mats):
+    """Every product m_a m_b of the matrices of mats, (k^2, 4, 4)."""
+    return np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 4, 4)
+
+
 def classifier_cases():
     """(rows, classes) pairs that the key test must not change."""
     rng = np.random.default_rng(23)
@@ -622,7 +627,7 @@ def classifier_cases():
     randoms = cplx(9, 4, 4)
     cases = [(cplx(40, 4, 4), cplx(7, 4, 4)),
              (phased_rows(randoms) + 1e-10 * cplx(36, 16), randoms),
-             (_pair_products(reps), reps)]
+             (pair_products(reps), reps)]
     tol = dirac.PHASE_CLASS_TOL
     for classes in (reps, randoms):
         key = np.repeat(np.abs(classes.reshape(-1, 16)).argmax(axis=1), 4)
@@ -645,10 +650,6 @@ def classifier_cases():
     many[::7] += 3 * tol
     cases.append((many, reps))
     return cases
-
-
-def _pair_products(mats):
-    return np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 4, 4)
 
 
 def test_keyed_classifier_matches_all_entry_comparison():
