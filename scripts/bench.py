@@ -21,7 +21,11 @@ start-up of a command that needs no checker module),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
 (``interpreter``).  ``--profile`` then writes the top 25 cProfile entries of one
 run of every suite, by cumulative time, to stderr.  Nothing is gated: the
-numbers compare two trees on one machine.
+numbers compare two trees on one machine.  ``kernel_ms`` and ``suite_ms``
+are not scaled for host speed, which drifts between back-to-back runs by
+more than many kernel differences, so they compare two trees only when the
+runs of the two are alternated (parent, change, change, parent) and each
+tree is read over all its runs.
 """
 import argparse
 import cProfile

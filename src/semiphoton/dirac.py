@@ -9,10 +9,10 @@ representation.
 
 The algebra kernels multiply stacks of matrices with ``einsum``, never a
 complex matrix-matrix ``@``.  The group closure forms each round's products
-as one stack and classifies them against the known classes CLASS_CHUNK
-products at a time, so its temporaries stay small.  Each class is first
-tested on one key entry, its largest in modulus, and only the (product,
-phase, class) triples that pass it are compared on all 16 entries.
+as one stack and keys each product by its phase class, the bytes of the
+product turned by a power of -i to a fixed phase, so a class is a set lookup
+and two members match only when they are equal up to the phase exactly.  A
+set that does not close returns 17 classes instead of raising.
 """
 from __future__ import annotations
 
@@ -24,16 +24,7 @@ import numpy as np
 from .linalg import (as_matrices, as_matrix, entry_norm, frozen,
                      hermiticity_deviation, is_unitary, mat_mul, max_abs_diff)
 
-PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
-
-PHASE_CLASS_TOL = 1e-9  # max entry gap of two matrices in one phase class
-MAX_PRODUCT_ROUNDS = 5  # product rounds before the group must have closed
-CLASS_CHUNK = 16  # products classified at a time; bounds the closure's memory
-
-
-class NonClosureError(RuntimeError):
-    """Product closure exceeded 16 phase classes; the input set is malformed."""
-
+PHASES = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^q for q = 0..3
 
 class NotUnitaryError(ValueError):
     pass
@@ -139,79 +130,48 @@ def hermiticity_deviations(aset):
         np.stack(list(names.values()))).tolist()))
 
 
-def _phase_matches(ms, classes):
-    """Boolean (len(ms), len(classes)): ms[i] is phase * classes[j] for a phase.
+def _class_keys(mats):
+    """One bytes key per matrix of a (k, 4, 4) stack, equal exactly when two
+    matrices differ by a phase in PHASES.
 
-    Equal means every entry within PHASE_CLASS_TOL, at any of the four PHASES.
-    A row can equal phase * classes[j] only if it does on the key entry of
-    classes[j], its largest in modulus; so each (row, phase, class) triple is
-    tested on that one entry first, and on all 16 only if it passes, with the
-    same products and comparison.  The rows of ms are taken CLASS_CHUNK at a
-    time and the survivors of a chunk CLASS_CHUNK x len(classes) at a time, so
-    the temporaries stay under CLASS_CHUNK x 4 x len(classes) matrices
-    whatever the number of rows.
+    Each matrix is turned by the power (-i)^q, PHASES[q], that brings its
+    first non-zero entry to an angle in [0, pi/2); a phase moves that entry
+    by whole quarter turns, so every member of a class turns to the same
+    entries.  Multiplying by 0 or +-1 is exact, and + 0.0 folds the signed
+    zeros it leaves.  A NaN leading entry is left unturned.
     """
-    phases = np.asarray(PHASES)[:, None, None, None]
-    phased = (phases * classes).reshape(4, -1, 16)
-    k = phased.shape[1]
-    key = np.abs(np.reshape(classes, (k, 16))).argmax(axis=1)
-    keyed = phased[:, np.arange(k), key]  # (4, k)
-    flat = np.reshape(ms, (-1, 16))
-    out = np.zeros((len(flat), k), dtype=bool)
-    batch = CLASS_CHUNK * max(k, 1)
-    for start in range(0, len(flat), CLASS_CHUNK):
-        rows = flat[start:start + CLASS_CHUNK]
-        near = np.abs(rows[:, key][:, None] - keyed) <= PHASE_CLASS_TOL
-        row, phase, cls = np.nonzero(near)
-        for s in range(0, len(row), batch):
-            i, p, j = row[s:s + batch], phase[s:s + batch], cls[s:s + batch]
-            gap = rows[i]
-            gap -= phased[p, j]
-            hit = (np.abs(gap) <= PHASE_CLASS_TOL).all(axis=1)
-            out[start + i[hit], j[hit]] = True
-    return out
-
-
-def _new_classes(candidates, classes):
-    """The candidates, in order, in no class of classes or of an earlier pick.
-
-    Reproduces appending the candidates one at a time to a growing list of
-    classes: the first candidate of each new class is the one kept.
-    """
-    fresh = candidates[~_phase_matches(candidates, classes).any(axis=1)]
-    same = _phase_matches(fresh, fresh)
-    kept = []
-    for i in range(len(fresh)):
-        if not same[i, kept].any():
-            kept.append(i)
-    return fresh[kept]
+    flat = mats.reshape(len(mats), 16)
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    re, im = lead.real, lead.imag
+    quarter = np.select([(re <= 0) & (im > 0), (re < 0) & (im <= 0),
+                         (re >= 0) & (im < 0)], [1, 2, 3])
+    with np.errstate(invalid="ignore"):  # an inf entry times 0
+        turned = flat * np.array(PHASES)[quarter, None] + 0.0
+    return [row.tobytes() for row in turned]
 
 
 def generate_group(aset):
     """Close {I, a1..a5} under products, identified up to phase in {1,-1,i,-i}.
 
-    Returns the class representatives; a well-formed set closes at exactly 16.
-    Each round multiplies the representatives known at its start with each
-    other as one stack, classifies the products against those classes in
-    chunks, and appends the unmatched ones in product order.
+    Returns the class representatives, the first member of each class in
+    product order: 16 for a well-formed set, 17 for any set that does not
+    close, whose rounds stop once they pass 16.  Each round multiplies the
+    representatives known at its start with each other as one stack and
+    keeps the products whose class key is new.
     """
-    reps = np.eye(4, dtype=complex)[None]
-    seeds = np.stack((aset.a1, aset.a2, aset.a3, aset.a4, aset.a5))
-    reps = np.concatenate([reps, _new_classes(seeds, reps)])
-    for _ in range(MAX_PRODUCT_ROUNDS):
+    reps, keys = [], set()
+    batch = np.stack((np.eye(4, dtype=complex), aset.a1, aset.a2, aset.a3,
+                      aset.a4, aset.a5))
+    while len(reps) <= 16:
         known = len(reps)
-        products = _pair_products(reps).reshape(-1, 4, 4)
-        reps = np.concatenate([reps, _new_classes(products, reps)])
+        for m, key in zip(batch, _class_keys(batch)):
+            if key not in keys:
+                keys.add(key)
+                reps.append(m)
         if len(reps) == known:
             break
-        if len(reps) > 16:
-            raise NonClosureError(
-                f"closure reached {len(reps)} phase classes (expected 16)")
-    else:
-        products = _pair_products(reps).reshape(-1, 4, 4)
-        if not _phase_matches(products, reps).any(axis=1).all():
-            raise NonClosureError("closure not reached within product rounds")
-    return list(reps)
+        batch = _pair_products(np.stack(reps)).reshape(-1, 4, 4)
+    return reps[:17]
 
 
 @dataclass(frozen=True)

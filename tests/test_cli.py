@@ -242,6 +242,23 @@ def test_torus_unreachable_zeta_exits_two_with_message(capsys):
     assert captured.err.startswith("error: no finite amplitude")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", ["1e-133", "1e-135"])
+@pytest.mark.parametrize("command", [
+    ["torus", "--zeta", "{zeta}"],
+    ["sweep-zeta", "--min", "{zeta}", "--max", "{zeta}", "--steps", "1"]])
+def test_subnormal_unit_mass_exits_two_with_message(command, zeta, capsys):
+    """A unit-amplitude field mass below the normal float range has lost
+    digits, so the amplitude calibrated from it would be wrong."""
+    argv = [a.format(zeta=zeta) for a in command]
+    assert main(argv + ["--units", "gaussian_cgs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no finite amplitude")
+    assert len(captured.err.splitlines()) == 1
+    assert main(["torus", "--units", "gaussian_cgs", "--zeta", "1e-120"]) == 0
+
+
 @pytest.mark.parametrize("units", ["natural", "gaussian_cgs"])
 def test_torus_equals_sweep_row_at_same_zeta(units, capsys):
     zeta = "0.37"
@@ -618,3 +635,16 @@ def test_every_default_is_set_by_some_caller():
     assert [q for q in unset if q not in UNSET_DEFAULTS] == []
     # an allowlisted parameter that a caller now sets leaves the list
     assert [q for q in UNSET_DEFAULTS if q not in unset] == []
+
+
+def test_open_alpha_set_fails_group_order(monkeypatch, capsys):
+    canon = dirac.canonical_alpha_set()
+    rot = np.diag([1, 1j ** 0.5, 1, 1]).astype(complex)  # irrational phase
+    open_set = dirac.AlphaSet("open", canon.a0, rot, canon.a2, canon.a3,
+                              canon.a4, canon.a5)
+    monkeypatch.setattr(dirac, "canonical_alpha_set", lambda: open_set)
+    code, out = run_cli(["verify", "--suite", "algebra"], capsys)
+    checks = {c["id"]: c for c in strict_json(out)["checks"]}
+    assert code == 1
+    assert checks["algebra/group-order"]["verdict"] == "fail"
+    assert checks["algebra/group-order"]["computed"] == 17

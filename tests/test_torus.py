@@ -209,11 +209,15 @@ def test_discrepancy_ledger_entries():
     pinned = {"ring-charge/half-wave": 0.5,
               "ring-charge/stated-prefactor-quadrature": 2.0,
               "ring-mass/density-route": 0.5}
+    # with the smallest accepted zeta of each unit system: a calibration
+    # there leaves every stated value non-zero, so no ratio divides by 0
+    smallest = {"natural": 1e-153, "gaussian_cgs": 1e-127}
     for units in (NAT, torus.UnitSystem.gaussian_cgs()):
-        for zeta in torus.zeta_grid(0.01, 1.0, 23):
+        for zeta in [*torus.zeta_grid(0.01, 1.0, 23), smallest[units.mode]]:
             for n in (64, 256, 1024):
                 m = torus.calibrate_e0(torus.derive_parameters(units, zeta), n)
                 by_claim = {e.claim: e for e in torus.discrepancy_ledger(m, n)}
+                assert all(e.stated != 0 for e in by_claim.values())
                 for claim, want in pinned.items():
                     entry = by_claim[claim]
                     assert entry.ratio == entry.computed / entry.stated
