@@ -6,7 +6,8 @@ Usage (from the repository root):
 
 Prints one JSON object.  ``meta`` holds the python and numpy versions, the
 CPU count, the repeat count, the git commit of the checkout (null outside
-git) and ``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
+git), ``dirty: true`` when tracked files differ from that commit, and
+``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
 ``suite_ms`` hold, in milliseconds, the time of one call of each kernel
 and of each verification suite (samples 1000, seed 0), run in this process
 after one untimed call: the median over N batches of the mean call time of
@@ -45,7 +46,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from semiphoton import bridge, cli, dirac, planewave, torus  # noqa: E402
+from semiphoton import bridge, cli, dirac, linalg, planewave, torus  # noqa: E402
 from semiphoton.report import RunConfig, report_json  # noqa: E402
 from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
@@ -127,6 +128,8 @@ def kernels(cfg):
     psi = x[0] + 1j * x[1]
     p = np.array([0.3, -0.7, 1.1])
     on_shell = planewave.build_system(planewave.dispersion(p, 1.0)[0], p, 1.0)
+    momenta = 2 * x[0, :, :3]
+    state = planewave.make_states("positive", momenta, 1.0)[0]
     return {
         "generate_group": lambda: dirac.generate_group(canon),
         "anticommutation_deviation":
@@ -136,6 +139,8 @@ def kernels(cfg):
         "bilinears_1000": lambda: bridge.bilinears(psi, canon),
         "fierz_quantum_1000": lambda: bridge.fierz_quantum(psi, canon),
         "nullspace": lambda: planewave.nullspace(on_shell),
+        "residual_1000": lambda: planewave.residual(state, canon, 1.0),
+        "cross_1000": lambda: linalg.cross(momenta, x[1, :, :3]),
         "simpson": lambda: torus.simpson(np.cos(nodes), nodes[1]),
         "calibrate_e0": lambda: torus.calibrate_e0(model),
         "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
@@ -147,14 +152,23 @@ def kernels(cfg):
     }
 
 
-def git_commit():
-    """HEAD of the checkout this script is in, or None without git."""
+def git(*args):
+    """stdout of a git command in this checkout, or None without git."""
     try:
-        result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+        result = subprocess.run(["git", *args], cwd=ROOT,
                                 capture_output=True, text=True)
     except OSError:
         return None
     return result.stdout.strip() if result.returncode == 0 else None
+
+
+def git_meta():
+    """meta's commit: HEAD of the checkout (None without git), and
+    ``dirty: true`` when tracked files differ from it."""
+    meta = {"commit": git("rev-parse", "HEAD")}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        meta["dirty"] = True
+    return meta
 
 
 def main(argv=None):
@@ -168,7 +182,7 @@ def main(argv=None):
     result = {
         "meta": {"python": platform.python_version(),
                  "numpy": np.__version__, "cpus": os.cpu_count(),
-                 "repeat": args.repeat, "commit": git_commit(),
+                 "repeat": args.repeat, **git_meta(),
                  "PYTHONDONTWRITEBYTECODE":
                      os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "kernel_ms": {name: median_ms(fn, args.repeat)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import AxisTriad, canonical_alpha_set, triad
-from .linalg import as_bispinor, as_vec3, inner, mat_vec
+from .linalg import as_bispinor, as_vec3, cross, inner, mat_vec
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FD_TOL = 1e-6  # largest finite-difference truncation estimate accepted
@@ -222,7 +222,7 @@ def eh_dot(f: EmField):
 
 def cross_sym(f: EmField):
     """Sesquilinear ExH: Re(conj(E) x H); the plain cross product if real."""
-    return np.cross(f.e.conj(), f.h).real
+    return cross(f.e.conj(), f.h).real
 
 
 def energy_density(f: EmField):
@@ -234,7 +234,7 @@ def energy_density(f: EmField):
 def poynting(f: EmField, c=1.0):
     """(c/4pi) E x H; momentum density is this over c^2 (real mode)."""
     f.require_real()
-    return (c / (4 * np.pi)) * np.cross(f.e.real, f.h.real)
+    return (c / (4 * np.pi)) * cross(f.e.real, f.h.real)
 
 
 def fierz_em(f: EmField):
@@ -245,7 +245,7 @@ def fierz_em(f: EmField):
     """
     f.require_real()
     e2, h2 = e_squared(f), h_squared(f)
-    exh = np.cross(f.e.real, f.h.real)
+    exh = cross(f.e.real, f.h.real)
     lhs = (e2 + h2) ** 2 - 4 * inner(exh, exh)
     rhs = (e2 - h2) ** 2 + 4 * eh_dot(f) ** 2
     return lhs, rhs

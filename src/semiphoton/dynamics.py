@@ -24,7 +24,7 @@ from .bridge import (AXIS_INDEX, EmField, bispinor_from_fields, cross_sym,
                      e_squared, eh_dot, electron_layout, fierz_quantum,
                      h_squared)
 from .dirac import canonical_alpha_set
-from .linalg import inner, mat_vec
+from .linalg import cross, inner, mat_vec
 from .torus import DomainError, TorusModel, ring_current
 
 LAYOUT = electron_layout()  # the slot map of every Lagrangian route
@@ -51,7 +51,7 @@ def stress_tensor(f: EmField) -> StressTensor:
     total = inner(e, e) + inner(h, h)
     outer = e[..., :, None] * e[..., None, :] + h[..., :, None] * h[..., None, :]
     tau_pq = -outer + 0.5 * total[..., None, None] * np.eye(3)
-    tau_p0 = np.cross(e, h)
+    tau_p0 = cross(e, h)
     return StressTensor(tau_pq=tau_pq, tau_p0=tau_p0, tau_00=0.5 * total)
 
 
@@ -92,8 +92,8 @@ def lorentz_force_via_current(model: TorusModel, e_amplitude, polarization,
 
 def magnetic_confinement_density(j_tau, h, c=1.0):
     """Magnetic force density (1/c) j_tau x H."""
-    return np.cross(np.asarray(j_tau, dtype=float),
-                    np.asarray(h, dtype=float)) / c
+    return cross(np.asarray(j_tau, dtype=float),
+                 np.asarray(h, dtype=float)) / c
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def centripetal_check(omega, r) -> CentripetalReport:
 
     point = np.stack([r, zero, zero], axis=-1)
     curl = _curl_fd(vfield, point, FD_STEP * r)
-    accel = 0.5 * np.cross(vfield(point), curl)
+    accel = 0.5 * cross(vfield(point), curl)
     magnitude = np.linalg.norm(accel, axis=-1)
     return CentripetalReport(
         curl=curl,
@@ -314,4 +314,4 @@ def matter_motion_residual(g_field, u_field, v_field, points):
     grad_u = np.stack([_partial(u_field, points, axis, FD_STEP)
                        for axis in range(3)], axis=-1)
     curl_g = _curl_fd(g_field, points, FD_STEP)
-    return grad_u - np.cross(v_field(points), curl_g)
+    return grad_u - cross(v_field(points), curl_g)

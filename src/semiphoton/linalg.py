@@ -12,6 +12,11 @@ last axis (the last two for matrices) only, so a single vector gives scalars
 and a stack gives one result per sample.  They use ``einsum``, never a
 complex matrix-matrix ``@``: one OpenBLAS zgemm call can leave later libm
 calls in the same process several times slower on some x86 CPUs.
+Contractions keep the sample axes leading where the caller allows it
+(``planewave.residual`` writes ``...ki``, not ``k...i``): each sample's
+result is then contiguous and the contracted index is summed in the same
+order, so the bits are the same and the call is faster.  ``cross`` gives
+``np.cross``'s bits without its axis handling.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ ABS_TOL = 1e-12
 
 
 def require_finite(arr, name="value"):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite components")
     return arr
 
@@ -60,6 +65,18 @@ def as_vec3(entries):
 def inner(a, b):
     """Sesquilinear conj(a) . b over the last axis, per stacked sample."""
     return np.einsum("...i,...i->...", a.conj(), b)
+
+
+def cross(a, b):
+    """a x b over the last axis of two arrays, per stacked sample.
+
+    The same products and differences as ``np.cross``, in the same order,
+    so the same bits, without its axis and shape handling.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0), axis=-1)
 
 
 def mat_vec(m, v):

@@ -101,7 +101,7 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
 
 def make_states(branch, momentum, mass, c=1.0):
     e_plus, e_minus = dispersion(momentum, mass, c)
-    if not np.all(np.isfinite(e_plus)):
+    if not np.isfinite(e_plus).all():
         raise ValueError(f"on-shell energy is not finite for momentum "
                          f"{np.asarray(momentum).tolist()} and mass {mass!r}")
     s1, s2 = solution_basis(branch, momentum, mass, c)
@@ -116,13 +116,13 @@ def residual(state: PlaneWaveState, aset, mass, c=1.0):
     a0..a4 act on the amplitudes, and their five images are weighted by the
     energy, c p and m c^2, so no stack of operators is built.
     """
-    images = np.einsum("kij,...j->k...i", np.stack(
+    images = np.einsum("kij,...j->...ki", np.stack(
         (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
+    i0, i1, i2, i3, i4 = (images[..., k, :] for k in range(5))
     energy = np.asarray(state.energy)[..., None]
     px, py, pz = (state.momentum[..., k, None] for k in range(3))
-    out = (energy * images[0]
-           + c * (px * images[1] + py * images[2] + pz * images[3])
-           + mass * c * c * images[4])
+    out = (energy * i0 + c * (px * i1 + py * i2 + pz * i3)
+           + mass * c * c * i4)
     return np.abs(out).max(axis=-1)
 
 

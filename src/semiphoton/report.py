@@ -5,12 +5,14 @@ against an independently computed one; its verdict is PASS when the error is
 within either tolerance and FAIL otherwise.  Known internal inconsistencies of
 the model's closed forms are never patched silently; they are emitted as
 :class:`Discrepancy` records in the ledger, which does not fail a run.
+Every JSON document goes through :func:`document_json`, whose text is that
+of ``json.dumps(doc, indent=2, allow_nan=False)`` byte for byte.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -146,10 +148,54 @@ def rng_for_suite(seed, suite):
     return np.random.default_rng(ss)
 
 
+def _json(value, indent):
+    """value as JSON text, laid out as ``json.dumps(value, indent=2,
+    allow_nan=False)`` lays it out, with the same errors; indent is the
+    line prefix of the value's own brackets.
+
+    With an indent ``json`` encodes in pure Python; this covers only the
+    types a document holds, so it does less per value.  dict keys must be
+    str: any other key raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        # json's own message, so a failing command prints the same line
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(value))
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
 def document_json(config, body):
     """meta (config is a dict), then body's keys, as strict JSON; NaN raises."""
-    doc = {"meta": {"version": __version__, "config": config}, **body}
-    return json.dumps(doc, indent=2, allow_nan=False)
+    return _json({"meta": {"version": __version__, "config": config}, **body},
+                 "")
 
 
 def report_json(config, checks, ledger):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bridge, dirac, dynamics, planewave, torus
 from .bridge import EmField
-from .linalg import adjoint, inner, mat_mul, mat_vec
+from .linalg import adjoint, cross, inner, mat_mul, mat_vec
 from .report import CheckReport, Discrepancy, RunConfig, rng_for_suite
 
 A5_LITERAL = np.array([[0, 0, -1j, 0],
@@ -173,7 +173,7 @@ def suite_bilinear(cfg: RunConfig):
         f = _random_layout_field(rng, [layout], cfg.samples)[0]
         b = bridge.bilinears(bridge.bispinor_from_fields(f, layout), canon)
         e2, h2 = bridge.e_squared(f), bridge.h_squared(f)
-        exh = np.cross(f.e.real, f.h.real)
+        exh = cross(f.e.real, f.h.real)
         # columns a0..a5; of the vector matrices only the working one is
         # non-zero, twice the flux component on its assigned axis
         target = np.zeros(b.shape)

@@ -262,13 +262,20 @@ def calibrate_e0(model: TorusModel, n_points=512) -> TorusModel:
     unit_mass = integrate_mass(with_e0(model, 1.0), n_points)
     with np.errstate(divide="ignore", over="ignore"):
         e0_squared = np.divide(target, unit_mass)
+
+    def error(i):
+        zeta, mass = (float(np.ravel(a)[i]) for a in (model.zeta, unit_mass))
+        if 0 < mass < sys.float_info.min:
+            return DomainError(
+                f"the field mass at unit amplitude, {mass!r}, is below the "
+                f"normal float range at zeta={zeta!r}")
+        return DomainError(
+            f"no finite amplitude gives field mass {target!r} at "
+            f"zeta={zeta!r}: the mass at unit amplitude is {mass!r}")
+
     # a subnormal mass has lost digits: the amplitude built on it is wrong
     _require((unit_mass >= sys.float_info.min) & (unit_mass < math.inf)
-             & np.isfinite(e0_squared),
-             lambda i: DomainError(
-                 f"no finite amplitude gives field mass {target!r} at "
-                 f"zeta={float(np.ravel(model.zeta)[i])!r}: the mass at unit "
-                 f"amplitude is {float(np.ravel(unit_mass)[i])!r}"))
+             & np.isfinite(e0_squared), error)
     e0 = np.sqrt(e0_squared)
     return with_e0(model, float(e0) if e0.ndim == 0 else e0)
 

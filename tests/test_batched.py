@@ -732,6 +732,10 @@ def loop_torus(units, zeta, n_points):
     if unit_mass is None:
         raise torus.QuadratureNotConverged(
             f"result still moving by {delta:.3e} at {n} points")
+    if 0 < unit_mass < sys.float_info.min:
+        raise torus.DomainError(
+            f"the field mass at unit amplitude, {unit_mass!r}, is below the "
+            f"normal float range at zeta={zeta!r}")
     if not 0 < unit_mass < math.inf or not math.isfinite(m_e / unit_mass):
         raise torus.DomainError(
             f"no finite amplitude gives field mass {m_e!r} at zeta={zeta!r}: "
@@ -795,7 +799,7 @@ BAD_STACKS = [
     ("natural", [0.3, 0.5, 1.5, 0.7]),          # out of range
     ("natural", [0.3, 0.0]),
     ("natural", [0.3, float("nan")]),
-    ("natural", [0.3, 1e-160, 0.5]),            # coupling below normal floats
+    ("natural", [0.3, 1e-160, 0.5]),            # unit mass below normal floats
     ("natural", [0.3, 1e-160, 2.0]),
     ("gaussian_cgs", [0.3, 1e-140, 0.5]),       # unit mass underflows to 0
     ("gaussian_cgs", [0.3, 0.2, 1e-150, 5.0]),

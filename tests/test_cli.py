@@ -236,10 +236,14 @@ def test_sweep_zeta_bad_range_exits_two_with_message(capsys):
 
 
 def test_torus_unreachable_zeta_exits_two_with_message(capsys):
+    # the unit-amplitude mass underflows to 0: the zero text, not the
+    # subnormal one
     assert main(["torus", "--zeta", "1e-200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: no finite amplitude")
+    assert captured.err == (
+        "error: no finite amplitude gives field mass 1.0 at zeta=1e-200: "
+        "the mass at unit amplitude is 0.0\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -254,7 +258,9 @@ def test_subnormal_unit_mass_exits_two_with_message(command, zeta, capsys):
     assert main(argv + ["--units", "gaussian_cgs"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: no finite amplitude")
+    assert captured.err.startswith(
+        "error: the field mass at unit amplitude, ")
+    assert "is below the normal float range at zeta=" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert main(["torus", "--units", "gaussian_cgs", "--zeta", "1e-120"]) == 0
 
@@ -516,7 +522,7 @@ def test_negative_seed_exits_two(capsys):
 
 
 # One run of every command in both unit systems and all three verify
-# formats, an off-axis plane wave, and two usage errors.
+# formats, an off-axis plane wave, and three runs that exit 2.
 REACH_ARGV = [
     ["verify", "--samples", "20", "--format", "json"],
     ["verify", "--samples", "20", "--format", "text"],
@@ -530,6 +536,7 @@ REACH_ARGV = [
     ["sweep-zeta", "--steps", "2", "--units", "gaussian_cgs"],
     ["dump-matrices"], ["dump-matrices", "--set", "prime"],
     ["torus", "--zeta", "2"], ["verify", "--tol-abs", "1"],
+    ["torus", "--units", "gaussian_cgs", "--zeta", "1e-133"],
 ]
 
 
@@ -560,7 +567,7 @@ def test_every_function_is_reached_by_a_command(capsys):
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [0] * 14 + [2, 2]
+    assert codes == [0] * 14 + [2, 2, 2]
     unreached = [name for path, line, name in _package_defs()
                  if (path, line) not in entered]
     assert unreached == []

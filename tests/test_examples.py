@@ -1,4 +1,5 @@
 """Smoke test: every command of the README's CLI and script examples runs."""
+import importlib.util
 import json
 import os
 import pathlib
@@ -60,7 +61,8 @@ def test_kernel_benchmark_prints_its_medians():
     doc = json.loads(result.stdout)
     assert set(doc["kernel_ms"]) == {
         "generate_group", "anticommutation_deviation", "canonical_transform",
-        "bilinears_1000", "fierz_quantum_1000", "nullspace", "simpson",
+        "bilinears_1000", "fierz_quantum_1000", "nullspace",
+        "residual_1000", "cross_1000", "simpson",
         "calibrate_e0", "sweep_zeta_20", "dirac_residual_em_4x5", "expansion_12x4x5",
         "report_json", "build_parser"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
@@ -73,3 +75,15 @@ def test_kernel_benchmark_prints_its_medians():
     assert doc["meta"]["repeat"] == 1
     assert set(doc["meta"]) >= {"commit", "PYTHONDONTWRITEBYTECODE"}
     assert "cumulative" in result.stderr
+
+
+def test_kernel_benchmark_marks_an_uncommitted_tree(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    answers = {"rev-parse": "abc123", "status": "M src/semiphoton/report.py"}
+    monkeypatch.setattr(bench, "git", lambda *args: answers[args[0]])
+    assert bench.git_meta() == {"commit": "abc123", "dirty": True}
+    answers["status"] = ""
+    assert bench.git_meta() == {"commit": "abc123"}

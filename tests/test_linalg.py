@@ -84,6 +84,43 @@ def test_no_matrix_operator_in_the_package():
     assert sorted({where for where, _ in sites}) == sorted(MATMUL_ALLOWED)
 
 
+def _slow_path_sites(tree):
+    """Line of every ``np.cross`` and every ``json.dumps`` with an indent."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cross" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            yield node.lineno
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dumps" \
+                and any(k.arg == "indent" for k in node.keywords):
+            yield node.lineno
+
+
+def test_no_np_cross_or_indented_json_dumps_in_the_package():
+    """``linalg.cross`` gives np.cross's bits without its axis handling, and
+    ``report.document_json`` gives json's indented text without its
+    pure-Python encoder."""
+    package = pathlib.Path(semiphoton.__file__).parent
+    sites = [(path.stem, line) for path in sorted(package.glob("*.py"))
+             for line in _slow_path_sites(ast.parse(path.read_text()))]
+    assert sites == []
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (1000, 3), (4, 7, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cross_is_np_cross_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    a, b = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            for _ in range(2))
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=shape)
+        b = b - 1j * rng.normal(size=shape)
+    want, got = np.cross(a, b), linalg.cross(a, b)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, max_examples=50)
 @given(matrix_strategy, matrix_strategy, matrix_strategy)
 def test_associativity(a, b, c):

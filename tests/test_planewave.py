@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,32 @@ def test_residual_small_on_solutions(p):
             scaled = planewave.PlaneWaveState(
                 state.energy, state.momentum, 5 * state.amplitudes)
             assert planewave.residual(scaled, CANON, 1.0) <= 5e-12
+
+
+def stacked_operator_residual(state, aset, mass, c=1.0):
+    """The residual with the image index first, k...i, as a reference."""
+    images = np.einsum("kij,...j->k...i", np.stack(
+        (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
+    energy = np.asarray(state.energy)[..., None]
+    px, py, pz = (state.momentum[..., k, None] for k in range(3))
+    out = (energy * images[0]
+           + c * (px * images[1] + py * images[2] + pz * images[3])
+           + mass * c * c * images[4])
+    return np.abs(out).max(axis=-1)
+
+
+@pytest.mark.parametrize("n", [None, 1, 10, 1000])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_residual_is_the_image_first_contraction_bit_for_bit(n, branch):
+    rng = np.random.default_rng(n or 0)
+    p = 3 * rng.normal(size=(3,) if n is None else (n, 3))
+    for state in planewave.make_states(branch, p, 1.3, c=0.7):
+        # off shell too, so the residual is not only rounding
+        for detuned in (state, replace(state, energy=state.energy * 1.01)):
+            want = stacked_operator_residual(detuned, CANON, 1.3, c=0.7)
+            got = planewave.residual(detuned, CANON, 1.3, c=0.7)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_residual_detects_non_solution():
