@@ -18,12 +18,12 @@ sign form, layout and wave), each over the same (t, u) grid, at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import AxisTriad, canonical_alpha_set, triad
-from .linalg import as_bispinor, as_vec3, cross, inner, mat_vec
+from .dirac import AxisTriad, axis_triads, canonical_alpha_set, triad
+from .linalg import as_bispinor, as_vec3, cross, frozen, inner, mat_vec
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FD_TOL = 1e-6  # largest finite-difference truncation estimate accepted
@@ -68,6 +68,11 @@ class EmField:
         return self
 
 
+# Index of each field component in the [E, H] 6-vector of _stacked.
+_FLAT = {(kind, ax): 3 * j + i
+         for j, kind in enumerate("eh") for ax, i in AXIS_INDEX.items()}
+
+
 @dataclass(frozen=True)
 class FieldLayout:
     """Slot table mapping spinor components to field components.
@@ -75,38 +80,62 @@ class FieldLayout:
     Each slot is (kind, axis, factor) with kind 'e' or 'h'; h slots carry a
     unit-imaginary factor.  ``axis`` is the propagation axis; components
     outside the slots must vanish for the layout to apply.
+
+    Built with the layout, read-only: ``index`` and ``factors``, the [E, H]
+    component and factor of each slot, ``outside``, the two components
+    without a slot, and ``scalar_table``, the rows of :func:`scalar_rows`
+    per sign form in ``SIGN_FORMS`` order as (lhs, du, du_sign, mass_sign)
+    columns, shape (2, 4, 4).
     """
     name: str
     axis: str
     slots: tuple
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
+    outside: np.ndarray = field(init=False, repr=False, compare=False)
+    scalar_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = [_FLAT[kind, ax] for kind, ax, _ in self.slots]
+        tables = {
+            "index": index,
+            "factors": [factor for *_, factor in self.slots],
+            "outside": [j for j in range(6) if j not in index],
+            "scalar_table": [[(_FLAT[k0, x0], _FLAT[k1, x1], s_du, s_m)
+                              for k0, x0, s_du, k1, x1, s_m
+                              in scalar_rows(self, form)]
+                             for form in SIGN_FORMS],
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, frozen(np.array(table)))
 
     def covered(self, kind):
         return tuple(ax for k, ax, _ in self.slots if k == kind)
 
 
-def layout_for_triad(t: AxisTriad, charge_conjugated=False, name=None):
+def _layout(t: AxisTriad, charge_conjugated, name):
     signs = (1, -1, 1, -1) if charge_conjugated else (1, 1, 1, 1)
     slots = (("e", t.e_axes[0], signs[0] * (1 + 0j)),
              ("e", t.e_axes[1], signs[1] * (1 + 0j)),
              ("h", t.h_axes[0], signs[2] * 1j),
              ("h", t.h_axes[1], signs[3] * 1j))
-    return FieldLayout(name=name or t.name, axis=t.axis, slots=slots)
+    return FieldLayout(name=name, axis=t.axis, slots=slots)
+
+
+def layout_for_triad(t: AxisTriad, charge_conjugated=False):
+    """The layout of one of the six triads, plain or charge conjugated;
+    each of the twelve is built once, at import."""
+    return _LAYOUTS[t, bool(charge_conjugated)]
 
 
 def electron_layout():
     """(E_x, E_z, iH_x, iH_z): the y-direction layout used throughout."""
-    return layout_for_triad(triad("y", "negative"), name="electron-y")
+    return _ELECTRON
 
 
 def positron_layout():
     """Charge-conjugate partner of the electron layout: (E_x, -E_z, iH_x, -iH_z)."""
-    return layout_for_triad(triad("y", "negative"), charge_conjugated=True,
-                            name="positron-y")
-
-
-# Index of each field component in the [E, H] 6-vector of _stacked.
-_FLAT = {(kind, ax): 3 * j + i
-         for j, kind in enumerate("eh") for ax, i in AXIS_INDEX.items()}
+    return _POSITRON
 
 
 def _stacked(f: EmField):
@@ -122,13 +151,11 @@ def _gather(v, index):
 
 
 def _slot_table(layouts):
-    """Per layout: the (C, 4) [E, H] indices and factors of its slots, and
-    the (C, 2) indices of the components it has no slot for."""
-    index = [[_FLAT[kind, ax] for kind, ax, _ in layout.slots]
-             for layout in layouts]
-    factors = [[factor for *_, factor in layout.slots] for layout in layouts]
-    outside = [[j for j in range(6) if j not in row] for row in index]
-    return np.array(index), np.array(factors), np.array(outside)
+    """The (C, 4) [E, H] indices and factors of the layouts' slots, and the
+    (C, 2) indices of the components they have no slot for."""
+    return (np.array([layout.index for layout in layouts]),
+            np.array([layout.factors for layout in layouts]),
+            np.array([layout.outside for layout in layouts]))
 
 
 def _case_spinors(v, layouts):
@@ -306,42 +333,53 @@ def scalar_rows(layout: FieldLayout, sign_form):
     return tuple(rows)
 
 
-def scalar_residuals(f, df_dt, df_du, layouts, mass, sign_forms, c=1.0,
-                     hbar=1.0):
+# The twelve triad layouts, and the two named y layouts.
+_LAYOUTS = {(t, conj): _layout(t, conj, t.name)
+            for t in axis_triads() for conj in (False, True)}
+_ELECTRON = _layout(triad("y", "negative"), False, "electron-y")
+_POSITRON = _layout(triad("y", "negative"), True, "positron-y")
+_FORM_INDEX = {form: i for i, form in enumerate(SIGN_FORMS)}
+
+
+def grid_stack(f, df_dt, df_du):
+    """The fields and both derivatives as one [E, H] array, (3, C, n, 6):
+    the input of both residual routes."""
+    return np.concatenate((np.array((f.e, df_dt.e, df_du.e)),
+                           np.array((f.h, df_dt.h, df_du.h))), axis=-1)
+
+
+def scalar_residuals(w, layouts, mass, sign_forms, c=1.0, hbar=1.0):
     """The four scalar component equations of each case at each point.
 
-    Case i holds its fields as the stacks of row i, shape (C, n, 3), and
-    follows ``scalar_rows(layouts[i], sign_forms[i])``; the rows become
-    (C, 4) index and sign tables, so every case is gathered at once.
-    Shape (C, n, 4).
+    Case i holds its fields, time and space derivatives as w[:, i], a
+    :func:`grid_stack` of shape (3, C, n, 6), and follows
+    ``scalar_rows(layouts[i], sign_forms[i])``, read from the layouts'
+    ``scalar_table`` as (C, 4) index and sign tables, so every case is
+    gathered at once.  Shape (C, n, 4).
     """
     w0_over_c = mass * c / hbar
-    rows = [scalar_rows(layout, form)
-            for layout, form in zip(layouts, sign_forms)]
-    lhs, du = (np.array([[_FLAT[row[j:j + 2]] for row in r] for r in rows])
-               for j in (0, 3))
-    du_sign = np.array([[row[2] for row in r] for r in rows])
-    mass_coef = np.array([[row[5] * 1j * w0_over_c for row in r] for r in rows])
-    v, vt, vu = (_stacked(g) for g in (f, df_dt, df_du))
+    rows = np.array([layout.scalar_table[_FORM_INDEX[form]]
+                     for layout, form in zip(layouts, sign_forms)])
+    lhs, du, du_sign, mass_sign = (rows[..., j] for j in range(4))
+    v, vt, vu = w
     return (_gather(vt, lhs) / c + du_sign[:, None] * _gather(vu, du)
-            + mass_coef[:, None] * _gather(v, lhs))
+            + (mass_sign * 1j * w0_over_c)[:, None] * _gather(v, lhs))
 
 
-def bispinor_residuals(f, df_dt, df_du, triads, layouts, aset, mass,
-                       sign_forms, c=1.0, hbar=1.0):
+def bispinor_residuals(w, triads, layouts, aset, mass, sign_forms, c=1.0,
+                       hbar=1.0):
     """Matrix-form residual (a0 eps_op +- c a.p_op +- a4 m c^2) psi / (i hbar c).
 
     Case i acts with the working matrix of triads[i] on the spinors of its
-    fields in layouts[i]; fields are (C, n, 3) stacks as for
+    fields in layouts[i]; w is the (3, C, n, 6) :func:`grid_stack` of
     :func:`scalar_residuals`.  The layout is linear, so derivative spinors
     are the layout images of the derivative fields.  Division by i*hbar*c
     puts the rows in the same units as the scalar component equations (up to
     the slot factors).  Shape (C, n, 4).
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
-    working = np.stack([aset.named()[t.working] for t in triads])
-    spinors = _case_spinors(
-        np.stack([_stacked(g) for g in (f, df_dt, df_du)], axis=1), layouts)
+    working = np.array([getattr(aset, t.working) for t in triads])
+    spinors = _case_spinors(np.moveaxis(w, 0, 1), layouts)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
     eps_term = 1j * hbar * dpsi_dt
     p_term = s * c * np.einsum("cij,c...j->c...i", working, -1j * hbar * dpsi_du)
@@ -349,17 +387,22 @@ def bispinor_residuals(f, df_dt, df_du, triads, layouts, aset, mass,
     return (eps_term + p_term + mass_term) / (1j * hbar * c)
 
 
+_STENCIL = (-2, -1, 1, 2)
+
+
 def _fd_derivatives(func, t, u, steps):
     """Fourth-order central differences of an EmField-valued function.
 
     The four stencil points of d/dt and of d/du, for every step, go through
-    one ``func`` call.  Returns the [E, H] derivatives, shape
-    (len(steps), 2, C, n, 6): step, variable (t, u), case, point.
+    one ``func`` call, their coordinates shifted by one broadcast add.
+    Returns the [E, H] derivatives, shape (len(steps), 2, C, n, 6): step,
+    variable (t, u), case, point.
     """
-    shifts = [(s * h, 0.0) if var == "t" else (0.0, s * h)
-              for h in steps for var in "tu" for s in (-2, -1, 1, 2)]
-    v = _stacked(func(np.concatenate([t + dt for dt, _ in shifts]),
-                      np.concatenate([u + du for _, du in shifts])))
+    # shift[x, step, var]: the stencil offsets of coordinate x when var moves
+    shift = np.zeros((2, len(steps), 2, len(_STENCIL)))
+    shift[0, :, 0] = shift[1, :, 1] = np.multiply.outer(steps, _STENCIL)
+    v = _stacked(func(*((x + d[..., None]).ravel()
+                        for x, d in zip((t, u), shift))))
     x = np.moveaxis(v.reshape(len(v), len(steps), 2, 4, len(t), 6), 0, 3)
     h = np.reshape(steps, (-1, 1, 1, 1, 1))
     return (x[:, :, 0] - 8 * x[:, :, 1] + 8 * x[:, :, 2] - x[:, :, 3]) / (12 * h)
@@ -385,14 +428,15 @@ def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
     fourth-order central differences of step ``fd_step`` are used with a
     Richardson truncation estimate (raising :class:`GridTooCoarse` if it
     exceeds ``FD_TOL``).  The grid is one stack: row i is
-    (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The four scalar
-    component residuals and the matrix-form residual of each point are the
-    same equation expanded, so any gap between them indicates a transcription
-    defect.  Each case reduces over its own points only.
+    (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The fields and
+    derivatives become one [E, H] array, (3, C, n, 6), that both routes
+    read.  The four scalar component residuals and the matrix-form residual
+    of each point are the same equation expanded, so any gap between them
+    indicates a transcription defect.  Each case reduces over its own points
+    only.
     """
     flags = np.broadcast_to(charge_conjugated, (len(triads),))
-    layouts = [layout_for_triad(t, charge_conjugated=bool(conj))
-               for t, conj in zip(triads, flags)]
+    layouts = [layout_for_triad(t, conj) for t, conj in zip(triads, flags)]
     aset = canonical_alpha_set()
     tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
     if (d_dt is None) or (d_du is None):
@@ -402,16 +446,14 @@ def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
             if not est <= FD_TOL:
                 raise GridTooCoarse(
                     f"d/d{var} truncation estimate {est:.3e} exceeds {FD_TOL:.3e}")
-        fd_t, fd_u = (EmField(d[..., :3], d[..., 3:])
-                      for d in _fd_derivatives(fields, tt, uu, (fd_step,))[0])
-
-    f = fields(tt, uu)
-    ft = d_dt(tt, uu) if d_dt is not None else fd_t
-    fu = d_du(tt, uu) if d_du is not None else fd_u
-    scalar = scalar_residuals(f, ft, fu, layouts, mass, sign_forms, c, hbar)
-    bisp = bispinor_residuals(f, ft, fu, triads, layouts, aset, mass,
-                              sign_forms, c, hbar)
-    factors = _slot_table(layouts)[1][:, None]
+        fd = _fd_derivatives(fields, tt, uu, (fd_step,))[0]
+        w = np.concatenate((_stacked(fields(tt, uu))[None], fd))
+    else:
+        w = grid_stack(fields(tt, uu), d_dt(tt, uu), d_du(tt, uu))
+    scalar = scalar_residuals(w, layouts, mass, sign_forms, c, hbar)
+    bisp = bispinor_residuals(w, triads, layouts, aset, mass, sign_forms, c,
+                              hbar)
+    factors = np.array([layout.factors for layout in layouts])[:, None]
     return ResidualReport(
         cross_deviation=np.abs(scalar * factors - bisp).max(axis=(1, 2)),
         max_scalar=np.abs(scalar).max(axis=(1, 2)))

@@ -75,22 +75,25 @@ def canonical_alpha_set():
     return _CANONICAL
 
 
+_PRIME = _alpha_set(
+    "prime",
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 0, 1j], [0, 0, 1j, 0]],
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+    a5=[[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]],
+)
+
+
 def alpha_prime_set():
     """The alternate tabulated set, transcribed verbatim.
 
     Reproduced exactly as tabulated, defects included: a2 here is not
     hermitian (its lower-right block has the wrong conjugation) and the set
     does not anticommute cleanly.  Verification code measures and ledgers
-    this instead of correcting it.
+    this instead of correcting it.  One read-only instance, built at import.
     """
-    return _alpha_set(
-        "prime",
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 0, 1j], [0, 0, 1j, 0]],
-        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
-        a5=[[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]],
-    )
+    return _PRIME
 
 
 def _pair_products(mats):
@@ -207,34 +210,40 @@ _MATRIX_AXES = {
 _NEGATIVE_SLOTS = {"y": ("x", "z"), "x": ("z", "y"), "z": ("y", "x")}
 
 
+# One triad per axis and orientation, slots as tabulated.
+_TRIADS = tuple(
+    AxisTriad(axis=axis, orientation=orientation,
+              matrix_axes=_MATRIX_AXES[axis], working="a2", e_axes=pair,
+              h_axes=pair, sign=sign)
+    for orientation, sign in (("negative", -1), ("positive", +1))
+    for axis in ("y", "x", "z")
+    for pair in [_NEGATIVE_SLOTS[axis][::-sign]])  # positive: swapped
+_TRIAD_BY_KEY = {(t.axis, t.orientation): t for t in _TRIADS}
+
+
 def axis_triads():
-    """The six triads: one per axis and orientation, slots as tabulated."""
-    triads = []
-    for orientation, sign in (("negative", -1), ("positive", +1)):
-        for axis in ("y", "x", "z"):
-            pair = _NEGATIVE_SLOTS[axis]
-            if orientation == "positive":
-                pair = (pair[1], pair[0])
-            triads.append(AxisTriad(axis=axis, orientation=orientation,
-                                    matrix_axes=_MATRIX_AXES[axis],
-                                    working="a2", e_axes=pair, h_axes=pair,
-                                    sign=sign))
-    return tuple(triads)
+    """The six triads: one per axis and orientation, slots as tabulated.
+
+    The same tuple, built at import, on every call.
+    """
+    return _TRIADS
 
 
 def triad(axis, orientation):
-    for t in axis_triads():
-        if t.axis == axis and t.orientation == orientation:
-            return t
-    raise KeyError((axis, orientation))
+    """The triad of (axis, orientation); KeyError for any other pair."""
+    return _TRIAD_BY_KEY[axis, orientation]
+
+
+_S = frozen(as_matrix([[1, 0, 0, -1],
+                       [0, 1, 1, 0],
+                       [1, 0, 0, 1],
+                       [0, 1, -1, 0]]) / np.sqrt(2))
 
 
 def s_matrix():
-    """The 1/sqrt(2)-scaled unitary mixing matrix between the two sets."""
-    return frozen(as_matrix([[1, 0, 0, -1],
-                             [0, 1, 1, 0],
-                             [1, 0, 0, 1],
-                             [0, 1, -1, 0]]) / np.sqrt(2))
+    """The 1/sqrt(2)-scaled unitary mixing matrix between the two sets,
+    read-only and built at import."""
+    return _S
 
 
 def canonical_transform(s, aset, mode):

@@ -402,16 +402,17 @@ def suite_planewave(cfg: RunConfig):
         "det = (eps^2 - m^2 c^4 - c^2 p^2)^2", 0.0, worst, tol_abs=1e-12))
 
     p = np.array([0.0, 1.3 * mass * c, 0.0])
+    s1, s2 = planewave.make_states("positive", p, mass, c)
+    n1, n2 = planewave.make_states("negative", p, mass, c)
     errors = []
-    for branch in ("positive", "negative"):
-        eps = planewave.dispersion(p, mass, c)[0 if branch == "positive" else 1]
-        basis = planewave.nullspace(planewave.build_system(eps, p, mass, c))
+    for closed in ((s1, s2), (n1, n2)):
+        basis = planewave.nullspace(
+            planewave.build_system(closed[0].energy, p, mass, c))
         errors.append(abs(len(basis) - 2))
-        closed = planewave.solution_basis(branch, p, mass, c)
         for v in basis:
             # compare up to the overall scale left free by the elimination
             fits = [math.inf]
-            for r in closed:
+            for r in (state.amplitudes for state in closed):
                 j = int(np.argmax(np.abs(r)))
                 if abs(v[j]) != 0:
                     fits.append(np.abs(v * (r[j] / v[j]) - r).max())
@@ -420,8 +421,6 @@ def suite_planewave(cfg: RunConfig):
         "planewave/nullspace", "rank-2 nullspace spans the closed forms",
         0.0, _worst(errors), tol_abs=cfg.tol_rel))
 
-    s1, s2 = planewave.make_states("positive", p, mass, c)
-    n1, n2 = planewave.make_states("negative", p, mass, c)
     pattern = {
         "planewave/sparsity-positive-1": (s1, (False, True, True, False)),
         "planewave/sparsity-positive-2": (s2, (True, False, False, True)),

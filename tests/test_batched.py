@@ -385,17 +385,17 @@ def residual_cases(draw):
 def test_residual_stacks_match_single_points(case, form, mass):
     t, layout, f, ft, fu = case
     f, ft, fu = (EmField(g.e[None], g.h[None]) for g in (f, ft, fu))
-    scalar = bridge.scalar_residuals(f, ft, fu, [layout], mass, [form])[0]
-    bisp = bridge.bispinor_residuals(f, ft, fu, [t], [layout], CANON, mass,
-                                     [form])[0]
+    w = bridge.grid_stack(f, ft, fu)
+    scalar = bridge.scalar_residuals(w, [layout], mass, [form])[0]
+    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, mass, [form])[0]
     assert scalar.shape == bisp.shape == (len(f.e[0]), 4)
     for i in range(len(scalar)):
-        one = [g[:, i:i + 1] for g in (f, ft, fu)]
+        one = bridge.grid_stack(*(g[:, i:i + 1] for g in (f, ft, fu)))
         assert np.array_equal(
-            bridge.scalar_residuals(*one, [layout], mass, [form])[0, 0],
+            bridge.scalar_residuals(one, [layout], mass, [form])[0, 0],
             scalar[i])
         assert np.array_equal(
-            bridge.bispinor_residuals(*one, [t], [layout], CANON, mass,
+            bridge.bispinor_residuals(one, [t], [layout], CANON, mass,
                                       [form])[0, 0],
             bisp[i])
 

@@ -339,8 +339,9 @@ def test_residual_rows_follow_the_grid_order():
         point = (np.array([t_grid[i // len(u_grid)]]),
                  np.array([u_grid[i % len(u_grid)]]))
         f, ft, fu = (func(*point) for func in wave)
-        row = bridge.scalar_residuals(f, ft, fu, [layout], 1.0, ["plus"])[0, 0]
-        bisp = bridge.bispinor_residuals(f, ft, fu, [t], [layout], CANON, 1.0,
+        w = bridge.grid_stack(f, ft, fu)
+        row = bridge.scalar_residuals(w, [layout], 1.0, ["plus"])[0, 0]
+        bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, 1.0,
                                          ["plus"])[0, 0]
         scalar.append(np.abs(row).max())
         cross.append(np.abs(row * factors - bisp).max())

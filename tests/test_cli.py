@@ -553,25 +553,41 @@ def _package_defs():
                 yield str(path), first, node.name
 
 
-def test_every_function_is_reached_by_a_command(capsys):
-    entered = set()
+# Runs REACH_ARGV (argv[1], JSON) under a profiler in a fresh interpreter,
+# imports included, so the tables that a module builds at import count as
+# reached; prints the exit codes and the (file, first line) of every call.
+REACH_SCRIPT = """
+import contextlib, io, json, sys
+entered = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [main(argv) for argv in REACH_ARGV]
-    finally:
-        sys.setprofile(previous)
-    capsys.readouterr()
-    assert codes == [0] * 14 + [2, 2, 2]
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    from semiphoton.cli import main
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def test_every_function_is_reached_by_a_command():
+    src = pathlib.Path(semiphoton.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT, json.dumps(REACH_ARGV)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    run = json.loads(result.stdout)
+    assert run["codes"] == [0] * 14 + [2, 2, 2]
+    entered = {(str(pathlib.Path(path).resolve()), line)
+               for path, line in run["entered"]}
     unreached = [name for path, line, name in _package_defs()
-                 if (path, line) not in entered]
+                 if (str(pathlib.Path(path).resolve()), line) not in entered]
     assert unreached == []
-
 
 
 # Parameters with a default that no call in the package or its scripts sets,
