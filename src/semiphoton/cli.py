@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -91,6 +92,10 @@ def cmd_torus(args):
 
 def cmd_planewave(args):
     from . import bridge, dirac, planewave
+    for flag in ("--px", "--py", "--pz"):
+        value = getattr(args, flag[2:])
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     aset = dirac.canonical_alpha_set()
     p = np.array([args.px, args.py, args.pz])
     mass, c = 1.0, 1.0

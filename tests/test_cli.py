@@ -369,6 +369,15 @@ def test_planewave_infinite_energy_exits_two(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--px", "nan"), ("--py", "inf"), ("--pz", "-inf")])
+def test_planewave_non_finite_momentum_names_its_option(flag, value, capsys):
+    assert main(["planewave", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be finite, got {value}\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["torus", "--zeta", "1e-150"], ["planewave", "--px", "1e150"],
