@@ -519,6 +519,11 @@ def suite_planewave(cfg: RunConfig):
         "planewave/expansion-finite-difference",
         "finite-difference route agrees within its truncation", 0.0,
         _worst(rep_fd.cross_deviation, rep_fd.max_scalar), tol_abs=1e-6))
+    checks.append(CheckReport.build(
+        "planewave/expansion-fd-truncation",
+        "Richardson estimate of the finite-difference truncation", 0.0,
+        float(rep_fd.truncation[0]), tol_abs=bridge.FD_TOL,
+        notes="max |D(h) - D(h/2)| of d/dt and d/du at the first grid point"))
     return checks, ledger
 
 
