@@ -111,6 +111,22 @@ def expansion(triads, forms, t_grid, u_grid):
                                     u_grid, d_dt=d_dt, d_du=d_du)
 
 
+def suite_grids():
+    """The planewave suite's detuned and finite-difference grids: one
+    y-negative plus-form case each on a 3 x 3 grid."""
+    y_neg, k = [dirac.triad("y", "negative")], 0.8
+    _, fields, d_dt, d_du = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
+    detuned = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
+    return {
+        "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
+            detuned[0], y_neg, 1.0, ["plus"], np.linspace(0.1, 1.7, 3),
+            np.linspace(-0.9, 0.9, 3), d_dt=detuned[1], d_du=detuned[2]),
+        "expansion_fd_1x3x3": lambda: bridge.dirac_residual_em(
+            fields, y_neg, 1.0, ["plus"], np.linspace(0.0, 1.0, 3),
+            np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k),
+    }
+
+
 def kernels(cfg):
     canon = dirac.canonical_alpha_set()
     s = dirac.s_matrix()
@@ -147,6 +163,7 @@ def kernels(cfg):
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
             fields, t_ax, 1.0, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
+        **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),
         "build_parser": cli.build_parser,
     }

@@ -13,6 +13,9 @@ as one stack and keys each product by its phase class, the bytes of the
 product turned by a power of -i to a fixed phase, so a class is a set lookup
 and two members match only when they are equal up to the phase exactly.  A
 set that does not close returns 17 classes instead of raising.
+
+The two alpha sets, the six triads and the mixing matrix are built once, at
+import; their accessors return the same read-only objects on every call.
 """
 from __future__ import annotations
 

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from semiphoton import bridge, dirac, dynamics, planewave, suites, torus
 from semiphoton.bridge import EmField
+from semiphoton.linalg import mat_vec
 
 CANON = dirac.canonical_alpha_set()
 MODEL = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
@@ -462,6 +463,142 @@ def test_finite_difference_case_stack_matches_single_cases():
             forms[i:i + 1], *grids, fd_step=1e-4)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
+
+
+# The residual grid as it was computed before its tables were built at
+# import: every call builds its layouts, slot tables and scalar rows again,
+# and each route stacks the fields on its own.
+REF_FLAT = {(kind, ax): 3 * j + i
+            for j, kind in enumerate("eh") for ax, i in bridge.AXIS_INDEX.items()}
+
+
+def ref_layout(t, conjugated):
+    signs = (1, -1, 1, -1) if conjugated else (1, 1, 1, 1)
+    return (("e", t.e_axes[0], signs[0] * (1 + 0j)),
+            ("e", t.e_axes[1], signs[1] * (1 + 0j)),
+            ("h", t.h_axes[0], signs[2] * 1j),
+            ("h", t.h_axes[1], signs[3] * 1j))
+
+
+def ref_gather(v, index):
+    g = v[np.arange(len(v))[:, None], ..., index]
+    return g.transpose(0, *range(2, g.ndim), 1)
+
+
+def ref_stacked(f):
+    return np.concatenate([f.e, f.h], axis=-1)
+
+
+def ref_residual_em(fields, triads, mass, forms, t_grid, u_grid, d_dt, d_du,
+                    c, hbar, fd_step, conjugated):
+    """(cross_deviation, max_scalar, truncation) of the grid, per case."""
+    flags = np.broadcast_to(conjugated, (len(triads),))
+    slots = [ref_layout(t, bool(conj)) for t, conj in zip(triads, flags)]
+    layouts = [bridge.FieldLayout(t.name, t.axis, sl)
+               for t, sl in zip(triads, slots)]
+    index = np.array([[REF_FLAT[k, ax] for k, ax, _ in sl] for sl in slots])
+    factors = np.array([[fac for *_, fac in sl] for sl in slots])
+    tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
+    truncation = np.zeros(len(triads))
+    if d_dt is None:
+        def fd(t, u, steps):
+            shifts = [(s * h, 0.0) if var == "t" else (0.0, s * h)
+                      for h in steps for var in "tu" for s in (-2, -1, 1, 2)]
+            v = ref_stacked(fields(np.concatenate([t + dt for dt, _ in shifts]),
+                                   np.concatenate([u + du for _, du in shifts])))
+            x = np.moveaxis(v.reshape(len(v), len(steps), 2, 4, len(t), 6), 0, 3)
+            h = np.reshape(steps, (-1, 1, 1, 1, 1))
+            return (x[:, :, 0] - 8 * x[:, :, 1] + 8 * x[:, :, 2]
+                    - x[:, :, 3]) / (12 * h)
+
+        full, half = fd(tt[:1], uu[:1], (fd_step, fd_step / 2))
+        truncation = np.abs(full - half).max(axis=(0, 2, 3))
+        fd_t, fd_u = (EmField(d[..., :3], d[..., 3:])
+                      for d in fd(tt, uu, (fd_step,))[0])
+    f = fields(tt, uu)
+    ft = fd_t if d_dt is None else d_dt(tt, uu)
+    fu = fd_u if d_du is None else d_du(tt, uu)
+
+    rows = [bridge.scalar_rows(layout, form)
+            for layout, form in zip(layouts, forms)]
+    lhs, du = (np.array([[REF_FLAT[row[j:j + 2]] for row in r] for r in rows])
+               for j in (0, 3))
+    du_sign = np.array([[row[2] for row in r] for r in rows])
+    mass_coef = np.array([[row[5] * 1j * (mass * c / hbar) for row in r]
+                          for r in rows])
+    v, vt, vu = (ref_stacked(g) for g in (f, ft, fu))
+    scalar = (ref_gather(vt, lhs) / c + du_sign[:, None] * ref_gather(vu, du)
+              + mass_coef[:, None] * ref_gather(v, lhs))
+
+    s = np.array([bridge.SIGN_FORMS[form] for form in forms])[:, None, None]
+    working = np.stack([CANON.named()[t.working] for t in triads])
+    stack = np.stack([ref_stacked(g) for g in (f, ft, fu)], axis=1)
+    spinors = factors.reshape(len(slots), 1, 1, 4) * ref_gather(stack, index)
+    psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
+    p_term = s * c * np.einsum("cij,c...j->c...i", working,
+                               -1j * hbar * dpsi_du)
+    mass_term = s * mass * c * c * mat_vec(CANON.a4, psi)
+    bisp = (1j * hbar * dpsi_dt + p_term + mass_term) / (1j * hbar * c)
+    return (np.abs(scalar * factors[:, None] - bisp).max(axis=(1, 2)),
+            np.abs(scalar).max(axis=(1, 2)), truncation)
+
+
+CASES = [(t, form) for t in dirac.axis_triads() for form in ("plus", "minus")]
+grid_axis = st.lists(st.floats(-2, 2, allow_nan=False), min_size=1,
+                     max_size=4).map(np.array)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(CASES), min_size=1, max_size=12),
+       st.data(), grid_axis, grid_axis,
+       st.sampled_from((1.0, 0.7, 2.5)), st.sampled_from((1.0, 0.6)),
+       st.floats(0, 2), st.floats(0.2, 2), st.floats(-1, 1),
+       st.sampled_from((1.0, 1.1)), st.sampled_from((None, 1e-4, 0.05, 0.5)))
+def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
+                                                  c, hbar, mass, k, e2_amp,
+                                                  detune, fd_step):
+    triads, forms = zip(*cases)
+    conjugated = data.draw(st.one_of(
+        st.booleans(), st.lists(st.booleans(), min_size=len(cases),
+                                max_size=len(cases))))
+    wave = bridge.detuned_wave(*bridge.onshell_plane_wave(
+        triads, forms, k, 1.0, e2_amp=e2_amp, c=c, hbar=hbar)[1:], detune)
+    derivs = wave[1:] if fd_step is None else (None, None)
+    rep = bridge.dirac_residual_em(
+        wave[0], triads, mass, forms, t_grid, u_grid, *derivs, c=c,
+        hbar=hbar, fd_step=fd_step, charge_conjugated=conjugated)
+    ref = ref_residual_em(wave[0], triads, mass, forms, t_grid, u_grid,
+                          *derivs, c, hbar, fd_step, conjugated)
+    got = (rep.cross_deviation, rep.max_scalar, rep.truncation)
+    for a, b in zip(got, ref):
+        assert a.shape == (len(cases),)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fixed_tables_are_built_once_and_read_only():
+    assert dirac.axis_triads() is dirac.axis_triads()
+    assert dirac.alpha_prime_set() is dirac.alpha_prime_set()
+    assert dirac.s_matrix() is dirac.s_matrix()
+    assert dirac.triad("y", "negative") is dirac.axis_triads()[0]
+    with pytest.raises(KeyError):
+        dirac.triad("w", "negative")
+    layouts = [bridge.layout_for_triad(t, conj)
+               for t in dirac.axis_triads() for conj in (False, True)]
+    layouts += [bridge.electron_layout(), bridge.positron_layout()]
+    assert bridge.layout_for_triad(dirac.axis_triads()[0]) is layouts[0]
+    assert bridge.electron_layout() is layouts[-2]
+    tables = [dirac.s_matrix(), *dirac.alpha_prime_set().named().values()]
+    for layout in layouts:
+        tables += [layout.index, layout.factors, layout.outside,
+                   layout.scalar_table]
+        for i, form in enumerate(bridge.SIGN_FORMS):
+            rows = bridge.scalar_rows(layout, form)
+            assert layout.scalar_table[i].tolist() == [
+                [REF_FLAT[k0, x0], REF_FLAT[k1, x1], s_du, s_m]
+                for k0, x0, s_du, k1, x1, s_m in rows]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
 
 
 def test_stacks_are_validated():

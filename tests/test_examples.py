@@ -63,7 +63,8 @@ def test_kernel_benchmark_prints_its_medians():
         "generate_group", "anticommutation_deviation", "canonical_transform",
         "bilinears_1000", "fierz_quantum_1000", "nullspace",
         "residual_1000", "cross_1000", "simpson",
-        "calibrate_e0", "sweep_zeta_20", "dirac_residual_em_4x5", "expansion_12x4x5",
+        "calibrate_e0", "sweep_zeta_20", "dirac_residual_em_4x5",
+        "expansion_12x4x5", "expansion_detuned_1x3x3", "expansion_fd_1x3x3",
         "report_json", "build_parser"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
                                     "planewave", "dynamics"}
