@@ -383,7 +383,7 @@ def bispinor_residuals(w, triads, layouts, aset, mass, sign_forms, c=1.0,
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
     working = np.array([getattr(aset, t.working) for t in triads])
-    spinors = _case_spinors(np.moveaxis(w, 0, 1), layouts)
+    spinors = _case_spinors(w.swapaxes(0, 1), layouts)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
     eps_term = 1j * hbar * dpsi_dt
     p_term = s * c * np.einsum("cij,c...j->c...i", working, -1j * hbar * dpsi_du)
@@ -445,7 +445,7 @@ def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
     flags = np.broadcast_to(charge_conjugated, (len(triads),))
     layouts = [layout_for_triad(t, conj) for t, conj in zip(triads, flags)]
     aset = canonical_alpha_set()
-    tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
+    tt, uu = np.repeat(t_grid, len(u_grid)), np.tile(u_grid, len(t_grid))
     truncation = np.zeros(len(triads))
     if (d_dt is None) or (d_du is None):
         full, half = _fd_derivatives(fields, tt[:1], uu[:1],

@@ -82,14 +82,13 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     one, zero = np.ones_like(px), np.zeros_like(px)
     mc2 = mass * c * c
-    e_plus, e_minus = dispersion(p, mass, c)
     if branch == "positive":
-        eps = e_plus if energy is None else energy
+        eps = dispersion(p, mass, c)[0] if energy is None else energy
         d = eps + mc2
         first = [-c * pz / d, -c * (px + 1j * py) / d, one, zero]
         second = [-c * (px - 1j * py) / d, c * pz / d, zero, one]
     elif branch == "negative":
-        eps = e_minus if energy is None else energy
+        eps = dispersion(p, mass, c)[1] if energy is None else energy
         d = -eps + mc2
         first = [one, zero, c * pz / d, c * (px + 1j * py) / d]
         second = [zero, one, c * (px - 1j * py) / d, -c * pz / d]
@@ -104,8 +103,8 @@ def make_states(branch, momentum, mass, c=1.0):
     if not np.isfinite(e_plus).all():
         raise ValueError(f"on-shell energy is not finite for momentum "
                          f"{np.asarray(momentum).tolist()} and mass {mass!r}")
-    s1, s2 = solution_basis(branch, momentum, mass, c)
     eps = e_plus if branch == "positive" else e_minus
+    s1, s2 = solution_basis(branch, momentum, mass, c, energy=eps)
     return (PlaneWaveState(eps, momentum, s1),
             PlaneWaveState(eps, momentum, s2))
 
