@@ -235,7 +235,7 @@ def bilinears(psi, aset):
     """
     psi = as_bispinor(psi)
     return np.einsum("...i,kij,...j->...k", psi.conj(),
-                     np.stack(list(aset.named().values())), psi)
+                     np.array(list(aset.named().values())), psi)
 
 
 def e_squared(f: EmField):

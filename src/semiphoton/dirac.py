@@ -133,7 +133,7 @@ def hermiticity_deviations(aset):
     """{name: max entry of m - m^+} over the six matrices, one stack."""
     names = aset.named()
     return dict(zip(names, hermiticity_deviation(
-        np.stack(list(names.values()))).tolist()))
+        np.array(list(names.values()))).tolist()))
 
 
 def _class_keys(mats):
@@ -166,7 +166,7 @@ def generate_group(aset):
     keeps the products whose class key is new.
     """
     reps, keys = [], set()
-    batch = np.stack((np.eye(4, dtype=complex), aset.a1, aset.a2, aset.a3,
+    batch = np.array((np.eye(4, dtype=complex), aset.a1, aset.a2, aset.a3,
                       aset.a4, aset.a5))
     while len(reps) <= 16:
         known = len(reps)
@@ -176,7 +176,7 @@ def generate_group(aset):
                 reps.append(m)
         if len(reps) == known:
             break
-        batch = _pair_products(np.stack(reps)).reshape(-1, 4, 4)
+        batch = _pair_products(np.array(reps)).reshape(-1, 4, 4)
     return reps[:17]
 
 

@@ -115,7 +115,7 @@ def residual(state: PlaneWaveState, aset, mass, c=1.0):
     a0..a4 act on the amplitudes, and their five images are weighted by the
     energy, c p and m c^2, so no stack of operators is built.
     """
-    images = np.einsum("kij,...j->...ki", np.stack(
+    images = np.einsum("kij,...j->...ki", np.array(
         (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
     i0, i1, i2, i3, i4 = (images[..., k, :] for k in range(5))
     energy = np.asarray(state.energy)[..., None]
