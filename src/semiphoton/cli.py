@@ -7,7 +7,9 @@ seed produce byte-identical output.
 
 Only ``report`` and ``torus`` load with this module; each handler imports
 the checker modules it runs, so ``torus`` and ``sweep-zeta`` start without
-them.  ``main`` looks each handler up by name when it is called.
+them.  ``main`` looks each handler up by name when it is called, and adds
+options only to the commands its argv names: argparse picks a command only
+by a token equal to its name, so every parser it can pick is complete.
 """
 from __future__ import annotations
 
@@ -230,7 +232,8 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser; given argv, only the commands it names get options."""
     parser = argparse.ArgumentParser(
         prog="semiphoton",
         description="Deterministic verification of the rolled-wave electron "
@@ -238,13 +241,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        for flag in options:
-            p.add_argument(flag, **OPTIONS[flag])
+        if argv is None or name in argv:
+            for flag in options:
+                p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
