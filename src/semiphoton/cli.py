@@ -247,8 +247,26 @@ def build_parser(argv=None):
     return parser
 
 
+def _join_float_values(argv):
+    """argv with each float option joined as --flag=value to a next token
+    that float() reads but argparse takes for an option, such as -1e-3."""
+    out = []
+    for token in argv:
+        if (out and OPTIONS.get(out[-1], {}).get("type") is float
+                and token.startswith("-")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

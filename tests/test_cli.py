@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiphoton
 from semiphoton import bridge, dirac
@@ -378,6 +381,36 @@ def test_planewave_non_finite_momentum_names_its_option(flag, value, capsys):
     assert captured.err == f"error: {flag} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("flag, value, code, err", [
+    ("--px", "-1e-3", 0, ""), ("--py", "-1e-3", 0, ""),
+    ("--pz", "-1e-3", 0, ""),
+    ("--pz", "-inf", 2, "error: --pz must be finite, got -inf\n"),
+    ("--pz", "-nan", 2, "error: --pz must be finite, got nan\n")])
+def test_negative_momentum_written_apart_parses_as_joined(flag, value, code,
+                                                          err, capsys):
+    """argparse alone reads -1e-3 and -inf as options, not as values."""
+    assert main(["planewave", flag, value]) == code
+    apart = capsys.readouterr()
+    assert apart.err == err
+    assert main(["planewave", f"{flag}={value}"]) == code
+    assert capsys.readouterr() == apart
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["torus", "--zeta", "-1e-3"],
+     "error: zeta must be in (0, 1], got -0.001\n"),
+    (["planewave", "--pz", "--out", "x"],
+     "planewave: error: argument --pz: expected one argument\n"),
+    (["planewave", "--pz", "-h"],
+     "planewave: error: argument --pz: expected one argument\n")])
+def test_float_option_takes_only_a_number_as_its_next_token(argv, err,
+                                                            capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(err)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["torus", "--zeta", "1e-150"], ["planewave", "--px", "1e150"],
@@ -456,14 +489,57 @@ VALUES = {
 PAIRS = [(command, option) for command in READS for option in VALUES]
 
 
-def test_each_command_has_exactly_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions
+def _options(parser):
+    """Each command's option strings, -h and --help left out."""
+    sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    got = {name: [s for a in p._actions for s in a.option_strings
-                  if s not in ("-h", "--help")]
-           for name, p in sub.choices.items()}
-    assert got == READS
+    return {name: [s for a in p._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()}
+
+
+def test_each_command_has_exactly_the_options_it_reads():
+    assert _options(build_parser()) == READS
     assert sum(map(len, READS.values())) == 30
+
+
+def test_a_request_builds_only_the_options_of_the_command_it_names():
+    argv = ["sweep-zeta", "--min", "0.1", "--max", "0.9", "--steps", "5"]
+    assert _options(build_parser(argv)) == {
+        name: flags if name == "sweep-zeta" else []
+        for name, flags in READS.items()}
+
+
+def _parse(parser, argv):
+    """repr of the Namespace, or the exit code, with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMAND = st.sampled_from(list(READS))
+FLAG = st.sampled_from([*VALUES, "-h", "--bogus"])
+TOKENS = st.lists(st.one_of(
+    COMMAND, FLAG,
+    st.sampled_from(["0.5", "-1", "-0.5", "-1e-3", "-inf", "nan", "x",
+                     *VALUES.values()]),
+    st.floats().map(str)), max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=st.one_of(TOKENS, st.builds(
+    lambda head, name, rest: [*head, name, *rest],
+    st.lists(FLAG, max_size=2), COMMAND, TOKENS)))
+def test_filtered_parser_decides_like_the_full_one(argv):
+    """argparse picks a command only by a token equal to its name, so the
+    parser that gives only the named commands options is enough.  Command
+    names also come as option values, and unknown flags before a command
+    leave it the command."""
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
 
 
 @pytest.mark.parametrize("command,option", [
