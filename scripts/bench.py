@@ -102,6 +102,11 @@ def e2e_ms(repeat):
             for name, t in times.items()}
 
 
+# One ring_sweep-like request: the parser builds only its command's options.
+SWEEP_ARGV = ["sweep-zeta", "--min", "0.05", "--max", "0.8", "--steps", "12",
+              "--units", "natural", "--quad-points", "256"]
+
+
 def expansion(triads, forms, t_grid, u_grid):
     """The waves and residuals of a stack of (triad, form) cases, as the
     planewave suite's expansion checks build them."""
@@ -166,6 +171,8 @@ def kernels(cfg):
         **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),
         "build_parser": cli.build_parser,
+        "parse_sweep_request":
+            lambda: cli.build_parser(SWEEP_ARGV).parse_args(SWEEP_ARGV),
     }
 
 

@@ -65,7 +65,7 @@ def test_kernel_benchmark_prints_its_medians():
         "residual_1000", "cross_1000", "simpson",
         "calibrate_e0", "sweep_zeta_20", "dirac_residual_em_4x5",
         "expansion_12x4x5", "expansion_detuned_1x3x3", "expansion_fd_1x3x3",
-        "report_json", "build_parser"}
+        "report_json", "build_parser", "parse_sweep_request"}
     assert set(doc["suite_ms"]) == {"algebra", "bilinear", "fierz", "torus",
                                     "planewave", "dynamics"}
     assert set(doc["e2e_ms"]) == {"verify_all", "torus", "import_semiphoton",
