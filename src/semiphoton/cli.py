@@ -249,7 +249,8 @@ def build_parser(argv=None):
 
 def _join_float_values(argv):
     """argv with each float option joined as --flag=value to a next token
-    that float() reads but argparse takes for an option, such as -1e-3."""
+    that starts with "-" and that float() reads: argparse alone takes
+    -1e-3 or -inf for an option, not for the value."""
     out = []
     for token in argv:
         if (out and OPTIONS.get(out[-1], {}).get("type") is float
