@@ -11,6 +11,12 @@ Fields and spinors may be stacks of n samples (E, H of shape (n, 3), psi of
 shape (n, 4)); every dictionary kernel then returns one value per sample, and
 a single field or spinor is the same code without the leading axis.
 
+Inputs are checked once, where they enter: the ``EmField`` constructor
+checks E and H, and ``fields_from_bispinor`` and ``bilinears`` check their
+spinors.  A part of a checked stack, ``f[i]``, and the fields that
+``slot_fields``, ``case_fields`` and ``fields_from_bispinor`` build are
+wrapped as they are, without a second check or a copy.
+
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
 component equations against the matrix form for a stack of C cases (triad,
@@ -26,7 +32,7 @@ reads its tables instead of building them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,27 +47,36 @@ class LayoutViolation(ValueError):
     """A field component without a slot in the layout is non-zero."""
 
 
-@dataclass(frozen=True)
 class EmField:
     """E and H of one field, (3,), of a stack of n fields, (n, 3), or of C
-    cases of n fields each, (C, n, 3)."""
-    e: np.ndarray
-    h: np.ndarray
+    cases of n fields each, (C, n, 3).
+
+    The constructor checks its inputs (``as_vec3``: complex, finite, of
+    equal shape).  A part of a checked stack, ``f[i]`` or a builder's
+    slice, is a view of it that is neither copied nor checked again.
+    """
+    __slots__ = ("e", "h")
 
     def __init__(self, e, h):
         e, h = as_vec3(e), as_vec3(h)
         if e.shape != h.shape:
             raise ValueError(f"E and H shapes differ: {e.shape} vs {h.shape}")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "h", h)
+        self.e, self.h = e, h
+
+    @classmethod
+    def _of(cls, e, h):
+        """The field of complex arrays e, h that are already checked."""
+        f = cls.__new__(cls)
+        f.e, f.h = e, h
+        return f
 
     @classmethod
     def zero(cls):
         return cls(np.zeros(3), np.zeros(3))
 
     def __getitem__(self, i):
-        """The field(s) at index i of the stack."""
-        return EmField(self.e[i], self.h[i])
+        """The field(s) at index i of the stack, a view of it."""
+        return EmField._of(self.e[i], self.h[i])
 
     def is_real(self):
         return not (self.e.imag.any() or self.h.imag.any())
@@ -77,7 +92,6 @@ _FLAT = {(kind, ax): 3 * j + i
          for j, kind in enumerate("eh") for ax, i in AXIS_INDEX.items()}
 
 
-@dataclass(frozen=True)
 class FieldLayout:
     """Slot table mapping spinor components to field components.
 
@@ -91,27 +105,18 @@ class FieldLayout:
     per sign form in ``SIGN_FORMS`` order as (lhs, du, du_sign, mass_sign)
     columns, shape (2, 4, 4).
     """
-    name: str
-    axis: str
-    slots: tuple
-    index: np.ndarray = field(init=False, repr=False, compare=False)
-    factors: np.ndarray = field(init=False, repr=False, compare=False)
-    outside: np.ndarray = field(init=False, repr=False, compare=False)
-    scalar_table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        index = [_FLAT[kind, ax] for kind, ax, _ in self.slots]
-        tables = {
-            "index": index,
-            "factors": [factor for *_, factor in self.slots],
-            "outside": [j for j in range(6) if j not in index],
-            "scalar_table": [[(_FLAT[k0, x0], _FLAT[k1, x1], s_du, s_m)
-                              for k0, x0, s_du, k1, x1, s_m
-                              in scalar_rows(self, form)]
-                             for form in SIGN_FORMS],
-        }
-        for name, table in tables.items():
-            object.__setattr__(self, name, frozen(np.array(table)))
+    def __init__(self, name, axis, slots):
+        self.name, self.axis, self.slots = name, axis, slots
+        index = [_FLAT[kind, ax] for kind, ax, _ in slots]
+        self.index = frozen(np.array(index))
+        self.factors = frozen(np.array([factor for *_, factor in slots]))
+        self.outside = frozen(np.array([j for j in range(6)
+                                        if j not in index]))
+        self.scalar_table = frozen(np.array(
+            [[(_FLAT[k0, x0], _FLAT[k1, x1], s_du, s_m)
+              for k0, x0, s_du, k1, x1, s_m in scalar_rows(self, form)]
+             for form in SIGN_FORMS]))
 
     def covered(self, kind):
         return tuple(ax for k, ax, _ in self.slots if k == kind)
@@ -189,9 +194,9 @@ def case_spinors(f: EmField, layouts):
 
 
 def _placed(vals, index):
-    """[E, H] stacks (C, ..., 6) holding vals[i, ..., s] in component
-    index[i, s] and zero in the others."""
-    v = np.zeros(vals.shape[:-1] + (6,), dtype=vals.dtype)
+    """Complex [E, H] stacks (C, ..., 6) holding vals[i, ..., s] in
+    component index[i, s] and zero in the others."""
+    v = np.zeros(vals.shape[:-1] + (6,), dtype=complex)
     v[np.arange(len(v))[:, None], ..., index] = np.moveaxis(vals, -1, 1)
     return v
 
@@ -200,7 +205,7 @@ def slot_fields(vals, layouts):
     """Fields (C, ..., 3) with vals[i, ..., s] in the component of slot s of
     layouts[i] and zero in the components without a slot."""
     v = _placed(vals, _slot_table(layouts)[0])
-    return EmField(v[..., :3], v[..., 3:])
+    return EmField._of(v[..., :3], v[..., 3:])
 
 
 def _case_fields(psi, layouts):
@@ -216,14 +221,14 @@ def case_fields(psi, layouts):
     """Fields (C, ..., 3) held by the spinors psi (C, ..., 4), case i read
     from the slots of layouts[i]: the inverse of case_spinors."""
     v = _case_fields(psi, layouts)
-    return EmField(v[..., :3], v[..., 3:])
+    return EmField._of(v[..., :3], v[..., 3:])
 
 
 def fields_from_bispinor(psi, layout: FieldLayout):
     """The field(s) held by the spinor(s) psi (..., 4): the view of one case
     of case_fields."""
     v = _case_fields(as_bispinor(psi)[None], [layout])[0]
-    return EmField(v[..., :3], v[..., 3:])
+    return EmField._of(v[..., :3], v[..., 3:])
 
 
 def bilinears(psi, aset):
@@ -412,8 +417,7 @@ def _fd_derivatives(func, t, u, steps):
     return (x[:, :, 0] - 8 * x[:, :, 1] + 8 * x[:, :, 2] - x[:, :, 3]) / (12 * h)
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-case maxima over the grid, shape (C,), and per-case Richardson
     estimates max |D(h) - D(h/2)| of the finite-difference derivatives at
     the grid's first point (0 for closed-form derivatives; NaN propagates)."""

@@ -14,7 +14,6 @@ by a token equal to its name, so every parser it can pick is complete.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -61,8 +60,8 @@ def _complex_pairs(matrix):
 
 def cmd_verify(args):
     from .suites import run_suites
-    cfg = RunConfig(**{f.name: getattr(args, f.name)
-                       for f in dataclasses.fields(RunConfig)}).validate()
+    cfg = RunConfig(**{name: getattr(args, name)
+                       for name in RunConfig._fields}).validate()
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks, ledger = run_suites(cfg, names)
     if cfg.format == "text":
@@ -80,9 +79,9 @@ def cmd_torus(args):
     model = ev.model
     doc = {
         # every model field but the unit system, in field order
-        "model": {k: v for k, v in vars(model).items() if k != "units"},
+        "model": {k: v for k, v in model._asdict().items() if k != "units"},
         "derived": {"alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
-                    **vars(ev.spin), **vars(ev.zitter),
+                    **ev.spin._asdict(), **ev.zitter._asdict(),
                     "r_o": ev.chain.r_o,
                     "radius_ratio": ev.chain.radius_ratio},
         "ledger": [e.to_dict() for e in

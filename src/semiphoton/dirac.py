@@ -19,8 +19,8 @@ import; their accessors return the same read-only objects on every call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class NotUnitaryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AlphaSet:
+class AlphaSet(NamedTuple):
     label: str
     a0: np.ndarray
     a1: np.ndarray
@@ -180,8 +179,7 @@ def generate_group(aset):
     return reps[:17]
 
 
-@dataclass(frozen=True)
-class AxisTriad:
+class AxisTriad(NamedTuple):
     """Matrix assignment and field slot order for one propagation direction.
 
     ``matrix_axes`` names which generator acts for each coordinate derivative.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ LAYOUT = electron_layout()  # the slot map of every Lagrangian route
 ASET = canonical_alpha_set()  # the matrix set of every Lagrangian route
 
 
-@dataclass(frozen=True)
-class StressTensor:
+class StressTensor(NamedTuple):
     tau_pq: np.ndarray
     tau_p0: np.ndarray
     tau_00: float
@@ -55,8 +54,7 @@ def stress_tensor(f: EmField) -> StressTensor:
     return StressTensor(tau_pq=tau_pq, tau_p0=tau_p0, tau_00=0.5 * total)
 
 
-@dataclass(frozen=True)
-class RingForce:
+class RingForce(NamedTuple):
     f2: float
     f0: float
 
@@ -100,8 +98,7 @@ def magnetic_confinement_density(j_tau, h, c=1.0):
 # Lagrangian evaluators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WavePoint:
+class WavePoint(NamedTuple):
     """Field values and closed-form derivatives at one space-time point.
 
     ``df_du`` is the derivative along the layout's propagation axis; the wave
@@ -125,8 +122,7 @@ def _du_dt_terms(point: WavePoint, c):
     return du_term, div_term
 
 
-@dataclass(frozen=True)
-class LinearLagrangian:
+class LinearLagrangian(NamedTuple):
     spinor: complex
     em: complex
     current: complex
@@ -176,8 +172,7 @@ def maxwell_invariant_forms(point: WavePoint, omega_e, c=1.0):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class NonlinearLagrangian:
+class NonlinearLagrangian(NamedTuple):
     quartic_em: float
     quartic_invariant: float
     quartic_bilinear: float
@@ -272,8 +267,7 @@ def _curl_fd(vfield, point, h):
                      dx[..., 1] - dy[..., 0]], axis=-1)
 
 
-@dataclass(frozen=True)
-class CentripetalReport:
+class CentripetalReport(NamedTuple):
     curl: np.ndarray
     acceleration_magnitude: float
 

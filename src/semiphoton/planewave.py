@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bridge import AXIS_INDEX, FieldLayout, bilinears, fields_from_bispinor
-from .linalg import as_bispinor, as_vec3, entry_norm, inner
+from .linalg import as_vec3, entry_norm, inner
 from .report import Discrepancy
 
 
@@ -31,16 +31,12 @@ class AxisMismatch(ValueError):
     """Momentum is not aligned with the layout's propagation axis."""
 
 
-@dataclass(frozen=True)
-class PlaneWaveState:
-    """One state, or a stack of n: energy (n,), momentum (n, 3), amplitudes (n, 4)."""
+class PlaneWaveState(NamedTuple):
+    """One state, or a stack of n: energy (n,), real momentum (n, 3) and
+    complex amplitudes (n, 4), stored as given (make_states checks them)."""
     energy: float
     momentum: np.ndarray
     amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "momentum", as_vec3(self.momentum).real)
-        object.__setattr__(self, "amplitudes", as_bispinor(self.amplitudes))
 
 
 def build_system(energy, momentum, mass, c=1.0):
@@ -99,14 +95,16 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
 
 
 def make_states(branch, momentum, mass, c=1.0):
-    e_plus, e_minus = dispersion(momentum, mass, c)
+    """The two states of the branch at the momentum (3,) or (n, 3), which
+    is checked here, once."""
+    p = as_vec3(momentum).real
+    e_plus, e_minus = dispersion(p, mass, c)
     if not np.isfinite(e_plus).all():
         raise ValueError(f"on-shell energy is not finite for momentum "
                          f"{np.asarray(momentum).tolist()} and mass {mass!r}")
     eps = e_plus if branch == "positive" else e_minus
-    s1, s2 = solution_basis(branch, momentum, mass, c, energy=eps)
-    return (PlaneWaveState(eps, momentum, s1),
-            PlaneWaveState(eps, momentum, s2))
+    s1, s2 = solution_basis(branch, p, mass, c, energy=eps)
+    return PlaneWaveState(eps, p, s1), PlaneWaveState(eps, p, s2)
 
 
 def residual(state: PlaneWaveState, aset, mass, c=1.0):
@@ -160,8 +158,7 @@ def nullspace(matrix):
     return basis
 
 
-@dataclass(frozen=True)
-class FieldInterpretation:
+class FieldInterpretation(NamedTuple):
     field: object
     sparsity: tuple
     e_amplitude: float

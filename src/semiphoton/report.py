@@ -11,8 +11,8 @@ of ``json.dumps(doc, indent=2, allow_nan=False)`` byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ def _scalarize(value):
     return _number(value)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     id: str
     ref: str
     claimed: object
@@ -80,7 +79,7 @@ class CheckReport:
                    tol_rel=tol_rel, verdict=verdict, notes=notes)
 
     def to_dict(self):
-        d = dict(self.__dict__)
+        d = self._asdict()
         d["claimed"] = _scalarize(self.claimed)
         d["computed"] = _scalarize(self.computed)
         d["abs_err"] = _number(self.abs_err)
@@ -88,8 +87,7 @@ class CheckReport:
         return d
 
 
-@dataclass
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """One place where a stated closed form and the computed value disagree."""
     claim: str
     stated: object
@@ -98,15 +96,14 @@ class Discrepancy:
     note: str = ""
 
     def to_dict(self):
-        d = dict(self.__dict__)
+        d = self._asdict()
         d["stated"] = _scalarize(self.stated)
         d["computed"] = _scalarize(self.computed)
         d["ratio"] = _number(self.ratio)
         return d
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     units: str = "natural"
     zeta: float = 1.0
     tol_abs: float = DEFAULT_TOL
@@ -115,7 +112,7 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     quadrature_points: int = 256
-    out: str | None = field(default=None)
+    out: str | None = None
 
     def validate(self):
         if self.units not in ("natural", "gaussian_cgs"):
@@ -137,7 +134,7 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        d = dict(self.__dict__)
+        d = self._asdict()
         d.pop("out")
         return d
 

@@ -15,7 +15,6 @@ grows with n, not with n times the trip count.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -692,7 +691,7 @@ def suite_dynamics(cfg: RunConfig):
         "dynamics/self-action-constant", "coefficient at zeta = 1",
         math.pi / 32, dynamics.self_action_constant(model1, alpha_q),
         tol_abs=0.0, tol_rel=1e-15))
-    doubled = replace(model1, r_s=2 * model1.r_s)
+    doubled = model1._replace(r_s=2 * model1.r_s)
     checks.append(CheckReport.build(
         "dynamics/self-action-cubic", "doubling r_s scales the constant by 8",
         8 * dynamics.self_action_constant(model1, alpha_q),

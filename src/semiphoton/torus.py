@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def _check_zeta(zeta):
         f"zeta must be in (0, 1], got {float(np.ravel(zeta)[i])}"))
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(NamedTuple):
     hbar: float
     c: float
     m_e: float
@@ -88,11 +87,6 @@ class UnitSystem:
         return cls(hbar=HBAR_CGS, c=C_CGS, m_e=M_E_CGS, e=E_CGS,
                    mode="gaussian_cgs")
 
-    def __post_init__(self):
-        for name in ("hbar", "c", "m_e", "e"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-
 
 def unit_system(mode):
     if mode == "natural":
@@ -102,8 +96,7 @@ def unit_system(mode):
     raise DomainError(f"unknown unit system {mode!r}")
 
 
-@dataclass(frozen=True)
-class TorusModel:
+class TorusModel(NamedTuple):
     zeta: float
     lambda_p: float
     omega_p: float
@@ -145,7 +138,7 @@ def derive_parameters(units: UnitSystem, zeta) -> TorusModel:
 def with_e0(model: TorusModel, e0) -> TorusModel:
     if (np.asarray(e0) < 0).any():
         raise DomainError("e0 must be non-negative")
-    return replace(model, e0=e0)
+    return model._replace(e0=e0)
 
 
 def ring_current(model: TorusModel, e_magnitude):
@@ -291,8 +284,7 @@ def coupling_constant(zeta):
     return alpha_q
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Closure of the charge -> mass -> radius -> coupling chain."""
     q: float
     m_s: float
@@ -331,8 +323,7 @@ def consistency_chain(model: TorusModel) -> ChainReport:
         r_o=r_o, radius_ratio=r_o / model.r_s)
 
 
-@dataclass(frozen=True)
-class SpinMoment:
+class SpinMoment(NamedTuple):
     sigma_p: float
     sigma_s: float
     mu_s: float
@@ -351,8 +342,7 @@ def spin_and_moment(model: TorusModel, q, units: UnitSystem) -> SpinMoment:
                       mu_closed_form=mu_closed)
 
 
-@dataclass(frozen=True)
-class Zitterbewegung:
+class Zitterbewegung(NamedTuple):
     omega_z: float
     r_z: float
     v: float
@@ -365,8 +355,7 @@ def zitterbewegung(units: UnitSystem) -> Zitterbewegung:
                           v=units.c)
 
 
-@dataclass(frozen=True)
-class TorusEvaluation:
+class TorusEvaluation(NamedTuple):
     """A calibrated ring and every quantity derived from it."""
     model: TorusModel
     alpha_q: float

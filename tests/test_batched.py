@@ -8,7 +8,6 @@ sum of at most four squares of quadratic forms of term scale Q each, so its
 term scale is 4 Q^2.  A single input (no leading axis) is the same code and
 gives the row of the stack, bit for bit except where it squares numpy scalars.
 """
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -814,8 +813,9 @@ def test_simpson_matches_generator_sums(n):
 
 def row_of(record, i):
     """Row i of a stacked torus record: its arrays as floats, nested too."""
-    if dataclasses.is_dataclass(record):
-        return type(record)(**{k: row_of(v, i) for k, v in vars(record).items()})
+    if hasattr(record, "_asdict"):
+        return type(record)(**{k: row_of(v, i)
+                               for k, v in record._asdict().items()})
     return float(record[i]) if isinstance(record, np.ndarray) else record
 
 
@@ -1138,7 +1138,7 @@ def test_field_interpretation_stack_matches_single_states():
         assert got.e_amplitude[i] == one.e_amplitude
         assert got.h_amplitude[i] == one.h_amplitude
         assert np.array_equal(got.field.e[i], one.field.e)
-    off = dataclasses.replace(stack, momentum=np.tile([0.0, 1.3, 0.1], (4, 1)))
+    off = stack._replace(momentum=np.tile([0.0, 1.3, 0.1], (4, 1)))
     with pytest.raises(planewave.AxisMismatch):
         planewave.field_interpretation(off, LAYOUT)
 

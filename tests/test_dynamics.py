@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,8 +184,7 @@ def test_self_action_constant():
     small = torus.derive_parameters(NAT, 0.01)
     assert dynamics.self_action_constant(small, alpha_q) == pytest.approx(
         (0.01 ** 2 / (2 * alpha_q)) * 0.125, rel=1e-12)
-    from dataclasses import replace
-    doubled = replace(MODEL, r_s=2 * MODEL.r_s)
+    doubled = MODEL._replace(r_s=2 * MODEL.r_s)
     assert dynamics.self_action_constant(doubled, alpha_q) == pytest.approx(
         8 * dynamics.self_action_constant(MODEL, alpha_q), rel=1e-15)
 
@@ -249,7 +247,7 @@ def test_quartic_routes_catches_a_planted_error(monkeypatch):
 
     def planted(*args, **kwargs):
         nl = exact(*args, **kwargs)
-        return replace(nl, quartic_bilinear=nl.quartic_bilinear * (1 + 1e-10))
+        return nl._replace(quartic_bilinear=nl.quartic_bilinear * (1 + 1e-10))
 
     monkeypatch.setattr(dynamics, "lagrangian_nonlinear", planted)
     assert _quartic_routes(1006851808).verdict == "fail"
@@ -265,7 +263,7 @@ def test_quartic_routes_stay_relative_at_tiny_zeta(zeta, planted, monkeypatch,
 
     def doubled(*args, **kwargs):
         nl = exact(*args, **kwargs)
-        return replace(nl, quartic_em=2 * nl.quartic_em)
+        return nl._replace(quartic_em=2 * nl.quartic_em)
 
     if planted:
         monkeypatch.setattr(dynamics, "lagrangian_nonlinear", doubled)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +96,7 @@ def test_residual_is_the_image_first_contraction_bit_for_bit(n, branch):
     p = 3 * rng.normal(size=(3,) if n is None else (n, 3))
     for state in planewave.make_states(branch, p, 1.3, c=0.7):
         # off shell too, so the residual is not only rounding
-        for detuned in (state, replace(state, energy=state.energy * 1.01)):
+        for detuned in (state, state._replace(energy=state.energy * 1.01)):
             want = stacked_operator_residual(detuned, CANON, 1.3, c=0.7)
             got = planewave.residual(detuned, CANON, 1.3, c=0.7)
             assert got.shape == want.shape
