@@ -68,6 +68,14 @@ class CheckReport(NamedTuple):
     @classmethod
     def build(cls, id, ref, claimed, computed, tol_abs=1e-12, tol_rel=1e-12,
               notes=""):
+        """The check of computed against claimed.  computed is a scalar, or
+        an error array, or a list or tuple of errors, reduced to its largest
+        entry; a NaN entry makes it NaN (Python's ``max(0.0, nan)`` is 0.0,
+        so a NaN sample would pass)."""
+        if isinstance(computed, np.ndarray):
+            computed = float(computed.max())
+        elif isinstance(computed, (list, tuple)):
+            computed = float(np.max([np.max(e) for e in computed]))
         tol_abs, tol_rel = float(tol_abs), float(tol_rel)
         c0 = complex(claimed)
         c1 = complex(computed)
