@@ -232,14 +232,19 @@ COMMANDS = {
 
 
 def build_parser(argv=None):
-    """The parser; given argv, only the commands it names get options."""
+    """The parser; given argv, only the commands it names get options.
+
+    Flags are written in full: an abbreviation such as ``--zet`` is an
+    unrecognized argument, so a negative value is joined to every flag the
+    parser accepts.
+    """
     parser = argparse.ArgumentParser(
-        prog="semiphoton",
+        prog="semiphoton", allow_abbrev=False,
         description="Deterministic verification of the rolled-wave electron "
                     "model and its matrix-form field equations.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
         if argv is None or name in argv:
             for flag in options:
                 p.add_argument(flag, **OPTIONS[flag])

@@ -612,6 +612,16 @@ def test_stacks_are_validated():
     with pytest.raises(bridge.LayoutViolation):
         bridge.bispinor_from_fields(
             EmField(np.eye(3)[[0, 1]], np.zeros((2, 3))), LAYOUT)
+    for value in (np.nan, np.inf, -np.inf):
+        e = np.ones((2, 3))
+        e[1, 2] = value
+        with pytest.raises(ValueError):
+            EmField(e, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            EmField(np.zeros((2, 3)), e)
+    # checked once: a part of a checked stack is a view, not a checked copy
+    f = EmField(np.ones((3, 3)), np.zeros((3, 3)))
+    assert np.shares_memory(f[1].e, f.e) and np.shares_memory(f[1].h, f.h)
 
 
 def loop_closure(aset, mul=np.matmul):

@@ -231,6 +231,19 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     assert set(modules) == loaded
 
 
+def test_start_up_loads_no_dataclasses():
+    """The records are NamedTuples and plain classes: importing the command
+    line and every checker module leaves ``dataclasses`` unloaded."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, semiphoton.cli, semiphoton.suites; "
+         "print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "False\n"
+
+
 def test_sweep_zeta_bad_range_exits_two_with_message(capsys):
     assert main(["sweep-zeta", "--min", "0.5", "--max", "0.1"]) == 2
     captured = capsys.readouterr()
@@ -324,7 +337,9 @@ def test_nan_sample_fails_its_checks_and_the_run(monkeypatch, capsys):
 def test_report_json_encodes_non_finite_values():
     checks = [CheckReport.build("x/nan", "r", 0.0, math.nan),
               CheckReport.build("x/inf", "r", 1.0, math.inf),
-              CheckReport.build("x/complex", "r", 0.0, complex(-math.inf, 1.0))]
+              CheckReport.build("x/complex", "r", 0.0, complex(-math.inf, 1.0)),
+              CheckReport.build("x/stack", "r", 0.0,
+                                [np.array([5.0]), np.array([np.nan])])]
     ledger = [Discrepancy("y", stated=math.nan, computed=1.0, ratio=math.inf)]
     doc = strict_json(report_json(RunConfig(), checks, ledger))
     got = {c["id"]: c for c in doc["checks"]}
@@ -333,6 +348,8 @@ def test_report_json_encodes_non_finite_values():
             got["x/nan"]["rel_err"]) == ("nan", "nan", "nan")
     assert (got["x/inf"]["computed"], got["x/inf"]["abs_err"]) == ("inf", "inf")
     assert got["x/complex"]["computed"] == ["-inf", 1.0]
+    # a NaN in any error array of a stack is the stack's worst error
+    assert got["x/stack"]["computed"] == "nan"
     assert (doc["ledger"][0]["stated"], doc["ledger"][0]["ratio"]) == ("nan", "inf")
     # with finite tolerances a non-finite value can never pass
     for value in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
@@ -409,6 +426,20 @@ def test_float_option_takes_only_a_number_as_its_next_token(argv, err,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "--zet", "-1e-3"], ["torus", "--zet=-1e-3"],
+    ["torus", "--zet", "0.5"], ["verify", "--samp", "10"],
+    ["planewave", "--p", "-1e-3"]])
+def test_abbreviated_flags_are_unrecognized(argv, capsys):
+    """Flags are written in full, so no flag escapes the negative-value join."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "semiphoton: error: unrecognized arguments: " + " ".join(argv[1:])
+        + "\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
