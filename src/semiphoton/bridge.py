@@ -12,10 +12,9 @@ shape (n, 4)); every dictionary kernel then returns one value per sample, and
 a single field or spinor is the same code without the leading axis.
 
 Inputs are checked once, where they enter: the ``EmField`` constructor
-checks E and H, and ``fields_from_bispinor`` and ``bilinears`` check their
-spinors.  A part of a checked stack, ``f[i]``, and the fields that
-``slot_fields``, ``case_fields`` and ``fields_from_bispinor`` build are
-wrapped as they are, without a second check or a copy.
+checks E and H, ``fields_from_bispinor`` and ``bilinears`` their spinors.
+A part of a checked stack, ``f[i]``, is a view of it, and the fields that
+``slot_fields`` and ``case_fields`` build are wrapped without a second check.
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
@@ -49,12 +48,7 @@ class LayoutViolation(ValueError):
 
 class EmField:
     """E and H of one field, (3,), of a stack of n fields, (n, 3), or of C
-    cases of n fields each, (C, n, 3).
-
-    The constructor checks its inputs (``as_vec3``: complex, finite, of
-    equal shape).  A part of a checked stack, ``f[i]`` or a builder's
-    slice, is a view of it that is neither copied nor checked again.
-    """
+    cases of n fields each, (C, n, 3)."""
     __slots__ = ("e", "h")
 
     def __init__(self, e, h):
@@ -65,7 +59,7 @@ class EmField:
 
     @classmethod
     def _of(cls, e, h):
-        """The field of complex arrays e, h that are already checked."""
+        """The field of the checked complex arrays e, h, as they are."""
         f = cls.__new__(cls)
         f.e, f.h = e, h
         return f
@@ -194,41 +188,33 @@ def case_spinors(f: EmField, layouts):
 
 
 def _placed(vals, index):
-    """Complex [E, H] stacks (C, ..., 6) holding vals[i, ..., s] in
-    component index[i, s] and zero in the others."""
+    """Fields (C, ..., 3) holding vals[i, ..., s] in [E, H] component
+    index[i, s] and zero in the others."""
     v = np.zeros(vals.shape[:-1] + (6,), dtype=complex)
     v[np.arange(len(v))[:, None], ..., index] = np.moveaxis(vals, -1, 1)
-    return v
+    return EmField._of(v[..., :3], v[..., 3:])
 
 
 def slot_fields(vals, layouts):
     """Fields (C, ..., 3) with vals[i, ..., s] in the component of slot s of
     layouts[i] and zero in the components without a slot."""
-    v = _placed(vals, _slot_table(layouts)[0])
-    return EmField._of(v[..., :3], v[..., 3:])
+    return _placed(vals, _slot_table(layouts)[0])
 
 
-def _case_fields(psi, layouts):
-    """[E, H] stacks (C, ..., 6) held by the spinors psi (C, ..., 4): each
-    slot of layouts[i] divided by its factor; the inverse of _case_spinors."""
+def case_fields(psi, layouts):
+    """Fields (C, ..., 3) held by the spinors psi (C, ..., 4), case i read
+    from the slots of layouts[i], each divided by its factor: the inverse
+    of case_spinors."""
     index, factors, _ = _slot_table(layouts)
     return _placed(
         psi / factors.reshape(factors.shape[:1] + (1,) * (psi.ndim - 2) + (4,)),
         index)
 
 
-def case_fields(psi, layouts):
-    """Fields (C, ..., 3) held by the spinors psi (C, ..., 4), case i read
-    from the slots of layouts[i]: the inverse of case_spinors."""
-    v = _case_fields(psi, layouts)
-    return EmField._of(v[..., :3], v[..., 3:])
-
-
 def fields_from_bispinor(psi, layout: FieldLayout):
     """The field(s) held by the spinor(s) psi (..., 4): the view of one case
     of case_fields."""
-    v = _case_fields(as_bispinor(psi)[None], [layout])[0]
-    return EmField._of(v[..., :3], v[..., 3:])
+    return case_fields(as_bispinor(psi)[None], [layout])[0]
 
 
 def bilinears(psi, aset):

@@ -233,11 +233,7 @@ COMMANDS = {
 
 def build_parser(argv=None):
     """The parser; given argv, only the commands it names get options.
-
-    Flags are written in full: an abbreviation such as ``--zet`` is an
-    unrecognized argument, so a negative value is joined to every flag the
-    parser accepts.
-    """
+    Flags are written in full, so every flag gets its negative values."""
     parser = argparse.ArgumentParser(
         prog="semiphoton", allow_abbrev=False,
         description="Deterministic verification of the rolled-wave electron "

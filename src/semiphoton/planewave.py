@@ -32,8 +32,7 @@ class AxisMismatch(ValueError):
 
 
 class PlaneWaveState(NamedTuple):
-    """One state, or a stack of n: energy (n,), real momentum (n, 3) and
-    complex amplitudes (n, 4), stored as given (make_states checks them)."""
+    """One state, or a stack of n: energy (n,), momentum (n, 3), amplitudes (n, 4)."""
     energy: float
     momentum: np.ndarray
     amplitudes: np.ndarray
@@ -95,8 +94,7 @@ def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
 
 
 def make_states(branch, momentum, mass, c=1.0):
-    """The two states of the branch at the momentum (3,) or (n, 3), which
-    is checked here, once."""
+    """The branch's two states at the momentum, which is checked here once."""
     p = as_vec3(momentum).real
     e_plus, e_minus = dispersion(p, mass, c)
     if not np.isfinite(e_plus).all():

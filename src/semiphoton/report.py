@@ -68,18 +68,15 @@ class CheckReport(NamedTuple):
     @classmethod
     def build(cls, id, ref, claimed, computed, tol_abs=1e-12, tol_rel=1e-12,
               notes=""):
-        """The check of computed against claimed.  computed is a scalar, or
-        an error array, or a list or tuple of errors, reduced to its largest
-        entry; a NaN entry makes it NaN (Python's ``max(0.0, nan)`` is 0.0,
-        so a NaN sample would pass)."""
+        """computed is a scalar, or errors (an array, or a list or tuple of
+        them) reduced by a max that any NaN makes NaN, so NaN never passes."""
         if isinstance(computed, np.ndarray):
             computed = float(computed.max())
         elif isinstance(computed, (list, tuple)):
             computed = float(np.max([np.max(e) for e in computed]))
         tol_abs, tol_rel = float(tol_abs), float(tol_rel)
         c0 = complex(claimed)
-        c1 = complex(computed)
-        abs_err = abs(c1 - c0)
+        abs_err = abs(complex(computed) - c0)
         rel_err = abs_err / abs(c0) if abs(c0) > 0 else abs_err
         verdict = PASS if abs_err <= tol_abs or rel_err <= tol_rel else FAIL
         return cls(id=id, ref=ref, claimed=claimed, computed=computed,
