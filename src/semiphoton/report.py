@@ -6,7 +6,9 @@ within either tolerance and FAIL otherwise.  Known internal inconsistencies of
 the model's closed forms are never patched silently; they are emitted as
 :class:`Discrepancy` records in the ledger, which does not fail a run.
 Every JSON document goes through :func:`document_json`, whose text is that
-of ``json.dumps(doc, indent=2, allow_nan=False)`` byte for byte.
+of ``json.dumps(doc, indent=2, allow_nan=False)`` byte for byte.  The
+records are NamedTuples, so a document holds their ``to_dict()`` or
+``_asdict()``, never a record, which would be written as a list.
 """
 from __future__ import annotations
 
