@@ -6,13 +6,20 @@ Ids, verdicts, claimed values, tolerances, notes and the ledger's claims and
 notes must match exactly; computed values, errors and ledger numbers may move
 by 1e-12, absolute or relative, so last-bit rounding on another CPU passes.
 A change that moves the report refreshes the fixture and records the diff.
+
+``fixtures/documents/`` holds the ``torus``, ``dynamics``, ``planewave`` and
+``sweep-zeta`` documents of ``DOCUMENTS``, under the same rule: keys and
+strings exactly, numbers (CSV cells read as floats) within 1e-12.
 """
 import json
 import pathlib
 
+import pytest
+
 from semiphoton.cli import main
 
-FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "headline_report.json"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+FIXTURE = FIXTURES / "headline_report.json"
 ARGV = ["verify", "--suite", "all", "--samples", "1000", "--seed", "7",
         "--format", "json"]
 CHECK_EXACT = ("id", "ref", "verdict", "claimed", "tol_abs", "tol_rel", "notes")
@@ -20,6 +27,22 @@ CHECK_CLOSE = ("computed", "abs_err", "rel_err")
 LEDGER_EXACT = ("claim", "note")
 LEDGER_CLOSE = ("stated", "computed", "ratio")
 TOL = 1e-12
+DOCUMENTS = {
+    "torus_natural.json": ["torus", "--zeta", "0.3"],
+    "torus_gaussian_cgs.json": ["torus", "--zeta", "0.3",
+                                "--units", "gaussian_cgs"],
+    "dynamics_natural.json": ["dynamics"],
+    "dynamics_gaussian_cgs.json": ["dynamics", "--units", "gaussian_cgs"],
+    "planewave_positive.json": ["planewave", "--px", "0.3", "--py", "1.2",
+                                "--pz", "-0.4"],
+    "planewave_negative.json": ["planewave", "--py", "1.3",
+                                "--branch", "negative"],
+    "sweep_zeta_natural.csv": ["sweep-zeta", "--min", "0.1", "--max", "0.9",
+                               "--steps", "7"],
+    "sweep_zeta_gaussian_cgs.csv": ["sweep-zeta", "--min", "0.1", "--max",
+                                    "0.9", "--steps", "7",
+                                    "--units", "gaussian_cgs"],
+}
 
 
 def _close(a, b):
@@ -56,6 +79,37 @@ def test_headline_report_matches_fixture(capsys):
         problems += _mismatches("check", o, n, CHECK_EXACT, CHECK_CLOSE)
     for o, n in zip(old["ledger"], new["ledger"]):
         problems += _mismatches("ledger", o, n, LEDGER_EXACT, LEDGER_CLOSE)
+    assert not problems, "\n".join(problems)
+
+
+def _differences(old, new, path="$"):
+    """Where new leaves old: keys and list lengths exactly, leaves by _close."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            return [f"{path}: keys {list(old)} -> {list(new)}"]
+        return [d for k in old for d in _differences(old[k], new[k],
+                                                     f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for i, (o, n) in enumerate(zip(old, new))
+                for d in _differences(o, n, f"{path}[{i}]")]
+    return [] if _close(old, new) else [f"{path}: {old!r} -> {new!r}"]
+
+
+def _read(name, text):
+    """A JSON document, or a CSV's header and its rows of floats."""
+    if name.endswith(".json"):
+        return json.loads(text)
+    header, *rows = text.splitlines()
+    return [header.split(",")] + [[float(x) for x in row.split(",")]
+                                  for row in rows]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_document_matches_fixture(name, capsys):
+    assert main(DOCUMENTS[name]) == 0
+    new = _read(name, capsys.readouterr().out)
+    old = _read(name, (FIXTURES / "documents" / name).read_text())
+    problems = _differences(old, new)
     assert not problems, "\n".join(problems)
 
 
