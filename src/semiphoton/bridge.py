@@ -15,6 +15,8 @@ Inputs are checked once, where they enter: the ``EmField`` constructor
 checks E and H, ``fields_from_bispinor`` and ``bilinears`` their spinors.
 A part of a checked stack, ``f[i]``, is a view of it, and the fields that
 ``slot_fields`` and ``case_fields`` build are wrapped without a second check.
+The plane waves of ``onshell_plane_wave`` are built by ``slot_fields`` and
+wrapped without a check; their amplitudes, omega and k are checked at entry.
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
@@ -36,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dirac import AxisTriad, axis_triads, canonical_alpha_set, triad
-from .linalg import as_bispinor, as_vec3, cross, frozen, inner, mat_vec
+from .linalg import (as_bispinor, as_vec3, cross, frozen, inner, mat_vec,
+                     require_finite)
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FD_TOL = 1e-6  # largest finite-difference truncation estimate that passes
@@ -464,24 +467,22 @@ def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
     The two transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair
     up with amplitude ratios fixed by the sign form and the dispersion
     relation omega^2 = (m c^2/hbar)^2 + c^2 k^2, which every case shares.
+    Case i's amplitudes (E_1, E_2, H_1, H_2) fill its triad layout's slots.
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])
     w0 = mass * c * c / hbar
-    omega = np.sqrt(w0 ** 2 + (c * k) ** 2)
-    h2_amp = -s * (omega - s * w0) * e1_amp / (c * k)
+    k = require_finite(k, "k")
+    omega = require_finite(np.sqrt(w0 ** 2 + (c * k) ** 2), "omega")
     h1_amp = s * (omega - s * w0) * e2_amp / (c * k)
-    cases = np.arange(len(triads))
-    i1, i2 = (np.array([AXIS_INDEX[t.e_axes[j]] for t in triads])
-              for j in (0, 1))
+    h2_amp = -s * (omega - s * w0) * e1_amp / (c * k)
+    amps = require_finite(np.stack(np.broadcast_arrays(
+        e1_amp, e2_amp, h1_amp, h2_amp), axis=-1), "amplitude")
+    layouts = [layout_for_triad(t) for t in triads]
 
     def build(t, u, scale=1.0):
         ph = scale * np.exp(1j * (omega * t - k * u))
-        e = np.zeros((len(cases),) + np.shape(ph) + (3,), dtype=complex)
-        h = np.zeros_like(e)
-        e[cases, ..., i1], e[cases, ..., i2] = e1_amp * ph, e2_amp * ph
-        h[cases, ..., i1] = np.multiply.outer(h1_amp, ph)
-        h[cases, ..., i2] = np.multiply.outer(h2_amp, ph)
-        return EmField(e, h)
+        return slot_fields(np.moveaxis(np.multiply.outer(amps, ph), 1, -1),
+                           layouts)
 
     def fields(t, u):
         return build(t, u)
@@ -506,7 +507,7 @@ def detuned_wave(fields, d_dt, d_du, factor):
 
     def detuned_dt(t, u):
         inner = d_dt(factor * t, u)
-        return EmField(factor * inner.e, factor * inner.h)
+        return EmField._of(factor * inner.e, factor * inner.h)
 
     def detuned_du(t, u):
         return d_du(factor * t, u)

@@ -80,7 +80,8 @@ def cmd_torus(args):
     doc = {
         # every model field but the unit system, in field order
         "model": {k: v for k, v in model._asdict().items() if k != "units"},
-        "derived": {"alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
+        "derived": {"alpha_q": ev.chain.alpha_q, "q": ev.chain.q,
+                    "m_s": ev.chain.m_s,
                     **ev.spin._asdict(), **ev.zitter._asdict(),
                     "r_o": ev.chain.r_o,
                     "radius_ratio": ev.chain.radius_ratio},
@@ -172,8 +173,8 @@ def cmd_sweep_zeta(args):
     zetas = torus.zeta_grid(args.min, args.max, args.steps)
     ev = torus.evaluate(torus.unit_system(args.units), zetas,
                         args.quadrature_points)
-    rows = zip(zetas, *(a.tolist() for a in (ev.alpha_q, ev.q, ev.m_s,
-                                              ev.spin.mu_s)))
+    rows = zip(zetas, *(a.tolist() for a in (ev.chain.alpha_q, ev.chain.q,
+                                              ev.chain.m_s, ev.spin.mu_s)))
     _emit(csv_rows(("zeta", "alpha_q", "q", "m_s", "mu_s"), rows), args.out)
     return 0
 

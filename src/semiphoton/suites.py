@@ -294,12 +294,12 @@ def suite_torus(cfg: RunConfig):
 
     checks.append(CheckReport.build(
         "torus/charge-geometric", "zeta^2 E0 r_s^2 equals (1/pi) E0 S_c",
-        torus.charge_closed_form(model), ev.q, tol_abs=0.0, tol_rel=1e-15))
+        torus.charge_closed_form(model), ev.chain.q, tol_abs=0.0, tol_rel=1e-15))
 
     mass_q = torus.integrate_mass(model, npts)
     checks.append(CheckReport.build(
         "torus/mass-quadrature", "mass quadrature vs closed form",
-        ev.m_s, mass_q, tol_abs=0.0, tol_rel=1e-10))
+        ev.chain.m_s, mass_q, tol_abs=0.0, tol_rel=1e-10))
     checks.append(CheckReport.build(
         "torus/calibration", "calibrated amplitude reproduces m_e",
         units.m_e, mass_q, tol_abs=0.0, tol_rel=5e-12))
@@ -589,10 +589,7 @@ def suite_dynamics(cfg: RunConfig):
         phases = np.exp(1j * (ws * t - ks * y))
         comp = amp * phases
         def emf(vals):
-            zero = np.zeros(vals.shape[:-1])
-            e = np.stack([vals[..., 0], zero, vals[..., 1]], axis=-1)
-            h = np.stack([vals[..., 2], zero, vals[..., 3]], axis=-1)
-            return EmField(e, h)
+            return bridge.slot_fields(vals[None], [layout])[0]
         return dynamics.WavePoint(f=emf(comp), df_dt=emf(1j * ws * comp),
                                   df_du=emf(-1j * ks * comp))
 
@@ -622,14 +619,12 @@ def suite_dynamics(cfg: RunConfig):
 
     # rolling-wave solution with the conjugate current direction: the
     # invariant-replacement identity is specific to this family
-    omega = math.sqrt(w0 ** 2 + (c * k) ** 2)
-    amp_h = -(omega + w0) / (c * k)
+    amps = np.array([1.0, 0.0, 0.0, -(omega + w0) / (c * k)])
 
     def conj_fields(tt, yy, scale=1.0):
         ph = scale * np.exp(1j * (omega * tt - k * yy))
-        zero = np.zeros_like(ph)
-        return EmField(np.stack([ph, zero, zero], axis=-1),
-                       np.stack([zero, zero, amp_h * ph], axis=-1))
+        return bridge.slot_fields(np.multiply.outer(ph, amps)[None],
+                                  [layout])[0]
 
     tt, yy = np.array([0.0, 0.9, 1.7]), np.array([0.0, 0.3, -0.8])
     point = dynamics.WavePoint(f=conj_fields(tt, yy),

@@ -358,9 +358,6 @@ def zitterbewegung(units: UnitSystem) -> Zitterbewegung:
 class TorusEvaluation(NamedTuple):
     """A calibrated ring and every quantity derived from it."""
     model: TorusModel
-    alpha_q: float
-    q: float
-    m_s: float
     spin: SpinMoment
     zitter: Zitterbewegung
     chain: ChainReport
@@ -388,8 +385,7 @@ def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
             error, zetas = exc, zetas[:exc.row]
     if error is not None:
         raise error
-    return TorusEvaluation(model=model, alpha_q=chain.alpha_q, q=chain.q,
-                           m_s=chain.m_s,
+    return TorusEvaluation(model=model,
                            spin=spin_and_moment(model, chain.q, units),
                            zitter=zitterbewegung(units), chain=chain)
 

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from semiphoton import bridge, dirac, dynamics, planewave, suites, torus
 from semiphoton.bridge import EmField
 from semiphoton.linalg import mat_vec
+from semiphoton.report import FAIL, CheckReport
 
 CANON = dirac.canonical_alpha_set()
 MODEL = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
@@ -600,7 +601,7 @@ def test_fixed_tables_are_built_once_and_read_only():
             table[(0,) * table.ndim] = 0
 
 
-def test_stacks_are_validated():
+def test_stacks_are_validated(monkeypatch):
     with pytest.raises(ValueError):
         EmField(np.zeros((2, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
@@ -622,6 +623,28 @@ def test_stacks_are_validated():
     # checked once: a part of a checked stack is a view, not a checked copy
     f = EmField(np.ones((3, 3)), np.zeros((3, 3)))
     assert np.shares_memory(f[1].e, f.e) and np.shares_memory(f[1].h, f.h)
+    # the plane waves are checked at entry: their amplitudes there, and the
+    # waves never again (EmField.__init__ would call as_vec3)
+    y_neg = dirac.triad("y", "negative")
+    for amps in (dict(e1_amp=np.nan), dict(e2_amp=np.inf)):
+        with pytest.raises(ValueError, match="amplitude"):
+            bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0, **amps)
+    wave = bridge.onshell_plane_wave([y_neg] * 2, ["plus", "minus"], 0.8,
+                                     1.0, e2_amp=0.7)[1:]
+    calls = []
+    monkeypatch.setattr(bridge, "as_vec3", lambda a: calls.append(a) or a)
+    tt = np.linspace(0.0, 1.0, 3)
+    for f in (*wave, *bridge.detuned_wave(*wave, 1.1)):
+        f(tt, tt)
+        f(0.3, 0.1)
+    assert calls == []
+    # a non-finite grid belongs to the caller: its residuals are NaN and FAIL
+    rep = bridge.dirac_residual_em(wave[0], [y_neg] * 2, 1.0, ["plus", "minus"],
+                                   np.array([0.0, np.nan]), tt, d_dt=wave[1],
+                                   d_du=wave[2])
+    assert np.isnan(rep.max_scalar).all()
+    check = CheckReport.build("residual", "on shell", 0.0, rep.max_scalar)
+    assert check.verdict == FAIL
 
 
 def loop_closure(aset, mul=np.matmul):
@@ -835,11 +858,11 @@ def test_torus_stack_rows_equal_single_evaluations(mode, n):
     units = torus.unit_system(mode)
     zetas = torus.zeta_grid(0.01, 1.0, 23) + [0.3, 0.123456, 0.759913]
     stacked = torus.evaluate(units, zetas, n)
-    assert stacked.alpha_q.shape == stacked.model.e0.shape == (len(zetas),)
+    assert stacked.chain.alpha_q.shape == stacked.model.e0.shape == (len(zetas),)
     for i, zeta in enumerate(zetas):
         single = torus.evaluate(units, zeta, n)
         assert row_of(stacked, i) == single
-        assert type(single.model.e0) is float and type(single.q) is float
+        assert type(single.model.e0) is float and type(single.chain.q) is float
         assert type(single.spin.mu_s) is float
 
 
@@ -911,7 +934,7 @@ def loop_torus(units, zeta, n_points):
 def stacked_fields(ev):
     m, ch, sp = ev.model, ev.chain, ev.spin
     return {"e0": m.e0, "s_c": m.s_c, "delta_tau": m.delta_tau,
-            "alpha_q": ev.alpha_q, "q": ev.q, "m_s": ev.m_s,
+            "alpha_q": ch.alpha_q, "q": ch.q, "m_s": ch.m_s,
             "mass_identity_ratio": ch.mass_identity_ratio,
             "radius_identity_ratio": ch.radius_identity_ratio,
             "coupling_identity_ratio": ch.coupling_identity_ratio,

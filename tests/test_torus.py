@@ -250,10 +250,10 @@ def test_evaluate_matches_the_separate_routes():
         m = torus.calibrate_e0(torus.derive_parameters(units, 0.3),
                                n_points=256)
         assert ev.model == m
-        assert ev.alpha_q == torus.coupling_constant(0.3)
-        assert ev.q == torus.charge_geometric(m)
-        assert ev.m_s == torus.mass_closed_form(m)
-        assert ev.spin == torus.spin_and_moment(m, ev.q, units)
+        assert ev.chain.alpha_q == torus.coupling_constant(0.3)
+        assert ev.chain.q == torus.charge_geometric(m)
+        assert ev.chain.m_s == torus.mass_closed_form(m)
+        assert ev.spin == torus.spin_and_moment(m, ev.chain.q, units)
         assert ev.zitter == torus.zitterbewegung(units)
         assert ev.chain == torus.consistency_chain(m)
 
