@@ -194,14 +194,15 @@ def _placed(vals, index):
     """Fields (C, ..., 3) holding vals[i, ..., s] in [E, H] component
     index[i, s] and zero in the others."""
     v = np.zeros(vals.shape[:-1] + (6,), dtype=complex)
-    v[np.arange(len(v))[:, None], ..., index] = np.moveaxis(vals, -1, 1)
+    v[np.arange(len(v))[:, None], ..., index] = vals.transpose(
+        0, -1, *range(1, vals.ndim - 1))
     return EmField._of(v[..., :3], v[..., 3:])
 
 
 def slot_fields(vals, layouts):
     """Fields (C, ..., 3) with vals[i, ..., s] in the component of slot s of
     layouts[i] and zero in the components without a slot."""
-    return _placed(vals, _slot_table(layouts)[0])
+    return _placed(vals, np.array([layout.index for layout in layouts]))
 
 
 def case_fields(psi, layouts):
@@ -475,14 +476,14 @@ def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
     omega = require_finite(np.sqrt(w0 ** 2 + (c * k) ** 2), "omega")
     h1_amp = s * (omega - s * w0) * e2_amp / (c * k)
     h2_amp = -s * (omega - s * w0) * e1_amp / (c * k)
-    amps = require_finite(np.stack(np.broadcast_arrays(
-        e1_amp, e2_amp, h1_amp, h2_amp), axis=-1), "amplitude")
+    ones = np.ones(len(s))
+    amps = require_finite(np.array([e1_amp * ones, e2_amp * ones, h1_amp,
+                                    h2_amp]), "amplitude")  # (4, C)
     layouts = [layout_for_triad(t) for t in triads]
 
     def build(t, u, scale=1.0):
-        ph = scale * np.exp(1j * (omega * t - k * u))
-        return slot_fields(np.moveaxis(np.multiply.outer(amps, ph), 1, -1),
-                           layouts)
+        vals = np.multiply.outer(amps, scale * np.exp(1j * (omega * t - k * u)))
+        return slot_fields(vals.transpose(1, *range(2, vals.ndim), 0), layouts)
 
     def fields(t, u):
         return build(t, u)
