@@ -20,13 +20,16 @@ runs of each of five fresh interpreters, alternated and importing
 start-up of a command that needs no checker module),
 ``python -c "import semiphoton"`` (``import_semiphoton``),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
-(``interpreter``).  ``--profile`` then writes the top 25 cProfile entries of one
-run of every suite, by cumulative time, to stderr.  Nothing is gated: the
-numbers compare two trees on one machine.  ``kernel_ms`` and ``suite_ms``
-are not scaled for host speed, which drifts between back-to-back runs by
-more than many kernel differences, so they compare two trees only when the
-runs of the two are alternated (parent, change, change, parent) and each
-tree is read over all its runs.
+(``interpreter``).  ``e2e_ratio`` holds each ``e2e_ms`` median divided by
+the same run's ``interpreter`` median: the start-up of a bare interpreter
+is the run's scale for host speed, so two runs' ratios compare where their
+raw times drift with the host.  ``--profile`` then writes the top 25
+cProfile entries of one run of every suite, by cumulative time, to stderr.
+Nothing is gated: the numbers compare two trees on one machine.
+``kernel_ms`` and ``suite_ms`` are not scaled for host speed, which drifts
+between back-to-back runs by more than many kernel differences, so they
+compare two trees only when the runs of the two are alternated (parent,
+change, change, parent) and each tree is read over all its runs.
 """
 import argparse
 import cProfile
@@ -215,6 +218,9 @@ def main(argv=None):
                      for name, fn in SUITE_FUNCS.items()},
         "e2e_ms": e2e_ms(args.repeat),
     }
+    e2e = result["e2e_ms"]
+    result["e2e_ratio"] = {name: round(ms / e2e["interpreter"], 4)
+                           for name, ms in e2e.items()}
     print(json.dumps(result, indent=2))
     if args.profile:
         profiler = cProfile.Profile()

@@ -70,6 +70,8 @@ def test_kernel_benchmark_prints_its_medians():
                                     "planewave", "dynamics"}
     assert set(doc["e2e_ms"]) == {"verify_all", "torus", "import_semiphoton",
                                   "import_numpy", "interpreter"}
+    assert set(doc["e2e_ratio"]) == set(doc["e2e_ms"])
+    assert doc["e2e_ratio"]["interpreter"] == 1.0
     times = [*doc["kernel_ms"].values(), *doc["suite_ms"].values(),
              *doc["e2e_ms"].values()]
     assert all(t > 0 for t in times)
