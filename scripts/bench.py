@@ -115,8 +115,8 @@ def expansion(triads, forms, t_grid, u_grid):
     planewave suite's expansion checks build them."""
     _, fields, d_dt, d_du = bridge.onshell_plane_wave(
         triads, forms, 0.8, 1.0, e1_amp=1.0, e2_amp=0.7)
-    return bridge.dirac_residual_em(fields, triads, 1.0, forms, t_grid,
-                                    u_grid, d_dt=d_dt, d_du=d_du)
+    return bridge.dirac_residual_em(fields, triads, forms, t_grid, u_grid,
+                                    d_dt=d_dt, d_du=d_du)
 
 
 def suite_grids():
@@ -127,10 +127,10 @@ def suite_grids():
     detuned = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
     return {
         "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
-            detuned[0], y_neg, 1.0, ["plus"], np.linspace(0.1, 1.7, 3),
+            detuned[0], y_neg, ["plus"], np.linspace(0.1, 1.7, 3),
             np.linspace(-0.9, 0.9, 3), d_dt=detuned[1], d_du=detuned[2]),
         "expansion_fd_1x3x3": lambda: bridge.dirac_residual_em(
-            fields, y_neg, 1.0, ["plus"], np.linspace(0.0, 1.0, 3),
+            fields, y_neg, ["plus"], np.linspace(0.0, 1.0, 3),
             np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k),
     }
 
@@ -151,9 +151,9 @@ def kernels(cfg):
     x = np.random.default_rng(0).normal(size=(2, 1000, 4))
     psi = x[0] + 1j * x[1]
     p = np.array([0.3, -0.7, 1.1])
-    on_shell = planewave.build_system(planewave.dispersion(p, 1.0)[0], p, 1.0)
+    on_shell = planewave.build_system(planewave.dispersion(p)[0], p)
     momenta = 2 * x[0, :, :3]
-    state = planewave.make_states("positive", momenta, 1.0)[0]
+    state = planewave.make_states("positive", momenta)[0]
     return {
         "generate_group": lambda: dirac.generate_group(canon),
         "anticommutation_deviation":
@@ -163,13 +163,13 @@ def kernels(cfg):
         "bilinears_1000": lambda: bridge.bilinears(psi, canon),
         "fierz_quantum_1000": lambda: bridge.fierz_quantum(psi, canon),
         "nullspace": lambda: planewave.nullspace(on_shell),
-        "residual_1000": lambda: planewave.residual(state, canon, 1.0),
+        "residual_1000": lambda: planewave.residual(state, canon),
         "cross_1000": lambda: linalg.cross(momenta, x[1, :, :3]),
         "simpson": lambda: torus.simpson(np.cos(nodes), nodes[1]),
-        "calibrate_e0": lambda: torus.calibrate_e0(model),
+        "calibrate_e0": lambda: torus.calibrate_e0(model, 512),
         "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
-            fields, t_ax, 1.0, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
+            fields, t_ax, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
         **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),

@@ -5,6 +5,7 @@ For each triad and sign form, evaluates the on-shell wave and a family of
 detuned frequencies, printing max residual per detuning.  The on-shell column
 should sit at rounding level; the residual grows linearly with the detuning.
 All twelve (triad, form) cases of one detuning are one stacked residual call.
+The residual kernels work in units of m c^2 and m c, so the wave has mass 1.
 """
 import argparse
 
@@ -16,7 +17,6 @@ from semiphoton import bridge, dirac
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=float, default=0.8)
-    parser.add_argument("--mass", type=float, default=1.0)
     parser.add_argument("--detunings", type=float, nargs="*",
                         default=[1.0, 1.01, 1.1, 1.5])
     args = parser.parse_args()
@@ -27,12 +27,12 @@ def main():
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        triads, forms, args.k, args.mass)
+        triads, forms, args.k, 1.0)
     columns = []
     for d in args.detunings:
         f, ft, fu = bridge.detuned_wave(fields, d_dt, d_du, d)
         columns.append(bridge.dirac_residual_em(
-            f, triads, args.mass, forms, t_grid, u_grid,
+            f, triads, forms, t_grid, u_grid,
             d_dt=ft, d_du=fu).max_scalar)
     header = "triad        form   " + "".join(f"  x{d:<10g}" for d in args.detunings)
     print(header)

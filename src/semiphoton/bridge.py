@@ -25,7 +25,8 @@ sign form, layout and wave), each over the same (t, u) grid, at once.  The
 grid's fields and both derivatives are stacked once, as one (3, C, n, 6)
 [E, H] array that both routes read; a finite-difference grid reports its
 Richardson truncation estimate per case for the caller to judge, it never
-raises on it.
+raises on it.  The systems work in units of m c^2 and m c with hbar = 1;
+``onshell_plane_wave`` keeps m, c and hbar, which ``dynamics`` sets in CGS.
 
 The twelve triad layouts and the electron and positron layouts are built
 once, at import, with their read-only slot rows and scalar rows, so a call
@@ -257,10 +258,10 @@ def energy_density(f: EmField):
     return (e_squared(f) + h_squared(f)) / (8 * np.pi)
 
 
-def poynting(f: EmField, c=1.0):
-    """(c/4pi) E x H; momentum density is this over c^2 (real mode)."""
+def poynting(f: EmField):
+    """(1/4pi) E x H with c = 1, which is also the momentum density (real mode)."""
     f.require_real()
-    return (c / (4 * np.pi)) * cross(f.e.real, f.h.real)
+    return (1 / (4 * np.pi)) * cross(f.e.real, f.h.real)
 
 
 def fierz_em(f: EmField):
@@ -294,8 +295,8 @@ def fierz_quantum(psi, aset):
 # First-order coupled field systems and their residuals
 # ---------------------------------------------------------------------------
 
-#: sign_form selects the wave-operator signs: "plus" couples +c a.p with
-#: +a4 m c^2, "minus" couples -c a.p with -a4 m c^2.
+#: sign_form selects the wave-operator signs: "plus" couples +a.p with +a4,
+#: "minus" couples -a.p with -a4.
 SIGN_FORMS = {"plus": +1, "minus": -1}
 
 
@@ -312,7 +313,7 @@ def scalar_rows(layout: FieldLayout, sign_form):
     """The four scalar component equations for (layout, sign form).
 
     Each row is (lhs_kind, lhs_axis, du_sign, du_kind, du_axis, mass_sign)
-    encoding  (1/c) dt F  +  du_sign * du G  +  mass_sign * i (m c / hbar) F = 0.
+    encoding  dt F  +  du_sign * du G  +  mass_sign * i F = 0.
     The tabulated four-equation groups for every axis and orientation follow
     this slot pattern; a charge-conjugated layout flips each row's derivative
     sign through the product of its own and its partner slot's sign.
@@ -347,7 +348,7 @@ def grid_stack(f, df_dt, df_du):
                            np.array((f.h, df_dt.h, df_du.h))), axis=-1)
 
 
-def scalar_residuals(w, layouts, mass, sign_forms, c=1.0, hbar=1.0):
+def scalar_residuals(w, layouts, sign_forms):
     """The four scalar component equations of each case at each point.
 
     Case i holds its fields, time and space derivatives as w[:, i], a
@@ -356,34 +357,32 @@ def scalar_residuals(w, layouts, mass, sign_forms, c=1.0, hbar=1.0):
     ``scalar_table`` as (C, 4) index and sign tables, so every case is
     gathered at once.  Shape (C, n, 4).
     """
-    w0_over_c = mass * c / hbar
     rows = np.array([layout.scalar_table[_FORM_INDEX[form]]
                      for layout, form in zip(layouts, sign_forms)])
     lhs, du, du_sign, mass_sign = (rows[..., j] for j in range(4))
     v, vt, vu = w
-    return (_gather(vt, lhs) / c + du_sign[:, None] * _gather(vu, du)
-            + (mass_sign * 1j * w0_over_c)[:, None] * _gather(v, lhs))
+    return (_gather(vt, lhs) + du_sign[:, None] * _gather(vu, du)
+            + (mass_sign * 1j)[:, None] * _gather(v, lhs))
 
 
-def bispinor_residuals(w, triads, layouts, aset, mass, sign_forms, c=1.0,
-                       hbar=1.0):
-    """Matrix-form residual (a0 eps_op +- c a.p_op +- a4 m c^2) psi / (i hbar c).
+def bispinor_residuals(w, triads, layouts, aset, sign_forms):
+    """Matrix-form residual (a0 eps_op +- a.p_op +- a4) psi / i.
 
     Case i acts with the working matrix of triads[i] on the spinors of its
     fields in layouts[i]; w is the (3, C, n, 6) :func:`grid_stack` of
     :func:`scalar_residuals`.  The layout is linear, so derivative spinors
-    are the layout images of the derivative fields.  Division by i*hbar*c
-    puts the rows in the same units as the scalar component equations (up to
-    the slot factors).  Shape (C, n, 4).
+    are the layout images of the derivative fields.  Division by i puts the
+    rows in the same form as the scalar component equations (up to the slot
+    factors).  Shape (C, n, 4).
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
     working = np.array([getattr(aset, t.working) for t in triads])
     spinors = _case_spinors(w.swapaxes(0, 1), layouts)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
-    eps_term = 1j * hbar * dpsi_dt
-    p_term = s * c * np.einsum("cij,c...j->c...i", working, -1j * hbar * dpsi_du)
-    mass_term = s * mass * c * c * mat_vec(aset.a4, psi)
-    return (eps_term + p_term + mass_term) / (1j * hbar * c)
+    eps_term = 1j * dpsi_dt
+    p_term = s * np.einsum("cij,c...j->c...i", working, -1j * dpsi_du)
+    mass_term = s * mat_vec(aset.a4, psi)
+    return (eps_term + p_term + mass_term) / 1j
 
 
 _STENCIL = (-2, -1, 1, 2)
@@ -416,9 +415,9 @@ class ResidualReport(NamedTuple):
     truncation: np.ndarray
 
 
-def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
-                      d_dt=None, d_du=None, c=1.0, hbar=1.0,
-                      fd_step=None, charge_conjugated=False):
+def dirac_residual_em(fields, triads, sign_forms, t_grid, u_grid,
+                      d_dt=None, d_du=None, fd_step=None,
+                      charge_conjugated=False):
     """Residuals of a stack of coupled first-order systems on one (t, u) grid.
 
     Case i is the (triads[i], sign_forms[i]) system in the layout of
@@ -449,9 +448,8 @@ def dirac_residual_em(fields, triads, mass, sign_forms, t_grid, u_grid,
         w = np.concatenate((_stacked(fields(tt, uu))[None], fd))
     else:
         w = grid_stack(fields(tt, uu), d_dt(tt, uu), d_du(tt, uu))
-    scalar = scalar_residuals(w, layouts, mass, sign_forms, c, hbar)
-    bisp = bispinor_residuals(w, triads, layouts, aset, mass, sign_forms, c,
-                              hbar)
+    scalar = scalar_residuals(w, layouts, sign_forms)
+    bisp = bispinor_residuals(w, triads, layouts, aset, sign_forms)
     factors = np.array([layout.factors for layout in layouts])[:, None]
     return ResidualReport(
         cross_deviation=np.abs(scalar * factors - bisp).max(axis=(1, 2)),

@@ -100,8 +100,7 @@ def cmd_planewave(args):
             raise ValueError(f"{flag} must be finite, got {value}")
     aset = dirac.canonical_alpha_set()
     p = np.array([args.px, args.py, args.pz])
-    mass, c = 1.0, 1.0
-    states = planewave.make_states(args.branch, p, mass, c)
+    states = planewave.make_states(args.branch, p)
     body = []
     layout = bridge.electron_layout()
     for i, state in enumerate(states):
@@ -111,7 +110,7 @@ def cmd_planewave(args):
             "momentum": [float(v) for v in state.momentum],
             "amplitudes": [[float(b.real), float(b.imag)]
                            for b in state.amplitudes],
-            "residual": planewave.residual(state, aset, mass, c),
+            "residual": planewave.residual(state, aset),
         }
         try:
             interp = planewave.field_interpretation(state, layout)

@@ -3,11 +3,13 @@
 Builds the homogeneous 4x4 amplitude system, its dispersion roots, the two
 closed-form solution pairs per energy branch, a pivoted-elimination nullspace
 extractor as the independent route, and the interpretation of amplitudes as
-field components through a layout.
+field components through a layout.  Energies are in units of m c^2 and
+momenta in units of m c, with hbar = 1.
 
 Momenta may be a stack of shape (n, 3): ``build_system``, ``dispersion``,
 ``solution_basis``, ``make_states`` and ``residual`` then work on all n at
 once, and a single momentum (3,) is the same code without the leading axis.
+``dispersion`` and ``solution_basis`` read the real momentum as given.
 """
 from __future__ import annotations
 
@@ -38,86 +40,81 @@ class PlaneWaveState(NamedTuple):
     amplitudes: np.ndarray
 
 
-def build_system(energy, momentum, mass, c=1.0):
+def build_system(energy, momentum):
     """Coefficient matrix of the homogeneous amplitude system.
 
-    Acting on (B1..B4); its determinant is (energy^2 - m^2 c^4 - c^2 p^2)^2,
-    so non-trivial solutions exist exactly on shell.  Stacked energies and
+    Acting on (B1..B4); its determinant is (energy^2 - 1 - p^2)^2, so
+    non-trivial solutions exist exactly on shell.  Stacked energies and
     momenta give a stack of matrices, shape (n, 4, 4).
     """
     p = as_vec3(momentum).real
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
-    mc2 = mass * c * c
     m = np.zeros(np.broadcast_shapes(np.shape(energy), px.shape) + (4, 4),
                  dtype=complex)
-    m[..., 0, 0] = m[..., 1, 1] = energy + mc2
-    m[..., 2, 2] = m[..., 3, 3] = energy - mc2
-    m[..., 0, 2] = m[..., 2, 0] = c * pz
-    m[..., 1, 3] = m[..., 3, 1] = -c * pz
-    m[..., 0, 3] = m[..., 2, 1] = c * (px - 1j * py)
-    m[..., 1, 2] = m[..., 3, 0] = c * (px + 1j * py)
+    m[..., 0, 0] = m[..., 1, 1] = energy + 1.0
+    m[..., 2, 2] = m[..., 3, 3] = energy - 1.0
+    m[..., 0, 2] = m[..., 2, 0] = pz
+    m[..., 1, 3] = m[..., 3, 1] = -pz
+    m[..., 0, 3] = m[..., 2, 1] = px - 1j * py
+    m[..., 1, 2] = m[..., 3, 0] = px + 1j * py
     return m
 
 
-def dispersion(momentum, mass, c=1.0):
-    """(eps_plus, eps_minus) = +-sqrt(c^2 p^2 + m^2 c^4)."""
-    p = as_vec3(momentum).real
-    e = np.sqrt(c * c * inner(p, p) + (mass * c * c) ** 2)
+def dispersion(p):
+    """(eps_plus, eps_minus) = +-sqrt(p^2 + 1) of the real momentum p."""
+    e = np.sqrt(inner(p, p) + 1.0)
     return e, -e
 
 
-def solution_basis(branch, momentum, mass, c=1.0, phase=0.0, energy=None):
-    """The two closed-form amplitude solutions for the branch.
+def solution_basis(branch, p, phase=0.0, energy=None):
+    """The two closed-form amplitude solutions for the branch at momentum p.
 
     ``energy`` overrides the on-shell value (used to reproduce stated special
     values at an off-shell substitution); by default the branch's dispersion
     root is used.
     """
-    p = as_vec3(momentum).real
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     one, zero = np.ones_like(px), np.zeros_like(px)
-    mc2 = mass * c * c
     if branch == "positive":
-        eps = dispersion(p, mass, c)[0] if energy is None else energy
-        d = eps + mc2
-        first = [-c * pz / d, -c * (px + 1j * py) / d, one, zero]
-        second = [-c * (px - 1j * py) / d, c * pz / d, zero, one]
+        eps = dispersion(p)[0] if energy is None else energy
+        d = eps + 1.0
+        first = [-pz / d, (-px - 1j * py) / d, one, zero]
+        second = [(-px + 1j * py) / d, pz / d, zero, one]
     elif branch == "negative":
-        eps = dispersion(p, mass, c)[1] if energy is None else energy
-        d = -eps + mc2
-        first = [one, zero, c * pz / d, c * (px + 1j * py) / d]
-        second = [zero, one, c * (px - 1j * py) / d, -c * pz / d]
+        eps = dispersion(p)[1] if energy is None else energy
+        d = -eps + 1.0
+        first = [one, zero, pz / d, (px + 1j * py) / d]
+        second = [zero, one, (px - 1j * py) / d, -pz / d]
     else:
         raise ValueError(f"unknown branch {branch!r}")
     ph = cmath.exp(1j * phase)
     return np.stack(first, axis=-1) * ph, np.stack(second, axis=-1) * ph
 
 
-def make_states(branch, momentum, mass, c=1.0):
+def make_states(branch, momentum):
     """The branch's two states at the momentum, which is checked here once."""
     p = as_vec3(momentum).real
-    e_plus, e_minus = dispersion(p, mass, c)
+    e_plus, e_minus = dispersion(p)
     if not np.isfinite(e_plus).all():
         raise ValueError(f"on-shell energy is not finite for momentum "
-                         f"{np.asarray(momentum).tolist()} and mass {mass!r}")
+                         f"{np.asarray(momentum).tolist()} and mass 1.0")
     eps = e_plus if branch == "positive" else e_minus
-    s1, s2 = solution_basis(branch, p, mass, c, energy=eps)
+    s1, s2 = solution_basis(branch, p, energy=eps)
     return PlaneWaveState(eps, p, s1), PlaneWaveState(eps, p, s2)
 
 
-def residual(state: PlaneWaveState, aset, mass, c=1.0):
+def residual(state: PlaneWaveState, aset):
     """Max-entry norm of the amplitude system applied to the state(s).
 
     a0..a4 act on the amplitudes, and their five images are weighted by the
-    energy, c p and m c^2, so no stack of operators is built.
+    energy, p and 1, so no stack of operators is built.
     """
     images = np.einsum("kij,...j->...ki", np.array(
         (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
     i0, i1, i2, i3, i4 = (images[..., k, :] for k in range(5))
     energy = np.asarray(state.energy)[..., None]
     px, py, pz = (state.momentum[..., k, None] for k in range(3))
-    out = (energy * i0 + c * (px * i1 + py * i2 + pz * i3)
-           + mass * c * c * i4)
+    out = energy * i0 + (px * i1 + py * i2 + pz * i3) + i4
     return np.abs(out).max(axis=-1)
 
 
@@ -187,7 +184,7 @@ def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
                                e_amplitude=e_amp, h_amplitude=h_amp)
 
 
-def special_amplitude_values(mass=1.0, c=1.0):
+def special_amplitude_values():
     """The four families at the stated special substitution.
 
     The stated evaluation puts energy = m c^2 together with momentum m c on
@@ -195,40 +192,39 @@ def special_amplitude_values(mass=1.0, c=1.0):
     sqrt(2) m c^2), so the literal values are returned with the
     inconsistency recorded as a ledger entry.
     """
-    p = np.array([0.0, mass * c, 0.0])
-    mc2 = mass * c * c
-    literal = {branch: solution_basis(branch, p, mass, c, phase=math.pi / 2,
-                                      energy=sign * mc2)
-               for branch, sign in (("positive", +1), ("negative", -1))}
-    e_plus, _ = dispersion(p, mass, c)
+    p = np.array([0.0, 1.0, 0.0])
+    literal = {branch: solution_basis(branch, p, phase=math.pi / 2,
+                                      energy=energy)
+               for branch, energy in (("positive", 1.0), ("negative", -1.0))}
+    e_plus, _ = dispersion(p)
     entry = Discrepancy(
         claim="planewave/special-substitution",
-        stated=mc2, computed=e_plus, ratio=e_plus / mc2,
+        stated=1.0, computed=e_plus, ratio=e_plus,
         note="the stated amplitude table substitutes energy = m c^2 at "
              "momentum m c, which is off shell by a factor sqrt(2); both "
              "evaluations are emitted")
     return {"literal": literal, "ledger": entry}
 
 
-def continuity_check(state: PlaneWaveState, aset, c=1.0, hbar=1.0):
+def continuity_check(state: PlaneWaveState, aset):
     """Probability continuity for a single plane wave.
 
-    P = psi^+ a0 psi and the flux -c psi^+ a psi are space-time constants
+    P = psi^+ a0 psi and the flux -psi^+ a psi are space-time constants
     for a plane wave (the phase cancels in every hermitian bilinear), so
     dP/dt + div flux vanishes.  Both quantities are sampled over a grid of
     space-time points through the explicit phase factor; the returned
     deviation is their spread divided by a period scale, which bounds the
     derivative combination.
     """
-    omega = state.energy / hbar
-    kvec = state.momentum / hbar
+    omega = state.energy
+    kvec = state.momentum
     n = np.arange(CONTINUITY_SAMPLES)
     t = 0.37 * n
     r = n[:, None] * np.array([0.11, -0.23, 0.05])
     phase = np.exp(1j * (r @ kvec - omega * t))
     b = bilinears(state.amplitudes * phase[:, None], aset).real
     densities = b[:, 0]
-    fluxes = -c * b[:, 1:4]
+    fluxes = -b[:, 1:4]
     d_spread = float(densities.max() - densities.min())
     f_spread = float(np.abs(fluxes - fluxes[0]).max())
     period = 2 * math.pi / max(abs(omega), 1e-300)

@@ -350,55 +350,52 @@ def suite_planewave(cfg: RunConfig):
     rng = rng_for_suite(cfg.seed, "planewave")
     checks, ledger = [], []
     canon = dirac.canonical_alpha_set()
-    mass, c = 1.0, 1.0
-    mc2 = mass * c * c
 
-    p = rng.uniform(-10 * mass * c, 10 * mass * c, size=(cfg.samples, 3))
+    p = rng.uniform(-10.0, 10.0, size=(cfg.samples, 3))
     res, orth, det = [], [], []
     for branch in ("positive", "negative"):
-        s1, s2 = planewave.make_states(branch, p, mass, c)
-        res += [planewave.residual(s1, canon, mass, c),
-                planewave.residual(s2, canon, mass, c)]
+        s1, s2 = planewave.make_states(branch, p)
+        res += [planewave.residual(s1, canon), planewave.residual(s2, canon)]
         n1 = np.abs(s1.amplitudes).max(axis=-1)
         n2 = np.abs(s2.amplitudes).max(axis=-1)
         orth.append(np.abs(inner(s1.amplitudes, s2.amplitudes)) / (n1 * n2))
-        m = planewave.build_system(s1.energy, p, mass, c)
+        m = planewave.build_system(s1.energy, p)
         det.append(np.abs(np.linalg.det(m)))
     checks.append(CheckReport.build(
         "planewave/residual", "closed-form amplitudes solve the system",
-        0.0, res, tol_abs=1e-12 * mc2,
+        0.0, res, tol_abs=1e-12,
         notes=f"{cfg.samples} momenta, both branches, |p| <= 10 m c"))
     checks.append(CheckReport.build(
         "planewave/orthogonality", "the two amplitude vectors per branch",
         0.0, orth, tol_abs=cfg.tol_rel))
     checks.append(CheckReport.build(
         "planewave/determinant-on-shell", "determinant vanishes on shell",
-        0.0, det, tol_abs=1e-10 * mc2 ** 4))
+        0.0, det, tol_abs=1e-10))
 
     p0 = np.zeros(3)
-    det_off = abs(np.linalg.det(planewave.build_system(1.5 * mc2, p0, mass, c)))
+    det_off = abs(np.linalg.det(planewave.build_system(1.5, p0)))
     checks.append(CheckReport.build(
         "planewave/determinant-off-shell", "detuned energy gives det != 0",
-        (1.5 ** 2 - 1.0) ** 2 * mc2 ** 4, det_off, tol_abs=1e-10,
+        (1.5 ** 2 - 1.0) ** 2, det_off, tol_abs=1e-10,
         notes="(eps^2 - m^2 c^4 - c^2 p^2)^2 at eps = 1.5 m c^2"))
 
     # each row is one momentum in [-3, 3]^3 followed by its energy in [-4, 4]
     x = rng.uniform([-3, -3, -3, -4], [3, 3, 3, 4], size=(64, 4))
     p, eps = x[:, :3], x[:, 3]
-    det = np.linalg.det(planewave.build_system(eps, p, mass, c))
-    formula = (eps ** 2 - mc2 ** 2 - c * c * inner(p, p)) ** 2
+    det = np.linalg.det(planewave.build_system(eps, p))
+    formula = (eps ** 2 - 1.0 - inner(p, p)) ** 2
     err = np.abs(det - formula) / np.maximum(1.0, np.abs(formula))
     checks.append(CheckReport.build(
         "planewave/determinant-formula",
         "det = (eps^2 - m^2 c^4 - c^2 p^2)^2", 0.0, err, tol_abs=1e-12))
 
-    p = np.array([0.0, 1.3 * mass * c, 0.0])
-    s1, s2 = planewave.make_states("positive", p, mass, c)
-    n1, n2 = planewave.make_states("negative", p, mass, c)
+    p = np.array([0.0, 1.3, 0.0])
+    s1, s2 = planewave.make_states("positive", p)
+    n1, n2 = planewave.make_states("negative", p)
     errors = []
     for closed in ((s1, s2), (n1, n2)):
         basis = planewave.nullspace(
-            planewave.build_system(closed[0].energy, p, mass, c))
+            planewave.build_system(closed[0].energy, p))
         errors.append(abs(len(basis) - 2))
         for v in basis:
             # compare up to the overall scale left free by the elimination
@@ -430,7 +427,7 @@ def suite_planewave(cfg: RunConfig):
             cid, "amplitude sparsity pattern", 0, int(got != want),
             tol_abs=0.0, tol_rel=0.0, notes=f"pattern {got}"))
 
-    special = planewave.special_amplitude_values(mass, c)
+    special = planewave.special_amplitude_values()
     tables = {
         ("positive", 0): np.array([0, 0.5, 1j, 0]),
         ("positive", 1): np.array([-0.5, 0, 0, 1j]),
@@ -447,7 +444,7 @@ def suite_planewave(cfg: RunConfig):
     ledger.append(special["ledger"])
 
     lit_state = planewave.PlaneWaveState(
-        energy=mc2, momentum=np.array([0.0, mass * c, 0.0]),
+        energy=1.0, momentum=np.array([0.0, 1.0, 0.0]),
         amplitudes=special["literal"]["positive"][0])
     interp = planewave.field_interpretation(lit_state, layout)
     ledger.append(Discrepancy(
@@ -459,8 +456,8 @@ def suite_planewave(cfg: RunConfig):
              "the electric one at the stated substitution"))
 
     p = rng.uniform(-5, 5, size=(32, 3))
-    ep, em = planewave.dispersion(p, mass, c)
-    ep2, em2 = planewave.dispersion(-p, mass, c)
+    ep, em = planewave.dispersion(p)
+    ep2, em2 = planewave.dispersion(-p)
     err = (np.abs(ep - ep2), np.abs(em - em2))
     checks.append(CheckReport.build(
         "planewave/dispersion-symmetry", "dispersion(p) = dispersion(-p)",
@@ -468,7 +465,7 @@ def suite_planewave(cfg: RunConfig):
 
     checks.append(CheckReport.build(
         "planewave/continuity", "dP/dt + div flux vanishes", 0.0,
-        planewave.continuity_check(s1, canon, c=c), tol_abs=1e-12))
+        planewave.continuity_check(s1, canon), tol_abs=1e-12))
 
     # first-order system expansion: matrix and component routes agree
     k = 0.8
@@ -476,10 +473,10 @@ def suite_planewave(cfg: RunConfig):
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        triads, forms, k, mass, e1_amp=1.0, e2_amp=0.7, c=c)
+        triads, forms, k, 1.0, e1_amp=1.0, e2_amp=0.7)
     rep = bridge.dirac_residual_em(
-        fields, triads, mass, forms, t_grid=np.linspace(0, 2.0, 4),
-        u_grid=np.linspace(-1.0, 1.0, 5), d_dt=d_dt, d_du=d_du, c=c)
+        fields, triads, forms, t_grid=np.linspace(0, 2.0, 4),
+        u_grid=np.linspace(-1.0, 1.0, 5), d_dt=d_dt, d_du=d_du)
     scale = max(omega, 1.0)
     worst = np.maximum(rep.cross_deviation, rep.max_scalar)  # NaN propagates
     for i, (t, form) in enumerate(cases):
@@ -491,21 +488,21 @@ def suite_planewave(cfg: RunConfig):
 
     y_neg = [dirac.triad("y", "negative")]
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(y_neg, ["plus"], k,
-                                                          mass)
+                                                          1.0)
     detuned, detuned_dt, detuned_du = bridge.detuned_wave(fields, d_dt, d_du,
                                                           1.1)
     detuned_max = bridge.dirac_residual_em(
-        detuned, y_neg, mass, ["plus"], t_grid=np.linspace(0.1, 1.7, 3),
+        detuned, y_neg, ["plus"], t_grid=np.linspace(0.1, 1.7, 3),
         u_grid=np.linspace(-0.9, 0.9, 3),
-        d_dt=detuned_dt, d_du=detuned_du, c=c).max_scalar[0]
+        d_dt=detuned_dt, d_du=detuned_du).max_scalar[0]
     checks.append(CheckReport.build(
         "planewave/expansion-detuned", "detuned frequency leaves a residual",
         1.0, float(detuned_max > 0.01), tol_abs=0.0, tol_rel=0.0,
         notes=f"max residual {detuned_max:.4f} on a 10% detuned wave"))
 
     rep_fd = bridge.dirac_residual_em(
-        fields, y_neg, mass, ["plus"], t_grid=np.linspace(0, 1.0, 3),
-        u_grid=np.linspace(-0.5, 0.5, 3), c=c, fd_step=1e-4 * 2 * math.pi / k)
+        fields, y_neg, ["plus"], t_grid=np.linspace(0, 1.0, 3),
+        u_grid=np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k)
     checks.append(CheckReport.build(
         "planewave/expansion-finite-difference",
         "finite-difference route agrees within its truncation", 0.0,

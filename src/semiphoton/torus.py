@@ -189,7 +189,7 @@ def _cos_integral(model, pref, power, upper, n_points):
                                      upper, n_points, model.lambda_p)
 
 
-def integrate_charge(model: TorusModel, span="half_wave", n_points=256):
+def integrate_charge(model: TorusModel, span, n_points):
     """Quadrature of the ring-current charge density over the wave.
 
     Integrand is rho(l) * S_c = (omega / 4 pi c) E0 cos(k l) S_c.  The full
@@ -216,7 +216,7 @@ def charge_geometric(model: TorusModel):
     return model.zeta * model.zeta * model.require_e0() * model.r_s ** 2
 
 
-def integrate_mass(model: TorusModel, n_points=256):
+def integrate_mass(model: TorusModel, n_points):
     """Field-mass quadrature (S_c E0^2 / pi c^2) int_0^{lambda/4} cos^2(k l) dl.
 
     This is the variant whose quadrature reproduces the stated closed form
@@ -235,7 +235,7 @@ def mass_closed_form(model: TorusModel):
     return e0 * e0 * model.s_c / (4 * model.omega_s * model.units.c)
 
 
-def mass_density_half_wave(model: TorusModel, n_points=256):
+def mass_density_half_wave(model: TorusModel, n_points):
     """Energy-density route: (S_c E0^2 / 4 pi c^2) int over the half wave."""
     e0 = model.require_e0()
     c = model.units.c
@@ -243,7 +243,7 @@ def mass_density_half_wave(model: TorusModel, n_points=256):
     return _cos_integral(model, pref, 2, model.lambda_p / 2, n_points)
 
 
-def calibrate_e0(model: TorusModel, n_points=512) -> TorusModel:
+def calibrate_e0(model: TorusModel, n_points) -> TorusModel:
     """Amplitude E0 for which integrate_mass equals the electron mass m_e.
 
     Closes the one free amplitude of the model: the ring's field mass is made
@@ -363,7 +363,7 @@ class TorusEvaluation(NamedTuple):
     chain: ChainReport
 
 
-def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
+def evaluate(units: UnitSystem, zeta, n_points) -> TorusEvaluation:
     """Derive, calibrate and evaluate the ring at cross-section ratio zeta.
 
     zeta is one ratio or a 1-D stack; a stack gives one record whose
@@ -374,8 +374,7 @@ def evaluate(units: UnitSystem, zeta, n_points=512) -> TorusEvaluation:
     error = None
     while True:
         try:
-            model = calibrate_e0(derive_parameters(units, zetas),
-                                 n_points=n_points)
+            model = calibrate_e0(derive_parameters(units, zetas), n_points)
             chain = consistency_chain(model)
             break
         except ValueError as exc:
@@ -402,7 +401,7 @@ def zeta_grid(zmin, zmax, steps):
             for i in range(steps - 1)] + [zmax]
 
 
-def discrepancy_ledger(model: TorusModel, n_points=256):
+def discrepancy_ledger(model: TorusModel, n_points):
     """Machine-readable record of closed-form vs quadrature mismatches."""
     stated = charge_closed_form(model)
     density = integrate_charge(model, "half_wave", n_points)

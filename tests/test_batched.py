@@ -168,14 +168,13 @@ def test_layout_maps_match_loop(f):
     assert np.array_equal(back.e, f.e) and np.array_equal(back.h, f.h)
 
 
-def loop_build_system(energy, p, mass, c=1.0):
+def loop_build_system(energy, p):
     px, py, pz = p
-    mc2 = mass * c * c
     return np.array([
-        [energy + mc2, 0, c * pz, c * (px - 1j * py)],
-        [0, energy + mc2, c * (px + 1j * py), -c * pz],
-        [c * pz, c * (px - 1j * py), energy - mc2, 0],
-        [c * (px + 1j * py), -c * pz, 0, energy - mc2],
+        [energy + 1.0, 0, pz, px - 1j * py],
+        [0, energy + 1.0, px + 1j * py, -pz],
+        [pz, px - 1j * py, energy - 1.0, 0],
+        [px + 1j * py, -pz, 0, energy - 1.0],
     ], dtype=complex)
 
 
@@ -189,8 +188,8 @@ def momenta_and_energies(draw):
 @given(momenta_and_energies())
 def test_build_system_and_determinant_match_loop(pe):
     p, eps = pe
-    got = planewave.build_system(eps, p, 1.0)
-    want = np.array([loop_build_system(e, q, 1.0) for e, q in zip(eps, p)])
+    got = planewave.build_system(eps, p)
+    want = np.array([loop_build_system(e, q) for e, q in zip(eps, p)])
     assert np.array_equal(got, want)
     assert np.array_equal(np.linalg.det(got),
                           [np.linalg.det(m) for m in want])
@@ -201,7 +200,7 @@ def test_build_system_and_determinant_match_loop(pe):
 def test_solution_basis_matches_loop(pe):
     p, _ = pe
     for branch in ("positive", "negative"):
-        got = planewave.solution_basis(branch, p, 1.0, phase=0.3)
+        got = planewave.solution_basis(branch, p, phase=0.3)
         ph = complex(math.cos(0.3), math.sin(0.3))
         for i, (px, py, pz) in enumerate(p):
             eps = math.sqrt(px * px + py * py + pz * pz + 1.0)
@@ -209,7 +208,7 @@ def test_solution_basis_matches_loop(pe):
                 d = eps + 1.0
                 first = [-pz / d, -(px + 1j * py) / d, 1, 0]
                 second = [-(px - 1j * py) / d, pz / d, 0, 1]
-            else:  # energy -eps, so the denominator is again eps + m c^2
+            else:  # energy -eps, so the denominator is again eps + 1
                 d = eps + 1.0
                 first = [1, 0, pz / d, (px + 1j * py) / d]
                 second = [0, 1, (px - 1j * py) / d, -pz / d]
@@ -217,7 +216,7 @@ def test_solution_basis_matches_loop(pe):
                 want = np.array(want, dtype=complex) * ph
                 # entries are sums of at most two terms of size <= 1
                 assert_close(vec, want, np.float64(4.0))
-            one = planewave.solution_basis(branch, p[i], 1.0, phase=0.3)
+            one = planewave.solution_basis(branch, p[i], phase=0.3)
             assert np.array_equal(one[0], got[0][i])
             assert np.array_equal(one[1], got[1][i])
 
@@ -228,7 +227,7 @@ def test_residual_matches_loop(pe, amps):
     p, eps = pe
     n = min(len(p), len(amps))
     state = planewave.PlaneWaveState(eps[:n], p[:n], amps[:n])
-    got = planewave.residual(state, CANON, 1.0)
+    got = planewave.residual(state, CANON)
     want, scale = [], []
     for e, q, a in zip(eps[:n], p[:n], amps[:n]):
         op = (e * CANON.a0 + (q[0] * CANON.a1 + q[1] * CANON.a2
@@ -238,7 +237,7 @@ def test_residual_matches_loop(pe, amps):
     assert_close(got, want, np.array(scale))
     for i in range(n):
         one = planewave.PlaneWaveState(eps[i], p[i], amps[i])
-        assert planewave.residual(one, CANON, 1.0) == got[i]
+        assert planewave.residual(one, CANON) == got[i]
 
 
 @settings(deadline=None, max_examples=100)
@@ -381,22 +380,21 @@ def residual_cases(draw):
 
 
 @settings(deadline=None, max_examples=100)
-@given(residual_cases(), st.sampled_from(("plus", "minus")),
-       st.floats(0, 3, allow_nan=False))
-def test_residual_stacks_match_single_points(case, form, mass):
+@given(residual_cases(), st.sampled_from(("plus", "minus")))
+def test_residual_stacks_match_single_points(case, form):
     t, layout, f, ft, fu = case
     f, ft, fu = (EmField(g.e[None], g.h[None]) for g in (f, ft, fu))
     w = bridge.grid_stack(f, ft, fu)
-    scalar = bridge.scalar_residuals(w, [layout], mass, [form])[0]
-    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, mass, [form])[0]
+    scalar = bridge.scalar_residuals(w, [layout], [form])[0]
+    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, [form])[0]
     assert scalar.shape == bisp.shape == (len(f.e[0]), 4)
     for i in range(len(scalar)):
         one = bridge.grid_stack(*(g[:, i:i + 1] for g in (f, ft, fu)))
         assert np.array_equal(
-            bridge.scalar_residuals(one, [layout], mass, [form])[0, 0],
+            bridge.scalar_residuals(one, [layout], [form])[0, 0],
             scalar[i])
         assert np.array_equal(
-            bridge.bispinor_residuals(one, [t], [layout], CANON, mass,
+            bridge.bispinor_residuals(one, [t], [layout], CANON,
                                       [form])[0, 0],
             bisp[i])
 
@@ -428,13 +426,13 @@ def test_residual_case_stack_matches_single_cases():
     grids = np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 1.0, 5)
     waves = [joined(w) for w in range(3)]
     rep = bridge.dirac_residual_em(
-        waves[0], stack_triads, 1.0, stack_forms, *grids, d_dt=waves[1],
+        waves[0], stack_triads, stack_forms, *grids, d_dt=waves[1],
         d_du=waves[2], charge_conjugated=conjugated)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (25,)
     for i in range(25):
         one = [lambda tt, uu, w=w: w(tt, uu)[i:i + 1] for w in waves]
         single = bridge.dirac_residual_em(
-            one[0], stack_triads[i:i + 1], 1.0, stack_forms[i:i + 1], *grids,
+            one[0], stack_triads[i:i + 1], stack_forms[i:i + 1], *grids,
             d_dt=one[1], d_du=one[2], charge_conjugated=conjugated[i])
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
@@ -454,12 +452,12 @@ def test_finite_difference_case_stack_matches_single_cases():
     fields = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0,
                                        e2_amp=0.7)[1]
     grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(fields, triads, 1.0, forms, *grids,
+    rep = bridge.dirac_residual_em(fields, triads, forms, *grids,
                                    fd_step=1e-4)
     assert rep.max_scalar.max() <= 1e-6
     for i in range(12):
         single = bridge.dirac_residual_em(
-            lambda tt, uu: fields(tt, uu)[i:i + 1], triads[i:i + 1], 1.0,
+            lambda tt, uu: fields(tt, uu)[i:i + 1], triads[i:i + 1],
             forms[i:i + 1], *grids, fd_step=1e-4)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
@@ -489,8 +487,8 @@ def ref_stacked(f):
     return np.concatenate([f.e, f.h], axis=-1)
 
 
-def ref_residual_em(fields, triads, mass, forms, t_grid, u_grid, d_dt, d_du,
-                    c, hbar, fd_step, conjugated):
+def ref_residual_em(fields, triads, forms, t_grid, u_grid, d_dt, d_du,
+                    fd_step, conjugated):
     """(cross_deviation, max_scalar, truncation) of the grid, per case."""
     flags = np.broadcast_to(conjugated, (len(triads),))
     slots = [ref_layout(t, bool(conj)) for t, conj in zip(triads, flags)]
@@ -524,10 +522,9 @@ def ref_residual_em(fields, triads, mass, forms, t_grid, u_grid, d_dt, d_du,
     lhs, du = (np.array([[REF_FLAT[row[j:j + 2]] for row in r] for r in rows])
                for j in (0, 3))
     du_sign = np.array([[row[2] for row in r] for r in rows])
-    mass_coef = np.array([[row[5] * 1j * (mass * c / hbar) for row in r]
-                          for r in rows])
+    mass_coef = np.array([[row[5] * 1j for row in r] for r in rows])
     v, vt, vu = (ref_stacked(g) for g in (f, ft, fu))
-    scalar = (ref_gather(vt, lhs) / c + du_sign[:, None] * ref_gather(vu, du)
+    scalar = (ref_gather(vt, lhs) + du_sign[:, None] * ref_gather(vu, du)
               + mass_coef[:, None] * ref_gather(v, lhs))
 
     s = np.array([bridge.SIGN_FORMS[form] for form in forms])[:, None, None]
@@ -535,10 +532,9 @@ def ref_residual_em(fields, triads, mass, forms, t_grid, u_grid, d_dt, d_du,
     stack = np.stack([ref_stacked(g) for g in (f, ft, fu)], axis=1)
     spinors = factors.reshape(len(slots), 1, 1, 4) * ref_gather(stack, index)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
-    p_term = s * c * np.einsum("cij,c...j->c...i", working,
-                               -1j * hbar * dpsi_du)
-    mass_term = s * mass * c * c * mat_vec(CANON.a4, psi)
-    bisp = (1j * hbar * dpsi_dt + p_term + mass_term) / (1j * hbar * c)
+    p_term = s * np.einsum("cij,c...j->c...i", working, -1j * dpsi_du)
+    mass_term = s * mat_vec(CANON.a4, psi)
+    bisp = (1j * dpsi_dt + p_term + mass_term) / 1j
     return (np.abs(scalar * factors[:, None] - bisp).max(axis=(1, 2)),
             np.abs(scalar).max(axis=(1, 2)), truncation)
 
@@ -550,25 +546,22 @@ grid_axis = st.lists(st.floats(-2, 2, allow_nan=False), min_size=1,
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.sampled_from(CASES), min_size=1, max_size=12),
-       st.data(), grid_axis, grid_axis,
-       st.sampled_from((1.0, 0.7, 2.5)), st.sampled_from((1.0, 0.6)),
-       st.floats(0, 2), st.floats(0.2, 2), st.floats(-1, 1),
+       st.data(), grid_axis, grid_axis, st.floats(0.2, 2), st.floats(-1, 1),
        st.sampled_from((1.0, 1.1)), st.sampled_from((None, 1e-4, 0.05, 0.5)))
 def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
-                                                  c, hbar, mass, k, e2_amp,
-                                                  detune, fd_step):
+                                                  k, e2_amp, detune, fd_step):
     triads, forms = zip(*cases)
     conjugated = data.draw(st.one_of(
         st.booleans(), st.lists(st.booleans(), min_size=len(cases),
                                 max_size=len(cases))))
     wave = bridge.detuned_wave(*bridge.onshell_plane_wave(
-        triads, forms, k, 1.0, e2_amp=e2_amp, c=c, hbar=hbar)[1:], detune)
+        triads, forms, k, 1.0, e2_amp=e2_amp)[1:], detune)
     derivs = wave[1:] if fd_step is None else (None, None)
     rep = bridge.dirac_residual_em(
-        wave[0], triads, mass, forms, t_grid, u_grid, *derivs, c=c,
-        hbar=hbar, fd_step=fd_step, charge_conjugated=conjugated)
-    ref = ref_residual_em(wave[0], triads, mass, forms, t_grid, u_grid,
-                          *derivs, c, hbar, fd_step, conjugated)
+        wave[0], triads, forms, t_grid, u_grid, *derivs, fd_step=fd_step,
+        charge_conjugated=conjugated)
+    ref = ref_residual_em(wave[0], triads, forms, t_grid, u_grid, *derivs,
+                          fd_step, conjugated)
     got = (rep.cross_deviation, rep.max_scalar, rep.truncation)
     for a, b in zip(got, ref):
         assert a.shape == (len(cases),)
@@ -639,7 +632,7 @@ def test_stacks_are_validated(monkeypatch):
         f(0.3, 0.1)
     assert calls == []
     # a non-finite grid belongs to the caller: its residuals are NaN and FAIL
-    rep = bridge.dirac_residual_em(wave[0], [y_neg] * 2, 1.0, ["plus", "minus"],
+    rep = bridge.dirac_residual_em(wave[0], [y_neg] * 2, ["plus", "minus"],
                                    np.array([0.0, np.nan]), tt, d_dt=wave[1],
                                    d_du=wave[2])
     assert np.isnan(rep.max_scalar).all()
@@ -1159,8 +1152,8 @@ def test_hermiticity_stack_matches_each_matrix():
 
 def test_field_interpretation_stack_matches_single_states():
     p = np.array([0.0, 1.3, 0.0])
-    states = [*planewave.make_states("positive", p, 1.0),
-              *planewave.make_states("negative", p, 1.0)]
+    states = [*planewave.make_states("positive", p),
+              *planewave.make_states("negative", p)]
     stack = planewave.PlaneWaveState(
         np.array([s.energy for s in states]), np.tile(p, (4, 1)),
         np.stack([s.amplitudes for s in states]))

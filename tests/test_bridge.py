@@ -178,7 +178,7 @@ def test_onshell_wave_has_zero_residual(axis, orientation, form):
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
         [t], [form], k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.4)
     t_grid, u_grid = _grids()
-    rep = bridge.dirac_residual_em(fields, [t], 1.0, [form], t_grid, u_grid,
+    rep = bridge.dirac_residual_em(fields, [t], [form], t_grid, u_grid,
                                    d_dt=d_dt, d_du=d_du)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
     assert rep.max_scalar[0] <= 1e-12 * omega
@@ -200,37 +200,11 @@ def test_scalar_and_matrix_routes_agree_off_shell():
         return EmField(e, h)
 
     rep = bridge.dirac_residual_em(
-        _one_case(build), [t], 1.3, ["plus"], *(_grids()),
+        _one_case(build), [t], ["plus"], *(_grids()),
         d_dt=_one_case(lambda tt, uu: build(tt, uu, dt_order=1)),
         d_du=_one_case(lambda tt, uu: build(tt, uu, du_order=1)))
     assert rep.max_scalar[0] > 0.1  # generic wave is not a solution
     assert rep.cross_deviation[0] <= 1e-12 * rep.max_scalar[0]
-
-
-def test_massless_free_wave_solves_minus_form():
-    t = dirac.triad("y", "negative")
-    omega = 2.0
-
-    def cos_wave(tt, uu, dt_order=0, du_order=0):
-        # E_x = H_z = cos(omega t - k u) with omega = k c
-        theta = omega * tt - omega * uu
-        if (dt_order, du_order) == (0, 0):
-            val = np.cos(theta)
-        elif dt_order == 1:
-            val = -omega * np.sin(theta)
-        else:
-            val = omega * np.sin(theta)
-        zero = np.zeros_like(val)
-        return EmField(np.stack([val, zero, zero], axis=-1),
-                       np.stack([zero, zero, val], axis=-1))
-
-    rep = bridge.dirac_residual_em(
-        _one_case(cos_wave), [t], mass=0.0, sign_forms=["minus"],
-        t_grid=np.linspace(0, 3, 5), u_grid=np.linspace(-2, 2, 5),
-        d_dt=_one_case(lambda tt, uu: cos_wave(tt, uu, dt_order=1)),
-        d_du=_one_case(lambda tt, uu: cos_wave(tt, uu, du_order=1)))
-    assert rep.max_scalar[0] <= 1e-12 * omega
-    assert rep.cross_deviation[0] <= 1e-12 * omega
 
 
 def test_finite_difference_fallback_and_truncation_guard():
@@ -238,19 +212,19 @@ def test_finite_difference_fallback_and_truncation_guard():
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
                                                           1.0)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], t_grid, u_grid,
+    rep = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid, u_grid,
                                    fd_step=1e-4)
     assert rep.max_scalar[0] <= 1e-6
     assert rep.cross_deviation[0] <= 1e-6
     assert 0 < rep.truncation[0] <= bridge.FD_TOL
     # a coarse step is reported, not raised: its estimate is about 6.4e-3
-    coarse = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], t_grid,
+    coarse = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid,
                                       u_grid, fd_step=0.5)
     assert coarse.truncation.shape == (1,)
     assert coarse.truncation[0] > 1e3 * bridge.FD_TOL
     assert not hasattr(bridge, "GridTooCoarse")
     # closed-form derivatives carry no truncation; a NaN estimate propagates
-    exact = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], t_grid,
+    exact = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid,
                                      u_grid, d_dt=d_dt, d_du=d_du)
     assert np.array_equal(exact.truncation, [0.0])
     def huge(tt, uu):  # 8 times E_x overflows inside the stencil
@@ -259,7 +233,7 @@ def test_finite_difference_fallback_and_truncation_guard():
         return EmField(e, np.zeros_like(e))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        overflow = bridge.dirac_residual_em(huge, [t], 1.0, ["plus"], t_grid,
+        overflow = bridge.dirac_residual_em(huge, [t], ["plus"], t_grid,
                                             u_grid, fd_step=1e-4)
     assert np.isnan(overflow.truncation[0])
 
@@ -278,7 +252,7 @@ def test_conjugate_layout_solves_opposite_current_system():
                        np.stack([zero, zero, amp_h * ph], axis=-1))
 
     rep = bridge.dirac_residual_em(
-        _one_case(build), [t], 1.0, ["minus"], *(_grids()),
+        _one_case(build), [t], ["minus"], *(_grids()),
         d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
         d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)),
         charge_conjugated=True)
@@ -286,7 +260,7 @@ def test_conjugate_layout_solves_opposite_current_system():
     assert rep.cross_deviation[0] <= 1e-12 * omega
     # the same wave does not solve the plain minus-form system
     plain = bridge.dirac_residual_em(
-        _one_case(build), [t], 1.0, ["minus"], *(_grids()),
+        _one_case(build), [t], ["minus"], *(_grids()),
         d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
         d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)))
     assert plain.max_scalar[0] > 0.1
@@ -305,7 +279,7 @@ def test_detuned_wave_leaves_residual():
         return EmField(1.1 * inner.e, 1.1 * inner.h)
 
     rep = bridge.dirac_residual_em(
-        stretched, [t], 1.0, ["plus"], *(_grids()),
+        stretched, [t], ["plus"], *(_grids()),
         d_dt=stretched_dt, d_du=lambda tt, uu: d_du(1.1 * tt, uu))
     assert rep.max_scalar[0] > 0.01
 
@@ -322,7 +296,7 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
     t = dirac.triad("y", "negative")
     omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
                                                           1.0)
-    rep = bridge.dirac_residual_em(fields, [t], 1.0, ["plus"], *(_grids()),
+    rep = bridge.dirac_residual_em(fields, [t], ["plus"], *(_grids()),
                                    d_dt=d_dt, d_du=d_du)
     assert len(calls) == 1
     assert rep.max_scalar[0] <= 1e-12 * omega
@@ -346,7 +320,7 @@ def test_residual_rows_follow_the_grid_order():
     t_grid, u_grid = _grids()
     n = len(t_grid) * len(u_grid)
     rep = bridge.dirac_residual_em(
-        counted(wave[0]), [t], 1.0, ["plus"], t_grid, u_grid,
+        counted(wave[0]), [t], ["plus"], t_grid, u_grid,
         d_dt=counted(wave[1]), d_du=counted(wave[2]))
     assert sorted(id(func) for func, _ in calls) == sorted(map(id, wave))
     assert {shapes for _, shapes in calls} == {((n,), (n,))}
@@ -357,8 +331,8 @@ def test_residual_rows_follow_the_grid_order():
                  np.array([u_grid[i % len(u_grid)]]))
         f, ft, fu = (func(*point) for func in wave)
         w = bridge.grid_stack(f, ft, fu)
-        row = bridge.scalar_residuals(w, [layout], 1.0, ["plus"])[0, 0]
-        bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, 1.0,
+        row = bridge.scalar_residuals(w, [layout], ["plus"])[0, 0]
+        bisp = bridge.bispinor_residuals(w, [t], [layout], CANON,
                                          ["plus"])[0, 0]
         scalar.append(np.abs(row).max())
         cross.append(np.abs(row * factors - bisp).max())
@@ -378,7 +352,7 @@ def test_finite_difference_route_stacks_its_stencils():
         return fields(tt, uu)
 
     t_grid, u_grid = _grids()
-    bridge.dirac_residual_em(counted, [t], 1.0, ["plus"], t_grid, u_grid,
+    bridge.dirac_residual_em(counted, [t], ["plus"], t_grid, u_grid,
                              fd_step=1e-4)
     n = len(t_grid) * len(u_grid)
     # probe at the first point: 2 steps x 2 variables x 4 stencil points;

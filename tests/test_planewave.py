@@ -12,7 +12,7 @@ momentum = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False),
 
 
 def test_build_system_rest_case():
-    m = planewave.build_system(1.0, np.zeros(3), 1.0)
+    m = planewave.build_system(1.0, np.zeros(3))
     np.testing.assert_array_equal(np.diag(m), [2, 2, 0, 0])
     assert np.abs(m - np.diag(np.diag(m))).max() == 0
 
@@ -22,45 +22,45 @@ def test_determinant_structure():
     for _ in range(10):
         p = rng.normal(size=3)
         eps = rng.normal()
-        det = np.linalg.det(planewave.build_system(eps, p, 1.0))
+        det = np.linalg.det(planewave.build_system(eps, p))
         formula = (eps ** 2 - 1.0 - float(p @ p)) ** 2
         assert det == pytest.approx(formula, rel=1e-12, abs=1e-12)
-    on = planewave.dispersion(p, 1.0)[0]
-    assert abs(np.linalg.det(planewave.build_system(on, p, 1.0))) <= 1e-10
-    off = np.linalg.det(planewave.build_system(1.5, np.zeros(3), 1.0))
+    on = planewave.dispersion(p)[0]
+    assert abs(np.linalg.det(planewave.build_system(on, p))) <= 1e-10
+    off = np.linalg.det(planewave.build_system(1.5, np.zeros(3)))
     assert off == pytest.approx(1.5625, rel=1e-14)
 
 
 def test_dispersion_values():
-    assert planewave.dispersion(np.zeros(3), 1.0) == (1.0, -1.0)
-    ep, em = planewave.dispersion(np.array([0, 1.0, 0]), 1.0)
+    assert planewave.dispersion(np.zeros(3)) == (1.0, -1.0)
+    ep, em = planewave.dispersion(np.array([0, 1.0, 0]))
     assert ep == pytest.approx(math.sqrt(2), rel=1e-15)
     assert em == -ep
     p = np.array([0.3, -1.2, 0.4])
-    ep, em = planewave.dispersion(p, 1.0)
+    ep, em = planewave.dispersion(p)
     assert ep * em == pytest.approx(-(float(p @ p) + 1.0), rel=1e-14)
 
 
 @settings(deadline=None, max_examples=100)
 @given(momentum)
 def test_dispersion_symmetric(p):
-    assert planewave.dispersion(p, 1.0) == planewave.dispersion(-p, 1.0)
+    assert planewave.dispersion(p) == planewave.dispersion(-p)
 
 
 def test_solution_basis_rest_cases():
-    pos = planewave.solution_basis("positive", np.zeros(3), 1.0)
+    pos = planewave.solution_basis("positive", np.zeros(3))
     np.testing.assert_array_equal(pos[0], [0, 0, 1, 0])
     np.testing.assert_array_equal(pos[1], [0, 0, 0, 1])
-    neg = planewave.solution_basis("negative", np.zeros(3), 1.0)
+    neg = planewave.solution_basis("negative", np.zeros(3))
     np.testing.assert_array_equal(neg[0], [1, 0, 0, 0])
     np.testing.assert_array_equal(neg[1], [0, 1, 0, 0])
     with pytest.raises(ValueError):
-        planewave.solution_basis("sideways", np.zeros(3), 1.0)
+        planewave.solution_basis("sideways", np.zeros(3))
 
 
 def test_solution_basis_moving_case():
     p = np.array([0, 1.0, 0])
-    s1, s2 = planewave.solution_basis("positive", p, 1.0)
+    s1, s2 = planewave.solution_basis("positive", p)
     assert s1[1] == pytest.approx(-1j / (math.sqrt(2) + 1), rel=1e-14)
     assert s1[2] == 1
     assert s2[0] == pytest.approx(1j / (math.sqrt(2) + 1), rel=1e-14)
@@ -70,22 +70,22 @@ def test_solution_basis_moving_case():
 @given(momentum)
 def test_residual_small_on_solutions(p):
     for branch in ("positive", "negative"):
-        for state in planewave.make_states(branch, p, 1.0):
-            assert planewave.residual(state, CANON, 1.0) <= 1e-12
+        for state in planewave.make_states(branch, p):
+            assert planewave.residual(state, CANON) <= 1e-12
             scaled = planewave.PlaneWaveState(
                 state.energy, state.momentum, 5 * state.amplitudes)
-            assert planewave.residual(scaled, CANON, 1.0) <= 5e-12
+            assert planewave.residual(scaled, CANON) <= 5e-12
 
 
-def stacked_operator_residual(state, aset, mass, c=1.0):
+def stacked_operator_residual(state, aset):
     """The residual with the image index first, k...i, as a reference."""
     images = np.einsum("kij,...j->k...i", np.stack(
         (aset.a0, aset.a1, aset.a2, aset.a3, aset.a4)), state.amplitudes)
     energy = np.asarray(state.energy)[..., None]
     px, py, pz = (state.momentum[..., k, None] for k in range(3))
     out = (energy * images[0]
-           + c * (px * images[1] + py * images[2] + pz * images[3])
-           + mass * c * c * images[4])
+           + (px * images[1] + py * images[2] + pz * images[3])
+           + images[4])
     return np.abs(out).max(axis=-1)
 
 
@@ -94,31 +94,46 @@ def stacked_operator_residual(state, aset, mass, c=1.0):
 def test_residual_is_the_image_first_contraction_bit_for_bit(n, branch):
     rng = np.random.default_rng(n or 0)
     p = 3 * rng.normal(size=(3,) if n is None else (n, 3))
-    for state in planewave.make_states(branch, p, 1.3, c=0.7):
+    for state in planewave.make_states(branch, p):
         # off shell too, so the residual is not only rounding
         for detuned in (state, state._replace(energy=state.energy * 1.01)):
-            want = stacked_operator_residual(detuned, CANON, 1.3, c=0.7)
-            got = planewave.residual(detuned, CANON, 1.3, c=0.7)
+            want = stacked_operator_residual(detuned, CANON)
+            got = planewave.residual(detuned, CANON)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3)])
+def test_make_states_checks_the_momentum_once(shape, monkeypatch):
+    """make_states checks the momentum; dispersion and solution_basis read
+    the checked array as given, so one call makes one as_vec3 call."""
+    calls = []
+    check = planewave.as_vec3
+    monkeypatch.setattr(planewave, "as_vec3",
+                        lambda a: calls.append(a) or check(a))
+    p = np.random.default_rng(3).normal(size=shape)
+    for branch in ("positive", "negative"):
+        calls.clear()
+        planewave.make_states(branch, p)
+        assert len(calls) == 1
 
 
 def test_residual_detects_non_solution():
     state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.zeros(3),
         amplitudes=np.array([1, 1, 1, 1], dtype=complex))
-    assert planewave.residual(state, CANON, 1.0) > 0.1
+    assert planewave.residual(state, CANON) > 0.1
 
 
 def test_residual_homogeneous():
     p = np.array([0.2, 0.9, -0.4])
-    state = planewave.make_states("positive", p, 1.0)[0]
+    state = planewave.make_states("positive", p)[0]
     detuned = planewave.PlaneWaveState(1.5 * state.energy, p,
                                        state.amplitudes)
-    r1 = planewave.residual(detuned, CANON, 1.0)
+    r1 = planewave.residual(detuned, CANON)
     scaled = planewave.PlaneWaveState(1.5 * state.energy, p,
                                       5 * state.amplitudes)
-    assert planewave.residual(scaled, CANON, 1.0) == pytest.approx(
+    assert planewave.residual(scaled, CANON) == pytest.approx(
         5 * r1, rel=1e-12)
 
 
@@ -127,7 +142,7 @@ def test_orthogonality():
     for _ in range(50):
         p = rng.uniform(-10, 10, size=3)
         for branch in ("positive", "negative"):
-            s1, s2 = planewave.solution_basis(branch, p, 1.0)
+            s1, s2 = planewave.solution_basis(branch, p)
             assert abs(complex(s1.conj() @ s2)) <= 1e-12 * \
                 float(np.abs(s1).max() * np.abs(s2).max())
 
@@ -135,10 +150,10 @@ def test_orthogonality():
 def test_nullspace_rank_and_span():
     p = np.array([0.0, 1.3, 0.0])
     for branch in ("positive", "negative"):
-        eps = planewave.dispersion(p, 1.0)[0 if branch == "positive" else 1]
-        basis = planewave.nullspace(planewave.build_system(eps, p, 1.0))
+        eps = planewave.dispersion(p)[0 if branch == "positive" else 1]
+        basis = planewave.nullspace(planewave.build_system(eps, p))
         assert len(basis) == 2
-        closed = planewave.solution_basis(branch, p, 1.0)
+        closed = planewave.solution_basis(branch, p)
         for v in basis:
             best = math.inf
             for r in closed:
@@ -147,18 +162,18 @@ def test_nullspace_rank_and_span():
                     best = min(best, float(np.abs(v * (r[j] / v[j]) - r).max()))
             assert best <= 1e-12
     # off shell the matrix has full rank
-    assert planewave.nullspace(planewave.build_system(1.5, p, 1.0)) == []
+    assert planewave.nullspace(planewave.build_system(1.5, p)) == []
 
 
 def test_field_interpretation_sparsity():
     p = np.array([0.0, 1.3, 0.0])
     layout = bridge.electron_layout()
-    s1, s2 = planewave.make_states("positive", p, 1.0)
+    s1, s2 = planewave.make_states("positive", p)
     assert planewave.field_interpretation(s1, layout).sparsity == \
         (False, True, True, False)
     assert planewave.field_interpretation(s2, layout).sparsity == \
         (True, False, False, True)
-    n1, n2 = planewave.make_states("negative", p, 1.0)
+    n1, n2 = planewave.make_states("negative", p)
     assert planewave.field_interpretation(n1, layout).sparsity == \
         (True, False, False, True)
     assert planewave.field_interpretation(n2, layout).sparsity == \
@@ -170,7 +185,7 @@ def test_sparsity_holds_along_the_axis():
     layout = bridge.electron_layout()
     for _ in range(25):
         p = np.array([0.0, rng.uniform(0.05, 8.0), 0.0])
-        s1, s2 = planewave.make_states("positive", p, 1.0)
+        s1, s2 = planewave.make_states("positive", p)
         assert planewave.field_interpretation(s1, layout).sparsity == \
             (False, True, True, False)
         assert planewave.field_interpretation(s2, layout).sparsity == \
@@ -181,12 +196,11 @@ def test_solutions_solve_the_field_system():
     """Amplitude solutions, mapped through the layout, solve the plus-form
     coupled field system as traveling waves (and fail the minus form)."""
     p = np.array([0.0, 0.9, 0.0])
-    mass = 1.0
     layout = bridge.electron_layout()
     t = dirac.triad("y", "negative")
     grids = dict(t_grid=np.linspace(0, 2, 3), u_grid=np.linspace(-1, 1, 3))
     for branch in ("positive", "negative"):
-        state = planewave.make_states(branch, p, mass)[0]
+        state = planewave.make_states(branch, p)[0]
         base = bridge.fields_from_bispinor(state.amplitudes, layout)
         eps, k = state.energy, p[1]
 
@@ -196,20 +210,20 @@ def test_solutions_solve_the_field_system():
             return bridge.EmField(base.e * ph, base.h * ph)
 
         rep = bridge.dirac_residual_em(
-            build, [t], mass, ["plus"], **grids,
+            build, [t], ["plus"], **grids,
             d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
             d_du=lambda tt, uu: build(tt, uu, 1j * k))
         assert rep.max_scalar[0] <= 1e-12
         assert rep.cross_deviation[0] <= 1e-12
         wrong = bridge.dirac_residual_em(
-            build, [t], mass, ["minus"], **grids,
+            build, [t], ["minus"], **grids,
             d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
             d_du=lambda tt, uu: build(tt, uu, 1j * k))
         assert wrong.max_scalar[0] > 0.1
 
 
 def test_field_interpretation_axis_guard():
-    state = planewave.make_states("positive", np.array([1.0, 1.0, 0]), 1.0)[0]
+    state = planewave.make_states("positive", np.array([1.0, 1.0, 0]))[0]
     with pytest.raises(planewave.AxisMismatch):
         planewave.field_interpretation(state, bridge.electron_layout())
 
@@ -224,7 +238,7 @@ def test_special_values_table():
     assert special["ledger"].ratio == pytest.approx(math.sqrt(2), rel=1e-15)
     # on-shell evaluation differs from the literal substitution
     p = np.array([0.0, 1.0, 0.0])
-    ons = planewave.solution_basis("positive", p, 1.0, phase=math.pi / 2)[0]
+    ons = planewave.solution_basis("positive", p, phase=math.pi / 2)[0]
     assert abs(ons[1]) == pytest.approx(1 / (math.sqrt(2) + 1), rel=1e-14)
 
 
@@ -240,7 +254,7 @@ def test_special_values_amplitude_ratio():
 
 def test_continuity_and_normalization():
     p = np.array([0.0, 0.7, 0.0])
-    state = planewave.make_states("positive", p, 1.0)[0]
+    state = planewave.make_states("positive", p)[0]
     assert planewave.continuity_check(state, CANON) <= 1e-12
     zero = planewave.PlaneWaveState(state.energy, p, np.zeros(4))
     assert planewave.continuity_check(zero, CANON) == 0.0

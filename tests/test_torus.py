@@ -122,7 +122,7 @@ def test_mass_quadrature_matches_closed_form():
 
 
 def test_calibration_reproduces_electron_mass():
-    m = torus.calibrate_e0(model())
+    m = torus.calibrate_e0(model(), 512)
     assert m.e0 == pytest.approx(math.sqrt(32 / math.pi), rel=1e-11)
     assert torus.integrate_mass(m, 512) == pytest.approx(1.0, rel=5e-12)
 
@@ -241,7 +241,7 @@ def test_calibration_closed_form_across_grid(mode):
 def test_calibration_out_of_range_raises_domain_error():
     # the cross-section area underflows, so no finite amplitude exists
     with pytest.raises(torus.DomainError, match="unit amplitude is 0.0"):
-        torus.calibrate_e0(model(zeta=1e-200))
+        torus.calibrate_e0(model(zeta=1e-200), 512)
 
 
 def test_evaluate_matches_the_separate_routes():
