@@ -113,24 +113,23 @@ SWEEP_ARGV = ["sweep-zeta", "--min", "0.05", "--max", "0.8", "--steps", "12",
 def expansion(triads, forms, t_grid, u_grid):
     """The waves and residuals of a stack of (triad, form) cases, as the
     planewave suite's expansion checks build them."""
-    _, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        triads, forms, 0.8, 1.0, e1_amp=1.0, e2_amp=0.7)
-    return bridge.dirac_residual_em(fields, triads, forms, t_grid, u_grid,
-                                    d_dt=d_dt, d_du=d_du)
+    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e1_amp=1.0,
+                                     e2_amp=0.7)
+    return bridge.dirac_residual_em(wave, triads, forms, t_grid, u_grid)
 
 
 def suite_grids():
     """The planewave suite's detuned and finite-difference grids: one
     y-negative plus-form case each on a 3 x 3 grid."""
     y_neg, k = [dirac.triad("y", "negative")], 0.8
-    _, fields, d_dt, d_du = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
-    detuned = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
+    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
+    detuned = wave._replace(omega=1.1 * wave.omega)
     return {
         "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
-            detuned[0], y_neg, ["plus"], np.linspace(0.1, 1.7, 3),
-            np.linspace(-0.9, 0.9, 3), d_dt=detuned[1], d_du=detuned[2]),
+            detuned, y_neg, ["plus"], np.linspace(0.1, 1.7, 3),
+            np.linspace(-0.9, 0.9, 3)),
         "expansion_fd_1x3x3": lambda: bridge.dirac_residual_em(
-            fields, y_neg, ["plus"], np.linspace(0.0, 1.0, 3),
+            wave, y_neg, ["plus"], np.linspace(0.0, 1.0, 3),
             np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k),
     }
 
@@ -143,7 +142,7 @@ def kernels(cfg):
     chain_zetas = torus.zeta_grid(0.05, 1.0, 20)
     nodes = np.linspace(0.0, math.pi / 2, 513)
     t_ax = [dirac.triad("y", "negative")]
-    _, fields, d_dt, d_du = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7, 1.0)
+    wave = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7, 1.0)
     t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
@@ -169,7 +168,7 @@ def kernels(cfg):
         "calibrate_e0": lambda: torus.calibrate_e0(model, 512),
         "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
-            fields, t_ax, ["plus"], t_grid, u_grid, d_dt=d_dt, d_du=d_du),
+            wave, t_ax, ["plus"], t_grid, u_grid),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
         **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),

@@ -26,14 +26,10 @@ def main():
     cases = [(t, form) for t in dirac.axis_triads()
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        triads, forms, args.k, 1.0)
-    columns = []
-    for d in args.detunings:
-        f, ft, fu = bridge.detuned_wave(fields, d_dt, d_du, d)
-        columns.append(bridge.dirac_residual_em(
-            f, triads, forms, t_grid, u_grid,
-            d_dt=ft, d_du=fu).max_scalar)
+    wave = bridge.onshell_plane_wave(triads, forms, args.k, 1.0)
+    columns = [bridge.dirac_residual_em(
+        wave._replace(omega=d * wave.omega), triads, forms, t_grid,
+        u_grid).max_scalar for d in args.detunings]
     header = "triad        form   " + "".join(f"  x{d:<10g}" for d in args.detunings)
     print(header)
     for i, (t, form) in enumerate(cases):

@@ -15,18 +15,23 @@ Inputs are checked once, where they enter: the ``EmField`` constructor
 checks E and H, ``fields_from_bispinor`` and ``bilinears`` their spinors.
 A part of a checked stack, ``f[i]``, is a view of it, and the fields that
 ``slot_fields`` and ``case_fields`` build are wrapped without a second check.
-The plane waves of ``onshell_plane_wave`` are built by ``slot_fields`` and
-wrapped without a check; their amplitudes, omega and k are checked at entry.
+
+A plane wave is one value, a :class:`SlotWave`: per case, four slot
+amplitudes times e^{i(omega t - k u)} in a layout's slots.  Its one
+evaluator, ``at``, gives the fields and both closed-form derivatives as a
+:class:`WavePoint`, built by ``slot_fields`` and wrapped without a check;
+``onshell_plane_wave`` checks the amplitudes, omega and k at entry.
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
 component equations against the matrix form for a stack of C cases (triad,
-sign form, layout and wave), each over the same (t, u) grid, at once.  The
-grid's fields and both derivatives are stacked once, as one (3, C, n, 6)
-[E, H] array that both routes read; a finite-difference grid reports its
-Richardson truncation estimate per case for the caller to judge, it never
-raises on it.  The systems work in units of m c^2 and m c with hbar = 1;
-``onshell_plane_wave`` keeps m, c and hbar, which ``dynamics`` sets in CGS.
+sign form and the wave's layout and amplitudes), each over the same (t, u)
+grid, at once.  The grid's fields and both derivatives are stacked once, as
+one (3, C, n, 6) [E, H] array that both routes read; a finite-difference
+grid reports its Richardson truncation estimate per case for the caller to
+judge, it never raises on it.  The systems work in units of m c^2 and m c
+with hbar = 1; ``onshell_plane_wave`` keeps m, c and hbar, which
+``dynamics`` sets in CGS.
 
 The twelve triad layouts and the electron and positron layouts are built
 once, at import, with their read-only slot rows and scalar rows, so a call
@@ -388,19 +393,19 @@ def bispinor_residuals(w, triads, layouts, aset, sign_forms):
 _STENCIL = (-2, -1, 1, 2)
 
 
-def _fd_derivatives(func, t, u, steps):
-    """Fourth-order central differences of an EmField-valued function.
+def _fd_derivatives(wave, t, u, steps):
+    """Fourth-order central differences of the wave's fields.
 
-    The four stencil points of d/dt and of d/du, for every step, go through
-    one ``func`` call, their coordinates shifted by one broadcast add.
-    Returns the [E, H] derivatives, shape (len(steps), 2, C, n, 6): step,
-    variable (t, u), case, point.
+    The four stencil points of d/dt and of d/du, for every step, are one
+    evaluation of the fields, their coordinates shifted by one broadcast
+    add.  Returns the [E, H] derivatives, shape (len(steps), 2, C, n, 6):
+    step, variable (t, u), case, point.
     """
     # shift[x, step, var]: the stencil offsets of coordinate x when var moves
     shift = np.zeros((2, len(steps), 2, len(_STENCIL)))
     shift[0, :, 0] = shift[1, :, 1] = np.multiply.outer(steps, _STENCIL)
-    v = _stacked(func(*((x + d[..., None]).ravel()
-                        for x, d in zip((t, u), shift))))
+    v = _stacked(wave._place(wave._phase(*(
+        (x + d[..., None]).ravel() for x, d in zip((t, u), shift)))))
     x = np.moveaxis(v.reshape(len(v), len(steps), 2, 4, len(t), 6), 0, 3)
     h = np.reshape(steps, (-1, 1, 1, 1, 1))
     return (x[:, :, 0] - 8 * x[:, :, 1] + 8 * x[:, :, 2] - x[:, :, 3]) / (12 * h)
@@ -415,17 +420,13 @@ class ResidualReport(NamedTuple):
     truncation: np.ndarray
 
 
-def dirac_residual_em(fields, triads, sign_forms, t_grid, u_grid,
-                      d_dt=None, d_du=None, fd_step=None,
-                      charge_conjugated=False):
+def dirac_residual_em(wave, triads, sign_forms, t_grid, u_grid, fd_step=None):
     """Residuals of a stack of coupled first-order systems on one (t, u) grid.
 
-    Case i is the (triads[i], sign_forms[i]) system in the layout of
-    triads[i], charge conjugated where ``charge_conjugated`` (one flag, or
-    one per case) is set.  ``fields(t, u) -> EmField``, and ``d_dt``/``d_du``
-    if given, take t, u of shape (n,) and return the (C, n, 3) stack of the
-    C cases' waves; closed-form derivatives are preferred, otherwise
-    fourth-order central differences of step ``fd_step`` are used, and the
+    Case i is the (triads[i], sign_forms[i]) system in wave.layouts[i], so a
+    charge-conjugated case is a wave on ``layout_for_triad(t, True)``.  The
+    derivatives are the wave's closed forms, or, when ``fd_step`` is given,
+    fourth-order central differences of that step of its fields, and the
     report carries their Richardson truncation estimate for the caller to
     judge against ``FD_TOL``.  The grid is one stack: row i is
     (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The fields and
@@ -435,19 +436,19 @@ def dirac_residual_em(fields, triads, sign_forms, t_grid, u_grid,
     indicates a transcription defect.  Each case reduces over its own points
     only.
     """
-    flags = np.broadcast_to(charge_conjugated, (len(triads),))
-    layouts = [layout_for_triad(t, conj) for t, conj in zip(triads, flags)]
+    layouts = wave.layouts
     aset = canonical_alpha_set()
     tt, uu = np.repeat(t_grid, len(u_grid)), np.tile(u_grid, len(t_grid))
     truncation = np.zeros(len(triads))
-    if (d_dt is None) or (d_du is None):
-        full, half = _fd_derivatives(fields, tt[:1], uu[:1],
+    if fd_step is None:
+        w = grid_stack(*wave.at(tt, uu))
+    else:
+        full, half = _fd_derivatives(wave, tt[:1], uu[:1],
                                      (fd_step, fd_step / 2))
         truncation = np.abs(full - half).max(axis=(0, 2, 3))
-        fd = _fd_derivatives(fields, tt, uu, (fd_step,))[0]
-        w = np.concatenate((_stacked(fields(tt, uu))[None], fd))
-    else:
-        w = grid_stack(fields(tt, uu), d_dt(tt, uu), d_du(tt, uu))
+        fd = _fd_derivatives(wave, tt, uu, (fd_step,))[0]
+        w = np.concatenate(
+            (_stacked(wave._place(wave._phase(tt, uu)))[None], fd))
     scalar = scalar_residuals(w, layouts, sign_forms)
     bisp = bispinor_residuals(w, triads, layouts, aset, sign_forms)
     factors = np.array([layout.factors for layout in layouts])[:, None]
@@ -456,13 +457,51 @@ def dirac_residual_em(fields, triads, sign_forms, t_grid, u_grid,
         max_scalar=np.abs(scalar).max(axis=(1, 2)), truncation=truncation)
 
 
+class WavePoint(NamedTuple):
+    """Field values and closed-form derivatives at one space-time point.
+
+    ``df_du`` is the derivative along the layout's propagation axis; the wave
+    depends on (t, u) only.  Fields that are stacks of n give n points.
+    """
+    f: EmField
+    df_dt: EmField
+    df_du: EmField
+
+
+class SlotWave(NamedTuple):
+    """Plane waves of C cases sharing omega and k.
+
+    Case i holds amps[:, i], one value per slot, times e^{i(omega t - k u)}
+    in the slots of layouts[i]; ``amps`` has shape (4, C).  A wave with its
+    frequency scaled by a factor is ``wave._replace(omega=factor *
+    wave.omega)``, off shell unless the factor is 1.
+    """
+    amps: np.ndarray
+    omega: float
+    k: float
+    layouts: list
+
+    def at(self, t, u) -> WavePoint:
+        """The fields and both derivatives at t, u of shape (n,), each the
+        (C, n, 3) stack of the C cases; a scalar pair gives (C, 3)."""
+        phase = self._phase(t, u)
+        return WavePoint(*(self._place(scale * phase)
+                           for scale in (1.0, 1j * self.omega, -1j * self.k)))
+
+    def _phase(self, t, u):
+        return np.exp(1j * (self.omega * t - self.k * u))
+
+    def _place(self, phase):
+        """Fields (C, ..., 3) holding amps[:, i] * phase in layouts[i]."""
+        vals = np.multiply.outer(self.amps, phase)
+        return slot_fields(vals.transpose(1, *range(2, vals.ndim), 0),
+                           self.layouts)
+
+
 def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
-                       c=1.0, hbar=1.0):
+                       c=1.0, hbar=1.0) -> SlotWave:
     """Complex plane waves, case i solving the (triads[i], sign_forms[i]) system.
 
-    Returns (omega, fields, d_dt, d_du) with closed-form derivatives; each
-    callable takes t, u of shape (n,) and returns the (C, n, 3) stack of the
-    C cases' fields, and a scalar pair gives one field per case, (C, 3).
     The two transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair
     up with amplitude ratios fixed by the sign form and the dispersion
     relation omega^2 = (m c^2/hbar)^2 + c^2 k^2, which every case shares.
@@ -477,38 +516,4 @@ def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
     ones = np.ones(len(s))
     amps = require_finite(np.array([e1_amp * ones, e2_amp * ones, h1_amp,
                                     h2_amp]), "amplitude")  # (4, C)
-    layouts = [layout_for_triad(t) for t in triads]
-
-    def build(t, u, scale=1.0):
-        vals = np.multiply.outer(amps, scale * np.exp(1j * (omega * t - k * u)))
-        return slot_fields(vals.transpose(1, *range(2, vals.ndim), 0), layouts)
-
-    def fields(t, u):
-        return build(t, u)
-
-    def d_dt(t, u):
-        return build(t, u, scale=1j * omega)
-
-    def d_du(t, u):
-        return build(t, u, scale=-1j * k)
-
-    return omega, fields, d_dt, d_du
-
-
-def detuned_wave(fields, d_dt, d_du, factor):
-    """The wave (fields, d_dt, d_du) with its frequency scaled by factor.
-
-    Each callable is evaluated at time factor * t; the time derivative picks
-    up the chain-rule factor.  Off shell unless factor is 1.
-    """
-    def detuned(t, u):
-        return fields(factor * t, u)
-
-    def detuned_dt(t, u):
-        inner = d_dt(factor * t, u)
-        return EmField._of(factor * inner.e, factor * inner.h)
-
-    def detuned_du(t, u):
-        return d_du(factor * t, u)
-
-    return detuned, detuned_dt, detuned_du
+    return SlotWave(amps, omega, k, [layout_for_triad(t) for t in triads])

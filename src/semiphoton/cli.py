@@ -138,10 +138,9 @@ def cmd_dynamics(args):
     c = units.c
     k = 0.8 * model.k
     t_ax = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        [t_ax], ["plus"], k, mass, c=c, hbar=units.hbar)
-    point = dynamics.WavePoint(f=fields(0.0, 0.0)[0], df_dt=d_dt(0.0, 0.0)[0],
-                               df_du=d_du(0.0, 0.0)[0])
+    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, mass, c=c,
+                                     hbar=units.hbar)
+    point = bridge.WavePoint._make(f[0] for f in wave.at(0.0, 0.0))
     forms = dynamics.lagrangian_linear(point, mass, c=c, hbar=units.hbar)
     nl = dynamics.lagrangian_nonlinear(point, model)
     comp = dynamics.photon_photon_comparison(

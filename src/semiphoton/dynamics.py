@@ -9,8 +9,10 @@ the sesquilinear convention: quadratic forms pair a component with the
 conjugate of the other factor, reducing to ordinary products for real fields.
 
 ``stress_tensor``, the Lagrangian evaluators and the helpers they share also
-take a stack of points: a ``WavePoint`` whose fields hold n samples, shape
-(n, 3), gives one value per sample.
+take a stack of points: a ``bridge.WavePoint`` whose fields hold n samples,
+shape (n, 3), gives one value per sample.  A plane wave's points are one
+case of ``bridge.SlotWave.at``; a point of independent per-slot
+oscillations is built by hand.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bridge import (AXIS_INDEX, EmField, bispinor_from_fields, cross_sym,
-                     e_squared, eh_dot, electron_layout, fierz_quantum,
-                     h_squared)
+from .bridge import (AXIS_INDEX, EmField, WavePoint, bispinor_from_fields,
+                     cross_sym, e_squared, eh_dot, electron_layout,
+                     fierz_quantum, h_squared)
 from .dirac import canonical_alpha_set
 from .linalg import cross, inner, mat_vec
 from .torus import DomainError, TorusModel, ring_current
@@ -97,17 +99,6 @@ def magnetic_confinement_density(j_tau, h, c=1.0):
 # ---------------------------------------------------------------------------
 # Lagrangian evaluators
 # ---------------------------------------------------------------------------
-
-class WavePoint(NamedTuple):
-    """Field values and closed-form derivatives at one space-time point.
-
-    ``df_du`` is the derivative along the layout's propagation axis; the wave
-    depends on (t, u) only.  Fields that are stacks of n give n points.
-    """
-    f: EmField
-    df_dt: EmField
-    df_du: EmField
-
 
 def _du_dt_terms(point: WavePoint, c):
     """Sesquilinear energy-rate and flux-divergence terms of the slot map."""

@@ -9,7 +9,8 @@ momenta in units of m c, with hbar = 1.
 Momenta may be a stack of shape (n, 3): ``build_system``, ``dispersion``,
 ``solution_basis``, ``make_states`` and ``residual`` then work on all n at
 once, and a single momentum (3,) is the same code without the leading axis.
-``dispersion`` and ``solution_basis`` read the real momentum as given.
+``build_system``, ``dispersion`` and ``solution_basis`` read the real
+momentum as given; ``make_states`` checks it once.
 """
 from __future__ import annotations
 
@@ -47,8 +48,7 @@ def build_system(energy, momentum):
     non-trivial solutions exist exactly on shell.  Stacked energies and
     momenta give a stack of matrices, shape (n, 4, 4).
     """
-    p = as_vec3(momentum).real
-    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    px, py, pz = momentum[..., 0], momentum[..., 1], momentum[..., 2]
     m = np.zeros(np.broadcast_shapes(np.shape(energy), px.shape) + (4, 4),
                  dtype=complex)
     m[..., 0, 0] = m[..., 1, 1] = energy + 1.0

@@ -359,7 +359,7 @@ def suite_planewave(cfg: RunConfig):
         n1 = np.abs(s1.amplitudes).max(axis=-1)
         n2 = np.abs(s2.amplitudes).max(axis=-1)
         orth.append(np.abs(inner(s1.amplitudes, s2.amplitudes)) / (n1 * n2))
-        m = planewave.build_system(s1.energy, p)
+        m = planewave.build_system(s1.energy, s1.momentum)
         det.append(np.abs(np.linalg.det(m)))
     checks.append(CheckReport.build(
         "planewave/residual", "closed-form amplitudes solve the system",
@@ -395,7 +395,7 @@ def suite_planewave(cfg: RunConfig):
     errors = []
     for closed in ((s1, s2), (n1, n2)):
         basis = planewave.nullspace(
-            planewave.build_system(closed[0].energy, p))
+            planewave.build_system(closed[0].energy, closed[0].momentum))
         errors.append(abs(len(basis) - 2))
         for v in basis:
             # compare up to the overall scale left free by the elimination
@@ -472,36 +472,33 @@ def suite_planewave(cfg: RunConfig):
     cases = [(t, form) for t in dirac.axis_triads()
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        triads, forms, k, 1.0, e1_amp=1.0, e2_amp=0.7)
+    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e1_amp=1.0,
+                                     e2_amp=0.7)
     rep = bridge.dirac_residual_em(
-        fields, triads, forms, t_grid=np.linspace(0, 2.0, 4),
-        u_grid=np.linspace(-1.0, 1.0, 5), d_dt=d_dt, d_du=d_du)
-    scale = max(omega, 1.0)
+        wave, triads, forms, t_grid=np.linspace(0, 2.0, 4),
+        u_grid=np.linspace(-1.0, 1.0, 5))
+    scale = max(wave.omega, 1.0)
     worst = np.maximum(rep.cross_deviation, rep.max_scalar)  # NaN propagates
     for i, (t, form) in enumerate(cases):
         checks.append(CheckReport.build(
             f"planewave/expansion-{t.name}-{form}",
             "scalar rows equal the matrix residual and vanish on shell",
             0.0, float(worst[i]),
-            tol_abs=1e-12 * scale, notes=f"omega={omega:.6f}, k={k}"))
+            tol_abs=1e-12 * scale, notes=f"omega={wave.omega:.6f}, k={k}"))
 
     y_neg = [dirac.triad("y", "negative")]
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(y_neg, ["plus"], k,
-                                                          1.0)
-    detuned, detuned_dt, detuned_du = bridge.detuned_wave(fields, d_dt, d_du,
-                                                          1.1)
+    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
     detuned_max = bridge.dirac_residual_em(
-        detuned, y_neg, ["plus"], t_grid=np.linspace(0.1, 1.7, 3),
-        u_grid=np.linspace(-0.9, 0.9, 3),
-        d_dt=detuned_dt, d_du=detuned_du).max_scalar[0]
+        wave._replace(omega=1.1 * wave.omega), y_neg, ["plus"],
+        t_grid=np.linspace(0.1, 1.7, 3),
+        u_grid=np.linspace(-0.9, 0.9, 3)).max_scalar[0]
     checks.append(CheckReport.build(
         "planewave/expansion-detuned", "detuned frequency leaves a residual",
         1.0, float(detuned_max > 0.01), tol_abs=0.0, tol_rel=0.0,
         notes=f"max residual {detuned_max:.4f} on a 10% detuned wave"))
 
     rep_fd = bridge.dirac_residual_em(
-        fields, y_neg, ["plus"], t_grid=np.linspace(0, 1.0, 3),
+        wave, y_neg, ["plus"], t_grid=np.linspace(0, 1.0, 3),
         u_grid=np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k)
     checks.append(CheckReport.build(
         "planewave/expansion-finite-difference",
@@ -587,8 +584,8 @@ def suite_dynamics(cfg: RunConfig):
         comp = amp * phases
         def emf(vals):
             return bridge.slot_fields(vals[None], [layout])[0]
-        return dynamics.WavePoint(f=emf(comp), df_dt=emf(1j * ws * comp),
-                                  df_du=emf(-1j * ks * comp))
+        return bridge.WavePoint(f=emf(comp), df_dt=emf(1j * ws * comp),
+                                df_du=emf(-1j * ks * comp))
 
     # each sample draws amplitude real and imaginary parts, then ws, then ks
     x = rng.normal(size=(min(cfg.samples, 200), 4, 4))
@@ -603,11 +600,9 @@ def suite_dynamics(cfg: RunConfig):
 
     t_ax = dirac.triad("y", "negative")
     k = 0.8
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t_ax], ["plus"], k,
-                                                          mass)
+    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, mass)
     tt, yy = np.array([0.0, 0.7, 2.1]), np.array([0.0, -1.2, 0.4])
-    point = dynamics.WavePoint(f=fields(tt, yy)[0], df_dt=d_dt(tt, yy)[0],
-                               df_du=d_du(tt, yy)[0])
+    point = bridge.WavePoint._make(f[0] for f in wave.at(tt, yy))
     forms = dynamics.lagrangian_linear(point, mass, c=c)
     checks.append(CheckReport.build(
         "dynamics/linear-on-shell", "all three routes vanish on shell",
@@ -616,24 +611,17 @@ def suite_dynamics(cfg: RunConfig):
 
     # rolling-wave solution with the conjugate current direction: the
     # invariant-replacement identity is specific to this family
-    amps = np.array([1.0, 0.0, 0.0, -(omega + w0) / (c * k)])
-
-    def conj_fields(tt, yy, scale=1.0):
-        ph = scale * np.exp(1j * (omega * tt - k * yy))
-        return bridge.slot_fields(np.multiply.outer(ph, amps)[None],
-                                  [layout])[0]
-
+    conj_wave = wave._replace(amps=np.array(
+        [[1.0], [0.0], [0.0], [-(wave.omega + w0) / (c * k)]]))
     tt, yy = np.array([0.0, 0.9, 1.7]), np.array([0.0, 0.3, -0.8])
-    point = dynamics.WavePoint(f=conj_fields(tt, yy),
-                               df_dt=conj_fields(tt, yy, 1j * omega),
-                               df_du=conj_fields(tt, yy, -1j * k))
+    point = bridge.WavePoint._make(f[0] for f in conj_wave.at(tt, yy))
     lhs, rhs = dynamics.maxwell_invariant_forms(point, 2 * w0, c)
     checks.append(CheckReport.build(
         "dynamics/invariant-replacement",
         "(E^2-H^2)/8pi = (i/omega_e)(dU/dt + div S) on the rolling wave",
         0.0, np.abs(lhs - rhs), tol_abs=1e-12))
-    static = dynamics.WavePoint(f=EmField([1, 0, 0], [0, 0, 0]),
-                                df_dt=EmField.zero(), df_du=EmField.zero())
+    static = bridge.WavePoint(f=EmField([1, 0, 0], [0, 0, 0]),
+                              df_dt=EmField.zero(), df_du=EmField.zero())
     lhs, rhs = dynamics.maxwell_invariant_forms(static, 2 * w0, c)
     stated, computed = float(lhs), complex(rhs)
     ledger.append(Discrepancy(
@@ -647,7 +635,7 @@ def suite_dynamics(cfg: RunConfig):
     # relative
     f = _random_layout_field(rng, [layout], min(cfg.samples, 200))[0]
     static = EmField(np.zeros_like(f.e), np.zeros_like(f.h))
-    point = dynamics.WavePoint(f=f, df_dt=static, df_du=static)
+    point = bridge.WavePoint(f=f, df_dt=static, df_du=static)
     nl = dynamics.lagrangian_nonlinear(point, model)
     scale = dynamics.quartic_prefactor(model) * np.maximum(
         (bridge.e_squared(f) + bridge.h_squared(f)) ** 2, 1e-30)

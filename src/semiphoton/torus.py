@@ -330,8 +330,10 @@ class SpinMoment(NamedTuple):
     mu_closed_form: float
 
 
-def spin_and_moment(model: TorusModel, q, units: UnitSystem) -> SpinMoment:
-    """Ring and half-ring angular momenta, and the magnetic moment I * S_I."""
+def spin_and_moment(model: TorusModel, q) -> SpinMoment:
+    """Ring and half-ring angular momenta, and the magnetic moment I * S_I,
+    in the model's units."""
+    units = model.units
     sigma_p = (2 * units.m_e * units.c) * model.r_t
     sigma_s = (units.m_e * units.c) * model.r_s
     current = q * model.omega_s / (2 * math.pi)
@@ -385,7 +387,7 @@ def evaluate(units: UnitSystem, zeta, n_points) -> TorusEvaluation:
     if error is not None:
         raise error
     return TorusEvaluation(model=model,
-                           spin=spin_and_moment(model, chain.q, units),
+                           spin=spin_and_moment(model, chain.q),
                            zitter=zitterbewegung(units), chain=chain)
 
 

@@ -110,13 +110,13 @@ def test_criterion_5_torus_numbers():
         assert abs(torus.coupling_constant(1.0) - 0.637) <= 5e-4
 
         model = torus.derive_parameters(NAT, 1.0)
-        sm = torus.spin_and_moment(model, q=0.25, units=NAT)
+        sm = torus.spin_and_moment(model, q=0.25)
         assert sm.sigma_p == NAT.hbar
         assert sm.sigma_s == NAT.hbar / 2
         assert sm.mu_s == 0.5 * 0.25 * NAT.hbar / (2 * NAT.m_e)
 
         cal = torus.calibrate_e0(model, 512)
-        smc = torus.spin_and_moment(cal, torus.charge_geometric(cal), NAT)
+        smc = torus.spin_and_moment(cal, torus.charge_geometric(cal))
         assert abs(smc.mu_s - smc.mu_closed_form) <= 1e-12 * smc.mu_closed_form
 
         m1 = torus.with_e0(model, 1.0)
@@ -188,13 +188,12 @@ def test_criterion_7_expansion_agreement():
         cases = [(t, form) for t in dirac.axis_triads()
                  for form in ("plus", "minus")]
         triads, forms = zip(*cases)
-        omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-            triads, forms, k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.7)
-        rep = bridge.dirac_residual_em(fields, triads, forms, t_grid, u_grid,
-                                       d_dt=d_dt, d_du=d_du)
+        wave = bridge.onshell_plane_wave(triads, forms, k=0.8, mass=1.0,
+                                         e1_amp=1.0, e2_amp=0.7)
+        rep = bridge.dirac_residual_em(wave, triads, forms, t_grid, u_grid)
         for i, (t, form) in enumerate(cases):
-            assert rep.cross_deviation[i] <= 1e-12 * omega, (t.name, form)
-            assert rep.max_scalar[i] <= 1e-12 * omega, (t.name, form)
+            assert rep.cross_deviation[i] <= 1e-12 * wave.omega, (t.name, form)
+            assert rep.max_scalar[i] <= 1e-12 * wave.omega, (t.name, form)
         assert len(cases) == len(rep.max_scalar) == 12
 
 
@@ -213,17 +212,16 @@ def test_criterion_8_lagrangians():
             def emf(v):
                 return EmField([v[0], 0, v[1]], [v[2], 0, v[3]])
 
-            point = dynamics.WavePoint(emf(vals), emf(1j * ws * vals),
+            point = bridge.WavePoint(emf(vals), emf(1j * ws * vals),
                                        emf(-1j * ks * vals))
             forms = dynamics.lagrangian_linear(point, 1.0)
             scale = max(abs(forms.em), 1.0)
             assert abs(forms.spinor - forms.em) <= 1e-12 * scale
             assert abs(forms.current - forms.em) <= 1e-12 * scale
 
-        omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
+        wave = bridge.onshell_plane_wave(
             [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
-        point = dynamics.WavePoint(fields(0.6, -0.4)[0], d_dt(0.6, -0.4)[0],
-                                   d_du(0.6, -0.4)[0])
+        point = bridge.WavePoint._make(f[0] for f in wave.at(0.6, -0.4))
         forms = dynamics.lagrangian_linear(point, 1.0)
         assert max(abs(forms.spinor), abs(forms.em), abs(forms.current)) <= 1e-12
 
@@ -233,7 +231,7 @@ def test_criterion_8_lagrangians():
             for ax in layout.covered("e"):
                 e[bridge.AXIS_INDEX[ax]] = rng.uniform(-2, 2)
                 h[bridge.AXIS_INDEX[ax]] = rng.uniform(-2, 2)
-            point = dynamics.WavePoint(EmField(e, h), EmField.zero(),
+            point = bridge.WavePoint(EmField(e, h), EmField.zero(),
                                        EmField.zero())
             nl = dynamics.lagrangian_nonlinear(point, model)
             scale = max(abs(nl.quartic_em), 1e-30)

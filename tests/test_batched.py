@@ -62,7 +62,7 @@ def wave_points(draw):
         return EmField(np.stack([v[:, 0], zero, v[:, 1]], axis=-1),
                        np.stack([v[:, 2], zero, v[:, 3]], axis=-1))
 
-    return dynamics.WavePoint(field(), field(), field())
+    return bridge.WavePoint(field(), field(), field())
 
 
 def norm(v):
@@ -282,7 +282,7 @@ def loop_linear(point, mass=1.0, c=1.0, hbar=1.0):
 
 
 def point_rows(point):
-    return [dynamics.WavePoint(a, b, c) for a, b, c in
+    return [bridge.WavePoint(a, b, c) for a, b, c in
             zip(field_rows(point.f), field_rows(point.df_dt),
                 field_rows(point.df_du))]
 
@@ -315,7 +315,7 @@ def test_lagrangian_linear_matches_loop(point):
 def test_lagrangian_nonlinear_matches_loop(point):
     # the quartic routes are real-field identities; keep the real parts
     f = EmField(point.f.e.real, point.f.h.real)
-    point = dynamics.WavePoint(f, point.df_dt, point.df_du)
+    point = bridge.WavePoint(f, point.df_dt, point.df_du)
     got = dynamics.lagrangian_nonlinear(point, MODEL)
     pref = MODEL.delta_tau / ((8 * math.pi) ** 2 * MODEL.units.m_e)
     for i, one in enumerate(point_rows(point)):
@@ -401,43 +401,38 @@ def test_residual_stacks_match_single_points(case, form):
 
 def test_residual_case_stack_matches_single_cases():
     """All 12 (triad, form) cases, plain and charge conjugated, with one
-    detuned case among them: each case of the stack equals its own call."""
+    off-shell case among them: each case of the stack equals its own call."""
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
-    omega, *on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0,
-                                                 e1_amp=1.0, e2_amp=0.7)
+    on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e1_amp=1.0,
+                                         e2_amp=0.7)
     y_neg = dirac.triad("y", "negative")
-    detuned = bridge.detuned_wave(
-        *bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0)[1:], 1.1)
-    # cases 0-5 and 7-12 plain, 6 detuned, 13-24 charge conjugated
+    # the y-negative plus-form wave with its H amplitudes 10% too large
+    off_shell = bridge.onshell_plane_wave([y_neg], ["plus"], 0.8,
+                                          1.0).amps * [[1], [1], [1.1], [1.1]]
+    # cases 0-5 and 7-12 plain, 6 off shell, 13-24 charge conjugated
     order = list(range(6)) + [None] + list(range(6, 12)) + list(range(12))
     stack_triads = [y_neg if j is None else triads[j] for j in order]
     stack_forms = ["plus" if j is None else forms[j] for j in order]
     conjugated = [False] * 13 + [True] * 12
-
-    def joined(w):
-        def call(tt, uu):
-            a, b = on_shell[w](tt, uu), detuned[w](tt, uu)
-            return EmField(
-                np.concatenate([a.e[:6], b.e, a.e[6:], a.e]),
-                np.concatenate([a.h[:6], b.h, a.h[6:], a.h]))
-        return call
-
+    a = on_shell.amps
+    wave = on_shell._replace(
+        amps=np.concatenate([a[:, :6], off_shell, a[:, 6:], a], axis=1),
+        layouts=[bridge.layout_for_triad(t, conj)
+                 for t, conj in zip(stack_triads, conjugated)])
     grids = np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 1.0, 5)
-    waves = [joined(w) for w in range(3)]
-    rep = bridge.dirac_residual_em(
-        waves[0], stack_triads, stack_forms, *grids, d_dt=waves[1],
-        d_du=waves[2], charge_conjugated=conjugated)
+    rep = bridge.dirac_residual_em(wave, stack_triads, stack_forms, *grids)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (25,)
     for i in range(25):
-        one = [lambda tt, uu, w=w: w(tt, uu)[i:i + 1] for w in waves]
         single = bridge.dirac_residual_em(
-            one[0], stack_triads[i:i + 1], stack_forms[i:i + 1], *grids,
-            d_dt=one[1], d_du=one[2], charge_conjugated=conjugated[i])
+            wave._replace(amps=wave.amps[:, i:i + 1],
+                          layouts=wave.layouts[i:i + 1]),
+            stack_triads[i:i + 1], stack_forms[i:i + 1], *grids)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
-    # the gathers read no other case: the detuned case's neighbours stay on
-    # shell, and the two routes agree for every case
+    # the gathers read no other case: the off-shell case's neighbours stay
+    # on shell, and the two routes agree for every case
+    omega = wave.omega
     assert rep.max_scalar[6] > 0.01
     assert rep.max_scalar[[5, 7]].max() <= 1e-12 * omega
     assert np.delete(rep.max_scalar[:13], 6).max() <= 1e-12 * omega
@@ -449,16 +444,16 @@ def test_residual_case_stack_matches_single_cases():
 def test_finite_difference_case_stack_matches_single_cases():
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
-    fields = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0,
-                                       e2_amp=0.7)[1]
+    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
     grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(fields, triads, forms, *grids,
+    rep = bridge.dirac_residual_em(wave, triads, forms, *grids,
                                    fd_step=1e-4)
     assert rep.max_scalar.max() <= 1e-6
     for i in range(12):
         single = bridge.dirac_residual_em(
-            lambda tt, uu: fields(tt, uu)[i:i + 1], triads[i:i + 1],
-            forms[i:i + 1], *grids, fd_step=1e-4)
+            wave._replace(amps=wave.amps[:, i:i + 1],
+                          layouts=wave.layouts[i:i + 1]),
+            triads[i:i + 1], forms[i:i + 1], *grids, fd_step=1e-4)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
 
@@ -554,13 +549,15 @@ def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
     conjugated = data.draw(st.one_of(
         st.booleans(), st.lists(st.booleans(), min_size=len(cases),
                                 max_size=len(cases))))
-    wave = bridge.detuned_wave(*bridge.onshell_plane_wave(
-        triads, forms, k, 1.0, e2_amp=e2_amp)[1:], detune)
-    derivs = wave[1:] if fd_step is None else (None, None)
-    rep = bridge.dirac_residual_em(
-        wave[0], triads, forms, t_grid, u_grid, *derivs, fd_step=fd_step,
-        charge_conjugated=conjugated)
-    ref = ref_residual_em(wave[0], triads, forms, t_grid, u_grid, *derivs,
+    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e2_amp=e2_amp)
+    flags = np.broadcast_to(conjugated, (len(triads),))
+    wave = wave._replace(omega=detune * wave.omega, layouts=[
+        bridge.layout_for_triad(t, conj) for t, conj in zip(triads, flags)])
+    fields = [lambda tt, uu, j=j: wave.at(tt, uu)[j] for j in range(3)]
+    derivs = fields[1:] if fd_step is None else (None, None)
+    rep = bridge.dirac_residual_em(wave, triads, forms, t_grid, u_grid,
+                                   fd_step=fd_step)
+    ref = ref_residual_em(fields[0], triads, forms, t_grid, u_grid, *derivs,
                           fd_step, conjugated)
     got = (rep.cross_deviation, rep.max_scalar, rep.truncation)
     for a, b in zip(got, ref):
@@ -623,18 +620,17 @@ def test_stacks_are_validated(monkeypatch):
         with pytest.raises(ValueError, match="amplitude"):
             bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0, **amps)
     wave = bridge.onshell_plane_wave([y_neg] * 2, ["plus", "minus"], 0.8,
-                                     1.0, e2_amp=0.7)[1:]
+                                     1.0, e2_amp=0.7)
     calls = []
     monkeypatch.setattr(bridge, "as_vec3", lambda a: calls.append(a) or a)
     tt = np.linspace(0.0, 1.0, 3)
-    for f in (*wave, *bridge.detuned_wave(*wave, 1.1)):
-        f(tt, tt)
-        f(0.3, 0.1)
+    for w in (wave, wave._replace(omega=1.1 * wave.omega)):
+        w.at(tt, tt)
+        w.at(0.3, 0.1)
     assert calls == []
     # a non-finite grid belongs to the caller: its residuals are NaN and FAIL
-    rep = bridge.dirac_residual_em(wave[0], [y_neg] * 2, ["plus", "minus"],
-                                   np.array([0.0, np.nan]), tt, d_dt=wave[1],
-                                   d_du=wave[2])
+    rep = bridge.dirac_residual_em(wave, [y_neg] * 2, ["plus", "minus"],
+                                   np.array([0.0, np.nan]), tt)
     assert np.isnan(rep.max_scalar).all()
     check = CheckReport.build("residual", "on shell", 0.0, rep.max_scalar)
     assert check.verdict == FAIL

@@ -162,76 +162,89 @@ def _grids():
     return np.linspace(0.0, 2.0, 3), np.linspace(-1.0, 1.0, 4)
 
 
-def _one_case(wave):
-    """A wave callable giving (n, 3) fields as a stack of one case, (1, n, 3)."""
-    def stacked(tt, uu):
-        f = wave(tt, uu)
-        return EmField(f.e[None], f.h[None])
-    return stacked
-
-
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("orientation", ["negative", "positive"])
 @pytest.mark.parametrize("form", ["plus", "minus"])
 def test_onshell_wave_has_zero_residual(axis, orientation, form):
     t = dirac.triad(axis, orientation)
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        [t], [form], k=0.8, mass=1.0, e1_amp=1.0, e2_amp=0.4)
+    wave = bridge.onshell_plane_wave([t], [form], k=0.8, mass=1.0,
+                                     e1_amp=1.0, e2_amp=0.4)
     t_grid, u_grid = _grids()
-    rep = bridge.dirac_residual_em(fields, [t], [form], t_grid, u_grid,
-                                   d_dt=d_dt, d_du=d_du)
+    rep = bridge.dirac_residual_em(wave, [t], [form], t_grid, u_grid)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
-    assert rep.max_scalar[0] <= 1e-12 * omega
-    assert rep.cross_deviation[0] <= 1e-12 * omega
+    assert rep.max_scalar[0] <= 1e-12 * wave.omega
+    assert rep.cross_deviation[0] <= 1e-12 * wave.omega
+
+
+def test_slot_wave_places_each_scaled_phase_bit_for_bit():
+    """at(t, u) is slot_fields(amps (x) (scale * phase)) for the scales 1,
+    i omega and -i k; (amps (x) phase) * scale rounds differently."""
+    rng = np.random.default_rng(3)
+    triads = dirac.axis_triads()[:3]
+    amps = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    wave = bridge.SlotWave(amps, 1.2806248474865698, 0.8,
+                           [bridge.layout_for_triad(t) for t in triads])
+    tt, uu = rng.uniform(-3, 3, size=(2, 40))
+    phase = np.exp(1j * (wave.omega * tt - wave.k * uu))
+    point = wave.at(tt, uu)
+    assert point.f.e.shape == (3, 40, 3)
+    for got, scale in zip(point, (1.0, 1j * wave.omega, -1j * wave.k)):
+        vals = np.multiply.outer(wave.amps, scale * phase)
+        want = bridge.slot_fields(np.moveaxis(vals, 0, -1), wave.layouts)
+        assert got.e.tobytes() == want.e.tobytes()
+        assert got.h.tobytes() == want.h.tobytes()
+    one = wave.at(tt[0], uu[0])
+    assert one.df_du.h.shape == (3, 3)
+    assert np.array_equal(one.df_du.h, point.df_du.h[:, 0])
 
 
 def test_scalar_and_matrix_routes_agree_off_shell():
+    """Each slot oscillates with its own frequency and wave number, so the
+    wave is not one SlotWave: the grid stack is built by hand."""
     rng = np.random.default_rng(5)
     t = dirac.triad("y", "negative")
+    layout = bridge.layout_for_triad(t)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     ws, ks = rng.normal(size=4), rng.normal(size=4)
+    tt, uu = (g.ravel() for g in np.meshgrid(*_grids(), indexing="ij"))
 
-    def build(tt, uu, dt_order=0, du_order=0):
+    def build(dt_order=0, du_order=0):
         vals = amps * np.exp(1j * (ws * tt[:, None] - ks * uu[:, None]))
         vals = vals * (1j * ws) ** dt_order * (-1j * ks) ** du_order
         zero = np.zeros(len(tt))
         e = np.stack([vals[:, 0], zero, vals[:, 1]], axis=-1)
         h = np.stack([vals[:, 2], zero, vals[:, 3]], axis=-1)
-        return EmField(e, h)
+        return EmField(e[None], h[None])
 
-    rep = bridge.dirac_residual_em(
-        _one_case(build), [t], ["plus"], *(_grids()),
-        d_dt=_one_case(lambda tt, uu: build(tt, uu, dt_order=1)),
-        d_du=_one_case(lambda tt, uu: build(tt, uu, du_order=1)))
-    assert rep.max_scalar[0] > 0.1  # generic wave is not a solution
-    assert rep.cross_deviation[0] <= 1e-12 * rep.max_scalar[0]
+    w = bridge.grid_stack(build(), build(dt_order=1), build(du_order=1))
+    scalar = bridge.scalar_residuals(w, [layout], ["plus"])[0]
+    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, ["plus"])[0]
+    max_scalar = np.abs(scalar).max()
+    assert max_scalar > 0.1  # generic wave is not a solution
+    assert np.abs(scalar * layout.factors - bisp).max() <= 1e-12 * max_scalar
 
 
 def test_finite_difference_fallback_and_truncation_guard():
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
-                                                          1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid, u_grid,
+    rep = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid,
                                    fd_step=1e-4)
     assert rep.max_scalar[0] <= 1e-6
     assert rep.cross_deviation[0] <= 1e-6
     assert 0 < rep.truncation[0] <= bridge.FD_TOL
     # a coarse step is reported, not raised: its estimate is about 6.4e-3
-    coarse = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid,
+    coarse = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid,
                                       u_grid, fd_step=0.5)
     assert coarse.truncation.shape == (1,)
     assert coarse.truncation[0] > 1e3 * bridge.FD_TOL
     assert not hasattr(bridge, "GridTooCoarse")
     # closed-form derivatives carry no truncation; a NaN estimate propagates
-    exact = bridge.dirac_residual_em(fields, [t], ["plus"], t_grid,
-                                     u_grid, d_dt=d_dt, d_du=d_du)
+    exact = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid)
     assert np.array_equal(exact.truncation, [0.0])
-    def huge(tt, uu):  # 8 times E_x overflows inside the stencil
-        e = np.zeros((1, len(tt), 3))
-        e[..., 0] = 1e308
-        return EmField(e, np.zeros_like(e))
-
+    # a constant E_x of 1e308: 8 times it overflows inside the stencil
+    huge = bridge.SlotWave(np.array([[1e308], [0.0], [0.0], [0.0]]), 0.0, 0.0,
+                           wave.layouts)
     with np.errstate(over="ignore", invalid="ignore"):
         overflow = bridge.dirac_residual_em(huge, [t], ["plus"], t_grid,
                                             u_grid, fd_step=1e-4)
@@ -243,44 +256,24 @@ def test_conjugate_layout_solves_opposite_current_system():
     t = dirac.triad("y", "negative")
     k, w0 = 0.8, 1.0
     omega = math.sqrt(w0 ** 2 + k ** 2)
-    amp_h = -(omega + w0) / k
-
-    def build(tt, uu, scale=1.0):
-        ph = scale * np.exp(1j * (omega * tt - k * uu))
-        zero = np.zeros_like(ph)
-        return EmField(np.stack([ph, zero, zero], axis=-1),
-                       np.stack([zero, zero, amp_h * ph], axis=-1))
-
-    rep = bridge.dirac_residual_em(
-        _one_case(build), [t], ["minus"], *(_grids()),
-        d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
-        d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)),
-        charge_conjugated=True)
+    amps = np.array([[1.0], [0.0], [0.0], [-(omega + w0) / k]])
+    wave = bridge.SlotWave(amps, omega, k,
+                           [bridge.layout_for_triad(t, charge_conjugated=True)])
+    rep = bridge.dirac_residual_em(wave, [t], ["minus"], *(_grids()))
     assert rep.max_scalar[0] <= 1e-12 * omega
     assert rep.cross_deviation[0] <= 1e-12 * omega
     # the same wave does not solve the plain minus-form system
     plain = bridge.dirac_residual_em(
-        _one_case(build), [t], ["minus"], *(_grids()),
-        d_dt=_one_case(lambda tt, uu: build(tt, uu, 1j * omega)),
-        d_du=_one_case(lambda tt, uu: build(tt, uu, -1j * k)))
+        wave._replace(layouts=[bridge.layout_for_triad(t)]), [t], ["minus"],
+        *(_grids()))
     assert plain.max_scalar[0] > 0.1
 
 
 def test_detuned_wave_leaves_residual():
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
-                                                          1.0)
-
-    def stretched(tt, uu):
-        return fields(1.1 * tt, uu)
-
-    def stretched_dt(tt, uu):
-        inner = d_dt(1.1 * tt, uu)
-        return EmField(1.1 * inner.e, 1.1 * inner.h)
-
-    rep = bridge.dirac_residual_em(
-        stretched, [t], ["plus"], *(_grids()),
-        d_dt=stretched_dt, d_du=lambda tt, uu: d_du(1.1 * tt, uu))
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    rep = bridge.dirac_residual_em(wave._replace(omega=1.1 * wave.omega),
+                                   [t], ["plus"], *(_grids()))
     assert rep.max_scalar[0] > 0.01
 
 
@@ -294,43 +287,36 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
 
     monkeypatch.setattr(bridge, "canonical_alpha_set", counted)
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
-                                                          1.0)
-    rep = bridge.dirac_residual_em(fields, [t], ["plus"], *(_grids()),
-                                   d_dt=d_dt, d_du=d_du)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    rep = bridge.dirac_residual_em(wave, [t], ["plus"], *(_grids()))
     assert len(calls) == 1
-    assert rep.max_scalar[0] <= 1e-12 * omega
+    assert rep.max_scalar[0] <= 1e-12 * wave.omega
 
 
-def test_residual_rows_follow_the_grid_order():
+def test_residual_rows_follow_the_grid_order(monkeypatch):
     """Row i is the point (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)])."""
     t = dirac.triad("y", "negative")
     layout = bridge.layout_for_triad(t)
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
-                                                          1.0)
-    wave = bridge.detuned_wave(fields, d_dt, d_du, 1.1)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = wave._replace(omega=1.1 * wave.omega)
     calls = []
+    at = bridge.SlotWave.at
 
-    def counted(func):
-        def call(tt, uu):
-            calls.append((func, (tt.shape, uu.shape)))
-            return func(tt, uu)
-        return call
+    def counted(self, tt, uu):
+        calls.append((tt.shape, uu.shape))
+        return at(self, tt, uu)
 
+    monkeypatch.setattr(bridge.SlotWave, "at", counted)
     t_grid, u_grid = _grids()
     n = len(t_grid) * len(u_grid)
-    rep = bridge.dirac_residual_em(
-        counted(wave[0]), [t], ["plus"], t_grid, u_grid,
-        d_dt=counted(wave[1]), d_du=counted(wave[2]))
-    assert sorted(id(func) for func, _ in calls) == sorted(map(id, wave))
-    assert {shapes for _, shapes in calls} == {((n,), (n,))}
+    rep = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid)
+    assert calls == [((n,), (n,))]
     factors = np.array([factor for _, _, factor in layout.slots])
     scalar, cross = [], []
     for i in range(n):
         point = (np.array([t_grid[i // len(u_grid)]]),
                  np.array([u_grid[i % len(u_grid)]]))
-        f, ft, fu = (func(*point) for func in wave)
-        w = bridge.grid_stack(f, ft, fu)
+        w = bridge.grid_stack(*wave.at(*point))
         row = bridge.scalar_residuals(w, [layout], ["plus"])[0, 0]
         bisp = bridge.bispinor_residuals(w, [t], [layout], CANON,
                                          ["plus"])[0, 0]
@@ -340,19 +326,21 @@ def test_residual_rows_follow_the_grid_order():
     assert rep.cross_deviation[0] == max(cross)
 
 
-def test_finite_difference_route_stacks_its_stencils():
-    """One call for the probe's stencils, one for the grid's, one for values."""
+def test_finite_difference_route_stacks_its_stencils(monkeypatch):
+    """One placement for the probe's stencils, one for the grid's, one for
+    the values, and the fields only: no derivative is placed."""
     t = dirac.triad("y", "negative")
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave([t], ["plus"], 0.8,
-                                                          1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     shapes = []
+    place = bridge.slot_fields
 
-    def counted(tt, uu):
-        shapes.append(tt.shape)
-        return fields(tt, uu)
+    def counted(vals, layouts):
+        shapes.append(vals.shape[1:-1])
+        return place(vals, layouts)
 
+    monkeypatch.setattr(bridge, "slot_fields", counted)
     t_grid, u_grid = _grids()
-    bridge.dirac_residual_em(counted, [t], ["plus"], t_grid, u_grid,
+    bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid,
                              fd_step=1e-4)
     n = len(t_grid) * len(u_grid)
     # probe at the first point: 2 steps x 2 variables x 4 stencil points;

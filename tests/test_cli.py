@@ -695,8 +695,6 @@ def test_every_function_is_reached_by_a_command():
 # Parameters with a default that no call in the package or its scripts sets,
 # each kept on purpose.
 UNSET_DEFAULTS = {
-    "bridge.dirac_residual_em.charge_conjugated":
-        "the one check that the conjugate-current wave solves the minus form",
     "cli.main.argv": "the entry point; None reads sys.argv",
 }
 

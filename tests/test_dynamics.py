@@ -76,7 +76,7 @@ def _point_from_arrays(amps, ws, ks, t, y):
     def emf(v):
         return EmField([v[0], 0, v[1]], [v[2], 0, v[3]])
 
-    return dynamics.WavePoint(f=emf(vals), df_dt=emf(1j * ws * vals),
+    return bridge.WavePoint(f=emf(vals), df_dt=emf(1j * ws * vals),
                               df_du=emf(-1j * ks * vals))
 
 
@@ -93,16 +93,15 @@ def test_linear_forms_agree_off_shell():
 
 
 def test_linear_forms_vanish_on_shell():
-    omega, fields, d_dt, d_du = bridge.onshell_plane_wave(
-        [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([dirac.triad("y", "negative")],
+                                     ["plus"], 0.8, 1.0)
     for (t, y) in ((0.0, 0.0), (1.3, -0.7)):
-        point = dynamics.WavePoint(fields(t, y)[0], d_dt(t, y)[0],
-                                   d_du(t, y)[0])
+        point = bridge.WavePoint._make(f[0] for f in wave.at(t, y))
         forms = dynamics.lagrangian_linear(point, 1.0)
         assert abs(forms.spinor) <= 1e-12
         assert abs(forms.em) <= 1e-12
         assert abs(forms.current) <= 1e-12
-    zero = dynamics.WavePoint(EmField.zero(), EmField.zero(), EmField.zero())
+    zero = bridge.WavePoint(EmField.zero(), EmField.zero(), EmField.zero())
     assert dynamics.lagrangian_linear(zero, 1.0).em == 0
 
 
@@ -114,7 +113,7 @@ def _conjugate_family_point(t, y, k=0.8, w0=1.0):
         ph = scale * np.exp(1j * (omega * t - k * y))
         return EmField([ph, 0, 0], [0, 0, amp_h * ph])
 
-    return dynamics.WavePoint(build(1.0), build(1j * omega), build(-1j * k))
+    return bridge.WavePoint(build(1.0), build(1j * omega), build(-1j * k))
 
 
 def test_invariant_replacement_on_rolling_wave():
@@ -122,12 +121,12 @@ def test_invariant_replacement_on_rolling_wave():
         point = _conjugate_family_point(t, y)
         lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e=2.0)
         assert abs(lhs - rhs) <= 1e-12
-    static = dynamics.WavePoint(EmField([1, 0, 0], [0, 0, 0]),
+    static = bridge.WavePoint(EmField([1, 0, 0], [0, 0, 0]),
                                 EmField.zero(), EmField.zero())
     lhs, rhs = dynamics.maxwell_invariant_forms(static, omega_e=2.0)
     assert lhs == pytest.approx(1 / (8 * math.pi))
     assert rhs == 0
-    null = dynamics.WavePoint(EmField([1, 0, 0], [0, 0, 1]),
+    null = bridge.WavePoint(EmField([1, 0, 0], [0, 0, 1]),
                               EmField.zero(), EmField.zero())
     assert dynamics.maxwell_invariant_forms(null, omega_e=2.0)[0] == 0
 
@@ -137,7 +136,7 @@ def test_quartic_routes_agree():
     for _ in range(100):
         e = np.array([rng.uniform(-2, 2), 0, rng.uniform(-2, 2)])
         h = np.array([rng.uniform(-2, 2), 0, rng.uniform(-2, 2)])
-        point = dynamics.WavePoint(EmField(e, h), EmField.zero(),
+        point = bridge.WavePoint(EmField(e, h), EmField.zero(),
                                    EmField.zero())
         nl = dynamics.lagrangian_nonlinear(point, MODEL)
         scale = max(abs(nl.quartic_em), 1e-30)
@@ -150,7 +149,7 @@ def test_self_field_and_currents():
     # own-field energy U delta_tau and momentum g delta_tau, with g the
     # Poynting vector at c = 1, give the quartic (delta_tau / m c^2)(U^2 - g^2)
     f = EmField([1, 0, 0], [0, 0, 0.5])
-    still = dynamics.WavePoint(f, EmField.zero(), EmField.zero())
+    still = bridge.WavePoint(f, EmField.zero(), EmField.zero())
     u, g = bridge.energy_density(f), bridge.poynting(f)
     nl = dynamics.lagrangian_nonlinear(still, MODEL)
     assert nl.quartic_em == pytest.approx(
@@ -159,7 +158,7 @@ def test_self_field_and_currents():
     # on a static point the current route is -(1/2)(E.j_e - H.j_m)
     for e, h, expected in (([1, 0, 0], [0, 0, 0], -1j / (4 * math.pi)),
                            ([0, 0, 0], [0, 0, 1], 1j / (4 * math.pi))):
-        point = dynamics.WavePoint(EmField(e, h), EmField.zero(),
+        point = bridge.WavePoint(EmField(e, h), EmField.zero(),
                                    EmField.zero())
         forms = dynamics.lagrangian_linear(point, 1.0)
         assert forms.current == pytest.approx(expected, abs=1e-16)

@@ -80,13 +80,36 @@ def test_kernel_benchmark_prints_its_medians():
     assert "cumulative" in result.stderr
 
 
-def test_kernel_benchmark_marks_an_uncommitted_tree(monkeypatch):
+def _script(name):
+    """The module of scripts/<name>.py, loaded without running main."""
     spec = importlib.util.spec_from_file_location(
-        "bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_benchmark_marks_an_uncommitted_tree(monkeypatch):
+    bench = _script("bench")
     answers = {"rev-parse": "abc123", "status": "M src/semiphoton/report.py"}
     monkeypatch.setattr(bench, "git", lambda *args: answers[args[0]])
     assert bench.git_meta() == {"commit": "abc123", "dirty": True}
     answers["status"] = ""
     assert bench.git_meta() == {"commit": "abc123"}
+
+
+def test_output_comparison_flags_each_differing_command(tmp_path):
+    compare = _script("compare_outputs")
+    commands = [["-m", "semiphoton", "torus", "--zeta", "0.3"],
+                ["-m", "semiphoton", "torus", "--zeta", "0"]]
+    assert compare.differing(ROOT, commands) == []
+    # a tree whose CLI prints something else differs on every command
+    fake = tmp_path / "src" / "semiphoton"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "__main__.py").write_text("print('other')\n")
+    assert compare.differing(tmp_path, commands) == commands
+    usage = subprocess.run(
+        [sys.executable, "scripts/compare_outputs.py", str(tmp_path / "no")],
+        cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert usage.returncode == 2 and "OTHER_ROOT" in usage.stderr

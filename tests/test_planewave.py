@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiphoton import bridge, dirac, planewave
+from semiphoton.report import RunConfig
+from semiphoton.suites import suite_planewave
 
 CANON = dirac.canonical_alpha_set()
 momentum = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -118,6 +120,20 @@ def test_make_states_checks_the_momentum_once(shape, monkeypatch):
         assert len(calls) == 1
 
 
+def test_planewave_suite_checks_each_momentum_once(monkeypatch):
+    """build_system reads the momentum as given, so the planewave suite
+    checks a momentum only where make_states takes it."""
+    checked, made = [], []
+    check, make = planewave.as_vec3, planewave.make_states
+    monkeypatch.setattr(planewave, "as_vec3",
+                        lambda a: checked.append(a) or check(a))
+    monkeypatch.setattr(planewave, "make_states",
+                        lambda *a: made.append(a) or make(*a))
+    suite_planewave(RunConfig(samples=10))
+    assert len(made) == 4
+    assert len(checked) == len(made)
+
+
 def test_residual_detects_non_solution():
     state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.zeros(3),
@@ -201,24 +217,14 @@ def test_solutions_solve_the_field_system():
     grids = dict(t_grid=np.linspace(0, 2, 3), u_grid=np.linspace(-1, 1, 3))
     for branch in ("positive", "negative"):
         state = planewave.make_states(branch, p)[0]
-        base = bridge.fields_from_bispinor(state.amplitudes, layout)
-        eps, k = state.energy, p[1]
-
-        def build(tt, uu, scale=1.0):
-            # one case of n points, shape (1, n, 3)
-            ph = scale * np.exp(1j * (k * uu - eps * tt))[None, :, None]
-            return bridge.EmField(base.e * ph, base.h * ph)
-
-        rep = bridge.dirac_residual_em(
-            build, [t], ["plus"], **grids,
-            d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
-            d_du=lambda tt, uu: build(tt, uu, 1j * k))
+        # e^{i(p_y u - eps t)}: omega = -eps and k = -p_y; the slot values
+        # are the amplitudes over the slot factors
+        wave = bridge.SlotWave((state.amplitudes / layout.factors)[:, None],
+                               -state.energy, -p[1], [layout])
+        rep = bridge.dirac_residual_em(wave, [t], ["plus"], **grids)
         assert rep.max_scalar[0] <= 1e-12
         assert rep.cross_deviation[0] <= 1e-12
-        wrong = bridge.dirac_residual_em(
-            build, [t], ["minus"], **grids,
-            d_dt=lambda tt, uu: build(tt, uu, -1j * eps),
-            d_du=lambda tt, uu: build(tt, uu, 1j * k))
+        wrong = bridge.dirac_residual_em(wave, [t], ["minus"], **grids)
         assert wrong.max_scalar[0] > 0.1
 
 

@@ -171,7 +171,7 @@ def test_radius_ratio_is_fine_structure():
 
 def test_spin_and_moment_exact_in_natural_units():
     m = model()
-    sm = torus.spin_and_moment(m, q=0.25, units=NAT)
+    sm = torus.spin_and_moment(m, q=0.25)
     assert sm.sigma_p == 1.0          # equals hbar, exactly
     assert sm.sigma_s == 0.5          # equals hbar / 2, exactly
     assert sm.sigma_s == sm.sigma_p / 2
@@ -182,7 +182,7 @@ def test_spin_and_moment_exact_in_natural_units():
 def test_moment_product_route_close_for_any_charge():
     m = model()
     for q in (0.1, 0.7, 2.31, math.sqrt(2)):
-        sm = torus.spin_and_moment(m, q=q, units=NAT)
+        sm = torus.spin_and_moment(m, q=q)
         assert sm.mu_s == pytest.approx(sm.mu_closed_form, rel=1e-12)
 
 
@@ -253,7 +253,7 @@ def test_evaluate_matches_the_separate_routes():
         assert ev.chain.alpha_q == torus.coupling_constant(0.3)
         assert ev.chain.q == torus.charge_geometric(m)
         assert ev.chain.m_s == torus.mass_closed_form(m)
-        assert ev.spin == torus.spin_and_moment(m, ev.chain.q, units)
+        assert ev.spin == torus.spin_and_moment(m, ev.chain.q)
         assert ev.zitter == torus.zitterbewegung(units)
         assert ev.chain == torus.consistency_chain(m)
 
