@@ -113,9 +113,8 @@ SWEEP_ARGV = ["sweep-zeta", "--min", "0.05", "--max", "0.8", "--steps", "12",
 def expansion(triads, forms, t_grid, u_grid):
     """The waves and residuals of a stack of (triad, form) cases, as the
     planewave suite's expansion checks build them."""
-    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e1_amp=1.0,
-                                     e2_amp=0.7)
-    return bridge.dirac_residual_em(wave, triads, forms, t_grid, u_grid)
+    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
+    return bridge.dirac_residual_em(wave, forms, t_grid, u_grid)
 
 
 def suite_grids():
@@ -126,10 +125,10 @@ def suite_grids():
     detuned = wave._replace(omega=1.1 * wave.omega)
     return {
         "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
-            detuned, y_neg, ["plus"], np.linspace(0.1, 1.7, 3),
+            detuned, ["plus"], np.linspace(0.1, 1.7, 3),
             np.linspace(-0.9, 0.9, 3)),
         "expansion_fd_1x3x3": lambda: bridge.dirac_residual_em(
-            wave, y_neg, ["plus"], np.linspace(0.0, 1.0, 3),
+            wave, ["plus"], np.linspace(0.0, 1.0, 3),
             np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k),
     }
 
@@ -168,7 +167,7 @@ def kernels(cfg):
         "calibrate_e0": lambda: torus.calibrate_e0(model, 512),
         "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
-            wave, t_ax, ["plus"], t_grid, u_grid),
+            wave, ["plus"], t_grid, u_grid),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
         **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),

@@ -26,9 +26,12 @@ def main():
     cases = [(t, form) for t in dirac.axis_triads()
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
-    wave = bridge.onshell_plane_wave(triads, forms, args.k, 1.0)
+    try:
+        wave = bridge.onshell_plane_wave(triads, forms, args.k, 1.0)
+    except ValueError as err:
+        parser.error(f"--k: {err}")
     columns = [bridge.dirac_residual_em(
-        wave._replace(omega=d * wave.omega), triads, forms, t_grid,
+        wave._replace(omega=d * wave.omega), forms, t_grid,
         u_grid).max_scalar for d in args.detunings]
     header = "triad        form   " + "".join(f"  x{d:<10g}" for d in args.detunings)
     print(header)

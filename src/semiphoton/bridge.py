@@ -1,11 +1,13 @@
 """Dictionary between 4-component amplitudes and electromagnetic field vectors.
 
 A :class:`FieldLayout` assigns field components to spinor slots (magnetic
-slots carry a factor i).  Through a layout, the hermitian bilinears become the
-Maxwell invariants: a0 gives E^2+H^2, a4 gives E^2-H^2, a5 gives 2 E.H, and
-exactly one vector matrix gives the energy-flux component on the layout's
-axis.  In complex mode every quadratic form is sesquilinear, so E^2 means
-E.conj(E); for real fields this reduces to the ordinary expressions.
+slots carry a factor i).  It is built from a triad and a conjugation flag
+alone and keeps both, so a caller reads a case's triad from its layout.
+Through a layout, the hermitian bilinears become the Maxwell invariants: a0
+gives E^2+H^2, a4 gives E^2-H^2, a5 gives 2 E.H, and exactly one vector
+matrix gives the energy-flux component on the layout's axis.  In complex
+mode every quadratic form is sesquilinear, so E^2 means E.conj(E); for real
+fields this reduces to the ordinary expressions.
 
 Fields and spinors may be stacks of n samples (E, H of shape (n, 3), psi of
 shape (n, 4)); every dictionary kernel then returns one value per sample, and
@@ -24,8 +26,8 @@ evaluator, ``at``, gives the fields and both closed-form derivatives as a
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
-component equations against the matrix form for a stack of C cases (triad,
-sign form and the wave's layout and amplitudes), each over the same (t, u)
+component equations against the matrix form for a stack of C cases (sign
+form and the wave's layout and amplitudes), each over the same (t, u)
 grid, at once.  The grid's fields and both derivatives are stacked once, as
 one (3, C, n, 6) [E, H] array that both routes read; a finite-difference
 grid reports its Richardson truncation estimate per case for the caller to
@@ -33,9 +35,9 @@ judge, it never raises on it.  The systems work in units of m c^2 and m c
 with hbar = 1; ``onshell_plane_wave`` keeps m, c and hbar, which
 ``dynamics`` sets in CGS.
 
-The twelve triad layouts and the electron and positron layouts are built
-once, at import, with their read-only slot rows and scalar rows, so a call
-reads its tables instead of building them.
+The twelve triad layouts are built once, at import, with their read-only
+slot rows and scalar rows, so a call reads its tables instead of building
+them; the electron and positron layouts are the two y-negative ones.
 """
 from __future__ import annotations
 
@@ -96,10 +98,11 @@ _FLAT = {(kind, ax): 3 * j + i
 
 
 class FieldLayout:
-    """Slot table mapping spinor components to field components.
+    """Slot table of one triad, plain or charge conjugated.
 
-    Each slot is (kind, axis, factor) with kind 'e' or 'h'; h slots carry a
-    unit-imaginary factor.  ``axis`` is the propagation axis; components
+    Each slot is (kind, axis, factor) with kind 'e' or 'h': E on the triad's
+    ``e_axes``, then iH on the same pair, slots 1 and 3 negated when
+    ``conjugated``.  The triad's axis is the propagation axis; components
     outside the slots must vanish for the layout to apply.
 
     Built with the layout, read-only: ``index`` and ``factors``, the [E, H]
@@ -109,29 +112,21 @@ class FieldLayout:
     columns, shape (2, 4, 4).
     """
 
-    def __init__(self, name, axis, slots):
-        self.name, self.axis, self.slots = name, axis, slots
-        index = [_FLAT[kind, ax] for kind, ax, _ in slots]
+    def __init__(self, triad: AxisTriad, conjugated):
+        self.triad, self.conjugated = triad, conjugated
+        s = -1 if conjugated else 1
+        a1, a2 = triad.e_axes
+        self.slots = (("e", a1, 1 + 0j), ("e", a2, s * (1 + 0j)),
+                      ("h", a1, 1j), ("h", a2, s * 1j))
+        index = [_FLAT[kind, ax] for kind, ax, _ in self.slots]
         self.index = frozen(np.array(index))
-        self.factors = frozen(np.array([factor for *_, factor in slots]))
+        self.factors = frozen(np.array([factor for *_, factor in self.slots]))
         self.outside = frozen(np.array([j for j in range(6)
                                         if j not in index]))
         self.scalar_table = frozen(np.array(
             [[(_FLAT[k0, x0], _FLAT[k1, x1], s_du, s_m)
               for k0, x0, s_du, k1, x1, s_m in scalar_rows(self, form)]
              for form in SIGN_FORMS]))
-
-    def covered(self, kind):
-        return tuple(ax for k, ax, _ in self.slots if k == kind)
-
-
-def _layout(t: AxisTriad, charge_conjugated, name):
-    signs = (1, -1, 1, -1) if charge_conjugated else (1, 1, 1, 1)
-    slots = (("e", t.e_axes[0], signs[0] * (1 + 0j)),
-             ("e", t.e_axes[1], signs[1] * (1 + 0j)),
-             ("h", t.h_axes[0], signs[2] * 1j),
-             ("h", t.h_axes[1], signs[3] * 1j))
-    return FieldLayout(name=name, axis=t.axis, slots=slots)
 
 
 def layout_for_triad(t: AxisTriad, charge_conjugated=False):
@@ -142,12 +137,12 @@ def layout_for_triad(t: AxisTriad, charge_conjugated=False):
 
 def electron_layout():
     """(E_x, E_z, iH_x, iH_z): the y-direction layout used throughout."""
-    return _ELECTRON
+    return layout_for_triad(triad("y", "negative"), False)
 
 
 def positron_layout():
     """Charge-conjugate partner of the electron layout: (E_x, -E_z, iH_x, -iH_z)."""
-    return _POSITRON
+    return layout_for_triad(triad("y", "negative"), True)
 
 
 def _stacked(f: EmField):
@@ -180,7 +175,7 @@ def _case_spinors(v, layouts):
         comp = outside[case, j]
         raise LayoutViolation(
             f"{'eh'[comp // 3]}_{'xyz'[comp % 3]} is non-zero but has no slot "
-            f"in layout {layouts[case].name}")
+            f"in layout {layouts[case].triad.name}")
     return factors.reshape(factors.shape[:1] + (1,) * (v.ndim - 2) + (4,)) \
         * _gather(v, index)
 
@@ -305,44 +300,29 @@ def fierz_quantum(psi, aset):
 SIGN_FORMS = {"plus": +1, "minus": -1}
 
 
-def _slot_sign(factor):
-    u = factor / abs(factor)
-    return +1 if (u.real > 0.5 or u.imag > 0.5) else -1
-
-
-# Spinor slot i couples to the derivative of the field in slot _PARTNER[i].
-_PARTNER = (3, 2, 1, 0)
-
-
 def scalar_rows(layout: FieldLayout, sign_form):
     """The four scalar component equations for (layout, sign form).
 
     Each row is (lhs_kind, lhs_axis, du_sign, du_kind, du_axis, mass_sign)
     encoding  dt F  +  du_sign * du G  +  mass_sign * i F = 0.
     The tabulated four-equation groups for every axis and orientation follow
-    this slot pattern; a charge-conjugated layout flips each row's derivative
-    sign through the product of its own and its partner slot's sign.
+    this slot pattern; a charge-conjugated layout negates every row's
+    derivative sign.
     """
     s = SIGN_FORMS[sign_form]
-    a1, a2 = layout.covered("e")
-    base = (
-        ("e", a1, -s, "h", a2, -s),
-        ("e", a2, +s, "h", a1, -s),
-        ("h", a1, +s, "e", a2, +s),
-        ("h", a2, -s, "e", a1, +s),
+    d = -s if layout.conjugated else s  # the derivative's sign
+    a1, a2 = layout.triad.e_axes
+    return (
+        ("e", a1, -d, "h", a2, -s),
+        ("e", a2, +d, "h", a1, -s),
+        ("h", a1, +d, "e", a2, +s),
+        ("h", a2, -d, "e", a1, +s),
     )
-    signs = [_slot_sign(f) for _, _, f in layout.slots]
-    rows = []
-    for i, (k0, x0, s_du, k1, x1, s_m) in enumerate(base):
-        rows.append((k0, x0, s_du * signs[i] * signs[_PARTNER[i]], k1, x1, s_m))
-    return tuple(rows)
 
 
-# The twelve triad layouts, and the two named y layouts.
-_LAYOUTS = {(t, conj): _layout(t, conj, t.name)
+# The twelve triad layouts.
+_LAYOUTS = {(t, conj): FieldLayout(t, conj)
             for t in axis_triads() for conj in (False, True)}
-_ELECTRON = _layout(triad("y", "negative"), False, "electron-y")
-_POSITRON = _layout(triad("y", "negative"), True, "positron-y")
 _FORM_INDEX = {form: i for i, form in enumerate(SIGN_FORMS)}
 
 
@@ -370,18 +350,19 @@ def scalar_residuals(w, layouts, sign_forms):
             + (mass_sign * 1j)[:, None] * _gather(v, lhs))
 
 
-def bispinor_residuals(w, triads, layouts, aset, sign_forms):
+def bispinor_residuals(w, layouts, aset, sign_forms):
     """Matrix-form residual (a0 eps_op +- a.p_op +- a4) psi / i.
 
-    Case i acts with the working matrix of triads[i] on the spinors of its
-    fields in layouts[i]; w is the (3, C, n, 6) :func:`grid_stack` of
-    :func:`scalar_residuals`.  The layout is linear, so derivative spinors
-    are the layout images of the derivative fields.  Division by i puts the
-    rows in the same form as the scalar component equations (up to the slot
-    factors).  Shape (C, n, 4).
+    Case i acts with the working matrix of the triad of layouts[i] on the
+    spinors of its fields in that layout; w is the (3, C, n, 6)
+    :func:`grid_stack` of :func:`scalar_residuals`.  The layout is linear,
+    so derivative spinors are the layout images of the derivative fields.
+    Division by i puts the rows in the same form as the scalar component
+    equations (up to the slot factors).  Shape (C, n, 4).
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
-    working = np.array([getattr(aset, t.working) for t in triads])
+    working = np.array([getattr(aset, layout.triad.working)
+                        for layout in layouts])
     spinors = _case_spinors(w.swapaxes(0, 1), layouts)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
     eps_term = 1j * dpsi_dt
@@ -420,16 +401,17 @@ class ResidualReport(NamedTuple):
     truncation: np.ndarray
 
 
-def dirac_residual_em(wave, triads, sign_forms, t_grid, u_grid, fd_step=None):
+def dirac_residual_em(wave, sign_forms, t_grid, u_grid, fd_step=None):
     """Residuals of a stack of coupled first-order systems on one (t, u) grid.
 
-    Case i is the (triads[i], sign_forms[i]) system in wave.layouts[i], so a
-    charge-conjugated case is a wave on ``layout_for_triad(t, True)``.  The
-    derivatives are the wave's closed forms, or, when ``fd_step`` is given,
-    fourth-order central differences of that step of its fields, and the
-    report carries their Richardson truncation estimate for the caller to
-    judge against ``FD_TOL``.  The grid is one stack: row i is
-    (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)]).  The fields and
+    Case i is the sign_forms[i] system of the triad of wave.layouts[i], in
+    that layout, so a charge-conjugated case is a wave on
+    ``layout_for_triad(t, True)``.  The derivatives are the wave's closed
+    forms, or, when ``fd_step`` is given, fourth-order central differences
+    of that step of its fields, and the report carries their Richardson
+    truncation estimate for the caller to judge against ``FD_TOL``.  The
+    grid is one stack: row i is (t_grid[i // len(u_grid)],
+    u_grid[i % len(u_grid)]).  The fields and
     derivatives become one [E, H] array, (3, C, n, 6), that both routes
     read.  The four scalar component residuals and the matrix-form residual
     of each point are the same equation expanded, so any gap between them
@@ -439,7 +421,7 @@ def dirac_residual_em(wave, triads, sign_forms, t_grid, u_grid, fd_step=None):
     layouts = wave.layouts
     aset = canonical_alpha_set()
     tt, uu = np.repeat(t_grid, len(u_grid)), np.tile(u_grid, len(t_grid))
-    truncation = np.zeros(len(triads))
+    truncation = np.zeros(len(layouts))
     if fd_step is None:
         w = grid_stack(*wave.at(tt, uu))
     else:
@@ -450,7 +432,7 @@ def dirac_residual_em(wave, triads, sign_forms, t_grid, u_grid, fd_step=None):
         w = np.concatenate(
             (_stacked(wave._place(wave._phase(tt, uu)))[None], fd))
     scalar = scalar_residuals(w, layouts, sign_forms)
-    bisp = bispinor_residuals(w, triads, layouts, aset, sign_forms)
+    bisp = bispinor_residuals(w, layouts, aset, sign_forms)
     factors = np.array([layout.factors for layout in layouts])[:, None]
     return ResidualReport(
         cross_deviation=np.abs(scalar * factors - bisp).max(axis=(1, 2)),
@@ -498,22 +480,29 @@ class SlotWave(NamedTuple):
                            self.layouts)
 
 
-def onshell_plane_wave(triads, sign_forms, k, mass, e1_amp=1.0, e2_amp=0.0,
-                       c=1.0, hbar=1.0) -> SlotWave:
+def onshell_plane_wave(triads, sign_forms, k, mass, e2_amp=0.0, c=1.0,
+                       hbar=1.0) -> SlotWave:
     """Complex plane waves, case i solving the (triads[i], sign_forms[i]) system.
 
     The two transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair
     up with amplitude ratios fixed by the sign form and the dispersion
     relation omega^2 = (m c^2/hbar)^2 + c^2 k^2, which every case shares.
-    Case i's amplitudes (E_1, E_2, H_1, H_2) fill its triad layout's slots.
+    Case i's amplitudes (1, E_2, H_1, H_2) fill its triad layout's slots.
+    A k of 0 is an error, and an omega or H amplitude that overflows is a
+    non-finite one.
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])
     w0 = mass * c * c / hbar
     k = require_finite(k, "k")
-    omega = require_finite(np.sqrt(w0 ** 2 + (c * k) ** 2), "omega")
-    h1_amp = s * (omega - s * w0) * e2_amp / (c * k)
-    h2_amp = -s * (omega - s * w0) * e1_amp / (c * k)
+    if k == 0:
+        raise ValueError("k must be non-zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's power overflows to inf where a float's raises
+        ck2 = np.float64(c * k) ** 2
+        omega = require_finite(np.sqrt(w0 ** 2 + ck2), "omega")
+        h1_amp = s * (omega - s * w0) * e2_amp / (c * k)
+        h2_amp = -s * (omega - s * w0) / (c * k)
     ones = np.ones(len(s))
-    amps = require_finite(np.array([e1_amp * ones, e2_amp * ones, h1_amp,
-                                    h2_amp]), "amplitude")  # (4, C)
+    amps = require_finite(np.array([ones, e2_amp * ones, h1_amp, h2_amp]),
+                          "amplitude")  # (4, C)
     return SlotWave(amps, omega, k, [layout_for_triad(t) for t in triads])

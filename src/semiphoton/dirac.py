@@ -183,17 +183,16 @@ class AxisTriad(NamedTuple):
     """Matrix assignment and field slot order for one propagation direction.
 
     ``matrix_axes`` names which generator acts for each coordinate derivative.
-    ``e_axes``/``h_axes`` give the field components occupying the four spinor
-    slots (the h slots carry a factor i).  Exactly one assigned matrix, the
-    ``working`` one, produces a non-zero energy-flux bilinear, with the carried
-    ``sign`` on the triad's axis.
+    ``e_axes`` names the transverse pair whose E and then H components occupy
+    the four spinor slots (the h slots carry a factor i).  Exactly one
+    assigned matrix, the ``working`` one, produces a non-zero energy-flux
+    bilinear, with the carried ``sign`` on the triad's axis.
     """
     axis: str
     orientation: str
     matrix_axes: tuple
     working: str
     e_axes: tuple
-    h_axes: tuple
     sign: int
 
     @property
@@ -215,7 +214,7 @@ _NEGATIVE_SLOTS = {"y": ("x", "z"), "x": ("z", "y"), "z": ("y", "x")}
 _TRIADS = tuple(
     AxisTriad(axis=axis, orientation=orientation,
               matrix_axes=_MATRIX_AXES[axis], working="a2", e_axes=pair,
-              h_axes=pair, sign=sign)
+              sign=sign)
     for orientation, sign in (("negative", -1), ("positive", +1))
     for axis in ("y", "x", "z")
     for pair in [_NEGATIVE_SLOTS[axis][::-sign]])  # positive: swapped

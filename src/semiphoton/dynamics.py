@@ -104,7 +104,7 @@ def _du_dt_terms(point: WavePoint, c):
     """Sesquilinear energy-rate and flux-divergence terms of the slot map."""
     f, ft, fu = point.f, point.df_dt, point.df_du
     du_term = (inner(f.e, ft.e) + inner(f.h, ft.h)) / (4 * math.pi)
-    a1, a2 = LAYOUT.covered("e")
+    a1, a2 = LAYOUT.triad.e_axes
     i1, i2 = AXIS_INDEX[a1], AXIS_INDEX[a2]
     e, h = f.e.conj(), f.h.conj()
     div_term = (c / (4 * math.pi)) * (

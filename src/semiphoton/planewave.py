@@ -165,12 +165,12 @@ def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
 
     A stack of n states gives n sparsity tuples and (n,) amplitudes.
     """
-    axis = AXIS_INDEX[layout.axis]
+    axis = AXIS_INDEX[layout.triad.axis]
     p = np.abs(state.momentum)
     off_axis = np.delete(p, axis, axis=-1).max(axis=-1)
     if np.any(off_axis > ZERO_TOL * np.maximum(1.0, p[..., axis])):
         raise AxisMismatch(f"momentum {state.momentum} is not along the "
-                           f"layout axis {layout.axis!r}")
+                           f"layout axis {layout.triad.axis!r}")
     mag = np.abs(state.amplitudes)
     scale = np.maximum(mag.max(axis=-1, keepdims=True), 1.0)
     nonzero = (mag > ZERO_TOL * scale).tolist()

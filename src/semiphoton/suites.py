@@ -119,7 +119,7 @@ def suite_algebra(cfg: RunConfig):
     mismatches = 0
     for (orient, axis), pair in expected_slots.items():
         t = dirac.triad(axis, orient)
-        if t.e_axes != pair or t.h_axes != pair:
+        if t.e_axes != pair:
             mismatches += 1
     checks.append(CheckReport.build(
         "algebra/triad-layouts", "tabulated slot orders", 0, mismatches,
@@ -472,10 +472,9 @@ def suite_planewave(cfg: RunConfig):
     cases = [(t, form) for t in dirac.axis_triads()
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
-    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e1_amp=1.0,
-                                     e2_amp=0.7)
+    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e2_amp=0.7)
     rep = bridge.dirac_residual_em(
-        wave, triads, forms, t_grid=np.linspace(0, 2.0, 4),
+        wave, forms, t_grid=np.linspace(0, 2.0, 4),
         u_grid=np.linspace(-1.0, 1.0, 5))
     scale = max(wave.omega, 1.0)
     worst = np.maximum(rep.cross_deviation, rep.max_scalar)  # NaN propagates
@@ -489,7 +488,7 @@ def suite_planewave(cfg: RunConfig):
     y_neg = [dirac.triad("y", "negative")]
     wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
     detuned_max = bridge.dirac_residual_em(
-        wave._replace(omega=1.1 * wave.omega), y_neg, ["plus"],
+        wave._replace(omega=1.1 * wave.omega), ["plus"],
         t_grid=np.linspace(0.1, 1.7, 3),
         u_grid=np.linspace(-0.9, 0.9, 3)).max_scalar[0]
     checks.append(CheckReport.build(
@@ -498,7 +497,7 @@ def suite_planewave(cfg: RunConfig):
         notes=f"max residual {detuned_max:.4f} on a 10% detuned wave"))
 
     rep_fd = bridge.dirac_residual_em(
-        wave, y_neg, ["plus"], t_grid=np.linspace(0, 1.0, 3),
+        wave, ["plus"], t_grid=np.linspace(0, 1.0, 3),
         u_grid=np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k)
     checks.append(CheckReport.build(
         "planewave/expansion-finite-difference",

@@ -360,7 +360,7 @@ def test_maxwell_invariant_forms_match_loop(point):
 
 @st.composite
 def residual_cases(draw):
-    """A triad, its layout and n points of fields and derivatives on its slots.
+    """A triad's layout and n points of fields and derivatives on its slots.
 
     Stacks of 4 rows are drawn on purpose: a matrix ``@`` applied to an
     (n, 4) stack instead of per row runs without error only at n == 4.
@@ -376,17 +376,17 @@ def residual_cases(draw):
         e[:, slots], h[:, slots] = v[:, :2], v[:, 2:]
         return EmField(e, h)
 
-    return t, layout, field(), field(), field()
+    return layout, field(), field(), field()
 
 
 @settings(deadline=None, max_examples=100)
 @given(residual_cases(), st.sampled_from(("plus", "minus")))
 def test_residual_stacks_match_single_points(case, form):
-    t, layout, f, ft, fu = case
+    layout, f, ft, fu = case
     f, ft, fu = (EmField(g.e[None], g.h[None]) for g in (f, ft, fu))
     w = bridge.grid_stack(f, ft, fu)
     scalar = bridge.scalar_residuals(w, [layout], [form])[0]
-    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, [form])[0]
+    bisp = bridge.bispinor_residuals(w, [layout], CANON, [form])[0]
     assert scalar.shape == bisp.shape == (len(f.e[0]), 4)
     for i in range(len(scalar)):
         one = bridge.grid_stack(*(g[:, i:i + 1] for g in (f, ft, fu)))
@@ -394,8 +394,7 @@ def test_residual_stacks_match_single_points(case, form):
             bridge.scalar_residuals(one, [layout], [form])[0, 0],
             scalar[i])
         assert np.array_equal(
-            bridge.bispinor_residuals(one, [t], [layout], CANON,
-                                      [form])[0, 0],
+            bridge.bispinor_residuals(one, [layout], CANON, [form])[0, 0],
             bisp[i])
 
 
@@ -404,8 +403,7 @@ def test_residual_case_stack_matches_single_cases():
     off-shell case among them: each case of the stack equals its own call."""
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
-    on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e1_amp=1.0,
-                                         e2_amp=0.7)
+    on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
     y_neg = dirac.triad("y", "negative")
     # the y-negative plus-form wave with its H amplitudes 10% too large
     off_shell = bridge.onshell_plane_wave([y_neg], ["plus"], 0.8,
@@ -421,13 +419,13 @@ def test_residual_case_stack_matches_single_cases():
         layouts=[bridge.layout_for_triad(t, conj)
                  for t, conj in zip(stack_triads, conjugated)])
     grids = np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 1.0, 5)
-    rep = bridge.dirac_residual_em(wave, stack_triads, stack_forms, *grids)
+    rep = bridge.dirac_residual_em(wave, stack_forms, *grids)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (25,)
     for i in range(25):
         single = bridge.dirac_residual_em(
             wave._replace(amps=wave.amps[:, i:i + 1],
                           layouts=wave.layouts[i:i + 1]),
-            stack_triads[i:i + 1], stack_forms[i:i + 1], *grids)
+            stack_forms[i:i + 1], *grids)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
     # the gathers read no other case: the off-shell case's neighbours stay
@@ -446,21 +444,20 @@ def test_finite_difference_case_stack_matches_single_cases():
                           for form in ("plus", "minus")])
     wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
     grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(wave, triads, forms, *grids,
-                                   fd_step=1e-4)
+    rep = bridge.dirac_residual_em(wave, forms, *grids, fd_step=1e-4)
     assert rep.max_scalar.max() <= 1e-6
     for i in range(12):
         single = bridge.dirac_residual_em(
             wave._replace(amps=wave.amps[:, i:i + 1],
                           layouts=wave.layouts[i:i + 1]),
-            triads[i:i + 1], forms[i:i + 1], *grids, fd_step=1e-4)
+            forms[i:i + 1], *grids, fd_step=1e-4)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
 
 
 # The residual grid as it was computed before its tables were built at
-# import: every call builds its layouts, slot tables and scalar rows again,
-# and each route stacks the fields on its own.
+# import: every call builds its slots (checked against the layouts'), slot
+# tables and scalar rows again, and each route stacks the fields on its own.
 REF_FLAT = {(kind, ax): 3 * j + i
             for j, kind in enumerate("eh") for ax, i in bridge.AXIS_INDEX.items()}
 
@@ -469,8 +466,8 @@ def ref_layout(t, conjugated):
     signs = (1, -1, 1, -1) if conjugated else (1, 1, 1, 1)
     return (("e", t.e_axes[0], signs[0] * (1 + 0j)),
             ("e", t.e_axes[1], signs[1] * (1 + 0j)),
-            ("h", t.h_axes[0], signs[2] * 1j),
-            ("h", t.h_axes[1], signs[3] * 1j))
+            ("h", t.e_axes[0], signs[2] * 1j),
+            ("h", t.e_axes[1], signs[3] * 1j))
 
 
 def ref_gather(v, index):
@@ -487,8 +484,9 @@ def ref_residual_em(fields, triads, forms, t_grid, u_grid, d_dt, d_du,
     """(cross_deviation, max_scalar, truncation) of the grid, per case."""
     flags = np.broadcast_to(conjugated, (len(triads),))
     slots = [ref_layout(t, bool(conj)) for t, conj in zip(triads, flags)]
-    layouts = [bridge.FieldLayout(t.name, t.axis, sl)
-               for t, sl in zip(triads, slots)]
+    layouts = [bridge.layout_for_triad(t, conj)
+               for t, conj in zip(triads, flags)]
+    assert [layout.slots for layout in layouts] == slots
     index = np.array([[REF_FLAT[k, ax] for k, ax, _ in sl] for sl in slots])
     factors = np.array([[fac for *_, fac in sl] for sl in slots])
     tt, uu = (g.ravel() for g in np.meshgrid(t_grid, u_grid, indexing="ij"))
@@ -555,7 +553,7 @@ def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
         bridge.layout_for_triad(t, conj) for t, conj in zip(triads, flags)])
     fields = [lambda tt, uu, j=j: wave.at(tt, uu)[j] for j in range(3)]
     derivs = fields[1:] if fd_step is None else (None, None)
-    rep = bridge.dirac_residual_em(wave, triads, forms, t_grid, u_grid,
+    rep = bridge.dirac_residual_em(wave, forms, t_grid, u_grid,
                                    fd_step=fd_step)
     ref = ref_residual_em(fields[0], triads, forms, t_grid, u_grid, *derivs,
                           fd_step, conjugated)
@@ -574,9 +572,10 @@ def test_fixed_tables_are_built_once_and_read_only():
         dirac.triad("w", "negative")
     layouts = [bridge.layout_for_triad(t, conj)
                for t in dirac.axis_triads() for conj in (False, True)]
-    layouts += [bridge.electron_layout(), bridge.positron_layout()]
     assert bridge.layout_for_triad(dirac.axis_triads()[0]) is layouts[0]
-    assert bridge.electron_layout() is layouts[-2]
+    y_neg = dirac.triad("y", "negative")
+    assert bridge.electron_layout() is bridge.layout_for_triad(y_neg)
+    assert bridge.positron_layout() is bridge.layout_for_triad(y_neg, True)
     tables = [dirac.s_matrix(), *dirac.alpha_prime_set().named().values()]
     for layout in layouts:
         tables += [layout.index, layout.factors, layout.outside,
@@ -616,9 +615,10 @@ def test_stacks_are_validated(monkeypatch):
     # the plane waves are checked at entry: their amplitudes there, and the
     # waves never again (EmField.__init__ would call as_vec3)
     y_neg = dirac.triad("y", "negative")
-    for amps in (dict(e1_amp=np.nan), dict(e2_amp=np.inf)):
+    for e2_amp in (np.nan, np.inf):
         with pytest.raises(ValueError, match="amplitude"):
-            bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0, **amps)
+            bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0,
+                                      e2_amp=e2_amp)
     wave = bridge.onshell_plane_wave([y_neg] * 2, ["plus", "minus"], 0.8,
                                      1.0, e2_amp=0.7)
     calls = []
@@ -629,7 +629,7 @@ def test_stacks_are_validated(monkeypatch):
         w.at(0.3, 0.1)
     assert calls == []
     # a non-finite grid belongs to the caller: its residuals are NaN and FAIL
-    rep = bridge.dirac_residual_em(wave, [y_neg] * 2, ["plus", "minus"],
+    rep = bridge.dirac_residual_em(wave, ["plus", "minus"],
                                    np.array([0.0, np.nan]), tt)
     assert np.isnan(rep.max_scalar).all()
     check = CheckReport.build("residual", "on shell", 0.0, rep.max_scalar)

@@ -49,9 +49,9 @@ def test_round_trip_every_layout(e_vals, h_vals):
             layout = bridge.layout_for_triad(t, charge_conjugated=conj)
             e = np.zeros(3)
             h = np.zeros(3)
-            for ax, val in zip(layout.covered("e"), e_vals):
+            for ax, val in zip(layout.triad.e_axes, e_vals):
                 e[bridge.AXIS_INDEX[ax]] = val
-            for ax, val in zip(layout.covered("h"), h_vals):
+            for ax, val in zip(layout.triad.e_axes, h_vals):
                 h[bridge.AXIS_INDEX[ax]] = val
             f = EmField(e, h)
             back = bridge.fields_from_bispinor(
@@ -148,6 +148,22 @@ def test_scalar_rows_positive_directions_minus_form():
         )
 
 
+def ref_scalar_rows(layout, sign_form):
+    """The rows by the slot-factor rule: the base rows of the layout's e
+    slots, each derivative sign times the signs of the factors of its own
+    slot i and of its partner slot (3, 2, 1, 0)[i]."""
+    s = bridge.SIGN_FORMS[sign_form]
+    a1, a2 = (ax for kind, ax, _ in layout.slots if kind == "e")
+    base = (("e", a1, -s, "h", a2, -s), ("e", a2, +s, "h", a1, -s),
+            ("h", a1, +s, "e", a2, +s), ("h", a2, -s, "e", a1, +s))
+    signs = []
+    for *_, factor in layout.slots:
+        u = factor / abs(factor)
+        signs.append(+1 if u.real > 0.5 or u.imag > 0.5 else -1)
+    return tuple((k0, x0, s_du * signs[i] * signs[(3, 2, 1, 0)[i]], k1, x1,
+                  s_m) for i, (k0, x0, s_du, k1, x1, s_m) in enumerate(base))
+
+
 def test_scalar_rows_charge_conjugated():
     layout = bridge.positron_layout()
     assert bridge.scalar_rows(layout, "minus") == (
@@ -156,6 +172,12 @@ def test_scalar_rows_charge_conjugated():
         ("h", "x", +1, "e", "z", -1),
         ("h", "z", -1, "e", "x", -1),
     )
+    for t in dirac.axis_triads():
+        for conj in (False, True):
+            layout = bridge.layout_for_triad(t, conj)
+            for form in bridge.SIGN_FORMS:
+                assert bridge.scalar_rows(layout, form) == ref_scalar_rows(
+                    layout, form), (t.name, conj, form)
 
 
 def _grids():
@@ -168,9 +190,9 @@ def _grids():
 def test_onshell_wave_has_zero_residual(axis, orientation, form):
     t = dirac.triad(axis, orientation)
     wave = bridge.onshell_plane_wave([t], [form], k=0.8, mass=1.0,
-                                     e1_amp=1.0, e2_amp=0.4)
+                                     e2_amp=0.4)
     t_grid, u_grid = _grids()
-    rep = bridge.dirac_residual_em(wave, [t], [form], t_grid, u_grid)
+    rep = bridge.dirac_residual_em(wave, [form], t_grid, u_grid)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
     assert rep.cross_deviation[0] <= 1e-12 * wave.omega
@@ -218,7 +240,7 @@ def test_scalar_and_matrix_routes_agree_off_shell():
 
     w = bridge.grid_stack(build(), build(dt_order=1), build(du_order=1))
     scalar = bridge.scalar_residuals(w, [layout], ["plus"])[0]
-    bisp = bridge.bispinor_residuals(w, [t], [layout], CANON, ["plus"])[0]
+    bisp = bridge.bispinor_residuals(w, [layout], CANON, ["plus"])[0]
     max_scalar = np.abs(scalar).max()
     assert max_scalar > 0.1  # generic wave is not a solution
     assert np.abs(scalar * layout.factors - bisp).max() <= 1e-12 * max_scalar
@@ -228,25 +250,25 @@ def test_finite_difference_fallback_and_truncation_guard():
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid,
+    rep = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid,
                                    fd_step=1e-4)
     assert rep.max_scalar[0] <= 1e-6
     assert rep.cross_deviation[0] <= 1e-6
     assert 0 < rep.truncation[0] <= bridge.FD_TOL
     # a coarse step is reported, not raised: its estimate is about 6.4e-3
-    coarse = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid,
+    coarse = bridge.dirac_residual_em(wave, ["plus"], t_grid,
                                       u_grid, fd_step=0.5)
     assert coarse.truncation.shape == (1,)
     assert coarse.truncation[0] > 1e3 * bridge.FD_TOL
     assert not hasattr(bridge, "GridTooCoarse")
     # closed-form derivatives carry no truncation; a NaN estimate propagates
-    exact = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid)
+    exact = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid)
     assert np.array_equal(exact.truncation, [0.0])
     # a constant E_x of 1e308: 8 times it overflows inside the stencil
     huge = bridge.SlotWave(np.array([[1e308], [0.0], [0.0], [0.0]]), 0.0, 0.0,
                            wave.layouts)
     with np.errstate(over="ignore", invalid="ignore"):
-        overflow = bridge.dirac_residual_em(huge, [t], ["plus"], t_grid,
+        overflow = bridge.dirac_residual_em(huge, ["plus"], t_grid,
                                             u_grid, fd_step=1e-4)
     assert np.isnan(overflow.truncation[0])
 
@@ -259,12 +281,12 @@ def test_conjugate_layout_solves_opposite_current_system():
     amps = np.array([[1.0], [0.0], [0.0], [-(omega + w0) / k]])
     wave = bridge.SlotWave(amps, omega, k,
                            [bridge.layout_for_triad(t, charge_conjugated=True)])
-    rep = bridge.dirac_residual_em(wave, [t], ["minus"], *(_grids()))
+    rep = bridge.dirac_residual_em(wave, ["minus"], *(_grids()))
     assert rep.max_scalar[0] <= 1e-12 * omega
     assert rep.cross_deviation[0] <= 1e-12 * omega
     # the same wave does not solve the plain minus-form system
     plain = bridge.dirac_residual_em(
-        wave._replace(layouts=[bridge.layout_for_triad(t)]), [t], ["minus"],
+        wave._replace(layouts=[bridge.layout_for_triad(t)]), ["minus"],
         *(_grids()))
     assert plain.max_scalar[0] > 0.1
 
@@ -273,7 +295,7 @@ def test_detuned_wave_leaves_residual():
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     rep = bridge.dirac_residual_em(wave._replace(omega=1.1 * wave.omega),
-                                   [t], ["plus"], *(_grids()))
+                                   ["plus"], *(_grids()))
     assert rep.max_scalar[0] > 0.01
 
 
@@ -288,7 +310,7 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
     monkeypatch.setattr(bridge, "canonical_alpha_set", counted)
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
-    rep = bridge.dirac_residual_em(wave, [t], ["plus"], *(_grids()))
+    rep = bridge.dirac_residual_em(wave, ["plus"], *(_grids()))
     assert len(calls) == 1
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
 
@@ -309,7 +331,7 @@ def test_residual_rows_follow_the_grid_order(monkeypatch):
     monkeypatch.setattr(bridge.SlotWave, "at", counted)
     t_grid, u_grid = _grids()
     n = len(t_grid) * len(u_grid)
-    rep = bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid)
+    rep = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid)
     assert calls == [((n,), (n,))]
     factors = np.array([factor for _, _, factor in layout.slots])
     scalar, cross = [], []
@@ -318,8 +340,7 @@ def test_residual_rows_follow_the_grid_order(monkeypatch):
                  np.array([u_grid[i % len(u_grid)]]))
         w = bridge.grid_stack(*wave.at(*point))
         row = bridge.scalar_residuals(w, [layout], ["plus"])[0, 0]
-        bisp = bridge.bispinor_residuals(w, [t], [layout], CANON,
-                                         ["plus"])[0, 0]
+        bisp = bridge.bispinor_residuals(w, [layout], CANON, ["plus"])[0, 0]
         scalar.append(np.abs(row).max())
         cross.append(np.abs(row * factors - bisp).max())
     assert rep.max_scalar[0] == max(scalar)
@@ -340,7 +361,7 @@ def test_finite_difference_route_stacks_its_stencils(monkeypatch):
 
     monkeypatch.setattr(bridge, "slot_fields", counted)
     t_grid, u_grid = _grids()
-    bridge.dirac_residual_em(wave, [t], ["plus"], t_grid, u_grid,
+    bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid,
                              fd_step=1e-4)
     n = len(t_grid) * len(u_grid)
     # probe at the first point: 2 steps x 2 variables x 4 stencil points;

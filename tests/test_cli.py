@@ -699,12 +699,24 @@ UNSET_DEFAULTS = {
 }
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression, or _NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
 def _defaulted_parameters(module, tree):
-    """(function name, position, name, qualified name) of every parameter
-    with a default of the module-level functions and methods.
+    """(function name, position, name, qualified name, default) of every
+    parameter with a default of the module-level functions and methods.
 
     ``position`` counts from the first argument a call passes, so a method's
-    self or cls is skipped; it is None for keyword-only parameters.
+    self or cls is skipped; it is None for keyword-only parameters.  The
+    default is its literal value, or _NOT_LITERAL.
     """
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -719,24 +731,29 @@ def _defaulted_parameters(module, tree):
             positional = d.args.posonlyargs + d.args.args
             first = len(positional) - len(d.args.defaults)
             bound = 0 if cls is None else 1
-            for i, a in enumerate(positional[first:], first):
-                yield d.name, i - bound, a.arg, f"{qual}.{a.arg}"
+            for i, (a, default) in enumerate(
+                    zip(positional[first:], d.args.defaults), first):
+                yield (d.name, i - bound, a.arg, f"{qual}.{a.arg}",
+                       _literal(default))
             for a, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
                 if default is not None:
-                    yield d.name, None, a.arg, f"{qual}.{a.arg}"
+                    yield (d.name, None, a.arg, f"{qual}.{a.arg}",
+                           _literal(default))
 
 
 def _passed_parameters(trees):
-    """{called name: positions and keywords it is passed} over every call."""
+    """{called name: {position or keyword: the values passed there}} over
+    every call; a value that is not a literal is _NOT_LITERAL."""
     passed = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            got = passed.setdefault(name, set())
-            got.update(range(len(node.args)))
-            got.update(k.arg for k in node.keywords)
+            got = passed.setdefault(name, {})
+            for key, value in [*enumerate(node.args),
+                               *((k.arg, k.value) for k in node.keywords)]:
+                got.setdefault(key, []).append(_literal(value))
     return passed
 
 
@@ -746,15 +763,23 @@ def test_every_default_is_set_by_some_caller():
     sources = sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in sources}
     passed = _passed_parameters(trees.values())
-    unset = sorted(
-        qual
-        for path in sources if path.parent == package
-        for func, position, name, qual in _defaulted_parameters(
-            path.stem, trees[path])
-        if not passed.get(func, set()) & {position, name})
+    unset, one_value = [], []
+    for path in sources:
+        if path.parent != package:
+            continue
+        for func, position, name, qual, default in _defaulted_parameters(
+                path.stem, trees[path]):
+            got = passed.get(func, {})
+            values = got.get(position, []) + got.get(name, [])
+            if not values:
+                unset.append(qual)
+            elif all(v is not _NOT_LITERAL and v == default for v in values):
+                one_value.append(qual)
     assert [q for q in unset if q not in UNSET_DEFAULTS] == []
     # an allowlisted parameter that a caller now sets leaves the list
     assert [q for q in UNSET_DEFAULTS if q not in unset] == []
+    # a parameter that every caller sets to its default holds one value
+    assert one_value == []
 
 
 def test_open_alpha_set_fails_group_order(monkeypatch, capsys):

@@ -42,15 +42,33 @@ def _example_id(argv):
     return " ".join(argv[3:] if argv[1] == "-m" else argv[1:])
 
 
-@pytest.mark.parametrize("argv", EXAMPLES, ids=_example_id)
-def test_readme_example_exits_zero(argv):
+def _run_example(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
-                            text=True, timeout=120)
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=_example_id)
+def test_readme_example_exits_zero(argv):
+    result = _run_example(argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+@pytest.mark.parametrize("k", ["0", "nan", "1e-310", "1e200"])
+def test_residual_scan_rejects_a_bad_k(k):
+    """A zero k, a NaN k, a subnormal k, whose H amplitudes overflow, and a
+    k whose omega overflows each end in one error line, with no traceback
+    and no warning."""
+    result = _run_example(
+        [sys.executable, "scripts/residual_scan.py", "--k", k])
+    assert result.returncode == 2
+    assert len([line for line in result.stderr.splitlines()
+                if "error:" in line]) == 1
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
 
 
 def test_kernel_benchmark_prints_its_medians():

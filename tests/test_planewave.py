@@ -213,7 +213,6 @@ def test_solutions_solve_the_field_system():
     coupled field system as traveling waves (and fail the minus form)."""
     p = np.array([0.0, 0.9, 0.0])
     layout = bridge.electron_layout()
-    t = dirac.triad("y", "negative")
     grids = dict(t_grid=np.linspace(0, 2, 3), u_grid=np.linspace(-1, 1, 3))
     for branch in ("positive", "negative"):
         state = planewave.make_states(branch, p)[0]
@@ -221,10 +220,10 @@ def test_solutions_solve_the_field_system():
         # are the amplitudes over the slot factors
         wave = bridge.SlotWave((state.amplitudes / layout.factors)[:, None],
                                -state.energy, -p[1], [layout])
-        rep = bridge.dirac_residual_em(wave, [t], ["plus"], **grids)
+        rep = bridge.dirac_residual_em(wave, ["plus"], **grids)
         assert rep.max_scalar[0] <= 1e-12
         assert rep.cross_deviation[0] <= 1e-12
-        wrong = bridge.dirac_residual_em(wave, [t], ["minus"], **grids)
+        wrong = bridge.dirac_residual_em(wave, ["minus"], **grids)
         assert wrong.max_scalar[0] > 0.1
 
 
