@@ -6,6 +6,7 @@ detuned frequencies, printing max residual per detuning.  The on-shell column
 should sit at rounding level; the residual grows linearly with the detuning.
 All twelve (triad, form) cases of one detuning are one stacked residual call.
 The residual kernels work in units of m c^2 and m c, so the wave has mass 1.
+A detuning whose residual column is not finite is an error.
 """
 import argparse
 
@@ -30,9 +31,14 @@ def main():
         wave = bridge.onshell_plane_wave(triads, forms, args.k, 1.0)
     except ValueError as err:
         parser.error(f"--k: {err}")
-    columns = [bridge.dirac_residual_em(
-        wave._replace(omega=d * wave.omega), forms, t_grid,
-        u_grid).max_scalar for d in args.detunings]
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [bridge.dirac_residual_em(
+            wave._replace(omega=d * wave.omega), forms, t_grid,
+            u_grid).max_scalar for d in args.detunings]
+    for d, col in zip(args.detunings, columns):
+        if not np.isfinite(col).all():
+            parser.error(f"--detunings: the residual at detuning {d!r} is "
+                         f"not finite")
     header = "triad        form   " + "".join(f"  x{d:<10g}" for d in args.detunings)
     print(header)
     for i, (t, form) in enumerate(cases):

@@ -1,12 +1,15 @@
 """Stress tensor, ring forces, Lagrangian evaluators, and rotation checks.
 
-The linear Lagrangian is evaluated through three independent routes (spinor
-algebra, field invariants, current form) that must agree pointwise and vanish
-on shell.  The quartic self-interaction term is evaluated both from the
-energy-momentum pair and through its quartic-invariant rewriting, and both
-again through the bilinears; all four meet for real fields.  Everything uses
-the sesquilinear convention: quadratic forms pair a component with the
-conjugate of the other factor, reducing to ordinary products for real fields.
+The ring force has one closed form, ``lorentz_force_ring``; its other route
+is the cross product (1/c) j x H (or j x E) of the ring current, in
+``magnetic_confinement_density``.  The linear Lagrangian is evaluated
+through three independent routes (spinor algebra, field invariants, current
+form) that must agree pointwise and vanish on shell.  The quartic
+self-interaction term is evaluated both from the energy-momentum pair and
+through its quartic-invariant rewriting, and both again through the
+bilinears; all four meet for real fields.  Everything uses the sesquilinear
+convention: quadratic forms pair a component with the conjugate of the
+other factor, reducing to ordinary products for real fields.
 
 ``stress_tensor``, the Lagrangian evaluators and the helpers they share also
 take a stack of points: a ``bridge.WavePoint`` whose fields hold n samples,
@@ -27,7 +30,7 @@ from .bridge import (AXIS_INDEX, EmField, WavePoint, bispinor_from_fields,
                      fierz_quantum, h_squared)
 from .dirac import canonical_alpha_set
 from .linalg import cross, inner, mat_vec
-from .torus import DomainError, TorusModel, ring_current
+from .torus import DomainError, TorusModel
 
 LAYOUT = electron_layout()  # the slot map of every Lagrangian route
 ASET = canonical_alpha_set()  # the matrix set of every Lagrangian route
@@ -80,18 +83,8 @@ def lorentz_force_ring(model: TorusModel, e_amplitude, polarization,
     return RingForce(f2=f2, f0=f0)
 
 
-def lorentz_force_via_current(model: TorusModel, e_amplitude, polarization,
-                              h_amplitude=None) -> RingForce:
-    """Same components computed as (1/c) j_tau H and (1/c) j_tau E."""
-    h = e_amplitude if h_amplitude is None else h_amplitude
-    sign = {"Ex_Hz": +1.0, "Ez_Hx": -1.0}[polarization]
-    j_tau = ring_current(model, e_amplitude)
-    c = model.units.c
-    return RingForce(f2=sign * j_tau * h / c, f0=sign * j_tau * e_amplitude / c)
-
-
 def magnetic_confinement_density(j_tau, h, c=1.0):
-    """Magnetic force density (1/c) j_tau x H."""
+    """Magnetic force density (1/c) j_tau x H, per vector of a stack."""
     return cross(np.asarray(j_tau, dtype=float),
                  np.asarray(h, dtype=float)) / c
 

@@ -2,7 +2,8 @@
 
 Every verification produces a :class:`CheckReport` comparing a claimed value
 against an independently computed one; its verdict is PASS when the error is
-within either tolerance and FAIL otherwise.  Known internal inconsistencies of
+within either tolerance and FAIL otherwise, and a claimed 0, which has no
+scale, passes within ``tol_abs`` only.  Known internal inconsistencies of
 the model's closed forms are never patched silently; they are emitted as
 :class:`Discrepancy` records in the ledger, which does not fail a run.
 Every JSON document goes through :func:`document_json`, whose text is that
@@ -80,7 +81,8 @@ class CheckReport(NamedTuple):
         c0 = complex(claimed)
         abs_err = abs(complex(computed) - c0)
         rel_err = abs_err / abs(c0) if abs(c0) > 0 else abs_err
-        verdict = PASS if abs_err <= tol_abs or rel_err <= tol_rel else FAIL
+        verdict = PASS if abs_err <= tol_abs or (
+            abs(c0) > 0 and rel_err <= tol_rel) else FAIL
         return cls(id=id, ref=ref, claimed=claimed, computed=computed,
                    abs_err=abs_err, rel_err=rel_err, tol_abs=tol_abs,
                    tol_rel=tol_rel, verdict=verdict, notes=notes)

@@ -1168,11 +1168,10 @@ def test_field_interpretation_stack_matches_single_states():
 def test_ring_forces_stack_matches_single_amplitudes():
     e_amp, h_amp = np.array([(1.0, 1.0), (0.5, 2.0), (2.2, 0.0)]).T
     for pol in ("Ex_Hz", "Ez_Hx"):
-        for route in (dynamics.lorentz_force_ring,
-                      dynamics.lorentz_force_via_current):
-            got = route(MODEL, e_amp, pol, h_amp)
-            for i in range(3):
-                one = route(MODEL, float(e_amp[i]), pol, float(h_amp[i]))
-                assert (got.f2[i], got.f0[i]) == (one.f2, one.f0)
+        got = dynamics.lorentz_force_ring(MODEL, e_amp, pol, h_amp)
+        for i in range(3):
+            one = dynamics.lorentz_force_ring(MODEL, float(e_amp[i]), pol,
+                                              float(h_amp[i]))
+            assert (got.f2[i], got.f0[i]) == (one.f2, one.f0)
     with pytest.raises(ValueError):
         dynamics.lorentz_force_ring(MODEL, -e_amp, "Ex_Hz")

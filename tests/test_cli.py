@@ -344,6 +344,9 @@ def test_report_json_encodes_non_finite_values():
     for value in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
         assert CheckReport.build("x", "r", 0.0, value, tol_abs=1e300,
                                  tol_rel=1e300).verdict == "fail"
+    # a claimed 0 has no scale, so tol_rel cannot pass it
+    assert CheckReport.build("x", "r", 0.0, 5e-13,
+                             tol_abs=1e-15).verdict == "fail"
 
 
 @pytest.mark.parametrize("option,value", [

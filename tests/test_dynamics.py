@@ -49,13 +49,23 @@ def test_ring_force_values():
         dynamics.lorentz_force_ring(MODEL, -1.0, "Ex_Hz")
 
 
-def test_ring_force_matches_current_route():
-    for pol in ("Ex_Hz", "Ez_Hx"):
-        for e_amp, h_amp in ((1.0, 1.0), (0.3, 2.0)):
-            a = dynamics.lorentz_force_ring(MODEL, e_amp, pol, h_amp)
-            b = dynamics.lorentz_force_via_current(MODEL, e_amp, pol, h_amp)
-            assert a.f2 == pytest.approx(b.f2, rel=1e-13, abs=1e-15)
-            assert a.f0 == pytest.approx(b.f0, rel=1e-13, abs=1e-15)
+def test_ring_force_current_route_sees_the_h_factor(monkeypatch, capsys):
+    """``* h`` planted as ``/ h`` in lorentz_force_ring FAILs the route
+    through (1/c) j x H, and no other check."""
+    def planted(model, e_amplitude, polarization, h_amplitude=None):
+        h = e_amplitude if h_amplitude is None else h_amplitude
+        sign = {"Ex_Hz": +1.0, "Ez_Hx": -1.0}[polarization]
+        omega, c = model.omega_s, model.units.c
+        with np.errstate(divide="ignore"):
+            f2 = sign * omega * e_amplitude / h / (4 * math.pi * c)
+        f0 = sign * omega * e_amplitude ** 2 / (4 * math.pi * c)
+        return dynamics.RingForce(f2=f2, f0=f0)
+
+    monkeypatch.setattr(dynamics, "lorentz_force_ring", planted)
+    assert main(["verify", "--suite", "dynamics"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if c["verdict"] == "fail"] == [
+        "dynamics/ring-force-current-route"]
 
 
 def test_magnetic_confinement():

@@ -57,13 +57,17 @@ def test_readme_example_exits_zero(argv):
     assert result.stdout
 
 
-@pytest.mark.parametrize("k", ["0", "nan", "1e-310", "1e200"])
-def test_residual_scan_rejects_a_bad_k(k):
-    """A zero k, a NaN k, a subnormal k, whose H amplitudes overflow, and a
-    k whose omega overflows each end in one error line, with no traceback
-    and no warning."""
+@pytest.mark.parametrize("args", [
+    ["--k", "0"], ["--k", "nan"], ["--k", "1e-310"], ["--k", "1e200"],
+    ["--detunings", "inf"], ["--detunings", "nan"],
+    ["--detunings", "1", "1e308"]],
+    ids=lambda args: args[1] if args[0] == "--k" else " ".join(args))
+def test_residual_scan_rejects_a_bad_k(args):
+    """A zero k, a NaN k, a subnormal k, whose H amplitudes overflow, a k
+    whose omega overflows, and a detuning whose residual is not finite each
+    end in one error line, with no traceback and no warning."""
     result = _run_example(
-        [sys.executable, "scripts/residual_scan.py", "--k", k])
+        [sys.executable, "scripts/residual_scan.py", *args])
     assert result.returncode == 2
     assert len([line for line in result.stderr.splitlines()
                 if "error:" in line]) == 1

@@ -50,10 +50,7 @@ def test_vectors_stack_up_to_two_axes():
 
 
 # Each ``@`` allowed in the package, by module and function, with its reason.
-MATMUL_ALLOWED = {
-    "planewave.continuity_check":
-        "r @ kvec: real sample positions times the real wave vector",
-}
+MATMUL_ALLOWED = {}
 
 
 def _matmul_sites(tree, module):

@@ -130,7 +130,9 @@ def test_planewave_suite_checks_each_momentum_once(monkeypatch):
     monkeypatch.setattr(planewave, "make_states",
                         lambda *a: made.append(a) or make(*a))
     suite_planewave(RunConfig(samples=10))
-    assert len(made) == 4
+    # the sampled stack, the nullspace momentum and the two continuity
+    # momenta, once per branch
+    assert len(made) == 8
     assert len(checked) == len(made)
 
 
@@ -258,8 +260,22 @@ def test_special_values_amplitude_ratio():
 
 
 def test_continuity_and_normalization():
-    p = np.array([0.0, 0.7, 0.0])
-    state = planewave.make_states("positive", p)[0]
-    assert planewave.continuity_check(state, CANON) <= 1e-12
-    zero = planewave.PlaneWaveState(state.energy, p, np.zeros(4))
-    assert planewave.continuity_check(zero, CANON) == 0.0
+    """An on-shell pair conserves probability; a 1e-6 plant in either
+    energy, or in any non-zero amplitude component, breaks it."""
+    for branch in ("positive", "negative"):
+        first = planewave.make_states(branch, (0.3, 1.2, -0.4))[0]
+        second = planewave.make_states(branch, (-1.1, 0.5, 0.8))[1]
+        pair = planewave.PlaneWaveState(*map(np.stack, zip(first, second)))
+        assert planewave.continuity_check(pair, CANON) <= 1e-12
+        for k in range(2):
+            energy = pair.energy.copy()
+            energy[k] *= 1 + 1e-6
+            assert planewave.continuity_check(
+                pair._replace(energy=energy), CANON) > 1e-12
+            for i in np.flatnonzero(pair.amplitudes[k]):
+                amps = pair.amplitudes.copy()
+                amps[k, i] *= 1 + 1e-6
+                assert planewave.continuity_check(
+                    pair._replace(amplitudes=amps), CANON) > 1e-12
+        zero = pair._replace(amplitudes=np.zeros((2, 4)))
+        assert planewave.continuity_check(zero, CANON) == 0.0
