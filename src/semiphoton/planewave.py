@@ -215,9 +215,9 @@ def continuity_check(states: PlaneWaveState, aset):
     density psi^+ a0 psi and the flux -psi^+ a psi; the derivatives come in
     closed form from each phase.  A state's own terms are constants, so only
     the cross terms, which vary in space-time, reach dP/dt + div flux; they
-    cancel only when every state solves the system.  Returns its largest
-    value at the sample points over (product of the states' largest
-    amplitudes) * sum |eps|.
+    cancel only when every state solves the system.  Returns the largest
+    |dP/dt + div flux| at the sample points over (product of the states'
+    largest amplitudes) * sum |eps|.
     """
     eps, p, amps = states
     n = np.arange(CONTINUITY_SAMPLES)
