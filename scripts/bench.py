@@ -6,33 +6,33 @@ Usage (from the repository root):
 
 Prints one JSON object.  ``meta`` holds the python and numpy versions, the
 CPU count, the repeat count, the git commit of the checkout (null outside
-git), ``dirty: true`` when tracked files differ from that commit, and
-``PYTHONDONTWRITEBYTECODE`` (null when unset); ``kernel_ms`` and
-``suite_ms`` hold, in milliseconds, the time of one call of each kernel
-and of each verification suite (samples 1000, seed 0), run in this process
-after one untimed call: the median over N batches of the mean call time of
-each batch.  A batch repeats the call until it lasts at least 10 ms, so a
-call of tens of microseconds is timed over hundreds of calls.  ``e2e_ms`` holds the median wall time of N
-runs of each of five fresh interpreters, alternated and importing
-``semiphoton`` from this checkout:
+git), ``dirty: true`` when tracked files differ from that commit,
+``PYTHONDONTWRITEBYTECODE`` (null when unset) and ``probe_ms``, the times
+of three runs of ``speed_probe`` of ``perfbench/child.py`` before the timed
+runs and three after.  ``kernel_ms`` and ``suite_ms`` hold the time of one
+call of each kernel and of each verification suite (samples 1000, seed 0),
+run in this process after one untimed call: the median over N batches of
+the mean call time of each batch.  A batch repeats the call until it lasts
+at least 10 ms, so a call of tens of microseconds is timed over hundreds of
+calls.  ``e2e_ms`` holds the median wall time of N runs of each of five
+fresh interpreters, alternated and importing ``semiphoton`` from this
+checkout:
 ``python -m semiphoton verify --suite all --samples 1000 --seed 7``
 (``verify_all``), ``python -m semiphoton torus --zeta 0.3`` (``torus``, the
 start-up of a command that needs no checker module),
 ``python -c "import semiphoton"`` (``import_semiphoton``),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
-(``interpreter``).  ``e2e_ratio`` holds each ``e2e_ms`` median divided by
-the same run's ``interpreter`` median: the start-up of a bare interpreter
-is the run's scale for host speed, so two runs' ratios compare where their
-raw times drift with the host.  ``--profile`` then writes the top 25
-cProfile entries of one run of every suite, by cumulative time, to stderr.
-Nothing is gated: the numbers compare two trees on one machine.
-``kernel_ms`` and ``suite_ms`` are not scaled for host speed, which drifts
-between back-to-back runs by more than many kernel differences, so they
-compare two trees only when the runs of the two are alternated (parent,
-change, change, parent) and each tree is read over all its runs.
+(``interpreter``).  Every time in ``kernel_ms``, ``suite_ms`` and
+``e2e_ms`` is divided by the median of ``probe_ms``: the host's speed
+drifts by up to 2x over minutes, alike for the probe and for the program,
+so two runs' scaled times compare without alternating them.
+``--profile`` then writes the top 25 cProfile entries of one run of every
+suite, by cumulative time, to stderr.  Nothing is gated: the numbers
+compare two trees on one machine.
 """
 import argparse
 import cProfile
+import importlib.util
 import json
 import math
 import os
@@ -55,6 +55,17 @@ from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
 
 BATCH_S = 0.01  # shortest timed batch of calls, seconds
+PROBES = 3  # speed probes before the timed runs, and again after them
+
+
+def load_speed_probe():
+    """``speed_probe`` of the benchmark's child module, which is read, not
+    changed: seconds taken by a fixed piece of integer Python."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.speed_probe
 
 
 def batch_s(fn, calls):
@@ -76,7 +87,7 @@ def median_ms(fn, repeat):
     while batch_s(fn, calls) < BATCH_S:
         calls *= 2
     means = [batch_s(fn, calls) / calls for _ in range(repeat)]
-    return round(statistics.median(means) * 1e3, 4)
+    return statistics.median(means) * 1e3
 
 
 # The end-to-end commands: python's arguments of each fresh interpreter.
@@ -101,8 +112,7 @@ def e2e_ms(repeat):
             subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                            stdout=subprocess.DEVNULL, check=True)
             times[name].append(time.perf_counter() - start)
-    return {name: round(statistics.median(t) * 1e3, 4)
-            for name, t in times.items()}
+    return {name: statistics.median(t) * 1e3 for name, t in times.items()}
 
 
 # One ring_sweep-like request: the parser builds only its command's options.
@@ -204,21 +214,28 @@ def main(argv=None):
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     cfg = RunConfig(samples=1000, seed=0).validate()
-    result = {
-        "meta": {"python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(),
-                 "repeat": args.repeat, **git_meta(),
-                 "PYTHONDONTWRITEBYTECODE":
-                     os.environ.get("PYTHONDONTWRITEBYTECODE")},
+    probe = load_speed_probe()
+    before = [probe() for _ in range(PROBES)]
+    times = {
         "kernel_ms": {name: median_ms(fn, args.repeat)
                       for name, fn in kernels(cfg).items()},
         "suite_ms": {name: median_ms(lambda fn=fn: fn(cfg), args.repeat)
                      for name, fn in SUITE_FUNCS.items()},
         "e2e_ms": e2e_ms(args.repeat),
     }
-    e2e = result["e2e_ms"]
-    result["e2e_ratio"] = {name: round(ms / e2e["interpreter"], 4)
-                           for name, ms in e2e.items()}
+    probe_ms = [round(t * 1e3, 4)
+                for t in before + [probe() for _ in range(PROBES)]]
+    scale = statistics.median(probe_ms)
+    result = {
+        "meta": {"python": platform.python_version(),
+                 "numpy": np.__version__, "cpus": os.cpu_count(),
+                 "repeat": args.repeat, **git_meta(),
+                 "PYTHONDONTWRITEBYTECODE":
+                     os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                 "probe_ms": probe_ms},
+        **{key: {name: float(f"{ms / scale:.4g}") for name, ms in group.items()}
+           for key, group in times.items()},
+    }
     print(json.dumps(result, indent=2))
     if args.profile:
         profiler = cProfile.Profile()

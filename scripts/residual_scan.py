@@ -9,18 +9,24 @@ The residual kernels work in units of m c^2 and m c, so the wave has mass 1.
 A detuning whose residual column is not finite is an error.
 """
 import argparse
+import sys
 
 import numpy as np
 
 from semiphoton import bridge, dirac
+from semiphoton.cli import pad_negative_floats
+
+OPTIONS = {
+    "--k": dict(type=float, default=0.8),
+    "--detunings": dict(type=float, nargs="*", default=[1.0, 1.01, 1.1, 1.5]),
+}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k", type=float, default=0.8)
-    parser.add_argument("--detunings", type=float, nargs="*",
-                        default=[1.0, 1.01, 1.1, 1.5])
-    args = parser.parse_args()
+    for flag, kwargs in OPTIONS.items():
+        parser.add_argument(flag, **kwargs)
+    args = parser.parse_args(pad_negative_floats(sys.argv[1:], OPTIONS))
 
     t_grid = np.linspace(0.0, 2.0, 4)
     u_grid = np.linspace(-1.0, 1.0, 5)

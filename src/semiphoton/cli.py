@@ -246,27 +246,33 @@ def build_parser(argv=None):
     return parser
 
 
-def _join_float_values(argv):
-    """argv with each float option joined as --flag=value to a next token
-    that starts with "-" and that float() reads: argparse alone takes
-    -1e-3 or -inf for an option, not for the value."""
-    out = []
+def pad_negative_floats(argv, options=OPTIONS):
+    """argv with a space before each value of a float option of options that
+    starts with "-" and that float() reads: argparse takes -1e-3 or -inf for
+    an option, a token that starts with a space for a value, and float()
+    ignores the space.  An option with nargs takes every value up to the
+    next token that starts with "-" and is not a number."""
+    out, left = [], 0  # values the last float option may still take
     for token in argv:
-        if (out and OPTIONS.get(out[-1], {}).get("type") is float
-                and token.startswith("-")):
+        if left and token.startswith("-"):
             try:
                 float(token)
             except ValueError:
-                pass
+                left = 0
             else:
-                out[-1] += "=" + token
-                continue
+                token = " " + token
+        if left:
+            left -= 1
+        else:
+            option = options.get(token, {})
+            left = option.get("type") is float and (
+                math.inf if "nargs" in option else 1)
         out.append(token)
     return out
 
 
 def main(argv=None):
-    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
+    argv = pad_negative_floats(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

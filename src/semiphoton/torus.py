@@ -54,14 +54,11 @@ class QuadratureNotConverged(RuntimeError):
 
 
 def _require(ok, error):
-    """Raise error(row), with its row attribute set, at the first row where
-    ok, a bool for a single zeta or a boolean array for a stack, is False."""
+    """Raise error(row) at the first row where ok, a bool for a single zeta
+    or a boolean array for a stack, is False."""
     if ok is True or ok is not False and ok.all():
         return
-    row = int(np.flatnonzero(~np.asarray(ok))[0])
-    exc = error(row)
-    exc.row = row
-    raise exc
+    raise error(int(np.flatnonzero(~np.asarray(ok))[0]))
 
 
 def _check_zeta(zeta):
@@ -370,22 +367,18 @@ def evaluate(units: UnitSystem, zeta, n_points) -> TorusEvaluation:
 
     zeta is one ratio or a 1-D stack; a stack gives one record whose
     zeta-dependent fields are arrays over it, and a single zeta one of plain
-    floats.  A failing stack raises what its first failing zeta raises alone.
+    floats.  A failing stack runs its zetas alone until one raises, so it
+    raises what its first failing zeta raises alone.
     """
     zetas = np.asarray(zeta, dtype=float) if np.ndim(zeta) else zeta
-    error = None
-    while True:
-        try:
-            model = calibrate_e0(derive_parameters(units, zetas), n_points)
-            chain = consistency_chain(model)
-            break
-        except ValueError as exc:
-            if not getattr(exc, "row", 0):
-                raise
-            # an earlier row may fail at a later stage: retry the rows before
-            error, zetas = exc, zetas[:exc.row]
-    if error is not None:
-        raise error
+    try:
+        model = calibrate_e0(derive_parameters(units, zetas), n_points)
+        chain = consistency_chain(model)
+    except ValueError:
+        if np.ndim(zetas):
+            for z in zetas:
+                evaluate(units, float(z), n_points)
+        raise
     return TorusEvaluation(model=model,
                            spin=spin_and_moment(model, chain.q),
                            zitter=zitterbewegung(units), chain=chain)

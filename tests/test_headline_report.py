@@ -10,6 +10,9 @@ A change that moves the report refreshes the fixture and records the diff.
 ``fixtures/documents/`` holds the ``torus``, ``dynamics``, ``planewave`` and
 ``sweep-zeta`` documents of ``DOCUMENTS``, under the same rule: keys and
 strings exactly, numbers (CSV cells read as floats) within 1e-12.
+
+Each check that only its own lines could fail in a mutation scan is kept
+for a defect that FAILs it: ``PLANTS`` pins every id that each defect FAILs.
 """
 import json
 import os
@@ -21,6 +24,7 @@ import sys
 import numpy as np
 import pytest
 
+from semiphoton import bridge, dirac, planewave
 from semiphoton.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -117,6 +121,58 @@ def test_document_matches_fixture(name, capsys):
     old = _read(name, (FIXTURES / "documents" / name).read_text())
     problems = _differences(old, new)
     assert not problems, "\n".join(problems)
+
+
+def _zero_scalar_residuals(monkeypatch):
+    """The residual route stuck at 0: every expansion case still passes."""
+    monkeypatch.setattr(bridge, "scalar_residuals", lambda w, layouts, forms:
+                        np.zeros((len(layouts), w.shape[2], 4)))
+
+
+def _swap_positive_x_slots(monkeypatch):
+    t = dirac.triad("x", "positive")
+    monkeypatch.setitem(dirac._TRIAD_BY_KEY, ("x", "positive"),
+                        t._replace(e_axes=t.e_axes[::-1]))
+
+
+def _scale_mixing_matrix(monkeypatch):
+    """Off unitary by 2e-13, inside the 1e-12 guard of canonical_transform."""
+    monkeypatch.setattr(dirac, "_S", dirac.s_matrix() * (1 + 1e-13))
+
+
+def _fill_a_structural_zero(monkeypatch):
+    basis = planewave.solution_basis
+
+    def planted(branch, p, phase=0.0, energy=None):
+        first, second = basis(branch, p, phase, energy)
+        if branch == "positive":
+            first[..., 3] = 1e-3
+        return first, second
+
+    monkeypatch.setattr(planewave, "solution_basis", planted)
+
+
+PLANTS = [
+    (_zero_scalar_residuals, ["planewave/expansion-detuned"]),
+    (_swap_positive_x_slots, ["algebra/triad-layouts"]),
+    (_scale_mixing_matrix, ["algebra/mixing-unitarity",
+                            "algebra/transform-mode",
+                            "algebra/mixing-components"]),
+    (_fill_a_structural_zero, ["planewave/residual", "planewave/orthogonality",
+                               "planewave/nullspace", "planewave/sparsity",
+                               "planewave/special-values",
+                               "planewave/continuity"]),
+]
+
+
+@pytest.mark.parametrize("plant, failed", PLANTS,
+                         ids=[plant.__name__[1:] for plant, _ in PLANTS])
+def test_each_kept_check_fails_under_its_plant(plant, failed, monkeypatch,
+                                               capsys):
+    plant(monkeypatch)
+    assert main(ARGV) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if c["verdict"] == "fail"] == failed
 
 
 def test_close_tolerates_rounding_only():
