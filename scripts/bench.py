@@ -24,8 +24,9 @@ start-up of a command that needs no checker module),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
 (``interpreter``).  Every time in ``kernel_ms``, ``suite_ms`` and
 ``e2e_ms`` is divided by the median of ``probe_ms``: the host's speed
-drifts by up to 2x over minutes, alike for the probe and for the program,
-so two runs' scaled times compare without alternating them.
+drifts by up to 2x over minutes, and the probe drifts with it, so scaled
+times drift less than raw ones.  They drift still, so compare two trees by
+alternated runs (parent, change, change, parent).
 ``--profile`` then writes the top 25 cProfile entries of one run of every
 suite, by cumulative time, to stderr.  Nothing is gated: the numbers
 compare two trees on one machine.
