@@ -8,7 +8,9 @@ Usage (from the repository root):
 Runs every command of ``COMMANDS`` in this tree and in OTHER_ROOT, each
 with the current interpreter, from the tree's root and importing
 ``semiphoton`` from the tree's ``src``, and compares stdout, stderr and the
-exit code.  Prints each command whose outputs differ and exits 1 if any
+exit code.  ``COMMANDS`` holds every command whose document is pinned
+under ``tests/fixtures/documents``, whose tests compare numbers only to
+1e-12.  Prints each command whose outputs differ and exits 1 if any
 does, 0 if all are identical, and 2 if OTHER_ROOT is not a checkout.  Only
 the standard library is used, so the other tree may be any checkout of this
 repository, such as a parent commit.
@@ -34,11 +36,15 @@ COMMANDS = [
     ["-m", "semiphoton", "dynamics", "--units", "gaussian_cgs"],
     ["-m", "semiphoton", "dynamics", "--zeta", "0.3", "--units",
      "gaussian_cgs"],
+    ["-m", "semiphoton", "dynamics", "--zeta", "1e-170"],
     ["-m", "semiphoton", "torus", "--zeta", "0.3"],
-    ["-m", "semiphoton", "sweep-zeta", "--min", "0.1", "--max", "0.9",
-     "--steps", "7"],
+    ["-m", "semiphoton", "torus", "--zeta", "0.3", "--units",
+     "gaussian_cgs"],
+    *(["-m", "semiphoton", "sweep-zeta", "--min", "0.1", "--max", "0.9",
+       "--steps", "7", *units] for units in ([], ["--units", "gaussian_cgs"])),
     ["-m", "semiphoton", "planewave", "--px", "0.3", "--py", "1.2", "--pz",
      "-0.4"],
+    ["-m", "semiphoton", "planewave", "--py", "1.3", "--branch", "negative"],
     ["-m", "semiphoton", "planewave", "--pz", "-1e-3"],
     ["-m", "semiphoton", "dump-matrices", "--set", "prime"],
     ["-m", "semiphoton", "torus", "--zeta", "0"],

@@ -16,6 +16,7 @@ for a defect that FAILs it: ``PLANTS`` pins every id that each defect FAILs.
 Each ledger entry is computed by its own route, so moving that route's input
 moves the entry.
 """
+import importlib.util
 import json
 import os
 import pathlib
@@ -124,6 +125,16 @@ def test_document_matches_fixture(name, capsys):
     old = _read(name, (FIXTURES / "documents" / name).read_text())
     problems = _differences(old, new)
     assert not problems, "\n".join(problems)
+
+
+def test_the_byte_comparison_runs_every_document():
+    """Every document's bytes are compared, not only its numbers to 1e-12."""
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    for argv in DOCUMENTS.values():
+        assert ["-m", "semiphoton", *argv] in compare.COMMANDS
 
 
 def _zero_scalar_residuals(monkeypatch):
