@@ -125,7 +125,7 @@ def expansion(triads, forms, t_grid, u_grid):
     """The waves and residuals of a stack of (triad, form) cases, as the
     planewave suite's expansion checks build them."""
     wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
-    return bridge.dirac_residual_em(wave, forms, t_grid, u_grid)
+    return bridge.dirac_residual_em(wave, t_grid, u_grid)
 
 
 def suite_grids():
@@ -136,10 +136,9 @@ def suite_grids():
     detuned = wave._replace(omega=1.1 * wave.omega)
     return {
         "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
-            detuned, ["plus"], np.linspace(0.1, 1.7, 3),
-            np.linspace(-0.9, 0.9, 3)),
+            detuned, np.linspace(0.1, 1.7, 3), np.linspace(-0.9, 0.9, 3)),
         "expansion_fd_1x3x3": lambda: bridge.dirac_residual_em(
-            wave, ["plus"], np.linspace(0.0, 1.0, 3),
+            wave, np.linspace(0.0, 1.0, 3),
             np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k),
     }
 
@@ -178,7 +177,7 @@ def kernels(cfg):
         "calibrate_e0": lambda: torus.calibrate_e0(model, 512),
         "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
-            wave, ["plus"], t_grid, u_grid),
+            wave, t_grid, u_grid),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),
         **suite_grids(),
         "report_json": lambda: report_json(cfg, checks, ledger),

@@ -40,8 +40,8 @@ def main(argv=None):
         parser.error(f"--k: {err}")
     with np.errstate(over="ignore", invalid="ignore"):
         columns = [bridge.dirac_residual_em(
-            wave._replace(omega=d * wave.omega), forms, t_grid,
-            u_grid).max_scalar for d in args.detunings]
+            wave._replace(omega=d * wave.omega), t_grid, u_grid).max_scalar
+            for d in args.detunings]
     for d, col in zip(args.detunings, columns):
         if not np.isfinite(col).all():
             parser.error(f"--detunings: the residual at detuning {d!r} is "

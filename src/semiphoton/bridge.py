@@ -26,9 +26,9 @@ evaluator, ``at``, gives the fields and both closed-form derivatives as a
 
 Also houses the first-order coupled field systems equivalent to the spinor
 wave equation and their residual evaluator, which cross-validates the scalar
-component equations against the matrix form for a stack of C cases (sign
-form and the wave's layout and amplitudes), each over the same (t, u)
-grid, at once.  The grid's fields and both derivatives are stacked once, as
+component equations against the matrix form for a stack of C cases (the
+wave's sign form, layout and amplitudes), each over the same (t, u) grid,
+at once.  The grid's fields and both derivatives are stacked once, as
 one (3, C, n, 6) [E, H] array that both routes read; a finite-difference
 grid reports its Richardson truncation estimate per case for the caller to
 judge, it never raises on it.  The systems work in units of m c^2 and m c
@@ -353,8 +353,8 @@ def scalar_residuals(w, layouts, sign_forms):
 def bispinor_residuals(w, layouts, sign_forms):
     """Matrix-form residual (a0 eps_op +- a.p_op +- a4) psi / i.
 
-    Case i acts with the working matrix of the triad of layouts[i] on the
-    spinors of its fields in that layout; w is the (3, C, n, 6)
+    Case i acts on the spinors of its fields in layouts[i], with a2 on the
+    derivative along the layout's axis; w is the (3, C, n, 6)
     :func:`grid_stack` of :func:`scalar_residuals`.  The layout is linear,
     so derivative spinors are the layout images of the derivative fields.
     Division by i puts the rows in the same form as the scalar component
@@ -362,12 +362,10 @@ def bispinor_residuals(w, layouts, sign_forms):
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])[:, None, None]
     aset = dirac.canonical_alpha_set()
-    working = np.array([getattr(aset, layout.triad.working)
-                        for layout in layouts])
     spinors = _case_spinors(w.swapaxes(0, 1), layouts)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
     eps_term = 1j * dpsi_dt
-    p_term = s * np.einsum("cij,c...j->c...i", working, -1j * dpsi_du)
+    p_term = s * mat_vec(aset.a2, -1j * dpsi_du)
     mass_term = s * mat_vec(aset.a4, psi)
     return (eps_term + p_term + mass_term) / 1j
 
@@ -402,10 +400,10 @@ class ResidualReport(NamedTuple):
     truncation: np.ndarray
 
 
-def dirac_residual_em(wave, sign_forms, t_grid, u_grid, fd_step=None):
+def dirac_residual_em(wave, t_grid, u_grid, fd_step=None):
     """Residuals of a stack of coupled first-order systems on one (t, u) grid.
 
-    Case i is the sign_forms[i] system of the triad of wave.layouts[i], in
+    Case i is the wave.forms[i] system of the triad of wave.layouts[i], in
     that layout, so a charge-conjugated case is a wave on
     ``layout_for_triad(t, True)``.  The derivatives are the wave's closed
     forms, or, when ``fd_step`` is given, fourth-order central differences
@@ -431,8 +429,8 @@ def dirac_residual_em(wave, sign_forms, t_grid, u_grid, fd_step=None):
         fd = _fd_derivatives(wave, tt, uu, (fd_step,))[0]
         w = np.concatenate(
             (_stacked(wave._place(wave._phase(tt, uu)))[None], fd))
-    scalar = scalar_residuals(w, layouts, sign_forms)
-    bisp = bispinor_residuals(w, layouts, sign_forms)
+    scalar = scalar_residuals(w, layouts, wave.forms)
+    bisp = bispinor_residuals(w, layouts, wave.forms)
     factors = np.array([layout.factors for layout in layouts])[:, None]
     return ResidualReport(
         cross_deviation=np.abs(scalar * factors - bisp).max(axis=(1, 2)),
@@ -454,14 +452,17 @@ class SlotWave(NamedTuple):
     """Plane waves of C cases sharing omega and k.
 
     Case i holds amps[:, i], one value per slot, times e^{i(omega t - k u)}
-    in the slots of layouts[i]; ``amps`` has shape (4, C).  A wave with its
-    frequency scaled by a factor is ``wave._replace(omega=factor *
-    wave.omega)``, off shell unless the factor is 1.
+    in the slots of layouts[i], and belongs to the forms[i] system; ``amps``
+    has shape (4, C).  A wave with its frequency scaled by a factor is
+    ``wave._replace(omega=factor * wave.omega)``, off shell unless the
+    factor is 1, and ``wave._replace(forms=[...])`` checks it against the
+    other form's system.
     """
     amps: np.ndarray
     omega: float
     k: float
     layouts: list
+    forms: list
 
     def at(self, t, u) -> WavePoint:
         """The fields and both derivatives at t, u of shape (n,), each the
@@ -505,4 +506,5 @@ def onshell_plane_wave(triads, sign_forms, k, mass, e2_amp=0.0, c=1.0,
     ones = np.ones(len(s))
     amps = require_finite(np.array([ones, e2_amp * ones, h1_amp, h2_amp]),
                           "amplitude")  # (4, C)
-    return SlotWave(amps, omega, k, [layout_for_triad(t) for t in triads])
+    return SlotWave(amps, omega, k, [layout_for_triad(t) for t in triads],
+                    list(sign_forms))

@@ -93,7 +93,7 @@ def cmd_torus(args):
 
 
 def cmd_planewave(args):
-    from . import bridge, planewave
+    from . import planewave
     for flag in ("--px", "--py", "--pz"):
         value = getattr(args, flag[2:])
         if not math.isfinite(value):
@@ -101,7 +101,6 @@ def cmd_planewave(args):
     p = np.array([args.px, args.py, args.pz])
     states = planewave.make_states(args.branch, p)
     body = []
-    layout = bridge.electron_layout()
     for i, state in enumerate(states):
         entry = {
             "solution": i + 1,
@@ -112,7 +111,7 @@ def cmd_planewave(args):
             "residual": planewave.residual(state),
         }
         try:
-            interp = planewave.field_interpretation(state, layout)
+            interp = planewave.field_interpretation(state)
             entry["fields"] = {
                 "e": [[float(z.real), float(z.imag)] for z in interp.field.e],
                 "h": [[float(z.real), float(z.imag)] for z in interp.field.h],
@@ -128,9 +127,10 @@ def cmd_planewave(args):
 
 def cmd_dynamics(args):
     from . import bridge, dirac, dynamics
-    alpha_q = torus.coupling_constant(args.zeta)
     units = torus.unit_system(args.units)
     model = torus.derive_parameters(units, args.zeta)
+    # before the quartic routes: a tiny zeta names the coupling's underflow
+    self_action = dynamics.self_action_constant(model)
     force = dynamics.lorentz_force_ring(model, 1.0, "Ex_Hz")
     force_x = dynamics.lorentz_force_ring(model, 1.0, "Ez_Hx")
     mass = units.m_e
@@ -160,7 +160,7 @@ def cmd_dynamics(args):
             "bilinear_route": nl.quartic_bilinear,
         },
         "photon_photon_comparison": comp,
-        "self_action_constant": dynamics.self_action_constant(model, alpha_q),
+        "self_action_constant": self_action,
     }
     _emit(document_json(_meta_config(args), doc), args.out)
     return 0

@@ -3,9 +3,8 @@
 Holds the canonical alpha set (a1..a3 off-diagonal, a4 the diagonal parity
 matrix, a5 their product), an alternate "primed" variant reproduced exactly as
 tabulated (including its defects, which callers verify rather than assume),
-the six axis triads that assign matrices and field slots to each propagation
-direction, the 16-element phase-class group, and unitary changes of
-representation.
+the six axis triads that assign field slots to each propagation direction,
+the 16-element phase-class group, and unitary changes of representation.
 
 The algebra kernels multiply stacks of matrices with ``einsum``, never a
 complex matrix-matrix ``@``.  The group closure forms each round's products
@@ -179,18 +178,15 @@ def generate_group(aset):
 
 
 class AxisTriad(NamedTuple):
-    """Matrix assignment and field slot order for one propagation direction.
+    """Field slot order for one propagation direction.
 
-    ``matrix_axes`` names which generator acts for each coordinate derivative.
     ``e_axes`` names the transverse pair whose E and then H components occupy
-    the four spinor slots (the h slots carry a factor i).  Exactly one
-    assigned matrix, the ``working`` one, produces a non-zero energy-flux
-    bilinear, with the carried ``sign`` on the triad's axis.
+    the four spinor slots (the h slots carry a factor i).  Of the vector
+    matrices only a2 produces a non-zero energy-flux bilinear, with the
+    carried ``sign`` on the triad's axis.
     """
     axis: str
     orientation: str
-    matrix_axes: tuple
-    working: str
     e_axes: tuple
     sign: int
 
@@ -199,21 +195,13 @@ class AxisTriad(NamedTuple):
         return f"{self.orientation}-{self.axis}"
 
 
-_MATRIX_AXES = {
-    "y": (("a1", "x"), ("a2", "y"), ("a3", "z")),
-    "x": (("a2", "x"), ("a3", "y"), ("a1", "z")),
-    "z": (("a3", "x"), ("a1", "y"), ("a2", "z")),
-}
-
 # Transverse slot order per direction; the positive orientation swaps the pair.
 _NEGATIVE_SLOTS = {"y": ("x", "z"), "x": ("z", "y"), "z": ("y", "x")}
 
 
 # One triad per axis and orientation, slots as tabulated.
 _TRIADS = tuple(
-    AxisTriad(axis=axis, orientation=orientation,
-              matrix_axes=_MATRIX_AXES[axis], working="a2", e_axes=pair,
-              sign=sign)
+    AxisTriad(axis=axis, orientation=orientation, e_axes=pair, sign=sign)
     for orientation, sign in (("negative", -1), ("positive", +1))
     for axis in ("y", "x", "z")
     for pair in [_NEGATIVE_SLOTS[axis][::-sign]])  # positive: swapped

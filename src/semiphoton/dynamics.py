@@ -30,7 +30,7 @@ from .bridge import (AXIS_INDEX, EmField, WavePoint, bispinor_from_fields,
                      cross_sym, e_squared, eh_dot, electron_layout,
                      fierz_quantum, h_squared)
 from .linalg import cross, inner, mat_vec
-from .torus import DomainError, TorusModel
+from .torus import DomainError, TorusModel, coupling_constant
 
 LAYOUT = electron_layout()  # the slot map of every Lagrangian route
 
@@ -82,10 +82,10 @@ def lorentz_force_ring(model: TorusModel, e_amplitude, polarization,
     return RingForce(f2=f2, f0=f0)
 
 
-def magnetic_confinement_density(j_tau, h, c=1.0):
-    """Magnetic force density (1/c) j_tau x H, per vector of a stack."""
-    return cross(np.asarray(j_tau, dtype=float),
-                 np.asarray(h, dtype=float)) / c
+def magnetic_confinement_density(j_tau, h):
+    """Magnetic force density (1/c) j_tau x H with c = 1, per vector of a
+    stack."""
+    return cross(np.asarray(j_tau, dtype=float), np.asarray(h, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +143,16 @@ def lagrangian_linear(point: WavePoint, mass, c=1.0,
     return LinearLagrangian(spinor=spinor, em=em, current=current)
 
 
-def maxwell_invariant_forms(point: WavePoint, omega_e, c=1.0):
-    """Both sides of the invariant-replacement identity.
+def maxwell_invariant_forms(point: WavePoint):
+    """Both sides of the invariant-replacement identity, with c = 1.
 
-    lhs = (E^2 - H^2) / 8 pi, rhs = (i / omega_e)(dU/dt + div S).  Equality is
-    specific to the rolling-wave solutions; degenerate inputs (static fields)
-    separate the two sides.
+    lhs = (E^2 - H^2) / 8 pi, rhs = (i / omega_e)(dU/dt + div S) with
+    omega_e = 2 m c^2 / hbar = 2.  Equality is specific to the rolling-wave
+    solutions; degenerate inputs (static fields) separate the two sides.
     """
-    du_term, div_term = _du_dt_terms(point, c)
+    du_term, div_term = _du_dt_terms(point, 1.0)
     lhs = (e_squared(point.f) - h_squared(point.f)) / (8 * math.pi)
-    rhs = (1j / omega_e) * (du_term + div_term)
+    rhs = (1j / 2) * (du_term + div_term)
     return lhs, rhs
 
 
@@ -223,8 +223,10 @@ def photon_photon_comparison(model: TorusModel):
     }
 
 
-def self_action_constant(model: TorusModel, alpha_q):
-    """Coefficient (zeta^2 / 2 alpha_q c) r_s^3 of the cubic self-action term."""
+def self_action_constant(model: TorusModel):
+    """Coefficient (zeta^2 / 2 alpha_q c) r_s^3 of the cubic self-action term,
+    alpha_q the coupling of the model's zeta."""
+    alpha_q = coupling_constant(model.zeta)
     return (model.zeta ** 2 / (2 * alpha_q * model.units.c)) * model.r_s ** 3
 
 

@@ -3,7 +3,7 @@
 Builds the homogeneous 4x4 amplitude system, its dispersion roots, the two
 closed-form solution pairs per energy branch, a pivoted-elimination nullspace
 extractor as the independent route, the interpretation of amplitudes as
-field components through a layout, and the continuity equation of a
+field components through the electron layout, and the continuity equation of a
 superposition of states.  Energies are in units of m c^2 and momenta in
 units of m c, with hbar = 1.
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dirac
-from .bridge import AXIS_INDEX, FieldLayout, fields_from_bispinor
+from .bridge import AXIS_INDEX, electron_layout, fields_from_bispinor
 from .linalg import as_vec3, entry_norm
 from .report import Discrepancy
 
@@ -73,23 +73,20 @@ def dispersion(p):
     return e, -e
 
 
-def solution_basis(branch, p, phase=0.0, energy=None):
+def solution_basis(branch, p, energy, phase=0.0):
     """The two closed-form amplitude solutions for the branch at momentum p.
 
-    ``energy`` overrides the on-shell value (used to reproduce stated special
-    values at an off-shell substitution); by default the branch's dispersion
-    root is used.
+    They solve the system at the branch's dispersion root; any other energy
+    reproduces stated special values at an off-shell substitution.
     """
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     one, zero = np.ones_like(px), np.zeros_like(px)
     if branch == "positive":
-        eps = dispersion(p)[0] if energy is None else energy
-        d = eps + 1.0
+        d = energy + 1.0
         first = [-pz / d, (-px - 1j * py) / d, one, zero]
         second = [(-px + 1j * py) / d, pz / d, zero, one]
     elif branch == "negative":
-        eps = dispersion(p)[1] if energy is None else energy
-        d = -eps + 1.0
+        d = -energy + 1.0
         first = [one, zero, pz / d, (px + 1j * py) / d]
         second = [zero, one, (px - 1j * py) / d, -pz / d]
     else:
@@ -107,7 +104,7 @@ def make_states(branch, momentum):
         raise ValueError(f"on-shell energy is not finite for momentum "
                          f"{np.asarray(momentum).tolist()} and mass 1.0")
     eps = e_plus if branch == "positive" else e_minus
-    s1, s2 = solution_basis(branch, p, energy=eps)
+    s1, s2 = solution_basis(branch, p, eps)
     return PlaneWaveState(eps, p, s1), PlaneWaveState(eps, p, s2)
 
 
@@ -169,11 +166,13 @@ class FieldInterpretation(NamedTuple):
     h_amplitude: float
 
 
-def field_interpretation(state: PlaneWaveState, layout: FieldLayout):
-    """Map amplitudes to field components and report the sparsity pattern.
+def field_interpretation(state: PlaneWaveState):
+    """Map amplitudes to field components of the electron layout and report
+    the sparsity pattern.
 
     A stack of n states gives n sparsity tuples and (n,) amplitudes.
     """
+    layout = electron_layout()
     axis = AXIS_INDEX[layout.triad.axis]
     p = np.abs(state.momentum)
     off_axis = np.delete(p, axis, axis=-1).max(axis=-1)
@@ -202,8 +201,7 @@ def special_amplitude_values():
     inconsistency recorded as a ledger entry.
     """
     p = np.array([0.0, 1.0, 0.0])
-    literal = {branch: solution_basis(branch, p, phase=math.pi / 2,
-                                      energy=energy)
+    literal = {branch: solution_basis(branch, p, energy, phase=math.pi / 2)
                for branch, energy in (("positive", 1.0), ("negative", -1.0))}
     e_plus, _ = dispersion(p)
     entry = Discrepancy(

@@ -168,15 +168,13 @@ def suite_bilinear(cfg: RunConfig):
         b = bridge.bilinears(bridge.bispinor_from_fields(f, layout), canon)
         e2, h2 = bridge.e_squared(f), bridge.h_squared(f)
         exh = cross(f.e.real, f.h.real)
-        # columns a0..a5; of the vector matrices only the working one is
-        # non-zero, twice the flux component on its assigned axis
+        # columns a0..a5; of the vector matrices only a2 is non-zero, twice
+        # the flux component on the triad's axis
         target = np.zeros(b.shape)
         target[:, 0] = e2 + h2
         target[:, 4] = e2 - h2
         target[:, 5] = 2 * bridge.eh_dot(f)
-        assigned_axis = dict(t.matrix_axes)[t.working]
-        target[:, int(t.working[1])] = \
-            t.sign * 2 * exh[:, bridge.AXIS_INDEX[assigned_axis]]
+        target[:, 2] = t.sign * 2 * exh[:, bridge.AXIS_INDEX[t.axis]]
         scale = np.maximum(e2 + h2, 1e-30)
         err = np.abs(b - target) / scale[:, None]
         checks.append(CheckReport.build(
@@ -406,9 +404,8 @@ def suite_planewave(cfg: RunConfig):
         0.0, errors, tol_abs=cfg.tol_rel))
 
     odd, even = (False, True, True, False), (True, False, False, True)
-    layout = bridge.electron_layout()
     stack = planewave.PlaneWaveState(*map(np.stack, zip(s1, s2, n1, n2)))
-    sparsity = planewave.field_interpretation(stack, layout).sparsity
+    sparsity = planewave.field_interpretation(stack).sparsity
     names = ("positive-1", "positive-2", "negative-1", "negative-2")
     checks.append(CheckReport.build(
         "planewave/sparsity", "amplitude sparsity patterns", 0,
@@ -435,7 +432,7 @@ def suite_planewave(cfg: RunConfig):
     lit_state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.array([0.0, 1.0, 0.0]),
         amplitudes=special["literal"]["positive"][0])
-    interp = planewave.field_interpretation(lit_state, layout)
+    interp = planewave.field_interpretation(lit_state)
     ledger.append(Discrepancy(
         claim="planewave/amplitude-ratio",
         stated=0.5, computed=interp.h_amplitude / interp.e_amplitude,
@@ -463,8 +460,7 @@ def suite_planewave(cfg: RunConfig):
     triads, forms = zip(*cases)
     wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e2_amp=0.7)
     rep = bridge.dirac_residual_em(
-        wave, forms, t_grid=np.linspace(0, 2.0, 4),
-        u_grid=np.linspace(-1.0, 1.0, 5))
+        wave, t_grid=np.linspace(0, 2.0, 4), u_grid=np.linspace(-1.0, 1.0, 5))
     scale = max(wave.omega, 1.0)
     worst = np.maximum(rep.cross_deviation, rep.max_scalar)  # NaN propagates
     for i, (t, form) in enumerate(cases):
@@ -477,8 +473,7 @@ def suite_planewave(cfg: RunConfig):
     y_neg = [dirac.triad("y", "negative")]
     wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
     detuned_max = bridge.dirac_residual_em(
-        wave._replace(omega=1.1 * wave.omega), ["plus"],
-        t_grid=np.linspace(0.1, 1.7, 3),
+        wave._replace(omega=1.1 * wave.omega), t_grid=np.linspace(0.1, 1.7, 3),
         u_grid=np.linspace(-0.9, 0.9, 3)).max_scalar[0]
     checks.append(CheckReport.build(
         "planewave/expansion-detuned", "detuned frequency leaves a residual",
@@ -486,7 +481,7 @@ def suite_planewave(cfg: RunConfig):
         notes=f"max residual {detuned_max:.4f} on a 10% detuned wave"))
 
     rep_fd = bridge.dirac_residual_em(
-        wave, ["plus"], t_grid=np.linspace(0, 1.0, 3),
+        wave, t_grid=np.linspace(0, 1.0, 3),
         u_grid=np.linspace(-0.5, 0.5, 3), fd_step=1e-4 * 2 * math.pi / k)
     checks.append(CheckReport.build(
         "planewave/expansion-finite-difference",
@@ -538,7 +533,7 @@ def suite_dynamics(cfg: RunConfig):
     e_x = np.stack([e_amp, zero, zero], axis=-1)
     h_z = np.stack([zero, zero, h_amp], axis=-1)
     via_h, via_e = (np.linalg.norm(dynamics.magnetic_confinement_density(
-        j, v, c=units.c), axis=-1) for v in (h_z, e_x))
+        j, v), axis=-1) for v in (h_z, e_x))
     errors = []
     for pol in ("Ex_Hz", "Ez_Hx"):
         a = dynamics.lorentz_force_ring(model, e_amp, pol, h_amp)
@@ -557,14 +552,12 @@ def suite_dynamics(cfg: RunConfig):
 
     j_tau = np.array([0.0, 1.0, 0.0])
     h_vec = np.array([0.0, 0.0, 1.0])
-    fm = dynamics.magnetic_confinement_density(j_tau, h_vec, c=1.0)
+    fm = dynamics.magnetic_confinement_density(j_tau, h_vec)
     checks.append(CheckReport.build(
         "dynamics/confinement-cross", "(1/c) j x H spot value", 0.0,
         np.abs(fm - np.array([1.0, 0, 0])), tol_abs=0.0,
         tol_rel=0.0))
 
-    mass, c = 1.0, 1.0
-    w0 = mass * c * c  # hbar = 1
     layout = bridge.electron_layout()
 
     def wave_point(amp, ws, ks, t, y):
@@ -579,7 +572,7 @@ def suite_dynamics(cfg: RunConfig):
     # each sample draws amplitude real and imaginary parts, then ws, then ks
     x = rng.normal(size=(min(cfg.samples, 200), 4, 4))
     point = wave_point(x[:, 0] + 1j * x[:, 1], x[:, 2], x[:, 3], 0.3, 1.1)
-    forms = dynamics.lagrangian_linear(point, mass, c=c)
+    forms = dynamics.lagrangian_linear(point, 1.0)
     scale = np.maximum(np.abs(forms.em), 1.0)
     err = (np.abs(forms.spinor - forms.em) / scale,
            np.abs(forms.current - forms.em) / scale)
@@ -589,10 +582,10 @@ def suite_dynamics(cfg: RunConfig):
 
     t_ax = dirac.triad("y", "negative")
     k = 0.8
-    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, mass)
+    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, 1.0)
     tt, yy = np.array([0.0, 0.7, 2.1]), np.array([0.0, -1.2, 0.4])
     point = bridge.WavePoint._make(f[0] for f in wave.at(tt, yy))
-    forms = dynamics.lagrangian_linear(point, mass, c=c)
+    forms = dynamics.lagrangian_linear(point, 1.0)
     checks.append(CheckReport.build(
         "dynamics/linear-on-shell", "all three routes vanish on shell",
         0.0, (np.abs(forms.spinor), np.abs(forms.em),
@@ -601,17 +594,17 @@ def suite_dynamics(cfg: RunConfig):
     # rolling-wave solution with the conjugate current direction: the
     # invariant-replacement identity is specific to this family
     conj_wave = wave._replace(amps=np.array(
-        [[1.0], [0.0], [0.0], [-(wave.omega + w0) / (c * k)]]))
+        [[1.0], [0.0], [0.0], [-(wave.omega + 1.0) / k]]))
     tt, yy = np.array([0.0, 0.9, 1.7]), np.array([0.0, 0.3, -0.8])
     point = bridge.WavePoint._make(f[0] for f in conj_wave.at(tt, yy))
-    lhs, rhs = dynamics.maxwell_invariant_forms(point, 2 * w0, c)
+    lhs, rhs = dynamics.maxwell_invariant_forms(point)
     checks.append(CheckReport.build(
         "dynamics/invariant-replacement",
         "(E^2-H^2)/8pi = (i/omega_e)(dU/dt + div S) on the rolling wave",
         0.0, np.abs(lhs - rhs), tol_abs=1e-12))
     static = bridge.WavePoint(f=EmField([1, 0, 0], [0, 0, 0]),
                               df_dt=EmField.zero(), df_du=EmField.zero())
-    lhs, rhs = dynamics.maxwell_invariant_forms(static, 2 * w0, c)
+    lhs, rhs = dynamics.maxwell_invariant_forms(static)
     stated, computed = float(lhs), complex(rhs)
     ledger.append(Discrepancy(
         claim="dynamics/invariant-replacement-static",
@@ -636,18 +629,16 @@ def suite_dynamics(cfg: RunConfig):
         "energy-momentum, invariant and bilinear quartics agree", 0.0, err,
         tol_abs=cfg.tol_rel, tol_rel=cfg.tol_rel))
 
-    alpha_q = torus.coupling_constant(1.0)
     model1 = torus.derive_parameters(units, 1.0)
     checks.append(CheckReport.build(
         "dynamics/self-action-constant", "coefficient at zeta = 1",
-        math.pi / 32, dynamics.self_action_constant(model1, alpha_q),
+        math.pi / 32, dynamics.self_action_constant(model1),
         tol_abs=0.0, tol_rel=1e-15))
     doubled = model1._replace(r_s=2 * model1.r_s)
     checks.append(CheckReport.build(
         "dynamics/self-action-cubic", "doubling r_s scales the constant by 8",
-        8 * dynamics.self_action_constant(model1, alpha_q),
-        dynamics.self_action_constant(doubled, alpha_q), tol_abs=0.0,
-        tol_rel=1e-15))
+        8 * dynamics.self_action_constant(model1),
+        dynamics.self_action_constant(doubled), tol_abs=0.0, tol_rel=1e-15))
 
     # the spot pair (2.0, 0.5) first, then 16 random ones
     omega, r = np.concatenate(

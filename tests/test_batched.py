@@ -199,8 +199,9 @@ def test_build_system_and_determinant_match_loop(pe):
 @given(momenta_and_energies())
 def test_solution_basis_matches_loop(pe):
     p, _ = pe
-    for branch in ("positive", "negative"):
-        got = planewave.solution_basis(branch, p, phase=0.3)
+    for branch, energy in zip(("positive", "negative"),
+                              planewave.dispersion(p)):
+        got = planewave.solution_basis(branch, p, energy, phase=0.3)
         ph = complex(math.cos(0.3), math.sin(0.3))
         for i, (px, py, pz) in enumerate(p):
             eps = math.sqrt(px * px + py * py + pz * pz + 1.0)
@@ -216,7 +217,7 @@ def test_solution_basis_matches_loop(pe):
                 want = np.array(want, dtype=complex) * ph
                 # entries are sums of at most two terms of size <= 1
                 assert_close(vec, want, np.float64(4.0))
-            one = planewave.solution_basis(branch, p[i], phase=0.3)
+            one = planewave.solution_basis(branch, p[i], energy[i], phase=0.3)
             assert np.array_equal(one[0], got[0][i])
             assert np.array_equal(one[1], got[1][i])
 
@@ -344,7 +345,7 @@ def test_lagrangian_nonlinear_matches_loop(point):
 @given(wave_points())
 def test_maxwell_invariant_forms_match_loop(point):
     omega_e = 2.0
-    lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e)
+    lhs, rhs = dynamics.maxwell_invariant_forms(point)
     for i, one in enumerate(point_rows(point)):
         e2 = complex(one.f.e.conj() @ one.f.e).real
         h2 = complex(one.f.h.conj() @ one.f.h).real
@@ -354,7 +355,7 @@ def test_maxwell_invariant_forms_match_loop(point):
         du_div = em + 1j * (omega_e / (8 * math.pi)) * (e2 - h2)
         assert_close(rhs[i], (1j / omega_e) * du_div,
                      point_scale(one) / omega_e)
-        single = dynamics.maxwell_invariant_forms(one, omega_e)
+        single = dynamics.maxwell_invariant_forms(one)
         assert single == (lhs[i], rhs[i])
 
 
@@ -417,15 +418,16 @@ def test_residual_case_stack_matches_single_cases():
     wave = on_shell._replace(
         amps=np.concatenate([a[:, :6], off_shell, a[:, 6:], a], axis=1),
         layouts=[bridge.layout_for_triad(t, conj)
-                 for t, conj in zip(stack_triads, conjugated)])
+                 for t, conj in zip(stack_triads, conjugated)],
+        forms=stack_forms)
     grids = np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 1.0, 5)
-    rep = bridge.dirac_residual_em(wave, stack_forms, *grids)
+    rep = bridge.dirac_residual_em(wave, *grids)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (25,)
     for i in range(25):
         single = bridge.dirac_residual_em(
             wave._replace(amps=wave.amps[:, i:i + 1],
-                          layouts=wave.layouts[i:i + 1]),
-            stack_forms[i:i + 1], *grids)
+                          layouts=wave.layouts[i:i + 1],
+                          forms=wave.forms[i:i + 1]), *grids)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
     # the gathers read no other case: the off-shell case's neighbours stay
@@ -444,13 +446,13 @@ def test_finite_difference_case_stack_matches_single_cases():
                           for form in ("plus", "minus")])
     wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
     grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(wave, forms, *grids, fd_step=1e-4)
+    rep = bridge.dirac_residual_em(wave, *grids, fd_step=1e-4)
     assert rep.max_scalar.max() <= 1e-6
     for i in range(12):
         single = bridge.dirac_residual_em(
             wave._replace(amps=wave.amps[:, i:i + 1],
-                          layouts=wave.layouts[i:i + 1]),
-            forms[i:i + 1], *grids, fd_step=1e-4)
+                          layouts=wave.layouts[i:i + 1],
+                          forms=wave.forms[i:i + 1]), *grids, fd_step=1e-4)
         assert single.max_scalar[0] == rep.max_scalar[i], i
         assert single.cross_deviation[0] == rep.cross_deviation[i], i
 
@@ -460,6 +462,20 @@ def test_finite_difference_case_stack_matches_single_cases():
 # tables and scalar rows again, and each route stacks the fields on its own.
 REF_FLAT = {(kind, ax): 3 * j + i
             for j, kind in enumerate("eh") for ax, i in bridge.AXIS_INDEX.items()}
+# The tabulated matrix assignment: per triad axis, the generator that acts on
+# the derivative along each coordinate.  The residual grid applies the one
+# of the triad's own axis.
+REF_MATRIX_AXES = {
+    "y": (("a1", "x"), ("a2", "y"), ("a3", "z")),
+    "x": (("a2", "x"), ("a3", "y"), ("a1", "z")),
+    "z": (("a3", "x"), ("a1", "y"), ("a2", "z")),
+}
+
+
+def ref_working(t):
+    """The matrix the triad's table assigns to the triad's own axis."""
+    name = {ax: m for m, ax in REF_MATRIX_AXES[t.axis]}[t.axis]
+    return CANON.named()[name]
 
 
 def ref_layout(t, conjugated):
@@ -521,7 +537,7 @@ def ref_residual_em(fields, triads, forms, t_grid, u_grid, d_dt, d_du,
               + mass_coef[:, None] * ref_gather(v, lhs))
 
     s = np.array([bridge.SIGN_FORMS[form] for form in forms])[:, None, None]
-    working = np.stack([CANON.named()[t.working] for t in triads])
+    working = np.stack([ref_working(t) for t in triads])
     stack = np.stack([ref_stacked(g) for g in (f, ft, fu)], axis=1)
     spinors = factors.reshape(len(slots), 1, 1, 4) * ref_gather(stack, index)
     psi, dpsi_dt, dpsi_du = (spinors[:, j] for j in range(3))
@@ -553,8 +569,7 @@ def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
         bridge.layout_for_triad(t, conj) for t, conj in zip(triads, flags)])
     fields = [lambda tt, uu, j=j: wave.at(tt, uu)[j] for j in range(3)]
     derivs = fields[1:] if fd_step is None else (None, None)
-    rep = bridge.dirac_residual_em(wave, forms, t_grid, u_grid,
-                                   fd_step=fd_step)
+    rep = bridge.dirac_residual_em(wave, t_grid, u_grid, fd_step=fd_step)
     ref = ref_residual_em(fields[0], triads, forms, t_grid, u_grid, *derivs,
                           fd_step, conjugated)
     got = (rep.cross_deviation, rep.max_scalar, rep.truncation)
@@ -629,8 +644,7 @@ def test_stacks_are_validated(monkeypatch):
         w.at(0.3, 0.1)
     assert calls == []
     # a non-finite grid belongs to the caller: its residuals are NaN and FAIL
-    rep = bridge.dirac_residual_em(wave, ["plus", "minus"],
-                                   np.array([0.0, np.nan]), tt)
+    rep = bridge.dirac_residual_em(wave, np.array([0.0, np.nan]), tt)
     assert np.isnan(rep.max_scalar).all()
     check = CheckReport.build("residual", "on shell", 0.0, rep.max_scalar)
     assert check.verdict == FAIL
@@ -1153,16 +1167,16 @@ def test_field_interpretation_stack_matches_single_states():
     stack = planewave.PlaneWaveState(
         np.array([s.energy for s in states]), np.tile(p, (4, 1)),
         np.stack([s.amplitudes for s in states]))
-    got = planewave.field_interpretation(stack, LAYOUT)
+    got = planewave.field_interpretation(stack)
     for i, state in enumerate(states):
-        one = planewave.field_interpretation(state, LAYOUT)
+        one = planewave.field_interpretation(state)
         assert got.sparsity[i] == one.sparsity
         assert got.e_amplitude[i] == one.e_amplitude
         assert got.h_amplitude[i] == one.h_amplitude
         assert np.array_equal(got.field.e[i], one.field.e)
     off = stack._replace(momentum=np.tile([0.0, 1.3, 0.1], (4, 1)))
     with pytest.raises(planewave.AxisMismatch):
-        planewave.field_interpretation(off, LAYOUT)
+        planewave.field_interpretation(off)
 
 
 def test_ring_forces_stack_matches_single_amplitudes():

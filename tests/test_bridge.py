@@ -192,7 +192,7 @@ def test_onshell_wave_has_zero_residual(axis, orientation, form):
     wave = bridge.onshell_plane_wave([t], [form], k=0.8, mass=1.0,
                                      e2_amp=0.4)
     t_grid, u_grid = _grids()
-    rep = bridge.dirac_residual_em(wave, [form], t_grid, u_grid)
+    rep = bridge.dirac_residual_em(wave, t_grid, u_grid)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
     assert rep.cross_deviation[0] <= 1e-12 * wave.omega
@@ -205,7 +205,8 @@ def test_slot_wave_places_each_scaled_phase_bit_for_bit():
     triads = dirac.axis_triads()[:3]
     amps = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     wave = bridge.SlotWave(amps, 1.2806248474865698, 0.8,
-                           [bridge.layout_for_triad(t) for t in triads])
+                           [bridge.layout_for_triad(t) for t in triads],
+                           ["plus"] * 3)
     tt, uu = rng.uniform(-3, 3, size=(2, 40))
     phase = np.exp(1j * (wave.omega * tt - wave.k * uu))
     point = wave.at(tt, uu)
@@ -250,26 +251,24 @@ def test_finite_difference_fallback_and_truncation_guard():
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
-    rep = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid,
-                                   fd_step=1e-4)
+    rep = bridge.dirac_residual_em(wave, t_grid, u_grid, fd_step=1e-4)
     assert rep.max_scalar[0] <= 1e-6
     assert rep.cross_deviation[0] <= 1e-6
     assert 0 < rep.truncation[0] <= bridge.FD_TOL
     # a coarse step is reported, not raised: its estimate is about 6.4e-3
-    coarse = bridge.dirac_residual_em(wave, ["plus"], t_grid,
-                                      u_grid, fd_step=0.5)
+    coarse = bridge.dirac_residual_em(wave, t_grid, u_grid, fd_step=0.5)
     assert coarse.truncation.shape == (1,)
     assert coarse.truncation[0] > 1e3 * bridge.FD_TOL
     assert not hasattr(bridge, "GridTooCoarse")
     # closed-form derivatives carry no truncation; a NaN estimate propagates
-    exact = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid)
+    exact = bridge.dirac_residual_em(wave, t_grid, u_grid)
     assert np.array_equal(exact.truncation, [0.0])
     # a constant E_x of 1e308: 8 times it overflows inside the stencil
     huge = bridge.SlotWave(np.array([[1e308], [0.0], [0.0], [0.0]]), 0.0, 0.0,
-                           wave.layouts)
+                           wave.layouts, wave.forms)
     with np.errstate(over="ignore", invalid="ignore"):
-        overflow = bridge.dirac_residual_em(huge, ["plus"], t_grid,
-                                            u_grid, fd_step=1e-4)
+        overflow = bridge.dirac_residual_em(huge, t_grid, u_grid,
+                                            fd_step=1e-4)
     assert np.isnan(overflow.truncation[0])
 
 
@@ -280,14 +279,14 @@ def test_conjugate_layout_solves_opposite_current_system():
     omega = math.sqrt(w0 ** 2 + k ** 2)
     amps = np.array([[1.0], [0.0], [0.0], [-(omega + w0) / k]])
     wave = bridge.SlotWave(amps, omega, k,
-                           [bridge.layout_for_triad(t, charge_conjugated=True)])
-    rep = bridge.dirac_residual_em(wave, ["minus"], *(_grids()))
+                           [bridge.layout_for_triad(t, charge_conjugated=True)],
+                           ["minus"])
+    rep = bridge.dirac_residual_em(wave, *(_grids()))
     assert rep.max_scalar[0] <= 1e-12 * omega
     assert rep.cross_deviation[0] <= 1e-12 * omega
     # the same wave does not solve the plain minus-form system
     plain = bridge.dirac_residual_em(
-        wave._replace(layouts=[bridge.layout_for_triad(t)]), ["minus"],
-        *(_grids()))
+        wave._replace(layouts=[bridge.layout_for_triad(t)]), *(_grids()))
     assert plain.max_scalar[0] > 0.1
 
 
@@ -295,7 +294,7 @@ def test_detuned_wave_leaves_residual():
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
     rep = bridge.dirac_residual_em(wave._replace(omega=1.1 * wave.omega),
-                                   ["plus"], *(_grids()))
+                                   *(_grids()))
     assert rep.max_scalar[0] > 0.01
 
 
@@ -310,7 +309,7 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
     monkeypatch.setattr(dirac, "canonical_alpha_set", counted)
     t = dirac.triad("y", "negative")
     wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
-    rep = bridge.dirac_residual_em(wave, ["plus"], *(_grids()))
+    rep = bridge.dirac_residual_em(wave, *(_grids()))
     assert len(calls) == 1
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
 
@@ -331,7 +330,7 @@ def test_residual_rows_follow_the_grid_order(monkeypatch):
     monkeypatch.setattr(bridge.SlotWave, "at", counted)
     t_grid, u_grid = _grids()
     n = len(t_grid) * len(u_grid)
-    rep = bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid)
+    rep = bridge.dirac_residual_em(wave, t_grid, u_grid)
     assert calls == [((n,), (n,))]
     factors = np.array([factor for _, _, factor in layout.slots])
     scalar, cross = [], []
@@ -361,8 +360,7 @@ def test_finite_difference_route_stacks_its_stencils(monkeypatch):
 
     monkeypatch.setattr(bridge, "slot_fields", counted)
     t_grid, u_grid = _grids()
-    bridge.dirac_residual_em(wave, ["plus"], t_grid, u_grid,
-                             fd_step=1e-4)
+    bridge.dirac_residual_em(wave, t_grid, u_grid, fd_step=1e-4)
     n = len(t_grid) * len(u_grid)
     # probe at the first point: 2 steps x 2 variables x 4 stencil points;
     # grid: 2 variables x 4 stencil points of n, then the n values

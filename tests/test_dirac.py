@@ -96,14 +96,12 @@ def test_prime_set_defects_measured_not_patched():
 def test_triads_pinned_to_tabulated_layouts():
     t = dirac.triad("y", "negative")
     assert t.e_axes == ("x", "z")
-    assert t.matrix_axes == (("a1", "x"), ("a2", "y"), ("a3", "z"))
     assert t.sign == -1
     assert dirac.triad("x", "negative").e_axes == ("z", "y")
     assert dirac.triad("z", "negative").e_axes == ("y", "x")
     assert dirac.triad("y", "positive").e_axes == ("z", "x")
     assert dirac.triad("x", "positive").e_axes == ("y", "z")
     assert dirac.triad("z", "positive").e_axes == ("x", "y")
-    assert all(t.working == "a2" for t in dirac.axis_triads())
     assert len(dirac.axis_triads()) == 6
 
 

@@ -129,16 +129,16 @@ def _conjugate_family_point(t, y, k=0.8, w0=1.0):
 def test_invariant_replacement_on_rolling_wave():
     for (t, y) in ((0.0, 0.0), (0.9, 0.3), (2.2, -1.4)):
         point = _conjugate_family_point(t, y)
-        lhs, rhs = dynamics.maxwell_invariant_forms(point, omega_e=2.0)
+        lhs, rhs = dynamics.maxwell_invariant_forms(point)
         assert abs(lhs - rhs) <= 1e-12
     static = bridge.WavePoint(EmField([1, 0, 0], [0, 0, 0]),
                                 EmField.zero(), EmField.zero())
-    lhs, rhs = dynamics.maxwell_invariant_forms(static, omega_e=2.0)
+    lhs, rhs = dynamics.maxwell_invariant_forms(static)
     assert lhs == pytest.approx(1 / (8 * math.pi))
     assert rhs == 0
     null = bridge.WavePoint(EmField([1, 0, 0], [0, 0, 1]),
                               EmField.zero(), EmField.zero())
-    assert dynamics.maxwell_invariant_forms(null, omega_e=2.0)[0] == 0
+    assert dynamics.maxwell_invariant_forms(null)[0] == 0
 
 
 def test_quartic_routes_agree():
@@ -187,15 +187,14 @@ def test_photon_photon_comparison():
 
 
 def test_self_action_constant():
-    alpha_q = torus.coupling_constant(1.0)
-    assert dynamics.self_action_constant(MODEL, alpha_q) == pytest.approx(
+    assert dynamics.self_action_constant(MODEL) == pytest.approx(
         math.pi / 32, rel=1e-15)
     small = torus.derive_parameters(NAT, 0.01)
-    assert dynamics.self_action_constant(small, alpha_q) == pytest.approx(
-        (0.01 ** 2 / (2 * alpha_q)) * 0.125, rel=1e-12)
+    assert dynamics.self_action_constant(small) == pytest.approx(
+        (0.01 ** 2 / (2 * torus.coupling_constant(0.01))) * 0.125, rel=1e-12)
     doubled = MODEL._replace(r_s=2 * MODEL.r_s)
-    assert dynamics.self_action_constant(doubled, alpha_q) == pytest.approx(
-        8 * dynamics.self_action_constant(MODEL, alpha_q), rel=1e-15)
+    assert dynamics.self_action_constant(doubled) == pytest.approx(
+        8 * dynamics.self_action_constant(MODEL), rel=1e-15)
 
 
 def test_centripetal_check():

@@ -157,8 +157,8 @@ def _scale_mixing_matrix(monkeypatch):
 def _fill_a_structural_zero(monkeypatch):
     basis = planewave.solution_basis
 
-    def planted(branch, p, phase=0.0, energy=None):
-        first, second = basis(branch, p, phase, energy)
+    def planted(branch, p, energy, phase=0.0):
+        first, second = basis(branch, p, energy, phase)
         if branch == "positive":
             first[..., 3] = 1e-3
         return first, second

@@ -62,19 +62,19 @@ def test_dispersion_does_not_depend_on_the_strides():
 
 
 def test_solution_basis_rest_cases():
-    pos = planewave.solution_basis("positive", np.zeros(3))
+    pos = planewave.solution_basis("positive", np.zeros(3), 1.0)
     np.testing.assert_array_equal(pos[0], [0, 0, 1, 0])
     np.testing.assert_array_equal(pos[1], [0, 0, 0, 1])
-    neg = planewave.solution_basis("negative", np.zeros(3))
+    neg = planewave.solution_basis("negative", np.zeros(3), -1.0)
     np.testing.assert_array_equal(neg[0], [1, 0, 0, 0])
     np.testing.assert_array_equal(neg[1], [0, 1, 0, 0])
     with pytest.raises(ValueError):
-        planewave.solution_basis("sideways", np.zeros(3))
+        planewave.solution_basis("sideways", np.zeros(3), 1.0)
 
 
 def test_solution_basis_moving_case():
     p = np.array([0, 1.0, 0])
-    s1, s2 = planewave.solution_basis("positive", p)
+    s1, s2 = planewave.solution_basis("positive", p, math.sqrt(2))
     assert s1[1] == pytest.approx(-1j / (math.sqrt(2) + 1), rel=1e-14)
     assert s1[2] == 1
     assert s2[0] == pytest.approx(1j / (math.sqrt(2) + 1), rel=1e-14)
@@ -171,8 +171,9 @@ def test_orthogonality():
     rng = np.random.default_rng(4)
     for _ in range(50):
         p = rng.uniform(-10, 10, size=3)
-        for branch in ("positive", "negative"):
-            s1, s2 = planewave.solution_basis(branch, p)
+        for branch, eps in zip(("positive", "negative"),
+                               planewave.dispersion(p)):
+            s1, s2 = planewave.solution_basis(branch, p, eps)
             assert abs(complex(s1.conj() @ s2)) <= 1e-12 * \
                 float(np.abs(s1).max() * np.abs(s2).max())
 
@@ -183,7 +184,7 @@ def test_nullspace_rank_and_span():
         eps = planewave.dispersion(p)[0 if branch == "positive" else 1]
         basis = planewave.nullspace(planewave.build_system(eps, p))
         assert len(basis) == 2
-        closed = planewave.solution_basis(branch, p)
+        closed = planewave.solution_basis(branch, p, eps)
         for v in basis:
             best = math.inf
             for r in closed:
@@ -197,28 +198,26 @@ def test_nullspace_rank_and_span():
 
 def test_field_interpretation_sparsity():
     p = np.array([0.0, 1.3, 0.0])
-    layout = bridge.electron_layout()
     s1, s2 = planewave.make_states("positive", p)
-    assert planewave.field_interpretation(s1, layout).sparsity == \
+    assert planewave.field_interpretation(s1).sparsity == \
         (False, True, True, False)
-    assert planewave.field_interpretation(s2, layout).sparsity == \
+    assert planewave.field_interpretation(s2).sparsity == \
         (True, False, False, True)
     n1, n2 = planewave.make_states("negative", p)
-    assert planewave.field_interpretation(n1, layout).sparsity == \
+    assert planewave.field_interpretation(n1).sparsity == \
         (True, False, False, True)
-    assert planewave.field_interpretation(n2, layout).sparsity == \
+    assert planewave.field_interpretation(n2).sparsity == \
         (False, True, True, False)
 
 
 def test_sparsity_holds_along_the_axis():
     rng = np.random.default_rng(17)
-    layout = bridge.electron_layout()
     for _ in range(25):
         p = np.array([0.0, rng.uniform(0.05, 8.0), 0.0])
         s1, s2 = planewave.make_states("positive", p)
-        assert planewave.field_interpretation(s1, layout).sparsity == \
+        assert planewave.field_interpretation(s1).sparsity == \
             (False, True, True, False)
-        assert planewave.field_interpretation(s2, layout).sparsity == \
+        assert planewave.field_interpretation(s2).sparsity == \
             (True, False, False, True)
 
 
@@ -233,18 +232,19 @@ def test_solutions_solve_the_field_system():
         # e^{i(p_y u - eps t)}: omega = -eps and k = -p_y; the slot values
         # are the amplitudes over the slot factors
         wave = bridge.SlotWave((state.amplitudes / layout.factors)[:, None],
-                               -state.energy, -p[1], [layout])
-        rep = bridge.dirac_residual_em(wave, ["plus"], **grids)
+                               -state.energy, -p[1], [layout], ["plus"])
+        rep = bridge.dirac_residual_em(wave, **grids)
         assert rep.max_scalar[0] <= 1e-12
         assert rep.cross_deviation[0] <= 1e-12
-        wrong = bridge.dirac_residual_em(wave, ["minus"], **grids)
+        wrong = bridge.dirac_residual_em(wave._replace(forms=["minus"]),
+                                         **grids)
         assert wrong.max_scalar[0] > 0.1
 
 
 def test_field_interpretation_axis_guard():
     state = planewave.make_states("positive", np.array([1.0, 1.0, 0]))[0]
     with pytest.raises(planewave.AxisMismatch):
-        planewave.field_interpretation(state, bridge.electron_layout())
+        planewave.field_interpretation(state)
 
 
 def test_special_values_table():
@@ -257,7 +257,8 @@ def test_special_values_table():
     assert special["ledger"].ratio == pytest.approx(math.sqrt(2), rel=1e-15)
     # on-shell evaluation differs from the literal substitution
     p = np.array([0.0, 1.0, 0.0])
-    ons = planewave.solution_basis("positive", p, phase=math.pi / 2)[0]
+    ons = planewave.solution_basis("positive", p, planewave.dispersion(p)[0],
+                                   phase=math.pi / 2)[0]
     assert abs(ons[1]) == pytest.approx(1 / (math.sqrt(2) + 1), rel=1e-14)
 
 
@@ -266,7 +267,7 @@ def test_special_values_amplitude_ratio():
     state = planewave.PlaneWaveState(
         energy=1.0, momentum=np.array([0.0, 1.0, 0.0]),
         amplitudes=special["literal"]["positive"][0])
-    interp = planewave.field_interpretation(state, bridge.electron_layout())
+    interp = planewave.field_interpretation(state)
     assert interp.h_amplitude == pytest.approx(2 * interp.e_amplitude,
                                                rel=1e-12)
 
