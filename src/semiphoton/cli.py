@@ -52,10 +52,9 @@ def _emit(text, out):
         sys.stdout.write(text + "\n")
 
 
-def _complex_pairs(matrix):
+def _complex_pairs(vector):
     # + 0.0 folds negative zeros for stable output
-    return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row]
-            for row in matrix]
+    return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in vector]
 
 
 def cmd_verify(args):
@@ -106,15 +105,14 @@ def cmd_planewave(args):
             "solution": i + 1,
             "energy": state.energy,
             "momentum": [float(v) for v in state.momentum],
-            "amplitudes": [[float(b.real), float(b.imag)]
-                           for b in state.amplitudes],
+            "amplitudes": _complex_pairs(state.amplitudes),
             "residual": planewave.residual(state),
         }
         try:
             interp = planewave.field_interpretation(state)
             entry["fields"] = {
-                "e": [[float(z.real), float(z.imag)] for z in interp.field.e],
-                "h": [[float(z.real), float(z.imag)] for z in interp.field.h],
+                "e": _complex_pairs(interp.field.e),
+                "h": _complex_pairs(interp.field.h),
                 "sparsity": list(interp.sparsity),
             }
         except planewave.AxisMismatch:
@@ -181,7 +179,7 @@ def cmd_dump_matrices(args):
     aset = (dirac.canonical_alpha_set() if args.set == "canonical"
             else dirac.alpha_prime_set())
     doc = {"label": aset.label,
-           "matrices": {name: _complex_pairs(m)
+           "matrices": {name: [_complex_pairs(row) for row in m]
                         for name, m in aset.named().items()}}
     _emit(document_json(_meta_config(args), doc), args.out)
     return 0
@@ -281,7 +279,7 @@ def main(argv=None):
     try:
         _check_sizes(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, torus.DomainError, torus.QuadratureNotConverged) as exc:
+    except (ValueError, torus.QuadratureNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
