@@ -448,20 +448,30 @@ def test_documents_near_the_domain_edge_are_strict_json(argv, capsys):
     assert set(doc["meta"]) == {"version", "config"}
 
 
+# argv and the start of its error, named by the first factor to underflow
+UNDERFLOWS = [
+    (["dynamics", "--zeta", "1e-170"], "the coupling"),
+    (["dynamics", "--zeta", "1e-162"], "the coupling"),
+    (["dynamics", "--zeta", "1e-161"], "the coupling"),
+    (["dynamics", "--zeta", "1e-160"], "the coupling"),
+    (["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-150"],
+     "the ring volume"),
+    (["verify", "--suite", "dynamics", "--zeta", "1e-162"], "the ring volume"),
+    (["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
+     "the ring volume"),
+    (["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-140"],
+     "the ring volume"),
+    (["dynamics", "--zeta", "1e-153"], "the ring volume")]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("argv", [
-    ["dynamics", "--zeta", "1e-170"], ["dynamics", "--zeta", "1e-162"],
-    ["dynamics", "--zeta", "1e-161"], ["dynamics", "--zeta", "1e-160"],
-    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-150"],
-    ["verify", "--suite", "dynamics", "--zeta", "1e-162"],
-    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-145"],
-    ["dynamics", "--units", "gaussian_cgs", "--zeta", "1e-140"],
-    ["dynamics", "--zeta", "1e-153"]])
-def test_dynamics_underflowing_zeta_exits_two(argv, capsys):
+@pytest.mark.parametrize("argv, first", UNDERFLOWS,
+                         ids=[f"argv{i}" for i in range(len(UNDERFLOWS))])
+def test_dynamics_underflowing_zeta_exits_two(argv, first, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: " + first)
     assert "underflows to 0" in captured.err
 
 
