@@ -19,7 +19,8 @@ A part of a checked stack, ``f[i]``, is a view of it, and the fields that
 ``slot_fields`` and ``case_fields`` build are wrapped without a second check.
 
 A plane wave is one value, a :class:`SlotWave`: per case, four slot
-amplitudes times e^{i(omega t - k u)} in a layout's slots.  Its one
+amplitudes times e^{i(omega t - k u)} in a layout's slots, and the sign
+form of the system it belongs to.  Its one
 evaluator, ``at``, gives the fields and both closed-form derivatives as a
 :class:`WavePoint`, built by ``slot_fields`` and wrapped without a check;
 ``onshell_plane_wave`` checks the amplitudes, omega and k at entry.
