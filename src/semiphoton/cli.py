@@ -7,9 +7,12 @@ seed produce byte-identical output.
 
 Only ``report`` and ``torus`` load with this module; each handler imports
 the checker modules it runs, so ``torus`` and ``sweep-zeta`` start without
-them.  ``main`` looks each handler up by name when it is called, and adds
-options only to the commands its argv names: argparse picks a command only
-by a token equal to its name, so every parser it can pick is complete.
+them.  ``main`` looks each handler up by name when it is called, and builds
+the commands its argv does not name as bare parsers, without options and
+without ``-h``: argparse picks a command only by a token equal to its name,
+so every parser it can pick is complete, and the top-level help, the usage
+lines and the "invalid choice" errors come from the root parser and the
+help lines, which every command keeps.  No output changes.
 """
 from __future__ import annotations
 
@@ -20,8 +23,9 @@ import sys
 import numpy as np
 
 from . import torus
-from .report import (DEFAULT_TOL, FAIL, RunConfig, SUITES, csv_rows,
-                     document_json, report_csv, report_json, report_text)
+from .report import (DEFAULT_TOL, FAIL, MIN_QUAD_POINTS, RunConfig, SUITES,
+                     csv_rows, document_json, report_csv, report_json,
+                     report_text)
 
 USAGE_ERROR = 2
 MAX_SIZE = 10 ** 6  # largest --samples, --quad-points or --steps
@@ -34,15 +38,20 @@ def _meta_config(args):
 
 
 def _check_sizes(args):
-    """Reject a size option above MAX_SIZE before anything is allocated."""
+    """Reject a size option above MAX_SIZE, or --quad-points below
+    MIN_QUAD_POINTS, before anything is allocated."""
     for flag in ("--samples", "--quad-points", "--steps"):
         value = getattr(args, OPTIONS[flag].get("dest", flag[2:]), None)
         if value is not None and value > MAX_SIZE:
             raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
+    points = getattr(args, "quadrature_points", MIN_QUAD_POINTS)
+    if points < MIN_QUAD_POINTS:
+        raise ValueError(
+            f"--quad-points must be >= {MIN_QUAD_POINTS}, got {points}")
 
 
 def _emit(text, out):
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
@@ -228,16 +237,21 @@ COMMANDS = {
 
 
 def build_parser(argv=None):
-    """The parser; given argv, only the commands it names get options.
-    Flags are written in full, so every flag gets its negative values."""
+    """The parser; given argv, the commands it does not name are bare: no
+    options and no -h.  argparse picks a command only by a token equal to
+    its name, and the root parser alone prints the top-level help, usage
+    and "invalid choice" errors, so this changes no output.  Flags are
+    written in full, so every flag gets its negative values."""
     parser = argparse.ArgumentParser(
         prog="semiphoton", allow_abbrev=False,
         description="Deterministic verification of the rolled-wave electron "
                     "model and its matrix-form field equations.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
-        if argv is None or name in argv:
+        named = argv is None or name in argv
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False,
+                           add_help=named)
+        if named:
             for flag in options:
                 p.add_argument(flag, **OPTIONS[flag])
     return parser

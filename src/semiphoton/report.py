@@ -35,6 +35,7 @@ SUITE_IDS = {
 SUITES = tuple(SUITE_IDS)
 
 DEFAULT_TOL = 1e-12  # loosest tolerance a run may ask for
+MIN_QUAD_POINTS = 64  # coarsest quadrature grid a run may ask for
 
 
 def _number(value):
@@ -136,8 +137,8 @@ class RunConfig(NamedTuple):
             if not 0 <= tol <= DEFAULT_TOL:
                 raise ValueError(f"{name} must be in [0, {DEFAULT_TOL!r}], "
                                  f"got {tol!r}")
-        if self.quadrature_points < 64:
-            raise ValueError("quadrature_points must be >= 64")
+        if self.quadrature_points < MIN_QUAD_POINTS:
+            raise ValueError(f"quadrature_points must be >= {MIN_QUAD_POINTS}")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.format!r}")
         return self

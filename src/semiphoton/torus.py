@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .report import Discrepancy
+from .report import MIN_QUAD_POINTS, Discrepancy
 
 #: CODATA-style Gaussian-unit constants (erg s, cm/s, g, esu).
 HBAR_CGS = 1.054571817e-27
@@ -163,8 +163,8 @@ def _converged_simpson(g, b, n, scale):
     Starts at the requested n and refines by doubling; raises
     QuadratureNotConverged if the finest grid still moves it.
     """
-    if n < 64:
-        raise ValueError("n_points must be >= 64")
+    if n < MIN_QUAD_POINTS:
+        raise ValueError(f"n_points must be >= {MIN_QUAD_POINTS}")
     n += n % 2
     value = simpson(g(b / n * np.arange(n + 1)), b / n)
     for _ in range(MAX_DOUBLINGS):

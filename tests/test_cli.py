@@ -192,11 +192,12 @@ def test_out_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, target", [
     (["torus"], "missing/report.json"),
-    (["verify", "--suite", "algebra", "--samples", "5"], ".")])
+    (["verify", "--suite", "algebra", "--samples", "5"], "."),
+    (["verify", "--suite", "algebra", "--samples", "5"], None)])
 def test_unwritable_out_exits_two_with_message(argv, target, tmp_path,
                                                capsys):
-    out = tmp_path / target
-    assert main(argv + ["--out", str(out)]) == 2
+    out = "" if target is None else str(tmp_path / target)
+    assert main(argv + ["--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: --out {out}: ")
@@ -538,9 +539,17 @@ def test_each_command_has_exactly_the_options_it_reads():
 
 def test_a_request_builds_only_the_options_of_the_command_it_names():
     argv = ["sweep-zeta", "--min", "0.1", "--max", "0.9", "--steps", "5"]
-    assert _options(build_parser(argv)) == {
+    parser = build_parser(argv)
+    assert _options(parser) == {
         name: flags if name == "sweep-zeta" else []
         for name, flags in READS.items()}
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {name: [a.option_strings for a in p._actions
+                    if isinstance(a, argparse._HelpAction)]
+             for name, p in sub.choices.items()}
+    assert helps == {name: [["-h", "--help"]] if name == "sweep-zeta" else []
+                     for name in READS}
 
 
 def _parse(parser, argv):
@@ -567,9 +576,16 @@ TOKENS = st.lists(st.one_of(
 @given(argv=st.one_of(TOKENS, st.builds(
     lambda head, name, rest: [*head, name, *rest],
     st.lists(FLAG, max_size=2), COMMAND, TOKENS)))
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["-h", "torus"])
+@example(argv=["verify", "-h"])
+@example(argv=["bogus"])
+@example(argv=["torus", "--samples", "5"])
 def test_filtered_parser_decides_like_the_full_one(argv):
     """argparse picks a command only by a token equal to its name, so the
-    parser that gives only the named commands options is enough.  Command
+    parser that builds only the named commands in full, the others bare,
+    is enough.  Command
     names also come as option values, and unknown flags before a command
     leave it the command."""
     assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
@@ -610,13 +626,12 @@ def test_meta_config_lists_only_the_settings_read(argv, config, capsys):
     assert list(strict_json(out)["meta"]["config"].items()) == config
 
 
-@pytest.mark.parametrize("command", ["torus", "sweep-zeta"])
+@pytest.mark.parametrize("command", ["torus", "sweep-zeta", "verify"])
 def test_too_few_quadrature_points_exit_two(command, capsys):
     assert main([command, "--quad-points", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == "error: --quad-points must be >= 64, got 10\n"
 
 
 @pytest.mark.parametrize("argv", [
