@@ -8,11 +8,12 @@ Prints one JSON object.  ``meta`` holds the python and numpy versions, the
 CPU count, the repeat count, the git commit of the checkout (null outside
 git), ``dirty: true`` when tracked files differ from that commit,
 ``PYTHONDONTWRITEBYTECODE`` (null when unset) and ``probe_ms``, the times
-of three runs of ``speed_probe`` of ``perfbench/child.py`` before the timed
-runs and three after.  ``kernel_ms`` and ``suite_ms`` hold the time of one
-call of each kernel and of each verification suite (samples 1000, seed 0),
-run in this process after one untimed call: the median over N batches of
-the mean call time of each batch.  A batch repeats the call until it lasts
+of the runs of ``speed_probe`` of ``perfbench/child.py``, in order: one
+before the first timed item, one after each kernel and each suite, and one
+after each round of the end-to-end runs.  ``kernel_ms`` and ``suite_ms``
+hold the time of one call of each kernel and of each verification suite
+(samples 1000, seed 0), run in this process after one untimed call: the
+median over N batches of the mean call time of each batch.  A batch repeats the call until it lasts
 at least 10 ms, so a call of tens of microseconds is timed over hundreds of
 calls.  ``e2e_ms`` holds the median wall time of N runs of each of five
 fresh interpreters, alternated and importing ``semiphoton`` from this
@@ -23,10 +24,13 @@ start-up of a command that needs no checker module),
 ``python -c "import semiphoton"`` (``import_semiphoton``),
 ``python -c "import numpy"`` (``import_numpy``) and ``python -c pass``
 (``interpreter``).  Every time in ``kernel_ms``, ``suite_ms`` and
-``e2e_ms`` is divided by the median of ``probe_ms``: the host's speed
-drifts by up to 2x over minutes, and the probe drifts with it, so scaled
-times drift less than raw ones.  They drift still, so compare two trees by
-alternated runs (parent, change, change, parent).
+``e2e_ms`` is divided by the mean of the two probes on either side of it,
+as ``perfbench/run.py`` scales each request by the probes near it; an
+end-to-end time is the median over rounds of each run divided by the
+probes around its round.  The host's speed drifts by up to 2x over minutes,
+and the probe drifts with it, so scaled times drift less than raw ones.
+They drift still, so compare two trees by alternated runs (parent, change,
+change, parent).
 ``--profile`` then writes the top 25 cProfile entries of one run of every
 suite, by cumulative time, to stderr.  Nothing is gated: the numbers
 compare two trees on one machine.
@@ -56,7 +60,6 @@ from semiphoton.suites import SUITE_FUNCS, run_suites  # noqa: E402
 
 
 BATCH_S = 0.01  # shortest timed batch of calls, seconds
-PROBES = 3  # speed probes before the timed runs, and again after them
 
 
 def load_speed_probe():
@@ -102,18 +105,24 @@ E2E = {
 }
 
 
-def e2e_ms(repeat):
-    """Median wall time of each E2E command as a subprocess, run alternated."""
+def e2e_ms(repeat, next_scale):
+    """Median wall time of each E2E command as a subprocess, run alternated
+    in repeat rounds, each run divided by next_scale() called after its
+    round."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     times = {name: [] for name in E2E}
     for _ in range(repeat):
+        ms = {}
         for name, argv in E2E.items():
             start = time.perf_counter()
             subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                            stdout=subprocess.DEVNULL, check=True)
-            times[name].append(time.perf_counter() - start)
-    return {name: statistics.median(t) * 1e3 for name, t in times.items()}
+            ms[name] = (time.perf_counter() - start) * 1e3
+        scale = next_scale()
+        for name in E2E:
+            times[name].append(ms[name] / scale)
+    return {name: statistics.median(t) for name, t in times.items()}
 
 
 # One ring_sweep-like request: the parser builds only its command's options.
@@ -214,26 +223,31 @@ def main(argv=None):
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     cfg = RunConfig(samples=1000, seed=0).validate()
+    kernel_fns = kernels(cfg)
     probe = load_speed_probe()
-    before = [probe() for _ in range(PROBES)]
+    probe_ms = [probe() * 1e3]
+
+    def next_scale():
+        """Probe again: the mean of this probe and the one before it."""
+        probe_ms.append(probe() * 1e3)
+        return statistics.mean(probe_ms[-2:])
+
     times = {
-        "kernel_ms": {name: median_ms(fn, args.repeat)
-                      for name, fn in kernels(cfg).items()},
+        "kernel_ms": {name: median_ms(fn, args.repeat) / next_scale()
+                      for name, fn in kernel_fns.items()},
         "suite_ms": {name: median_ms(lambda fn=fn: fn(cfg), args.repeat)
-                     for name, fn in SUITE_FUNCS.items()},
-        "e2e_ms": e2e_ms(args.repeat),
+                     / next_scale() for name, fn in SUITE_FUNCS.items()},
+        "e2e_ms": e2e_ms(args.repeat, next_scale),
     }
-    probe_ms = [round(t * 1e3, 4)
-                for t in before + [probe() for _ in range(PROBES)]]
-    scale = statistics.median(probe_ms)
     result = {
         "meta": {"python": platform.python_version(),
                  "numpy": np.__version__, "cpus": os.cpu_count(),
                  "repeat": args.repeat, **git_meta(),
                  "PYTHONDONTWRITEBYTECODE":
                      os.environ.get("PYTHONDONTWRITEBYTECODE"),
-                 "probe_ms": probe_ms},
-        **{key: {name: float(f"{ms / scale:.4g}") for name, ms in group.items()}
+                 "probe_ms": [round(ms, 4) for ms in probe_ms]},
+        **{key: {name: float(f"{scaled:.4g}")
+                 for name, scaled in group.items()}
            for key, group in times.items()},
     }
     print(json.dumps(result, indent=2))

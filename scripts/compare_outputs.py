@@ -10,7 +10,7 @@ with the current interpreter, from the tree's root and importing
 ``semiphoton`` from the tree's ``src``, and compares stdout, stderr and the
 exit code.  ``COMMANDS`` holds every command whose document is pinned
 under ``tests/fixtures/documents``, whose tests compare numbers only to
-1e-12.  Prints each command whose outputs differ and exits 1 if any
+1e-12, and commands that print argparse help or a usage error.  Prints each command whose outputs differ and exits 1 if any
 does, 0 if all are identical, and 2 if OTHER_ROOT is not a checkout.  Only
 the standard library is used, so the other tree may be any checkout of this
 repository, such as a parent commit.
@@ -51,6 +51,13 @@ COMMANDS = [
     ["-m", "semiphoton", "planewave", "--px", "nan"],
     ["-m", "semiphoton", "verify", "--tol-abs", "1"],
     ["-m", "semiphoton", "sweep-zeta", "--min", "0.5", "--max", "0.1"],
+    # help and usage errors: argparse's own text
+    ["-m", "semiphoton", "-h"],
+    ["-m", "semiphoton", "verify", "-h"],
+    ["-m", "semiphoton", "sweep-zeta", "-h"],
+    ["-m", "semiphoton"],
+    ["-m", "semiphoton", "bogus"],
+    ["-m", "semiphoton", "torus", "--samples", "5"],
     ["scripts/residual_scan.py"],
     ["scripts/residual_scan.py", "--k", "1.7", "--detunings", "1", "0.9",
      "1.3"],
