@@ -13,9 +13,9 @@ before the first timed item, one after each kernel and each suite, and one
 after each round of the end-to-end runs.  ``kernel_ms`` and ``suite_ms``
 hold the time of one call of each kernel and of each verification suite
 (samples 1000, seed 0), run in this process after one untimed call: the
-median over N batches of the mean call time of each batch.  A batch repeats the call until it lasts
-at least 10 ms, so a call of tens of microseconds is timed over hundreds of
-calls.  ``e2e_ms`` holds the median wall time of N runs of each of five
+median over N batches of the mean call time of each batch.  A batch
+repeats the call until it lasts at least 10 ms, so a call of tens of
+microseconds is timed over hundreds of calls.  ``e2e_ms`` holds the median wall time of N runs of each of five
 fresh interpreters, alternated and importing ``semiphoton`` from this
 checkout:
 ``python -m semiphoton verify --suite all --samples 1000 --seed 7``
@@ -125,7 +125,7 @@ def e2e_ms(repeat, next_scale):
     return {name: statistics.median(t) for name, t in times.items()}
 
 
-# One ring_sweep-like request: the parser builds only its command's options.
+# One ring_sweep-like request: the parser builds only its command in full.
 SWEEP_ARGV = ["sweep-zeta", "--min", "0.05", "--max", "0.8", "--steps", "12",
               "--units", "natural", "--quad-points", "256"]
 

@@ -12,7 +12,8 @@ the commands its argv does not name as bare parsers, without options and
 without ``-h``: argparse picks a command only by a token equal to its name,
 so every parser it can pick is complete, and the top-level help, the usage
 lines and the "invalid choice" errors come from the root parser and the
-help lines, which every command keeps.  No output changes.
+help lines, which every command keeps: the output is that of the full
+parser.
 """
 from __future__ import annotations
 
@@ -240,8 +241,8 @@ def build_parser(argv=None):
     """The parser; given argv, the commands it does not name are bare: no
     options and no -h.  argparse picks a command only by a token equal to
     its name, and the root parser alone prints the top-level help, usage
-    and "invalid choice" errors, so this changes no output.  Flags are
-    written in full, so every flag gets its negative values."""
+    and "invalid choice" errors, so the output is that of the full parser.
+    Flags are written in full, so every flag gets its negative values."""
     parser = argparse.ArgumentParser(
         prog="semiphoton", allow_abbrev=False,
         description="Deterministic verification of the rolled-wave electron "

@@ -585,9 +585,8 @@ TOKENS = st.lists(st.one_of(
 def test_filtered_parser_decides_like_the_full_one(argv):
     """argparse picks a command only by a token equal to its name, so the
     parser that builds only the named commands in full, the others bare,
-    is enough.  Command
-    names also come as option values, and unknown flags before a command
-    leave it the command."""
+    is enough.  Command names also come as option values, and unknown
+    flags before a command leave it the command."""
     assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
 
 
