@@ -10,8 +10,9 @@ with the current interpreter, from the tree's root and importing
 ``semiphoton`` from the tree's ``src``, and compares stdout, stderr and the
 exit code.  ``COMMANDS`` holds every command whose document is pinned
 under ``tests/fixtures/documents``, whose tests compare numbers only to
-1e-12, and commands that print argparse help or a usage error.  Prints each command whose outputs differ and exits 1 if any
-does, 0 if all are identical, and 2 if OTHER_ROOT is not a checkout.  Only
+1e-12, and commands that print argparse help or a usage error.  Prints
+each command whose outputs differ and exits 1 if any does, 0 if all are
+identical, and 2 if OTHER_ROOT is not a checkout.  Only
 the standard library is used, so the other tree may be any checkout of this
 repository, such as a parent commit.
 """

@@ -8,12 +8,11 @@ seed produce byte-identical output.
 Only ``report`` and ``torus`` load with this module; each handler imports
 the checker modules it runs, so ``torus`` and ``sweep-zeta`` start without
 them.  ``main`` looks each handler up by name when it is called, and builds
-the commands its argv does not name as bare parsers, without options and
-without ``-h``: argparse picks a command only by a token equal to its name,
-so every parser it can pick is complete, and the top-level help, the usage
-lines and the "invalid choice" errors come from the root parser and the
-help lines, which every command keeps: the output is that of the full
-parser.
+the commands its argv does not name bare, without options or ``-h``:
+argparse picks a command only by a token equal to its name, so every
+parser it can pick is complete, and the top-level help, usage lines and
+"invalid choice" errors come from the root parser and the help lines,
+which every command keeps.
 """
 from __future__ import annotations
 
