@@ -51,6 +51,7 @@ COMMANDS = [
     ["-m", "semiphoton", "torus", "--zeta", "0"],
     ["-m", "semiphoton", "planewave", "--px", "nan"],
     ["-m", "semiphoton", "verify", "--tol-abs", "1"],
+    ["-m", "semiphoton", "verify", "--samples", "0"],
     ["-m", "semiphoton", "sweep-zeta", "--min", "0.5", "--max", "0.1"],
     # help and usage errors: argparse's own text
     ["-m", "semiphoton", "-h"],

@@ -159,7 +159,6 @@ def cmd_dynamics(args):
         "linear_lagrangian_on_shell": {
             "spinor": [forms.spinor.real, forms.spinor.imag],
             "em": [forms.em.real, forms.em.imag],
-            "current": [forms.current.real, forms.current.imag],
         },
         "quartic_lagrangian": {
             "energy_momentum_route": nl.quartic_em,

@@ -1,15 +1,17 @@
 """Stress tensor, ring forces, Lagrangian evaluators, and rotation checks.
 
 The ring force has one closed form, ``lorentz_force_ring``; its other route
-is the cross product (1/c) j x H (or j x E) of the ring current, in
-``magnetic_confinement_density``.  The linear Lagrangian is evaluated
-through three independent routes (spinor algebra, field invariants, current
-form) that must agree pointwise and vanish on shell.  The quartic
-self-interaction term is evaluated both from the energy-momentum pair and
-through its quartic-invariant rewriting, and both again through the
-bilinears; all four meet for real fields.  Everything uses the sesquilinear
-convention: quadratic forms pair a component with the conjugate of the
-other factor, reducing to ordinary products for real fields.
+is the rotation that it supplies: the mass density ``field_mass_density``,
+turning rigidly at omega_s, needs the centripetal force density of
+``centripetal_check`` at r_s, which equals the closed form only because
+omega_s r_s = c.  The linear Lagrangian is evaluated through two
+independent routes (spinor algebra, field invariants) that must agree
+pointwise and vanish on shell.  The quartic self-interaction term is
+evaluated both from the energy-momentum pair and through its
+quartic-invariant rewriting, and both again through the bilinears; all four
+meet for real fields.  Everything uses the sesquilinear convention:
+quadratic forms pair a component with the conjugate of the other factor,
+reducing to ordinary products for real fields.
 
 ``stress_tensor``, the Lagrangian evaluators and the helpers they share also
 take a stack of points: a ``bridge.WavePoint`` whose fields hold n samples,
@@ -82,10 +84,11 @@ def lorentz_force_ring(model: TorusModel, e_amplitude, polarization,
     return RingForce(f2=f2, f0=f0)
 
 
-def magnetic_confinement_density(j_tau, h):
-    """Magnetic force density (1/c) j_tau x H with c = 1, per vector of a
-    stack."""
-    return cross(np.asarray(j_tau, dtype=float), np.asarray(h, dtype=float))
+def field_mass_density(model: TorusModel, e_amplitude, h_amplitude):
+    """E H / 4 pi c^2: the field momentum density |E x H| / 4 pi c of crossed
+    amplitudes, divided by c, the speed at which the ring carries it."""
+    c = model.units.c
+    return e_amplitude * h_amplitude / (4 * math.pi * c * c)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +111,14 @@ def _du_dt_terms(point: WavePoint, c):
 class LinearLagrangian(NamedTuple):
     spinor: complex
     em: complex
-    current: complex
 
 
 def lagrangian_linear(point: WavePoint, mass, c=1.0,
                       hbar=1.0) -> LinearLagrangian:
-    """The linear wave Lagrangian through its three equivalent routes.
+    """The linear wave Lagrangian through the spinor algebra and through the
+    field invariant E^2 - H^2.
 
-    All three vanish on solutions and agree pointwise on arbitrary
+    Both vanish on solutions and agree pointwise on arbitrary
     differentiable inputs; any gap flags a transcription defect.
     """
     omega_e = 2 * mass * c * c / hbar
@@ -134,13 +137,7 @@ def lagrangian_linear(point: WavePoint, mass, c=1.0,
     du_term, div_term = _du_dt_terms(point, c)
     invariant = e_squared(point.f) - h_squared(point.f)
     em = du_term + div_term - 1j * (omega_e / (8 * math.pi)) * invariant
-
-    # current route: tangential currents i (omega_e / 4 pi) E and H
-    factor = 1j * omega_e / (4 * math.pi)
-    current = du_term + div_term - 0.5 * (inner(point.f.e, factor * point.f.e)
-                                          - inner(point.f.h, factor * point.f.h))
-
-    return LinearLagrangian(spinor=spinor, em=em, current=current)
+    return LinearLagrangian(spinor=spinor, em=em)
 
 
 def maxwell_invariant_forms(point: WavePoint):

@@ -128,17 +128,18 @@ class RunConfig(NamedTuple):
         if self.units not in ("natural", "gaussian_cgs"):
             raise ValueError(f"unknown unit system {self.units!r}")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ValueError(f"--samples must be >= 1, got {self.samples!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        for name in ("tol_abs", "tol_rel"):
-            tol = getattr(self, name)
+            raise ValueError(f"--seed must be >= 0, got {self.seed!r}")
+        for flag, tol in (("--tol-abs", self.tol_abs),
+                          ("--tol-rel", self.tol_rel)):
             # a tolerance may tighten the gates, never loosen them
             if not 0 <= tol <= DEFAULT_TOL:
-                raise ValueError(f"{name} must be in [0, {DEFAULT_TOL!r}], "
+                raise ValueError(f"{flag} must be in [0, {DEFAULT_TOL!r}], "
                                  f"got {tol!r}")
         if self.quadrature_points < MIN_QUAD_POINTS:
-            raise ValueError(f"quadrature_points must be >= {MIN_QUAD_POINTS}")
+            raise ValueError(f"--quad-points must be >= {MIN_QUAD_POINTS}, "
+                             f"got {self.quadrature_points!r}")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.format!r}")
         return self

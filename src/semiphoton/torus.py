@@ -138,11 +138,6 @@ def with_e0(model: TorusModel, e0) -> TorusModel:
     return model._replace(e0=e0)
 
 
-def ring_current(model: TorusModel, e_magnitude):
-    """Tangential displacement current omega_s E / 4 pi on the ring."""
-    return model.omega_s * e_magnitude / (4 * math.pi)
-
-
 def simpson(y, h):
     """Composite Simpson's rule on samples y at uniform spacing h.
 

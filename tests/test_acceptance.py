@@ -221,13 +221,12 @@ def test_criterion_8_lagrangians():
             forms = dynamics.lagrangian_linear(point, 1.0)
             scale = max(abs(forms.em), 1.0)
             assert abs(forms.spinor - forms.em) <= 1e-12 * scale
-            assert abs(forms.current - forms.em) <= 1e-12 * scale
 
         wave = bridge.onshell_plane_wave(
             [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
         point = bridge.WavePoint._make(f[0] for f in wave.at(0.6, -0.4))
         forms = dynamics.lagrangian_linear(point, 1.0)
-        assert max(abs(forms.spinor), abs(forms.em), abs(forms.current)) <= 1e-12
+        assert max(abs(forms.spinor), abs(forms.em)) <= 1e-12
 
         for _ in range(200):
             e = np.zeros(3)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 import pytest
 
-from semiphoton import bridge, dirac, planewave, suites, torus
+from semiphoton import bridge, dirac, dynamics, planewave, suites, torus
 from semiphoton.cli import main
 from semiphoton.report import RunConfig
 
@@ -166,6 +166,36 @@ def _fill_a_structural_zero(monkeypatch):
     monkeypatch.setattr(planewave, "solution_basis", planted)
 
 
+def _divide_f2_by_h(monkeypatch):
+    """``* h`` planted as ``/ h`` in the f2 of lorentz_force_ring."""
+    exact = dynamics.lorentz_force_ring
+
+    def planted(model, e_amplitude, polarization, h_amplitude=None):
+        force = exact(model, e_amplitude, polarization, h_amplitude)
+        h = e_amplitude if h_amplitude is None else h_amplitude
+        return force._replace(f2=force.f2 / h / h)
+
+    monkeypatch.setattr(dynamics, "lorentz_force_ring", planted)
+
+
+def _ring_force_over_2_pi(monkeypatch):
+    """4 pi planted as 2 pi in both components of lorentz_force_ring."""
+    exact = dynamics.lorentz_force_ring
+    monkeypatch.setattr(dynamics, "lorentz_force_ring", lambda *args:
+                        dynamics.RingForce(*(2 * x for x in exact(*args))))
+
+
+def _detune_omega_s(monkeypatch):
+    """The ring's omega_s off by 1e-6 of itself in derive_parameters."""
+    exact = torus.derive_parameters
+
+    def planted(units, zeta):
+        model = exact(units, zeta)
+        return model._replace(omega_s=model.omega_s * (1 + 1e-6))
+
+    monkeypatch.setattr(torus, "derive_parameters", planted)
+
+
 PLANTS = [
     (_zero_scalar_residuals, ["planewave/expansion-detuned"]),
     (_swap_positive_x_slots, ["algebra/triad-layouts"]),
@@ -176,6 +206,13 @@ PLANTS = [
                                "planewave/nullspace", "planewave/sparsity",
                                "planewave/special-values",
                                "planewave/continuity"]),
+    (_divide_f2_by_h, ["dynamics/centripetal-acceleration"]),
+    (_ring_force_over_2_pi, ["dynamics/ring-force",
+                             "dynamics/centripetal-acceleration"]),
+    (_detune_omega_s, ["torus/frequency-radius", "torus/mass-quadrature",
+                       "torus/chain-closure", "torus/magnetic-moment",
+                       "torus/zitter-frequency", "dynamics/ring-force",
+                       "dynamics/centripetal-acceleration"]),
 ]
 
 

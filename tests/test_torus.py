@@ -48,13 +48,6 @@ def test_zeta_domain():
         torus.derive_parameters(NAT, 1.5)
 
 
-def test_ring_current():
-    m = model()
-    assert torus.ring_current(m, 0.0) == 0.0
-    assert torus.ring_current(m, 1.0) == pytest.approx(1 / (2 * math.pi),
-                                                       rel=1e-15)
-
-
 def test_simpson_against_closed_integrals():
     x = np.linspace(0.0, math.pi / 2, 257)
     assert torus.simpson(np.cos(x), x[1]) == pytest.approx(1.0, abs=1e-10)
