@@ -152,8 +152,8 @@ def test_self_field_and_currents():
     nl = dynamics.lagrangian_nonlinear(still, MODEL)
     assert nl.quartic_em == pytest.approx(
         MODEL.delta_tau * (u * u - g @ g), rel=1e-15)
-    # with omega_e = 2 m c^2 = 2, a static point leaves the invariant term
-    # -i (omega_e / 8 pi)(E^2 - H^2) of the field route, as the spinor route
+    # with omega_e = 2 m c^2 = 2, a static point leaves only the term
+    # -i (omega_e / 8 pi)(E^2 - H^2) of the field route; the spinor route agrees
     for e, h, expected in (([1, 0, 0], [0, 0, 0], -1j / (4 * math.pi)),
                            ([0, 0, 0], [0, 0, 1], 1j / (4 * math.pi))):
         point = bridge.WavePoint(EmField(e, h), EmField.zero(),
