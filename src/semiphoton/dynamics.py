@@ -234,13 +234,21 @@ def self_action_constant(model: TorusModel):
 FD_STEP = 1e-6  # central-difference step (times r in centripetal_check)
 
 
+def rigid_rotation(omega):
+    """Velocity field omega z x p of a rigid rotation about OZ, mapping a
+    point (3,) or a stack (n, 3) to 3-vectors of its shape."""
+    def velocity(p):
+        return np.stack([-omega * p[..., 1], omega * p[..., 0],
+                         np.zeros(p.shape[:-1])], axis=-1)
+    return velocity
+
+
 def _partial(field, point, axis, h):
     """Central difference of a scalar or vector field along one axis, at one
-    point (3,) or a stack (n, 3) with one step per point."""
+    point (3,) or a stack (n, 3)."""
     dp = np.zeros(np.shape(point))
     dp[..., axis] = h
-    diff = np.asarray(field(point + dp)) - np.asarray(field(point - dp))
-    return (diff.T / (2 * np.asarray(h))).T  # a stack's axis leads, as h's
+    return (field(point + dp) - field(point - dp)) / (2 * h)
 
 
 def _curl_fd(vfield, point, h):
@@ -256,28 +264,22 @@ class CentripetalReport(NamedTuple):
 
 
 def centripetal_check(omega, r) -> CentripetalReport:
-    """Rigid rotation about OZ: curl v = 2 omega, |v x curl v| / 2 = v^2 / r.
+    """Rigid rotation about OZ: curl v = 2 omega, |v x curl v| / 2 = v^2 / r,
+    at the point (r, 0, 0).
 
-    omega and r are one pair or equal-length arrays of pairs; a stack gives
-    curl (n, 3) and n magnitudes.  The velocity field v = omega x r is
-    linear, so the finite-difference curl is exact up to rounding.
+    The velocity field is linear, so the finite-difference curl is exact up
+    to rounding.
     """
-    omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
-    if np.any(omega < 0) or np.any(r <= 0):
+    if omega < 0 or r <= 0:
         raise ValueError("omega must be non-negative and r positive")
-    zero = np.zeros_like(r)
-
-    def vfield(p):
-        return np.stack([-omega * p[..., 1], omega * p[..., 0], zero], axis=-1)
-
-    point = np.stack([r, zero, zero], axis=-1)
+    vfield = rigid_rotation(omega)
+    point = np.array([r, 0.0, 0.0])
     curl = _curl_fd(vfield, point, FD_STEP * r)
     accel = 0.5 * cross(vfield(point), curl)
-    magnitude = np.linalg.norm(accel, axis=-1)
+    # axis=-1 sums in numpy; without an axis norm goes through BLAS dot
     return CentripetalReport(
         curl=curl,
-        acceleration_magnitude=float(magnitude) if magnitude.ndim == 0
-        else magnitude)
+        acceleration_magnitude=float(np.linalg.norm(accel, axis=-1)))
 
 
 def matter_motion_residual(g_field, u_field, v_field, points):

@@ -627,10 +627,7 @@ def suite_dynamics(cfg: RunConfig):
         notes="relative; 16 seeded (E, H) pairs, both polarizations"))
 
     rho = dynamics.field_mass_density(model, 1.0, 1.0)
-
-    def v_field(p):
-        return np.stack([-omega * p[..., 1], omega * p[..., 0],
-                         np.zeros(p.shape[:-1])], axis=-1)
+    v_field = dynamics.rigid_rotation(omega)
 
     def g_field(p):
         return rho * v_field(p)

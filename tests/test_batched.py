@@ -1038,34 +1038,6 @@ def test_sweep_zeta_error_line_is_the_first_failing_zeta(argv, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_centripetal_stack_matches_single_pairs():
-    rng = np.random.default_rng(11)
-    pairs = rng.uniform([0.1, 0.1], [5.0, 3.0], size=(16, 2))
-    rng = np.random.default_rng(11)
-    alternating = [float(rng.uniform(lo, hi))
-                   for _ in range(16) for lo, hi in ((0.1, 5.0), (0.1, 3.0))]
-    assert pairs.ravel().tolist() == alternating
-    omega, r = pairs.T
-    rep = dynamics.centripetal_check(omega, r)
-    assert rep.curl.shape == (16, 3)
-    for i in range(16):
-        one = dynamics.centripetal_check(float(omega[i]), float(r[i]))
-        assert np.array_equal(one.curl, rep.curl[i])
-        assert one.acceleration_magnitude == rep.acceleration_magnitude[i]
-        assert type(one.acceleration_magnitude) is float
-    with pytest.raises(ValueError):
-        dynamics.centripetal_check(omega, np.where(r > 1, 0.0, r))
-
-
-def test_centripetal_spot_pair_is_row_zero_of_the_stack():
-    pairs = np.random.default_rng(4).uniform([0.1, 0.1], [5.0, 3.0], (16, 2))
-    omega, r = np.concatenate([[[2.0, 0.5]], pairs]).T
-    rep = dynamics.centripetal_check(omega, r)
-    one = dynamics.centripetal_check(2.0, 0.5)
-    assert np.array_equal(one.curl, rep.curl[0])
-    assert one.acceleration_magnitude == rep.acceleration_magnitude[0]
-
-
 ROUND_TRIP_LAYOUTS = [bridge.layout_for_triad(t, charge_conjugated=conj)
                       for t in dirac.axis_triads() for conj in (False, True)]
 

@@ -81,26 +81,20 @@ def test_no_matrix_operator_in_the_package():
     assert sorted({where for where, _ in sites}) == sorted(MATMUL_ALLOWED)
 
 
-def _slow_path_sites(tree):
-    """Line of every ``np.cross`` and every ``json.dumps`` with an indent."""
+def _np_cross_sites(tree):
+    """Line of every ``np.cross``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "cross" \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id in ("np", "numpy"):
             yield node.lineno
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "dumps" \
-                and any(k.arg == "indent" for k in node.keywords):
-            yield node.lineno
 
 
-def test_no_np_cross_or_indented_json_dumps_in_the_package():
-    """``linalg.cross`` gives np.cross's bits without its axis handling, and
-    ``report.document_json`` gives json's indented text without its
-    pure-Python encoder."""
+def test_no_np_cross_in_the_package():
+    """``linalg.cross`` gives np.cross's bits without its axis handling."""
     package = pathlib.Path(semiphoton.__file__).parent
     sites = [(path.stem, line) for path in sorted(package.glob("*.py"))
-             for line in _slow_path_sites(ast.parse(path.read_text()))]
+             for line in _np_cross_sites(ast.parse(path.read_text()))]
     assert sites == []
 
 
