@@ -52,6 +52,12 @@ COMMANDS = [
     ["-m", "semiphoton", "planewave", "--px", "nan"],
     ["-m", "semiphoton", "verify", "--tol-abs", "1"],
     ["-m", "semiphoton", "verify", "--samples", "0"],
+    ["-m", "semiphoton", "verify", "--seed", "-1"],
+    ["-m", "semiphoton", "verify", "--tol-rel", "nan"],
+    ["-m", "semiphoton", "torus", "--quad-points", "63"],
+    ["-m", "semiphoton", "sweep-zeta", "--steps", "1000001"],
+    # two values outside their domains: the first check names its option
+    ["-m", "semiphoton", "verify", "--samples", "0", "--quad-points", "10"],
     ["-m", "semiphoton", "sweep-zeta", "--min", "0.5", "--max", "0.1"],
     # help and usage errors: argparse's own text
     ["-m", "semiphoton", "-h"],

@@ -23,31 +23,43 @@ import sys
 import numpy as np
 
 from . import torus
-from .report import (DEFAULT_TOL, FAIL, MIN_QUAD_POINTS, RunConfig, SUITES,
-                     csv_rows, document_json, report_csv, report_json,
-                     report_text)
+from .report import (DEFAULT_TOL, FAIL, RunConfig, SUITES, csv_rows,
+                     document_json, report_csv, report_json, report_text)
 
 USAGE_ERROR = 2
 MAX_SIZE = 10 ** 6  # largest --samples, --quad-points or --steps
 
+# (flag, test, domain) of every value that neither its type nor argparse's
+# choices bound, in the order checked: the size caps, the floors, the
+# tolerances, which may tighten the gates but never loosen them (NaN is
+# outside), and the momenta.
+DOMAINS = (
+    *((flag, lambda v: v <= MAX_SIZE, f"<= {MAX_SIZE}")
+      for flag in ("--samples", "--quad-points", "--steps")),
+    ("--quad-points", lambda v: v >= torus.MIN_QUAD_POINTS,
+     f">= {torus.MIN_QUAD_POINTS}"),
+    ("--samples", lambda v: v >= 1, ">= 1"),
+    ("--seed", lambda v: v >= 0, ">= 0"),
+    *((flag, lambda v: 0 <= v <= DEFAULT_TOL, f"in [0, {DEFAULT_TOL!r}]")
+      for flag in ("--tol-abs", "--tol-rel")),
+    *((flag, math.isfinite, "finite") for flag in ("--px", "--py", "--pz")),
+)
+
 
 def _meta_config(args):
-    """meta.config of a document: the RunConfig settings the command reads."""
-    return {k: getattr(args, k) for k in RunConfig().to_dict()
-            if hasattr(args, k)}
+    """meta.config of a document: the RunConfig settings the command reads,
+    in field order."""
+    return {k: getattr(args, k) for k in RunConfig._fields if hasattr(args, k)}
 
 
-def _check_sizes(args):
-    """Reject a size option above MAX_SIZE, or --quad-points below
-    MIN_QUAD_POINTS, before anything is allocated."""
-    for flag in ("--samples", "--quad-points", "--steps"):
-        value = getattr(args, OPTIONS[flag].get("dest", flag[2:]), None)
-        if value is not None and value > MAX_SIZE:
-            raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
-    points = getattr(args, "quadrature_points", MIN_QUAD_POINTS)
-    if points < MIN_QUAD_POINTS:
-        raise ValueError(
-            f"--quad-points must be >= {MIN_QUAD_POINTS}, got {points}")
+def _check_values(args):
+    """Reject the first value outside its domain before anything is
+    allocated, with one line naming its option."""
+    for flag, within, domain in DOMAINS:
+        dest = OPTIONS[flag].get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, dest, None)
+        if value is not None and not within(value):
+            raise ValueError(f"{flag} must be {domain}, got {value}")
 
 
 def _emit(text, out):
@@ -68,16 +80,15 @@ def _complex_pairs(vector):
 
 def cmd_verify(args):
     from .suites import run_suites
-    cfg = RunConfig(**{name: getattr(args, name)
-                       for name in RunConfig._fields}).validate()
+    config = _meta_config(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks, ledger = run_suites(cfg, names)
-    if cfg.format == "text":
-        _emit(report_text(cfg, checks, ledger), cfg.out)
-    elif cfg.format == "csv":
-        _emit(report_csv(checks), cfg.out)
+    checks, ledger = run_suites(RunConfig(**config), names)
+    if args.format == "text":
+        _emit(report_text(config, checks, ledger), args.out)
+    elif args.format == "csv":
+        _emit(report_csv(checks), args.out)
     else:
-        _emit(report_json(cfg, checks, ledger), cfg.out)
+        _emit(report_json(config, checks, ledger), args.out)
     return 1 if any(c.verdict == FAIL for c in checks) else 0
 
 
@@ -102,10 +113,6 @@ def cmd_torus(args):
 
 def cmd_planewave(args):
     from . import planewave
-    for flag in ("--px", "--py", "--pz"):
-        value = getattr(args, flag[2:])
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     p = np.array([args.px, args.py, args.pz])
     states = planewave.make_states(args.branch, p)
     body = []
@@ -290,7 +297,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize other codes
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        _check_sizes(args)
+        _check_values(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, torus.QuadratureNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

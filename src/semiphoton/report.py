@@ -10,6 +10,9 @@ Every JSON document goes through :func:`document_json`, which is
 ``json.dumps(doc, indent=2, allow_nan=False)``, so NaN and infinities raise.
 The records are NamedTuples, so a document holds their ``to_dict()`` or
 ``_asdict()``, never a record, which would be written as a list.
+:class:`RunConfig` is a plain record of a verify run's settings: ``cli``
+checks every value before it builds one, and builds every ``meta.config``
+dict that the writers take.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ SUITE_IDS = {
 SUITES = tuple(SUITE_IDS)
 
 DEFAULT_TOL = 1e-12  # loosest tolerance a run may ask for
-MIN_QUAD_POINTS = 64  # coarsest quadrature grid a run may ask for
 
 
 def _number(value):
@@ -122,29 +124,6 @@ class RunConfig(NamedTuple):
     seed: int = 0
     format: str = "json"
     quadrature_points: int = 256
-    out: str | None = None
-
-    def validate(self):
-        if self.units not in ("natural", "gaussian_cgs"):
-            raise ValueError(f"unknown unit system {self.units!r}")
-        if self.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {self.samples!r}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed!r}")
-        for flag, tol in (("--tol-abs", self.tol_abs),
-                          ("--tol-rel", self.tol_rel)):
-            # a tolerance may tighten the gates, never loosen them
-            if not 0 <= tol <= DEFAULT_TOL:
-                raise ValueError(f"{flag} must be in [0, {DEFAULT_TOL!r}], "
-                                 f"got {tol!r}")
-        if self.format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.format!r}")
-        return self
-
-    def to_dict(self):
-        d = self._asdict()
-        d.pop("out")
-        return d
 
 
 def rng_for_suite(seed, suite):
@@ -160,15 +139,16 @@ def document_json(config, body):
 
 
 def report_json(config, checks, ledger):
-    return document_json(config.to_dict(), {
+    return document_json(config, {
         "checks": [c.to_dict() for c in checks],
         "ledger": [e.to_dict() for e in ledger],
     })
 
 
 def report_text(config, checks, ledger):
-    lines = [f"semiphoton {__version__}  units={config.units} zeta={config.zeta!r} "
-             f"seed={config.seed} samples={config.samples}"]
+    lines = [f"semiphoton {__version__}  units={config['units']} "
+             f"zeta={config['zeta']!r} seed={config['seed']} "
+             f"samples={config['samples']}"]
     for c in checks:
         lines.append(f"[{c.verdict.upper():8s}] {c.id}: claimed={_scalarize(c.claimed)} "
                      f"computed={_scalarize(c.computed)} abs_err={_number(c.abs_err)}"

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .report import MIN_QUAD_POINTS, Discrepancy
+from .report import Discrepancy
 
 #: CODATA-style Gaussian-unit constants (erg s, cm/s, g, esu).
 HBAR_CGS = 1.054571817e-27
@@ -43,6 +43,7 @@ FINE_STRUCTURE = 7.2973525693e-3
 
 CONVERGENCE_TOL = 1e-10
 MAX_DOUBLINGS = 5  # grid doublings before a quadrature must have converged
+MIN_QUAD_POINTS = 64  # coarsest grid a quadrature may start from
 
 
 class DomainError(ValueError):

@@ -291,7 +291,7 @@ def test_criterion_10_determinism_and_runtime():
 
 def test_in_process_suites_match_exit_contract():
     for units in ("natural", "gaussian_cgs"):
-        cfg = RunConfig(units=units, samples=100, seed=5).validate()
+        cfg = RunConfig(units=units, samples=100, seed=5)
         checks, ledger = run_suites(cfg, ["algebra", "bilinear", "fierz",
                                           "torus", "planewave", "dynamics"])
         assert not any(c.verdict == "fail" for c in checks)

@@ -83,8 +83,6 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["nonsense-command"]) == 2
     capsys.readouterr()
-    assert main(["verify", "--samples", "0"]) == 2
-    assert capsys.readouterr().err == "error: --samples must be >= 1, got 0\n"
     assert main(["torus", "--zeta", "7"]) == 2
     capsys.readouterr()
 
@@ -335,7 +333,9 @@ def test_report_json_encodes_non_finite_values():
               CheckReport.build("x/stack", "r", 0.0,
                                 [np.array([5.0]), np.array([np.nan])])]
     ledger = [Discrepancy("y", stated=math.nan, computed=1.0, ratio=math.inf)]
-    doc = strict_json(report_json(RunConfig(), checks, ledger))
+    doc = strict_json(report_json(cli._meta_config(RunConfig()), checks,
+                                  ledger))
+    assert isinstance(doc["meta"]["config"], dict)
     got = {c["id"]: c for c in doc["checks"]}
     assert all(c["verdict"] == "fail" for c in doc["checks"])
     assert (got["x/nan"]["computed"], got["x/nan"]["abs_err"],
@@ -352,19 +352,6 @@ def test_report_json_encodes_non_finite_values():
     # a claimed 0 has no scale, so tol_rel cannot pass it
     assert CheckReport.build("x", "r", 0.0, 5e-13,
                              tol_abs=1e-15).verdict == "fail"
-
-
-@pytest.mark.parametrize("option,value", [
-    ("--tol-abs", "inf"), ("--tol-rel", "inf"), ("--tol-abs", "nan"),
-    ("--tol-rel", "nan"), ("--tol-abs", "-1"), ("--tol-rel", "-1"),
-    ("--tol-abs", "1e300"), ("--tol-rel", "1.1e-12")])
-def test_tolerance_outside_its_domain_exits_two(option, value, capsys):
-    assert main(["verify", "--suite", "fierz", "--samples", "10",
-                 option, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {option} must be in [0, 1e-12], "
-                            f"got {float(value)!r}\n")
 
 
 def test_torus_suite_runs_at_tiny_zeta(capsys):
@@ -385,15 +372,6 @@ def test_planewave_infinite_energy_exits_two(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: on-shell energy is not finite")
     assert len(captured.err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--px", "nan"), ("--py", "inf"), ("--pz", "-inf")])
-def test_planewave_non_finite_momentum_names_its_option(flag, value, capsys):
-    assert main(["planewave", f"{flag}={value}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag} must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("flag, value, code, err", [
@@ -627,32 +605,52 @@ def test_meta_config_lists_only_the_settings_read(argv, config, capsys):
     assert list(strict_json(out)["meta"]["config"].items()) == config
 
 
-@pytest.mark.parametrize("command", ["torus", "sweep-zeta", "verify"])
-def test_too_few_quadrature_points_exit_two(command, capsys):
-    assert main([command, "--quad-points", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --quad-points must be >= 64, got 10\n"
+# (argv, the error line) of a value outside its option's domain; with two
+# such values the first check in cli.DOMAINS names its option.
+VALUE_ERRORS = [
+    *((["verify", "--suite", "fierz", "--samples", "10", flag, value],
+      f"{flag} must be in [0, 1e-12], got {got}")
+      for flag, value, got in [
+          ("--tol-abs", "inf", "inf"), ("--tol-rel", "inf", "inf"),
+          ("--tol-abs", "nan", "nan"), ("--tol-rel", "nan", "nan"),
+          ("--tol-abs", "-1", "-1.0"), ("--tol-rel", "-1", "-1.0"),
+          ("--tol-abs", "1e300", "1e+300"),
+          ("--tol-rel", "1.1e-12", "1.1e-12")]),
+    (["torus", "--quad-points", "10"], "--quad-points must be >= 64, got 10"),
+    (["sweep-zeta", "--quad-points", "10"],
+     "--quad-points must be >= 64, got 10"),
+    (["verify", "--quad-points", "10"], "--quad-points must be >= 64, got 10"),
+    (["verify", "--samples", "1000001"],
+     "--samples must be <= 1000000, got 1000001"),
+    (["verify", "--quad-points", "1000001"],
+     "--quad-points must be <= 1000000, got 1000001"),
+    (["torus", "--quad-points", "1000001"],
+     "--quad-points must be <= 1000000, got 1000001"),
+    (["sweep-zeta", "--quad-points", "1000001"],
+     "--quad-points must be <= 1000000, got 1000001"),
+    (["sweep-zeta", "--steps", "1000001"],
+     "--steps must be <= 1000000, got 1000001"),
+    (["verify", "--suite", "fierz", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["verify", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["planewave", "--px=nan"], "--px must be finite, got nan"),
+    (["planewave", "--py=inf"], "--py must be finite, got inf"),
+    (["planewave", "--pz=-inf"], "--pz must be finite, got -inf"),
+    (["verify", "--samples", "0", "--quad-points", "10"],
+     "--quad-points must be >= 64, got 10"),
+    (["verify", "--samples", "0", "--tol-abs", "1"],
+     "--samples must be >= 1, got 0"),
+]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--samples", "1000001"],
-    ["verify", "--quad-points", "1000001"],
-    ["torus", "--quad-points", "1000001"],
-    ["sweep-zeta", "--quad-points", "1000001"],
-    ["sweep-zeta", "--steps", "1000001"]])
-def test_size_above_its_cap_exits_two(argv, capsys):
+@pytest.mark.parametrize("argv, line", VALUE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in VALUE_ERRORS])
+def test_value_outside_its_domain_exits_two_with_one_line(argv, line,
+                                                          capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {argv[1]} must be <= 1000000, got 1000001\n"
-
-
-def test_negative_seed_exits_two(capsys):
-    assert main(["verify", "--suite", "fierz", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.err == f"error: {line}\n"
 
 
 # One run of every command in both unit systems and all three verify
