@@ -16,8 +16,7 @@ def reference(config, body):
 
 
 # A small nested document: meta first, then the body's keys in their order,
-# a two-space indent, empty containers inline, a tuple as a list, non-ASCII
-# escaped.
+# a two-space indent, a tuple as a list, non-ASCII escaped.
 PINNED = """{
   "meta": {
     "version": "%s",
@@ -29,21 +28,50 @@ PINNED = """{
   "b": [
     1,
     -0.0,
-    [],
     {
       "c": null
     }
   ],
-  "a": {},
+  "a": [
+    2
+  ],
   "d": "\\u00e9",
   "e": true
 }""" % __version__
 
+# Empty containers inline, also nested and under an empty config.
+EMPTY_AND_NESTED = """{
+  "meta": {
+    "version": "%s",
+    "config": {}
+  },
+  "a": [],
+  "b": {},
+  "c": [],
+  "d": [
+    [],
+    {},
+    [
+      {}
+    ]
+  ],
+  "e": {
+    "f": [
+      1
+    ]
+  }
+}""" % __version__
 
-def test_document_bytes_are_pinned():
-    body = {"b": [1, -0.0, (), {"c": None}], "a": {}, "d": "\u00e9",
+
+def test_document_json_is_json_dumps_with_indent():
+    body = {"b": [1, -0.0, {"c": None}], "a": (2,), "d": "\u00e9",
             "e": True}
     assert document_json({"units": "natural", "zeta": 1.0}, body) == PINNED
+
+
+def test_empty_containers_and_nesting():
+    body = {"a": [], "b": {}, "c": (), "d": [[], {}, [{}]], "e": {"f": [1]}}
+    assert document_json({}, body) == EMPTY_AND_NESTED
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
