@@ -133,7 +133,7 @@ SWEEP_ARGV = ["sweep-zeta", "--min", "0.05", "--max", "0.8", "--steps", "12",
 def expansion(triads, forms, t_grid, u_grid):
     """The waves and residuals of a stack of (triad, form) cases, as the
     planewave suite's expansion checks build them."""
-    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
+    wave = bridge.onshell_plane_wave(triads, forms, 0.8, e2_amp=0.7)
     return bridge.dirac_residual_em(wave, t_grid, u_grid)
 
 
@@ -141,7 +141,7 @@ def suite_grids():
     """The planewave suite's detuned and finite-difference grids: one
     y-negative plus-form case each on a 3 x 3 grid."""
     y_neg, k = [dirac.triad("y", "negative")], 0.8
-    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
+    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k)
     detuned = wave._replace(omega=1.1 * wave.omega)
     return {
         "expansion_detuned_1x3x3": lambda: bridge.dirac_residual_em(
@@ -155,12 +155,11 @@ def suite_grids():
 def kernels(cfg):
     canon = dirac.canonical_alpha_set()
     s = dirac.s_matrix()
-    natural = torus.UnitSystem.natural()
-    model = torus.derive_parameters(natural, 1.0)
+    model = torus.derive_parameters(torus.NATURAL, 1.0)
     chain_zetas = torus.zeta_grid(0.05, 1.0, 20)
     nodes = np.linspace(0.0, math.pi / 2, 513)
     t_ax = [dirac.triad("y", "negative")]
-    wave = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7, 1.0)
+    wave = bridge.onshell_plane_wave(t_ax, ["plus"], 0.7)
     t_grid, u_grid = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
@@ -185,7 +184,8 @@ def kernels(cfg):
         "cross_1000": lambda: linalg.cross(momenta, x[1, :, :3]),
         "simpson": lambda: torus.simpson(np.cos(nodes), nodes[1]),
         "calibrate_e0": lambda: torus.calibrate_e0(model, 512),
-        "sweep_zeta_20": lambda: torus.evaluate(natural, chain_zetas, 128),
+        "sweep_zeta_20": lambda: torus.evaluate(torus.NATURAL, chain_zetas,
+                                                128),
         "dirac_residual_em_4x5": lambda: bridge.dirac_residual_em(
             wave, t_grid, u_grid),
         "expansion_12x4x5": lambda: expansion(triads, forms, t_grid, u_grid),

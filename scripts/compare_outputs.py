@@ -35,6 +35,7 @@ COMMANDS = [
       for fmt in ("json", "text", "csv")),
     ["-m", "semiphoton", "dynamics"],
     ["-m", "semiphoton", "dynamics", "--units", "gaussian_cgs"],
+    ["-m", "semiphoton", "dynamics", "--zeta", "0.3"],
     ["-m", "semiphoton", "dynamics", "--zeta", "0.3", "--units",
      "gaussian_cgs"],
     ["-m", "semiphoton", "dynamics", "--zeta", "1e-170"],
@@ -66,6 +67,7 @@ COMMANDS = [
     ["-m", "semiphoton"],
     ["-m", "semiphoton", "bogus"],
     ["-m", "semiphoton", "torus", "--samples", "5"],
+    ["-m", "semiphoton", "verify", "--units", "foo"],
     ["scripts/residual_scan.py"],
     ["scripts/residual_scan.py", "--k", "1.7", "--detunings", "1", "0.9",
      "1.3"],

@@ -35,7 +35,7 @@ def main(argv=None):
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
     try:
-        wave = bridge.onshell_plane_wave(triads, forms, args.k, 1.0)
+        wave = bridge.onshell_plane_wave(triads, forms, args.k)
     except ValueError as err:
         parser.error(f"--k: {err}")
     with np.errstate(over="ignore", invalid="ignore"):

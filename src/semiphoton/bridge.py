@@ -33,8 +33,8 @@ at once.  The grid's fields and both derivatives are stacked once, as
 one (3, C, n, 6) [E, H] array that both routes read; a finite-difference
 grid reports its Richardson truncation estimate per case for the caller to
 judge, it never raises on it.  The systems work in units of m c^2 and m c
-with hbar = 1; ``onshell_plane_wave`` keeps m, c and hbar, which
-``dynamics`` sets in CGS.
+with hbar = 1, and read natural-unit waves only; ``onshell_plane_wave``
+takes the ``UnitSystem`` of its wave, which ``dynamics`` sets to CGS.
 
 The twelve triad layouts are built once, at import, with their read-only
 slot rows and scalar rows, so a call reads its tables instead of building
@@ -49,6 +49,7 @@ import numpy as np
 from . import dirac
 from .linalg import (as_bispinor, as_vec3, cross, frozen, inner, mat_vec,
                      require_finite)
+from .torus import NATURAL
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FD_TOL = 1e-6  # largest finite-difference truncation estimate that passes
@@ -482,19 +483,20 @@ class SlotWave(NamedTuple):
                            self.layouts)
 
 
-def onshell_plane_wave(triads, sign_forms, k, mass, e2_amp=0.0, c=1.0,
-                       hbar=1.0) -> SlotWave:
+def onshell_plane_wave(triads, sign_forms, k, e2_amp=0.0,
+                       units=NATURAL) -> SlotWave:
     """Complex plane waves, case i solving the (triads[i], sign_forms[i]) system.
 
     The two transverse sub-blocks decouple: (E_1, H_2) and (E_2, H_1) pair
     up with amplitude ratios fixed by the sign form and the dispersion
-    relation omega^2 = (m c^2/hbar)^2 + c^2 k^2, which every case shares.
+    relation omega^2 = (m c^2/hbar)^2 + c^2 k^2 in ``units``, for every case.
     Case i's amplitudes (1, E_2, H_1, H_2) fill its triad layout's slots.
     A k of 0 is an error, and an omega or H amplitude that overflows is a
     non-finite one.
     """
     s = np.array([SIGN_FORMS[form] for form in sign_forms])
-    w0 = mass * c * c / hbar
+    c = units.c
+    w0 = units.m_e * c * c / units.hbar
     k = require_finite(k, "k")
     if k == 0:
         raise ValueError("k must be non-zero")

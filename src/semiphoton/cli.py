@@ -147,26 +147,21 @@ def cmd_dynamics(args):
     self_action = dynamics.self_action_constant(model)
     force = dynamics.lorentz_force_ring(model, 1.0, "Ex_Hz")
     force_x = dynamics.lorentz_force_ring(model, 1.0, "Ez_Hx")
-    mass = units.m_e
-    c = units.c
     k = 0.8 * model.k
     t_ax = dirac.triad("y", "negative")
-    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, mass, c=c,
-                                     hbar=units.hbar)
+    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, units=units)
     point = bridge.WavePoint._make(f[0] for f in wave.at(0.0, 0.0))
-    forms = dynamics.lagrangian_linear(point, mass, c=c, hbar=units.hbar)
+    forms = dynamics.lagrangian_linear(point, units)
     nl = dynamics.lagrangian_nonlinear(point, model)
     comp = dynamics.photon_photon_comparison(
-        torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), args.zeta))
+        torus.derive_parameters(torus.GAUSSIAN_CGS, args.zeta))
     doc = {
         "ring_force": {
             "Ex_Hz": {"f2": force.f2, "f0": force.f0},
             "Ez_Hx": {"f2": force_x.f2, "f0": force_x.f0},
         },
-        "linear_lagrangian_on_shell": {
-            "spinor": [forms.spinor.real, forms.spinor.imag],
-            "em": [forms.em.real, forms.em.imag],
-        },
+        "linear_lagrangian_on_shell": dict(zip(forms._fields,
+                                               _complex_pairs(forms))),
         "quartic_lagrangian": {
             "energy_momentum_route": nl.quartic_em,
             "invariant_route": nl.quartic_invariant,
@@ -204,7 +199,7 @@ def cmd_dump_matrices(args):
 # dest is the RunConfig field it sets, where it sets one.
 OPTIONS = {
     "--suite": dict(choices=SUITES + ("all",), default="all"),
-    "--units": dict(choices=("natural", "gaussian_cgs"), default="natural"),
+    "--units": dict(choices=tuple(torus.UNIT_SYSTEMS), default="natural"),
     "--zeta": dict(type=float, default=1.0),
     "--tol-abs": dict(type=float, default=DEFAULT_TOL),
     "--tol-rel": dict(type=float, default=DEFAULT_TOL),

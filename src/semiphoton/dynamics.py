@@ -32,7 +32,7 @@ from .bridge import (AXIS_INDEX, EmField, WavePoint, bispinor_from_fields,
                      cross_sym, e_squared, eh_dot, electron_layout,
                      fierz_quantum, h_squared)
 from .linalg import cross, inner, mat_vec
-from .torus import DomainError, TorusModel, coupling_constant
+from .torus import NATURAL, DomainError, TorusModel, coupling_constant
 
 LAYOUT = electron_layout()  # the slot map of every Lagrangian route
 
@@ -113,14 +113,14 @@ class LinearLagrangian(NamedTuple):
     em: complex
 
 
-def lagrangian_linear(point: WavePoint, mass, c=1.0,
-                      hbar=1.0) -> LinearLagrangian:
+def lagrangian_linear(point: WavePoint, units=NATURAL) -> LinearLagrangian:
     """The linear wave Lagrangian through the spinor algebra and through the
-    field invariant E^2 - H^2.
+    field invariant E^2 - H^2, with m_e, c and hbar read from ``units``.
 
     Both vanish on solutions and agree pointwise on arbitrary
     differentiable inputs; any gap flags a transcription defect.
     """
+    mass, c, hbar = units.m_e, units.c, units.hbar
     omega_e = 2 * mass * c * c / hbar
 
     # spinor route

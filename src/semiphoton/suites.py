@@ -312,7 +312,7 @@ def suite_torus(cfg: RunConfig):
     # r_o / r_s does not depend on zeta (bit for bit at 0.3 and 1), and the
     # cgs field mass underflows at zeta far above where the natural one does,
     # so the cgs ring is taken at zeta = 1 whatever --zeta says
-    chain_g = torus.evaluate(torus.UnitSystem.gaussian_cgs(), 1.0, 128).chain
+    chain_g = torus.evaluate(torus.GAUSSIAN_CGS, 1.0, 128).chain
     checks.append(CheckReport.build(
         "torus/radius-ratio", "classical over ring radius is e^2/hbar c",
         torus.FINE_STRUCTURE, chain_g.radius_ratio, tol_abs=0.0, tol_rel=5e-3))
@@ -459,7 +459,7 @@ def suite_planewave(cfg: RunConfig):
     cases = [(t, form) for t in dirac.axis_triads()
              for form in ("plus", "minus")]
     triads, forms = zip(*cases)
-    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e2_amp=0.7)
+    wave = bridge.onshell_plane_wave(triads, forms, k, e2_amp=0.7)
     rep = bridge.dirac_residual_em(
         wave, t_grid=np.linspace(0, 2.0, 4), u_grid=np.linspace(-1.0, 1.0, 5))
     scale = max(wave.omega, 1.0)
@@ -472,7 +472,7 @@ def suite_planewave(cfg: RunConfig):
             tol_abs=1e-12 * scale, notes=f"omega={wave.omega:.6f}, k={k}"))
 
     y_neg = [dirac.triad("y", "negative")]
-    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k, 1.0)
+    wave = bridge.onshell_plane_wave(y_neg, ["plus"], k)
     detuned_max = bridge.dirac_residual_em(
         wave._replace(omega=1.1 * wave.omega), t_grid=np.linspace(0.1, 1.7, 3),
         u_grid=np.linspace(-0.9, 0.9, 3)).max_scalar[0]
@@ -503,7 +503,7 @@ FIELD_ALGEBRA = "reads no ring quantity: it tests the field algebra alone"
 def suite_dynamics(cfg: RunConfig):
     rng = rng_for_suite(cfg.seed, "dynamics")
     checks, ledger = [], []
-    model = torus.derive_parameters(torus.UnitSystem.natural(), cfg.zeta)
+    model = torus.derive_parameters(torus.NATURAL, cfg.zeta)
 
     n = min(cfg.samples, 200)
     x = rng.uniform(-2, 2, size=(n, 2, 3))
@@ -550,7 +550,7 @@ def suite_dynamics(cfg: RunConfig):
     # each sample draws amplitude real and imaginary parts, then ws, then ks
     x = rng.normal(size=(min(cfg.samples, 200), 4, 4))
     point = wave_point(x[:, 0] + 1j * x[:, 1], x[:, 2], x[:, 3], 0.3, 1.1)
-    forms = dynamics.lagrangian_linear(point, 1.0)
+    forms = dynamics.lagrangian_linear(point)
     scale = np.maximum(np.abs(forms.em), 1.0)
     checks.append(CheckReport.build(
         "dynamics/linear-forms", "spinor and field routes agree",
@@ -559,10 +559,10 @@ def suite_dynamics(cfg: RunConfig):
 
     t_ax = dirac.triad("y", "negative")
     k = 0.8
-    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k, 1.0)
+    wave = bridge.onshell_plane_wave([t_ax], ["plus"], k)
     tt, yy = np.array([0.0, 0.7, 2.1]), np.array([0.0, -1.2, 0.4])
     point = bridge.WavePoint._make(f[0] for f in wave.at(tt, yy))
-    forms = dynamics.lagrangian_linear(point, 1.0)
+    forms = dynamics.lagrangian_linear(point)
     checks.append(CheckReport.build(
         "dynamics/linear-on-shell", "both routes vanish on shell",
         0.0, (np.abs(forms.spinor), np.abs(forms.em)), tol_abs=1e-12,

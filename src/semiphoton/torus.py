@@ -2,9 +2,9 @@
 
 Derives every geometric and physical parameter of the ring configuration from
 a unit system and the cross-section ratio zeta: radii, angular frequency,
-displacement ring current, charge and field-mass quadratures, the coupling
-constant 2 zeta^2 / pi, spin, magnetic moment, and the internal-rotation
-(Zitterbewegung) parameters.
+charge and field-mass quadratures, the coupling constant 2 zeta^2 / pi, spin
+and the magnetic moment of the loop current q omega_s / 2 pi, and the
+internal-rotation (Zitterbewegung) parameters.
 
 `calibrate_e0` fixes the one free amplitude E0 in closed form by matching the
 field-mass quadrature to the electron mass; `evaluate` builds the calibrated
@@ -74,24 +74,19 @@ class UnitSystem(NamedTuple):
     e: float
     mode: str
 
-    @classmethod
-    def natural(cls):
-        """hbar = c = m_e = 1; the charge carries the physical coupling."""
-        return cls(hbar=1.0, c=1.0, m_e=1.0, e=math.sqrt(FINE_STRUCTURE),
-                   mode="natural")
 
-    @classmethod
-    def gaussian_cgs(cls):
-        return cls(hbar=HBAR_CGS, c=C_CGS, m_e=M_E_CGS, e=E_CGS,
-                   mode="gaussian_cgs")
+#: hbar = c = m_e = 1; the charge carries the physical coupling.
+NATURAL = UnitSystem(hbar=1.0, c=1.0, m_e=1.0, e=math.sqrt(FINE_STRUCTURE),
+                     mode="natural")
+GAUSSIAN_CGS = UnitSystem(hbar=HBAR_CGS, c=C_CGS, m_e=M_E_CGS, e=E_CGS,
+                          mode="gaussian_cgs")
+UNIT_SYSTEMS = {u.mode: u for u in (NATURAL, GAUSSIAN_CGS)}
 
 
 def unit_system(mode):
-    if mode == "natural":
-        return UnitSystem.natural()
-    if mode == "gaussian_cgs":
-        return UnitSystem.gaussian_cgs()
-    raise DomainError(f"unknown unit system {mode!r}")
+    if mode not in UNIT_SYSTEMS:
+        raise DomainError(f"unknown unit system {mode!r}")
+    return UNIT_SYSTEMS[mode]
 
 
 class TorusModel(NamedTuple):

@@ -20,7 +20,7 @@ from semiphoton.report import RunConfig
 from semiphoton.suites import run_suites
 
 CANON = dirac.canonical_alpha_set()
-NAT = torus.UnitSystem.natural()
+NAT = torus.NATURAL
 # the tabulated matrix assignment: the axis of each vector matrix's flux
 # bilinear, per triad axis; the one on the triad's own axis is the working one
 MATRIX_AXES = {"y": {"a1": "x", "a2": "y", "a3": "z"},
@@ -192,8 +192,7 @@ def test_criterion_7_expansion_agreement():
         cases = [(t, form) for t in dirac.axis_triads()
                  for form in ("plus", "minus")]
         triads, forms = zip(*cases)
-        wave = bridge.onshell_plane_wave(triads, forms, k=0.8, mass=1.0,
-                                         e2_amp=0.7)
+        wave = bridge.onshell_plane_wave(triads, forms, k=0.8, e2_amp=0.7)
         rep = bridge.dirac_residual_em(wave, t_grid, u_grid)
         for i, (t, form) in enumerate(cases):
             assert rep.cross_deviation[i] <= 1e-12 * wave.omega, (t.name, form)
@@ -218,14 +217,14 @@ def test_criterion_8_lagrangians():
 
             point = bridge.WavePoint(emf(vals), emf(1j * ws * vals),
                                        emf(-1j * ks * vals))
-            forms = dynamics.lagrangian_linear(point, 1.0)
+            forms = dynamics.lagrangian_linear(point)
             scale = max(abs(forms.em), 1.0)
             assert abs(forms.spinor - forms.em) <= 1e-12 * scale
 
         wave = bridge.onshell_plane_wave(
-            [dirac.triad("y", "negative")], ["plus"], 0.8, 1.0)
+            [dirac.triad("y", "negative")], ["plus"], 0.8)
         point = bridge.WavePoint._make(f[0] for f in wave.at(0.6, -0.4))
-        forms = dynamics.lagrangian_linear(point, 1.0)
+        forms = dynamics.lagrangian_linear(point)
         assert max(abs(forms.spinor), abs(forms.em)) <= 1e-12
 
         for _ in range(200):
@@ -242,7 +241,7 @@ def test_criterion_8_lagrangians():
             assert abs(nl.quartic_em - nl.quartic_bilinear) <= 1e-12 * scale
 
         comp = dynamics.photon_photon_comparison(
-            torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), 1.0))
+            torus.derive_parameters(torus.GAUSSIAN_CGS, 1.0))
         assert (comp["eh_squared_coefficient_self"],
                 comp["eh_squared_coefficient_perturbative"]) == (4.0, 7.0)
         assert comp["quartic_scale_perturbative"] > 0

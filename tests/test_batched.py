@@ -24,7 +24,7 @@ from semiphoton.linalg import mat_vec
 from semiphoton.report import FAIL, CheckReport
 
 CANON = dirac.canonical_alpha_set()
-MODEL = torus.derive_parameters(torus.UnitSystem.natural(), 1.0)
+MODEL = torus.derive_parameters(torus.NATURAL, 1.0)
 LAYOUT = bridge.electron_layout()
 TOL = 1e-15
 
@@ -296,13 +296,13 @@ def point_scale(point):
 @settings(deadline=None, max_examples=100)
 @given(wave_points())
 def test_lagrangian_linear_matches_loop(point):
-    got = dynamics.lagrangian_linear(point, 1.0)
+    got = dynamics.lagrangian_linear(point)
     scale = point_scale(point)
     for i, one in enumerate(point_rows(point)):
         spinor, em = loop_linear(one)
         assert_close(got.spinor[i], spinor, scale[i])
         assert_close(got.em[i], em, scale[i])
-        single = dynamics.lagrangian_linear(one, 1.0)
+        single = dynamics.lagrangian_linear(one)
         assert (single.spinor, single.em) == (got.spinor[i], got.em[i])
 
 
@@ -399,11 +399,11 @@ def test_residual_case_stack_matches_single_cases():
     off-shell case among them: each case of the stack equals its own call."""
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
-    on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
+    on_shell = bridge.onshell_plane_wave(triads, forms, 0.8, e2_amp=0.7)
     y_neg = dirac.triad("y", "negative")
     # the y-negative plus-form wave with its H amplitudes 10% too large
-    off_shell = bridge.onshell_plane_wave([y_neg], ["plus"], 0.8,
-                                          1.0).amps * [[1], [1], [1.1], [1.1]]
+    off_shell = bridge.onshell_plane_wave([y_neg], ["plus"],
+                                          0.8).amps * [[1], [1], [1.1], [1.1]]
     # cases 0-5 and 7-12 plain, 6 off shell, 13-24 charge conjugated
     order = list(range(6)) + [None] + list(range(6, 12)) + list(range(12))
     stack_triads = [y_neg if j is None else triads[j] for j in order]
@@ -439,7 +439,7 @@ def test_residual_case_stack_matches_single_cases():
 def test_finite_difference_case_stack_matches_single_cases():
     triads, forms = zip(*[(t, form) for t in dirac.axis_triads()
                           for form in ("plus", "minus")])
-    wave = bridge.onshell_plane_wave(triads, forms, 0.8, 1.0, e2_amp=0.7)
+    wave = bridge.onshell_plane_wave(triads, forms, 0.8, e2_amp=0.7)
     grids = np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 3)
     rep = bridge.dirac_residual_em(wave, *grids, fd_step=1e-4)
     assert rep.max_scalar.max() <= 1e-6
@@ -558,7 +558,7 @@ def test_table_driven_grid_equals_per_call_tables(cases, data, t_grid, u_grid,
     conjugated = data.draw(st.one_of(
         st.booleans(), st.lists(st.booleans(), min_size=len(cases),
                                 max_size=len(cases))))
-    wave = bridge.onshell_plane_wave(triads, forms, k, 1.0, e2_amp=e2_amp)
+    wave = bridge.onshell_plane_wave(triads, forms, k, e2_amp=e2_amp)
     flags = np.broadcast_to(conjugated, (len(triads),))
     wave = wave._replace(omega=detune * wave.omega, layouts=[
         bridge.layout_for_triad(t, conj) for t, conj in zip(triads, flags)])
@@ -627,10 +627,10 @@ def test_stacks_are_validated(monkeypatch):
     y_neg = dirac.triad("y", "negative")
     for e2_amp in (np.nan, np.inf):
         with pytest.raises(ValueError, match="amplitude"):
-            bridge.onshell_plane_wave([y_neg], ["plus"], 0.8, 1.0,
+            bridge.onshell_plane_wave([y_neg], ["plus"], 0.8,
                                       e2_amp=e2_amp)
     wave = bridge.onshell_plane_wave([y_neg] * 2, ["plus", "minus"], 0.8,
-                                     1.0, e2_amp=0.7)
+                                     e2_amp=0.7)
     calls = []
     monkeypatch.setattr(bridge, "as_vec3", lambda a: calls.append(a) or a)
     tt = np.linspace(0.0, 1.0, 3)
@@ -992,7 +992,7 @@ def test_torus_stack_rows_share_one_doubling(n, monkeypatch):
     # repeats the zeta-free shape integral exactly; every row of the stack is
     # that one integral times its own prefactor
     monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
-    units = torus.UnitSystem.natural()
+    units = torus.NATURAL
     zetas = [0.05, 0.1, 0.3, 0.37, 0.5, 0.7, 1.0]
     stacked = torus.evaluate(units, zetas, n)
     got = stacked_fields(stacked)
@@ -1009,7 +1009,7 @@ def test_torus_stack_raises_the_first_unconverged_zeta(zetas, monkeypatch):
     # from 64 points still moves, whatever the zeta
     monkeypatch.setattr(torus, "CONVERGENCE_TOL", 0.0)
     monkeypatch.setattr(torus, "MAX_DOUBLINGS", 1)
-    units = torus.UnitSystem.natural()
+    units = torus.NATURAL
     message = "result still moving by 5.551e-17 at 128 points"
     for stack in [zetas, *zetas]:
         with pytest.raises(torus.QuadratureNotConverged) as info:

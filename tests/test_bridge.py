@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiphoton import bridge, dirac
+from semiphoton import bridge, dirac, torus
 from semiphoton.bridge import EmField
 
 CANON = dirac.canonical_alpha_set()
@@ -189,13 +189,24 @@ def _grids():
 @pytest.mark.parametrize("form", ["plus", "minus"])
 def test_onshell_wave_has_zero_residual(axis, orientation, form):
     t = dirac.triad(axis, orientation)
-    wave = bridge.onshell_plane_wave([t], [form], k=0.8, mass=1.0,
-                                     e2_amp=0.4)
+    wave = bridge.onshell_plane_wave([t], [form], k=0.8, e2_amp=0.4)
     t_grid, u_grid = _grids()
     rep = bridge.dirac_residual_em(wave, t_grid, u_grid)
     assert rep.max_scalar.shape == rep.cross_deviation.shape == (1,)
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
     assert rep.cross_deviation[0] <= 1e-12 * wave.omega
+
+
+@pytest.mark.parametrize("units", [torus.NATURAL, torus.GAUSSIAN_CGS],
+                         ids=lambda u: u.mode)
+def test_onshell_wave_omega_in_each_unit_system(units):
+    """omega^2 = (m c^2 / hbar)^2 + (c k)^2 for a k of 0.8 m c / hbar."""
+    m, c, hbar = units.m_e, units.c, units.hbar
+    k = 0.8 * m * c / hbar
+    wave = bridge.onshell_plane_wave([dirac.triad("y", "negative")],
+                                     ["plus"], k, units=units)
+    want = math.sqrt((m * c ** 2 / hbar) ** 2 + (c * k) ** 2)
+    assert wave.omega == pytest.approx(want, rel=1e-15)
 
 
 def test_slot_wave_places_each_scaled_phase_bit_for_bit():
@@ -249,7 +260,7 @@ def test_scalar_and_matrix_routes_agree_off_shell():
 
 def test_finite_difference_fallback_and_truncation_guard():
     t = dirac.triad("y", "negative")
-    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8)
     t_grid, u_grid = np.linspace(0, 1, 3), np.linspace(-0.5, 0.5, 3)
     rep = bridge.dirac_residual_em(wave, t_grid, u_grid, fd_step=1e-4)
     assert rep.max_scalar[0] <= 1e-6
@@ -292,7 +303,7 @@ def test_conjugate_layout_solves_opposite_current_system():
 
 def test_detuned_wave_leaves_residual():
     t = dirac.triad("y", "negative")
-    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8)
     rep = bridge.dirac_residual_em(wave._replace(omega=1.1 * wave.omega),
                                    *(_grids()))
     assert rep.max_scalar[0] > 0.01
@@ -308,7 +319,7 @@ def test_residual_grid_builds_the_alpha_set_once(monkeypatch):
 
     monkeypatch.setattr(dirac, "canonical_alpha_set", counted)
     t = dirac.triad("y", "negative")
-    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8)
     rep = bridge.dirac_residual_em(wave, *(_grids()))
     assert len(calls) == 1
     assert rep.max_scalar[0] <= 1e-12 * wave.omega
@@ -318,7 +329,7 @@ def test_residual_rows_follow_the_grid_order(monkeypatch):
     """Row i is the point (t_grid[i // len(u_grid)], u_grid[i % len(u_grid)])."""
     t = dirac.triad("y", "negative")
     layout = bridge.layout_for_triad(t)
-    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8)
     wave = wave._replace(omega=1.1 * wave.omega)
     calls = []
     at = bridge.SlotWave.at
@@ -350,7 +361,7 @@ def test_finite_difference_route_stacks_its_stencils(monkeypatch):
     """One placement for the probe's stencils, one for the grid's, one for
     the values, and the fields only: no derivative is placed."""
     t = dirac.triad("y", "negative")
-    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8, 1.0)
+    wave = bridge.onshell_plane_wave([t], ["plus"], 0.8)
     shapes = []
     place = bridge.slot_fields
 

@@ -10,7 +10,7 @@ from semiphoton.cli import main
 from semiphoton.report import RunConfig
 from semiphoton.suites import suite_dynamics
 
-NAT = torus.UnitSystem.natural()
+NAT = torus.NATURAL
 MODEL = torus.derive_parameters(NAT, 1.0)
 
 
@@ -86,21 +86,21 @@ def test_linear_forms_agree_off_shell():
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         point = _point_from_arrays(amps, rng.normal(size=4),
                                    rng.normal(size=4), 0.4, -0.9)
-        forms = dynamics.lagrangian_linear(point, 1.0)
+        forms = dynamics.lagrangian_linear(point)
         scale = max(abs(forms.em), 1.0)
         assert abs(forms.spinor - forms.em) <= 1e-12 * scale
 
 
 def test_linear_forms_vanish_on_shell():
     wave = bridge.onshell_plane_wave([dirac.triad("y", "negative")],
-                                     ["plus"], 0.8, 1.0)
+                                     ["plus"], 0.8)
     for (t, y) in ((0.0, 0.0), (1.3, -0.7)):
         point = bridge.WavePoint._make(f[0] for f in wave.at(t, y))
-        forms = dynamics.lagrangian_linear(point, 1.0)
+        forms = dynamics.lagrangian_linear(point)
         assert abs(forms.spinor) <= 1e-12
         assert abs(forms.em) <= 1e-12
     zero = bridge.WavePoint(EmField.zero(), EmField.zero(), EmField.zero())
-    assert dynamics.lagrangian_linear(zero, 1.0).em == 0
+    assert dynamics.lagrangian_linear(zero).em == 0
 
 
 def _conjugate_family_point(t, y, k=0.8, w0=1.0):
@@ -158,17 +158,17 @@ def test_self_field_and_currents():
                            ([0, 0, 0], [0, 0, 1], 1j / (4 * math.pi))):
         point = bridge.WavePoint(EmField(e, h), EmField.zero(),
                                    EmField.zero())
-        forms = dynamics.lagrangian_linear(point, 1.0)
+        forms = dynamics.lagrangian_linear(point)
         assert forms.em == pytest.approx(expected, abs=1e-16)
         assert forms.spinor == pytest.approx(expected, abs=1e-16)
 
 
 def test_photon_photon_comparison():
-    gm = torus.derive_parameters(torus.UnitSystem.gaussian_cgs(), 1.0)
+    gm = torus.derive_parameters(torus.GAUSSIAN_CGS, 1.0)
     comp = dynamics.photon_photon_comparison(gm)
     assert comp["eh_squared_coefficient_self"] == 4.0
     assert comp["eh_squared_coefficient_perturbative"] == 7.0
-    u = torus.UnitSystem.gaussian_cgs()
+    u = torus.GAUSSIAN_CGS
     expected_b = (2 / 45) * u.e ** 4 * u.hbar / (u.m_e ** 4 * u.c ** 7)
     assert comp["quartic_scale_perturbative"] == pytest.approx(expected_b,
                                                                rel=1e-15)

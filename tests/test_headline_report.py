@@ -255,7 +255,7 @@ def test_each_ledger_entry_moves_with_its_own_route(monkeypatch):
     monkeypatch.undo()
 
     # the 1/pi-prefactor quadrature is its own route, not the density's
-    model = torus.evaluate(torus.UnitSystem.natural(), 1.0, 256).model
+    model = torus.evaluate(torus.NATURAL, 1.0, 256).model
     half = "ring-charge/half-wave"
     pref = "ring-charge/stated-prefactor-quadrature"
     base = _ratios(torus.discrepancy_ledger(model, 256))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiphoton import torus
+from semiphoton import cli, torus
 
-NAT = torus.UnitSystem.natural()
+NAT = torus.NATURAL
 
 
 def model(zeta=1.0, e0=None):
@@ -35,10 +35,22 @@ def test_zeta_scaling():
 
 
 def test_gaussian_radius_is_half_compton():
-    g = torus.UnitSystem.gaussian_cgs()
+    g = torus.GAUSSIAN_CGS
     m = torus.derive_parameters(g, 1.0)
     compton = g.hbar / (g.m_e * g.c)
     assert m.r_s == pytest.approx(compton / 2, rel=1e-15)
+
+
+def test_unit_systems_are_named_once():
+    names = ("natural", "gaussian_cgs")
+    assert tuple(torus.UNIT_SYSTEMS) == cli.OPTIONS["--units"]["choices"]
+    assert tuple(torus.UNIT_SYSTEMS) == names
+    for name, units in torus.UNIT_SYSTEMS.items():
+        assert units.mode == name
+        assert torus.unit_system(name) is units
+    with pytest.raises(torus.DomainError) as info:
+        torus.unit_system("si")
+    assert str(info.value) == "unknown unit system 'si'"
 
 
 def test_zeta_domain():
@@ -156,7 +168,7 @@ def test_chain_spot_value():
 
 
 def test_radius_ratio_is_fine_structure():
-    g = torus.UnitSystem.gaussian_cgs()
+    g = torus.GAUSSIAN_CGS
     chain = torus.consistency_chain(
         torus.calibrate_e0(torus.derive_parameters(g, 1.0), n_points=128))
     assert chain.radius_ratio == pytest.approx(torus.FINE_STRUCTURE, rel=5e-3)
@@ -205,7 +217,7 @@ def test_discrepancy_ledger_entries():
     # with the smallest accepted zeta of each unit system: a calibration
     # there leaves every stated value non-zero, so no ratio divides by 0
     smallest = {"natural": 1e-153, "gaussian_cgs": 1e-127}
-    for units in (NAT, torus.UnitSystem.gaussian_cgs()):
+    for units in (NAT, torus.GAUSSIAN_CGS):
         for zeta in [*torus.zeta_grid(0.01, 1.0, 23), smallest[units.mode]]:
             for n in (64, 256, 1024):
                 m = torus.calibrate_e0(torus.derive_parameters(units, zeta), n)
@@ -238,7 +250,7 @@ def test_calibration_out_of_range_raises_domain_error():
 
 
 def test_evaluate_matches_the_separate_routes():
-    for units in (NAT, torus.UnitSystem.gaussian_cgs()):
+    for units in (NAT, torus.GAUSSIAN_CGS):
         ev = torus.evaluate(units, 0.3, 256)
         m = torus.calibrate_e0(torus.derive_parameters(units, 0.3),
                                n_points=256)
